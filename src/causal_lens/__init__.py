@@ -28,7 +28,7 @@ from .causal import (
     signalling_relation,
     t_process,
 )
-from .automata import RingAutomaton, build_ring, cone_growth, neighbourhood_map
+from .automata import RingAutomaton, build_ring, cone_growth, neighbourhood_map, neighbourhood_maps
 from .errors import BudgetError, ConsistencyError, SpecError
 from .oracle import CrossValidationReport, OracleBudget, OracleVerdict, cross_validate, definition_check
 from .quantum import DensityOperator, StateMap, UnitaryChannel, partial_trace
@@ -70,6 +70,7 @@ __all__ = [
     "memory_decomposition",
     "neighbourhood",
     "neighbourhood_map",
+    "neighbourhood_maps",
     "partial_trace",
     "probe_conjugation_matches_evolution",
     "replay_witness",

@@ -27,6 +27,7 @@ __all__ = [
     "build_ring",
     "cone_growth",
     "neighbourhood_map",
+    "neighbourhood_maps",
 ]
 
 DEFAULT_MAX_DIM = {"classical": 4096, "quantum": 64}
@@ -102,7 +103,7 @@ def build_ring(
             names = [_cell_name(i) for i in span]
             placed = embed_on(gate.with_names(names, names), ring)
             layer_channel = placed.compose(layer_channel)
-            layer_desc.append((getattr(gate, "label", gate.__class__.__name__), at))
+            layer_desc.append((type(gate).__name__, at))
         step = layer_channel.compose(step)
         described.append(tuple(layer_desc))
     return RingAutomaton(
@@ -128,7 +129,12 @@ def neighbourhood_map(
     """Per-cell causal neighbourhood and signalling set of the iterated step."""
     if steps < 1:
         raise SpecError("steps must be >= 1")
-    u = iterate(a.step, steps)
+    return _cell_neighbourhoods(a, iterate(a.step, steps), tol)
+
+
+def _cell_neighbourhoods(
+    a: RingAutomaton, u: ClassicalChannel | UnitaryChannel, tol: float
+) -> tuple[CellNeighbourhood, ...]:
     out = []
     for name in a.system.names:
         causal = neighbourhood(u, [name], tol)
@@ -147,25 +153,52 @@ class ConeRow:
     causal_sizes: tuple[int, ...]
     signalling_sizes: tuple[int, ...]
 
+    @classmethod
+    def from_map(cls, step: int, entries: Sequence[CellNeighbourhood]) -> "ConeRow":
+        """Both cone sizes per cell of one step count's neighbourhood map."""
+        return cls(
+            step=step,
+            causal_sizes=tuple(len(e.causal) for e in entries),
+            signalling_sizes=tuple(len(e.signalling) for e in entries),
+        )
 
-def cone_growth(
-    a: RingAutomaton, max_steps: int, tol: float = DEFAULT_TOL
-) -> tuple[ConeRow, ...]:
-    """Sizes of both cones per cell for each step count up to ``max_steps``."""
+
+def _iterated_maps(
+    a: RingAutomaton, max_steps: int, tol: float
+) -> list[tuple[CellNeighbourhood, ...]]:
+    """Neighbourhood maps for step counts 1..``max_steps``, each computed once.
+
+    ``U^t = step . U^(t-1)`` is kept between step counts. The cone budget is
+    checked before the first neighbourhood is computed.
+    """
     bits = a.cells * math.log2(a.cell_dim)
     limit = 12 if a.model == "classical" else 6
     if bits > limit:
         raise BudgetError(
             f"cone growth capped at {limit} cell-bits for the {a.model} model, got {bits:.1f}"
         )
-    rows = []
+    maps = []
+    u = a.step
     for t in range(1, max_steps + 1):
-        nm = neighbourhood_map(a, t, tol)
-        rows.append(
-            ConeRow(
-                step=t,
-                causal_sizes=tuple(len(c.causal) for c in nm),
-                signalling_sizes=tuple(len(c.signalling) for c in nm),
-            )
-        )
-    return tuple(rows)
+        if t > 1:
+            u = a.step.compose(u)
+        maps.append(_cell_neighbourhoods(a, u, tol))
+    return maps
+
+
+def neighbourhood_maps(
+    a: RingAutomaton, steps: int, tol: float = DEFAULT_TOL
+) -> tuple[tuple[CellNeighbourhood, ...], ...]:
+    """``neighbourhood_map`` for every step count up to ``steps``, under the cone budget."""
+    if steps < 1:
+        raise SpecError("steps must be >= 1")
+    return tuple(_iterated_maps(a, steps, tol))
+
+
+def cone_growth(
+    a: RingAutomaton, max_steps: int, tol: float = DEFAULT_TOL
+) -> tuple[ConeRow, ...]:
+    """Sizes of both cones per cell for each step count up to ``max_steps``."""
+    return tuple(
+        ConeRow.from_map(t, nm) for t, nm in enumerate(_iterated_maps(a, max_steps, tol), 1)
+    )

@@ -7,11 +7,13 @@ together with all outputs, and the largest output subset on which it factors
 as an identity is exactly the set of outputs that ``A`` cannot influence. Its
 complement is the causal neighbourhood of ``A``.
 
-Everything in this module is generic over the two channel models through the
+Most of this module is generic over the two channel models through the
 shared reversible-channel protocol (``compose``, ``tensor``, ``invert``,
 ``signals``, ``factors_as_identity``, ``identity``, ``from_index_permutation``).
-Only memory decompositions and witness extraction branch on the model, because
-their constructions genuinely differ.
+Three places branch on the model. The classical probe process is gathered
+straight from the lookup table instead of being composed, and its idle
+outputs are read off that table in one sweep. Memory decompositions and
+witness extraction branch because their constructions genuinely differ.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def embed_on(channel: Channel, system: CompositeSystem) -> Channel:
     return r.invert().compose(big).compose(r)
 
 
-def _content_swap(cls, system: CompositeSystem, pairs: Sequence[tuple[str, str]]) -> Channel:
-    """Channel exchanging the contents of equal-dimension wire pairs."""
+def _content_swap(system: CompositeSystem, pairs: Sequence[tuple[str, str]]) -> UnitaryChannel:
+    """Unitary exchanging the contents of equal-dimension wire pairs."""
     source = list(range(len(system)))
     for a, b in pairs:
         pa, pb = system.position(a), system.position(b)
@@ -125,7 +127,7 @@ def _content_swap(cls, system: CompositeSystem, pairs: Sequence[tuple[str, str]]
     table = np.zeros_like(idx)
     for k, s in enumerate(source):
         table += (idx // system.strides[s] % system.dims[s]) * system.strides[k]
-    return cls.from_index_permutation(system, system, tuple(int(v) for v in table))
+    return UnitaryChannel.from_index_permutation(system, system, table)
 
 
 def iterate(channel: Channel, steps: int) -> Channel:
@@ -170,24 +172,31 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     """Conjugate the copy-swap at ``probed`` by the evolution and factor it.
 
     The probe channel is (copy-padded u) after (swap copies with probed inputs)
-    after (copy-padded u inverse). Idle outputs are found wire by wire
-    (identity factors on disjoint wires combine) and the joint factorization is
-    verified once at the end.
+    after (copy-padded u inverse). Classically it is gathered in one pass as
+    ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``, and the idle
+    outputs are read off that table. Quantum idle outputs are found wire by
+    wire (identity factors on disjoint wires combine). Either way the joint
+    factorization is verified once at the end.
     """
     frm = _ordered_subset(u.input, probed)
-    cls = type(u)
     taken = set(u.input.names) | set(u.output.names)
     copies = _fresh_names(taken, frm, "_1")
     copy_sys = composite(
         *((c, u.input.parts[u.input.position(n)].dim) for c, n in zip(copies, frm))
     )
-    back = cls.identity(copy_sys).tensor(u.invert())
-    swap = _content_swap(cls, copy_sys.concat(u.input), list(zip(copies, frm)))
-    fwd = cls.identity(copy_sys).tensor(u)
-    tilde = fwd.compose(swap).compose(back)
-    idle = tuple(
-        w for w in u.output.names if tilde.factors_as_identity((w,), tol) is not None
-    )
+    if isinstance(u, ClassicalChannel):
+        table = _classical_probe_table(u, frm, copy_sys)
+        probe_sys = copy_sys.concat(u.output)
+        tilde = ClassicalChannel(probe_sys, probe_sys, table)
+        idle = _idle_wires(probe_sys, table, u.output.names)
+    else:
+        back = UnitaryChannel.identity(copy_sys).tensor(u.invert())
+        swap = _content_swap(copy_sys.concat(u.input), list(zip(copies, frm)))
+        fwd = UnitaryChannel.identity(copy_sys).tensor(u)
+        tilde = fwd.compose(swap).compose(back)
+        idle = tuple(
+            w for w in u.output.names if tilde.factors_as_identity((w,), tol) is not None
+        )
     factor = tilde.factors_as_identity(idle, tol)
     if factor is None:
         raise ConsistencyError(
@@ -201,6 +210,48 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
         idle_subset=frozenset(idle),
         factor=factor,
     )
+
+
+def _classical_probe_table(
+    u: ClassicalChannel, frm: tuple[str, ...], copy_sys: CompositeSystem
+) -> np.ndarray:
+    """Joint-index table of the classical probe process on (copies, outputs).
+
+    Entry ``(c, z)`` is ``(x_A, u(x with A := c))`` for ``x = u^-1(z)``.
+    """
+    d_copy, d_out = copy_sys.total_dim, u.output.total_dim
+    pos = [u.input.position(n) for n in frm]
+    # a leading unit axis keeps the codec valid on the empty system
+    x = list(np.unravel_index(np.argsort(u._arr), (1,) + u.input.dims)[1:])
+    before = np.ravel_multi_index(tuple(x[p] for p in pos), copy_sys.dims)
+    copy_digits = np.unravel_index(np.arange(d_copy)[:, None], (1,) + copy_sys.dims)[1:]
+    for p, c in zip(pos, copy_digits):
+        x[p] = c  # a column: broadcasts against the outputs' row
+    after = u._arr[np.ravel_multi_index(tuple(x), u.input.dims)]
+    return np.broadcast_to(before * d_out + after, (d_copy, d_out)).reshape(-1)
+
+
+def _idle_wires(
+    system: CompositeSystem, table: np.ndarray, names: Sequence[str]
+) -> tuple[str, ...]:
+    """The ``names`` wires on which a bijective table of ``system`` acts as identity.
+
+    A wire is idle when its digit passes through and no other output digit
+    depends on it. For a bijection that holds exactly when, along the wire's
+    axis, the table is its value at digit 0 plus the digit times the wire's
+    stride. (Each line along the axis then maps onto ``dim`` consecutive
+    values of ``index // stride``; runs of that length tile the index space
+    only when each starts at digit 0.)
+    """
+    grid = table.reshape(system.dims)
+    idle = []
+    for name in names:
+        k = system.position(name)
+        dim, stride = system.dims[k], system.strides[k]
+        digit = np.arange(dim).reshape([dim if a == k else 1 for a in range(grid.ndim)])
+        if np.array_equal(grid, np.take(grid, [0], axis=k) + digit * stride):
+            idle.append(name)
+    return tuple(idle)
 
 
 def neighbourhood(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> frozenset[str]:

@@ -53,7 +53,7 @@ class ClassicalChannel:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.table, dtype=np.int64)
-        object.__setattr__(self, "table", tuple(int(v) for v in arr))
+        object.__setattr__(self, "table", tuple(arr.tolist()))
         object.__setattr__(self, "_arr", arr)
         n = self.input.total_dim
         if self.output.total_dim != n:
@@ -132,7 +132,7 @@ class ClassicalChannel:
         to_pos = self.output.subset_positions(to_out)
         if not from_pos or not to_pos:
             return False
-        to_vals = _digit_arrays(self.output, np.asarray(self.table), to_pos)
+        to_vals = _digit_arrays(self.output, self._arr, to_pos)
         grid = to_vals.reshape(self.input.dims)
         ref = grid
         for ax in from_pos:
@@ -157,7 +157,7 @@ class ClassicalChannel:
             if din != dout:
                 raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
         arr = np.arange(self.input.total_dim)
-        tbl = np.asarray(self.table)
+        tbl = self._arr
         # (i) pass-through, paired by name in a fixed canonical order
         order = [self.input.names[p] for p in in_pos]
         in_vals = _digit_arrays(self.input, arr, [self.input.position(n) for n in order])
@@ -183,7 +183,7 @@ class ClassicalChannel:
         w_table = _digit_arrays(
             self.output, tbl[x], [self.output.position(n) for n in w_out.names]
         )
-        return ClassicalChannel(w_in, w_out, tuple(int(v) for v in w_table))
+        return ClassicalChannel(w_in, w_out, tuple(w_table.tolist()))
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def random_reversible(
 ) -> ClassicalChannel:
     """Uniformly random permutation channel on ``system``."""
     table = rng.permutation(system.total_dim)
-    return ClassicalChannel(system, out_system or system, tuple(int(v) for v in table))
+    return ClassicalChannel(system, out_system or system, tuple(table.tolist()))
 
 
 def all_reversible_channels(system: CompositeSystem) -> Iterable[ClassicalChannel]:

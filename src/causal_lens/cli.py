@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import classical as cl
 from . import quantum as qm
-from .automata import build_ring, cone_growth, neighbourhood_map
+from .automata import DEFAULT_MAX_DIM, ConeRow, build_ring, neighbourhood_maps
 from .causal import (
     check_interaction_without_disturbance,
     hierarchy_report,
@@ -52,7 +53,7 @@ def _max_dim(model: str) -> int:
             return int(raw)
         except ValueError:
             raise SpecError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
-    return 4096 if model == "classical" else 64
+    return DEFAULT_MAX_DIM[model]
 
 
 # -- file loading -----------------------------------------------------------------
@@ -299,8 +300,9 @@ def cmd_ca(args) -> int:
     auto = build_ring(
         layers, args.cells, cell_dim, model=args.model, max_dim=_max_dim(args.model)
     )
-    entries = neighbourhood_map(auto, args.steps, args.tol)
-    cones = cone_growth(auto, args.steps, args.tol)
+    maps = neighbourhood_maps(auto, args.steps, args.tol)
+    entries = maps[-1]
+    cones = [ConeRow.from_map(t, nm) for t, nm in enumerate(maps, 1)]
     payload = {
         "file": args.rulefile,
         "model": args.model,
@@ -419,9 +421,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser ``main`` reuses; built on first use so that importing stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.run(args)
     except SpecError as exc:
