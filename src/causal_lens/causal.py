@@ -14,6 +14,12 @@ Three places branch on the model. The classical probe process is gathered
 straight from the lookup table instead of being composed, and its idle
 outputs are read off that table in one sweep. Memory decompositions and
 witness extraction branch because their constructions genuinely differ.
+
+Every wire digit is read and written through the system's codec
+(``CompositeSystem.digits`` / ``with_digits``), vectorized over whole tables;
+wire reorderings are index permutations built from it. ``hierarchy_report``
+builds one probe process and hands it to the memory decomposition and the
+witness search.
 """
 
 from __future__ import annotations
@@ -26,8 +32,15 @@ import numpy as np
 
 from .classical import ClassicalChannel, ClassicalInstrument
 from .errors import ConsistencyError, SpecError
-from .quantum import DEFAULT_TOL, StateMap, UnitaryChannel, _grouped
-from .systems import CompositeSystem, composite, reorder_permutation
+from .quantum import (
+    DEFAULT_TOL,
+    StateMap,
+    UnitaryChannel,
+    _grouped,
+    _partial_trace,
+    _signalling_terms,
+)
+from .systems import CompositeSystem, composite
 
 __all__ = [
     "DisturbanceClassification",
@@ -75,6 +88,18 @@ def _fresh_names(taken: set[str], bases: Sequence[str], suffix: str) -> tuple[st
     return tuple(out)
 
 
+def _relabelling(cls, system: CompositeSystem, order: Sequence[str]) -> Channel:
+    """The channel from ``system`` to ``system.select(order)``: its wires relisted."""
+    new = system.select(order)
+    if len(new) != len(system):
+        raise SpecError(
+            f"new order {list(order)} is not a permutation of wire names {list(system.names)}"
+        )
+    return cls.from_index_permutation(
+        system, new, system.digits(np.arange(system.total_dim), order)
+    )
+
+
 def reorder_wires(
     channel: Channel,
     input_order: Optional[Sequence[str]] = None,
@@ -84,13 +109,9 @@ def reorder_wires(
     cls = type(channel)
     out = channel
     if input_order is not None:
-        p = reorder_permutation(channel.input, input_order)
-        r = cls.from_index_permutation(channel.input, channel.input.select(input_order), p)
-        out = out.compose(r.invert())
+        out = out.compose(_relabelling(cls, channel.input, input_order).invert())
     if output_order is not None:
-        q = reorder_permutation(channel.output, output_order)
-        r = cls.from_index_permutation(channel.output, channel.output.select(output_order), q)
-        out = r.compose(out)
+        out = _relabelling(cls, channel.output, output_order).compose(out)
     return out
 
 
@@ -107,27 +128,33 @@ def embed_on(channel: Channel, system: CompositeSystem) -> Channel:
         if part.dim != system.parts[system.position(part.name)].dim:
             raise SpecError(f"wire {part.name!r} has a different dimension in the host system")
     rest = [n for n in system.names if n not in set(names)]
-    order = list(names) + rest
     cls = type(channel)
-    p = reorder_permutation(system, order)
-    r = cls.from_index_permutation(system, system.select(order), p)
+    r = _relabelling(cls, system, list(names) + rest)
     big = channel.tensor(cls.identity(system.restrict(rest)))
     return r.invert().compose(big).compose(r)
 
 
-def _content_swap(system: CompositeSystem, pairs: Sequence[tuple[str, str]]) -> UnitaryChannel:
-    """Unitary exchanging the contents of equal-dimension wire pairs."""
-    source = list(range(len(system)))
-    for a, b in pairs:
-        pa, pb = system.position(a), system.position(b)
-        if system.dims[pa] != system.dims[pb]:
-            raise SpecError(f"cannot swap wires {a!r} and {b!r} of different dimensions")
-        source[pa], source[pb] = source[pb], source[pa]
-    idx = np.arange(system.total_dim)
-    table = np.zeros_like(idx)
-    for k, s in enumerate(source):
-        table += (idx // system.strides[s] % system.dims[s]) * system.strides[k]
+def _content_swap(
+    system: CompositeSystem, left: Sequence[str], right: Sequence[str]
+) -> UnitaryChannel:
+    """Unitary exchanging the contents of the ``left`` and ``right`` wires, pairwise.
+
+    Paired wires must have equal dimensions, so that swapping their axes of
+    the index grid keeps its shape.
+    """
+    axes = np.arange(len(system))
+    pa, pb = [system.position(n) for n in left], [system.position(n) for n in right]
+    axes[pa], axes[pb] = pb, pa
+    table = np.arange(system.total_dim).reshape(system.dims).transpose(axes).reshape(-1)
     return UnitaryChannel.from_index_permutation(system, system, table)
+
+
+def _grounded(system: CompositeSystem, names: Sequence[str]) -> np.ndarray:
+    """Joint indices with the ``names`` wires running over ``select(names)``, others at 0.
+
+    With every wire named, this is the inverse of reading the wires in that order.
+    """
+    return system.with_digits(0, names, np.arange(system.select(names).total_dim))
 
 
 def iterate(channel: Channel, steps: int) -> Channel:
@@ -185,13 +212,13 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
         *((c, u.input.parts[u.input.position(n)].dim) for c, n in zip(copies, frm))
     )
     if isinstance(u, ClassicalChannel):
-        table = _classical_probe_table(u, frm, copy_sys)
+        table = _classical_probe_table(u, frm)
         probe_sys = copy_sys.concat(u.output)
         tilde = ClassicalChannel(probe_sys, probe_sys, table)
         idle = _idle_wires(probe_sys, table, u.output.names)
     else:
         back = UnitaryChannel.identity(copy_sys).tensor(u.invert())
-        swap = _content_swap(copy_sys.concat(u.input), list(zip(copies, frm)))
+        swap = _content_swap(copy_sys.concat(u.input), copies, frm)
         fwd = UnitaryChannel.identity(copy_sys).tensor(u)
         tilde = fwd.compose(swap).compose(back)
         idle = tuple(
@@ -212,23 +239,16 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     )
 
 
-def _classical_probe_table(
-    u: ClassicalChannel, frm: tuple[str, ...], copy_sys: CompositeSystem
-) -> np.ndarray:
+def _classical_probe_table(u: ClassicalChannel, frm: tuple[str, ...]) -> np.ndarray:
     """Joint-index table of the classical probe process on (copies, outputs).
 
     Entry ``(c, z)`` is ``(x_A, u(x with A := c))`` for ``x = u^-1(z)``.
     """
-    d_copy, d_out = copy_sys.total_dim, u.output.total_dim
-    pos = [u.input.position(n) for n in frm]
-    # a leading unit axis keeps the codec valid on the empty system
-    x = list(np.unravel_index(np.argsort(u._arr), (1,) + u.input.dims)[1:])
-    before = np.ravel_multi_index(tuple(x[p] for p in pos), copy_sys.dims)
-    copy_digits = np.unravel_index(np.arange(d_copy)[:, None], (1,) + copy_sys.dims)[1:]
-    for p, c in zip(pos, copy_digits):
-        x[p] = c  # a column: broadcasts against the outputs' row
-    after = u._arr[np.ravel_multi_index(tuple(x), u.input.dims)]
-    return np.broadcast_to(before * d_out + after, (d_copy, d_out)).reshape(-1)
+    x = np.argsort(u._arr)
+    # a column of copy values: broadcasts against the outputs' row
+    c = np.arange(u.input.select(frm).total_dim)[:, None]
+    after = u._arr[u.input.with_digits(x, frm, c)]
+    return (u.input.digits(x, frm) * u.output.total_dim + after).reshape(-1)
 
 
 def _idle_wires(
@@ -331,46 +351,25 @@ def _classical_memory(
     taken = set(u.input.names) | set(u.output.names)
     env_names = _fresh_names(taken, b_names, "_env")
     env_sys = composite(*zip(env_names, b_sys.dims))
+    d_a, d_b, d_bp = a_sys.total_dim, b_sys.total_dim, bp_sys.total_dim
 
-    in_a_pos = [u.input.position(n) for n in frm]
-    in_b_pos = [u.input.position(n) for n in b_names]
-    out_ap_pos = [u.output.position(n) for n in ap_names]
-    out_bp_pos = [u.output.position(n) for n in idle]
-
-    def evolve(a_idx: int, b_idx: int) -> tuple[int, ...]:
-        vals = [0] * len(u.input)
-        for p, v in zip(in_a_pos, a_sys.unflatten(a_idx)):
-            vals[p] = v
-        for p, v in zip(in_b_pos, b_sys.unflatten(b_idx)):
-            vals[p] = v
-        return u.output.unflatten(u.table[u.input.flatten(vals)])
+    # z[a, b] = u(a, b); the two blocks' digits are disjoint, so their indices add
+    z = u._arr[_grounded(u.input, frm)[:, None] + _grounded(u.input, b_names)]
+    z_ap = u.output.digits(z, ap_names)
 
     # v copies its input into the memory and emits the idle outputs, which by
     # no-signalling depend on the B block alone
-    d_bp = bp_sys.total_dim
-    v_table = []
-    for y in range(b_sys.total_dim):
-        z = evolve(0, y)
-        v_table.append(y * d_bp + bp_sys.flatten([z[p] for p in out_bp_pos]))
-    v = ClassicalInstrument(b_sys, env_sys.concat(bp_sys), tuple(v_table))
+    v_table = np.arange(d_b) * d_bp + u.output.digits(z[0], idle)
+    v = ClassicalInstrument(b_sys, env_sys.concat(bp_sys), v_table)
+    w_table = z_ap.reshape(-1)
+    w = ClassicalInstrument(a_sys.concat(env_sys), ap_sys, w_table)
 
-    d_env = env_sys.total_dim
-    w_table = []
-    for x in range(a_sys.total_dim):
-        for e in range(d_env):
-            z = evolve(x, e)
-            w_table.append(ap_sys.flatten([z[p] for p in out_ap_pos]))
-    w = ClassicalInstrument(a_sys.concat(env_sys), ap_sys, tuple(w_table))
-
-    for x in range(a_sys.total_dim):
-        for y in range(b_sys.total_dim):
-            e, bp = divmod(v_table[y], d_bp)
-            ap = w_table[x * d_env + e]
-            z = evolve(x, y)
-            if ap != ap_sys.flatten([z[p] for p in out_ap_pos]) or bp != bp_sys.flatten(
-                [z[p] for p in out_bp_pos]
-            ):
-                raise ConsistencyError("memory decomposition failed to recompose")
+    e, bp = np.divmod(v_table, d_bp)
+    if not (
+        np.array_equal(w_table.reshape(d_a, d_b)[:, e], z_ap)
+        and (u.output.digits(z, idle) == bp).all()
+    ):
+        raise ConsistencyError("memory decomposition failed to recompose")
     return MemoryDecomposition(env=env_sys, v=v, w=w)
 
 
@@ -393,12 +392,17 @@ def _herm_basis_states(dim: int) -> list[np.ndarray]:
 
 
 def _quantum_memory(
-    u: UnitaryChannel, frm: tuple[str, ...], idle: tuple[str, ...], tol: float
+    u: UnitaryChannel,
+    frm: tuple[str, ...],
+    idle: tuple[str, ...],
+    tol: float,
+    tp: Optional[TProcessResult] = None,
 ) -> Optional[MemoryDecomposition]:
+    """``tp`` is the probe process of ``u`` at ``frm``, built here when not given."""
     if u.signals(frm, idle, tol):
         return None
     a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _blocks(u, frm, idle)
-    tp = t_process(u, frm, tol)
+    tp = tp or t_process(u, frm, tol)
     t_fac = tp.channel.factors_as_identity(idle, tol)
     if t_fac is None:
         raise ConsistencyError("no signalling but the probe process does not factor")
@@ -407,20 +411,8 @@ def _quantum_memory(
     env_sys = composite(*zip(env_names, ap_sys.dims))
 
     # v = (evolve with the probed block in the ground state), rows grouped (A', B')
-    in_a_pos = [u.input.position(n) for n in frm]
-    in_b_pos = [u.input.position(n) for n in b_names]
-    cols = []
-    for y in range(b_sys.total_dim):
-        vals = [0] * len(u.input)
-        for p, v_ in zip(in_b_pos, b_sys.unflatten(y)):
-            vals[p] = v_
-        cols.append(u.input.flatten(vals))
-    q_out = reorder_permutation(u.output, list(ap_names) + list(idle))
-    d_out = u.output.total_dim
-    q_mat = np.zeros((d_out, d_out))
-    for z, zn in enumerate(q_out):
-        q_mat[zn, z] = 1.0
-    v_iso = q_mat @ u.matrix[:, cols]
+    rows = _grounded(u.output, ap_names + idle)
+    v_iso = u.matrix[np.ix_(rows, _grounded(u.input, b_names))]
 
     def v_eval(rho: np.ndarray) -> np.ndarray:
         return v_iso @ rho @ v_iso.conj().T
@@ -451,24 +443,16 @@ def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, tol):
     d_a, d_b = a_sys.total_dim, b_sys.total_dim
     d_ap, d_bp = ap_sys.total_dim, bp_sys.total_dim
 
-    p_in = reorder_permutation(u.input, list(frm) + list(b_names))
-    d_in = u.input.total_dim
-    p_mat = np.zeros((d_in, d_in))
-    for x, xn in enumerate(p_in):
-        p_mat[xn, x] = 1.0
-    q_out = reorder_permutation(u.output, list(ap_names) + list(idle))
-    d_out = u.output.total_dim
-    q_mat = np.zeros((d_out, d_out))
-    for z, zn in enumerate(q_out):
-        q_mat[zn, z] = 1.0
+    p = u.input.digits(np.arange(u.input.total_dim), frm + b_names)  # system -> (A, B)
+    q = _grounded(u.output, ap_names + idle)  # (A', B') -> system
 
     big_w = np.kron(t_mat, np.eye(d_bp))
     check_tol = max(tol, 1e-9)
     for rho_a in _herm_basis_states(d_a):
         for rho_b in _herm_basis_states(d_b):
             x_grouped = np.kron(rho_a, rho_b)
-            x_orig = p_mat.conj().T @ x_grouped @ p_mat
-            lhs = q_mat @ (u.matrix @ x_orig @ u.matrix.conj().T) @ q_mat.conj().T
+            x_orig = x_grouped[np.ix_(p, p)]
+            lhs = (u.matrix @ x_orig @ u.matrix.conj().T)[np.ix_(q, q)]
             tau = np.kron(rho_a, v_iso @ rho_b @ v_iso.conj().T)
             moved = big_w @ tau @ big_w.conj().T
             t4 = moved.reshape(d_a, d_ap * d_bp, d_a, d_ap * d_bp)
@@ -527,14 +511,22 @@ class HierarchyReport:
 def hierarchy_report(
     u: Channel, from_in: Iterable[str], to_out: Iterable[str], tol: float = DEFAULT_TOL
 ) -> HierarchyReport:
-    """Compute causal influence, memory-decomposability, and signalling independently."""
+    """Compute causal influence, memory-decomposability, and signalling independently.
+
+    One probe process serves the influence verdict, the quantum memory
+    decomposition and the witness.
+    """
     frm = _ordered_subset(u.input, from_in)
     to = _ordered_subset(u.output, to_out)
-    causal = has_causal_influence(u, frm, to, tol)
-    memory = memory_decomposition(u, frm, to, tol) is not None
+    tp = t_process(u, frm, tol)
+    causal = not tp.idle_subset.issuperset(to)
+    if isinstance(u, ClassicalChannel):
+        memory = _classical_memory(u, frm, to) is not None
+    else:
+        memory = _quantum_memory(u, frm, to, tol, tp) is not None
     sig = u.signals(frm, to, tol)
     consistent = (causal or memory) and ((not memory) or (not sig))
-    witness = find_witness(u, frm, to, tol) if causal else None
+    witness = _witness(u, tp, to, tol) if causal else None
     return HierarchyReport(
         from_in=frm,
         to_out=to,
@@ -624,17 +616,8 @@ def _discard_leaves_rest_alone(
 ) -> bool:
     """Discarding the acting outputs must give (discard acting) tensor identity."""
     if isinstance(u, ClassicalChannel):
-        tbl = np.asarray(u.table)
-        arr = np.arange(u.input.total_dim)
-        in_pos = [u.input.position(n) for n in bystander]
-        out_pos = [u.output.position(n) for n in bystander]
-        from .classical import _digit_arrays
-
-        return bool(
-            np.array_equal(
-                _digit_arrays(u.input, arr, in_pos), _digit_arrays(u.output, tbl, out_pos)
-            )
-        )
+        passed = u.input.digits(np.arange(u.input.total_dim), bystander)
+        return np.array_equal(passed, u.output.digits(u._arr, bystander))
     g = _grouped(u.matrix, u.output, u.input, act, act)
     d_a = u.input.select(act).total_dim
     d_b = u.input.total_dim // d_a
@@ -663,39 +646,17 @@ def inverse_nosignalling_check(
     if u.signals(frm, to, tol):
         raise SpecError("precondition failed: the channel signals from_in -> to_out")
     b_names = u.input.complement(frm)
+    grounded = _grounded(u.input, b_names)  # the from block in its ground state
     if isinstance(u, ClassicalChannel):
-        b_sys = u.input.restrict(b_names)
-        to_sys = u.output.restrict(to)
-        in_b_pos = [u.input.position(n) for n in b_names]
-        out_to_pos = [u.output.position(n) for n in to]
-        c_table = []
-        for y in range(b_sys.total_dim):
-            vals = [0] * len(u.input)
-            for p, v in zip(in_b_pos, b_sys.unflatten(y)):
-                vals[p] = v
-            z = u.output.unflatten(u.table[u.input.flatten(vals)])
-            c_table.append(to_sys.flatten([z[p] for p in out_to_pos]))
-        inv = u.invert()
-        for z_idx in range(u.output.total_dim):
-            x = u.input.unflatten(inv.table[z_idx])
-            y = b_sys.flatten([x[p] for p in in_b_pos])
-            z = u.output.unflatten(z_idx)
-            if c_table[y] != to_sys.flatten([z[p] for p in out_to_pos]):
-                return False
-        return True
+        c_table = u.output.digits(u._arr[grounded], to)
+        b_of = u.input.digits(np.argsort(u._arr), b_names)  # B digits of u^-1(z)
+        targets = u.output.digits(np.arange(u.output.total_dim), to)
+        return np.array_equal(c_table[b_of], targets)
     # quantum: test the two CP maps on a matrix-unit basis of the output space
-    b_sys = u.input.restrict(b_names)
-    cols = []
-    for y in range(b_sys.total_dim):
-        vals = [0] * len(u.input)
-        for p, v in zip([u.input.position(n) for n in b_names], b_sys.unflatten(y)):
-            vals[p] = v
-        cols.append(u.input.flatten(vals))
-    c_iso = u.matrix[:, cols]  # B -> full output space, from block grounded
+    c_iso = u.matrix[:, grounded]
 
     def c_map(sigma: np.ndarray) -> np.ndarray:
-        rho = c_iso @ sigma @ c_iso.conj().T
-        return _trace_keep(rho, u.output, to)
+        return _partial_trace(c_iso @ sigma @ c_iso.conj().T, u.output, to)
 
     d = u.output.total_dim
     udag = u.matrix.conj().T
@@ -704,27 +665,12 @@ def inverse_nosignalling_check(
             e = np.zeros((d, d), dtype=complex)
             e[z1, z2] = 1.0
             back = udag @ e @ u.matrix
-            sigma = _trace_keep(back, u.input, b_names)
+            sigma = _partial_trace(back, u.input, b_names)
             lhs = c_map(sigma)
-            rhs = _trace_keep(e, u.output, to)
+            rhs = _partial_trace(e, u.output, to)
             if np.max(np.abs(lhs - rhs)) > tol:
                 return False
     return True
-
-
-def _trace_keep(matrix: np.ndarray, system: CompositeSystem, keep: Sequence[str]) -> np.ndarray:
-    """Partial trace of an arbitrary (not necessarily state) matrix."""
-    keep_set = set(keep)
-    t = matrix.reshape(system.dims + system.dims)
-    n = len(system)
-    traced = 0
-    for pos in range(n):
-        if system.names[pos] not in keep_set:
-            ax = pos - traced
-            t = np.trace(t, axis1=ax, axis2=ax + n - traced)
-            traced += 1
-    d = system.restrict(keep_set).total_dim
-    return t.reshape(d, d)
 
 
 # -- witnesses ----------------------------------------------------------------------
@@ -742,11 +688,17 @@ def find_witness(
     """
     frm = _ordered_subset(u.input, from_in)
     to = _ordered_subset(u.output, to_out)
-    if not has_causal_influence(u, frm, to, tol):
+    tp = t_process(u, frm, tol)
+    if tp.idle_subset.issuperset(to):
         raise SpecError("find_witness requires causal influence from_in -> to_out")
+    return _witness(u, tp, to, tol)
+
+
+def _witness(u: Channel, tp: TProcessResult, to: tuple[str, ...], tol: float) -> Witness:
+    """Witness of influence from ``tp.probed`` to ``to``; ``tp`` is u's probe process there."""
     if isinstance(u, ClassicalChannel):
-        return _classical_witness(u, frm, to)
-    return _quantum_witness(u, frm, to, tol)
+        return _classical_witness(u, tp.probed, to)
+    return _quantum_witness(u, tp, to, tol)
 
 
 def _intervention_candidates(d_from: int):
@@ -765,76 +717,63 @@ def _intervention_candidates(d_from: int):
 
 
 def _conjugated_table(
-    u: ClassicalChannel, frm: tuple[str, ...], env_dim: int, table: tuple[Optional[int], ...]
-) -> list[Optional[tuple[int, int]]]:
-    """Partial table of (env', output') for the intervention conjugated by u."""
-    from_sys = u.input.select(frm)
-    d_from = from_sys.total_dim
-    in_from_pos = [u.input.position(n) for n in frm]
-    inv = u.invert()
-    out: list[Optional[tuple[int, int]]] = []
-    for e in range(env_dim):
-        for z_idx in range(u.output.total_dim):
-            x = list(u.input.unflatten(inv.table[z_idx]))
-            a = from_sys.flatten([x[p] for p in in_from_pos])
-            hit = table[e * d_from + a]
-            if hit is None:
-                out.append(None)
-                continue
-            e2, a2 = divmod(hit, d_from)
-            for p, v in zip(in_from_pos, from_sys.unflatten(a2)):
-                x[p] = v
-            out.append((e2, u.table[u.input.flatten(x)]))
-    return out
+    u: ClassicalChannel, frm: tuple[str, ...], env_dim: int, table: Sequence[Optional[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The intervention conjugated by u, as (env', output') arrays over (env, output).
+
+    Points run in row-major order; env' is -1 where the intervention is undefined.
+    """
+    d_from = u.input.select(frm).total_dim
+    x = np.tile(np.argsort(u._arr), env_dim)  # u^-1 of each output, once per env value
+    env = np.repeat(np.arange(env_dim), u.output.total_dim)
+    hits = np.array([-1 if v is None else v for v in table])[env * d_from + u.input.digits(x, frm)]
+    e2, a2 = np.divmod(hits, d_from)
+    return np.where(hits < 0, -1, e2), u._arr[u.input.with_digits(x, frm, a2)]
 
 
 def _local_form_violation(
-    conj: list[Optional[tuple[int, int]]],
+    conj: tuple[np.ndarray, np.ndarray],
     env_dim: int,
     output: CompositeSystem,
     to: tuple[str, ...],
 ) -> Optional[dict]:
-    """First failure of conj = (map on env and non-target outputs) x identity-on-target."""
-    to_sys = output.restrict(to)
-    rest_names = output.complement(to)
-    rest_sys = output.restrict(rest_names)
-    to_pos = [output.position(n) for n in to]
-    rest_pos = [output.position(n) for n in rest_names]
+    """First failure of conj = (map on env and non-target outputs) x identity-on-target.
+
+    Points are scanned in row-major (env, output) order. A point fails if its
+    target digit does not pass through, or if its (env', non-target output')
+    value, undefined included, differs from that of the first point in its
+    (env, non-target output) fibre.
+    """
+    e2, z2 = conj
     d_out = output.total_dim
-
-    def split(z_idx: int) -> tuple[int, int]:
-        z = output.unflatten(z_idx)
-        return (
-            to_sys.flatten([z[p] for p in to_pos]),
-            rest_sys.flatten([z[p] for p in rest_pos]),
-        )
-
-    groups: dict[tuple[int, int], dict] = {}
-    for e in range(env_dim):
-        for z_idx in range(d_out):
-            z_to, z_rest = split(z_idx)
-            entry = conj[e * d_out + z_idx]
-            if entry is not None:
-                e2, z2_idx = entry
-                z2_to, z2_rest = split(z2_idx)
-                if z2_to != z_to:
-                    return {
-                        "type": "pass-through",
-                        "points": [[e, z_idx]],
-                        "target_in": z_to,
-                        "target_out": z2_to,
-                    }
-                summary = (e2, z2_rest)
-            else:
-                summary = None
-            key = (e, z_rest)
-            if key in groups and groups[key]["summary"] != summary:
-                return {
-                    "type": "independence",
-                    "points": [groups[key]["point"], [e, z_idx]],
-                }
-            groups.setdefault(key, {"summary": summary, "point": [e, z_idx]})
-    return None
+    rest = output.complement(to)
+    d_rest = output.select(rest).total_dim
+    env = np.repeat(np.arange(env_dim), d_out)
+    z = np.tile(np.arange(d_out), env_dim)
+    z_to, z2_to = output.digits(z, to), output.digits(z2, to)
+    defined = e2 >= 0
+    moved = defined & (z2_to != z_to)
+    summary = np.where(defined, e2 * d_rest + output.digits(z2, rest), -1)
+    _, first, fibre = np.unique(
+        env * d_rest + output.digits(z, rest), return_index=True, return_inverse=True
+    )
+    first = first[fibre]
+    bad = np.flatnonzero(moved | (summary != summary[first]))
+    if not bad.size:
+        return None
+    p = bad[0]
+    if moved[p]:
+        return {
+            "type": "pass-through",
+            "points": [[int(env[p]), int(z[p])]],
+            "target_in": int(z_to[p]),
+            "target_out": int(z2_to[p]),
+        }
+    q = first[p]
+    return {
+        "type": "independence",
+        "points": [[int(env[q]), int(z[q])], [int(env[p]), int(z[p])]],
+    }
 
 
 def _classical_witness(u: ClassicalChannel, frm: tuple[str, ...], to: tuple[str, ...]) -> Witness:
@@ -857,57 +796,57 @@ def _classical_witness(u: ClassicalChannel, frm: tuple[str, ...], to: tuple[str,
     raise ConsistencyError("influence asserted but no intervention witnessed it")
 
 
+def _worst_entry(gap: np.ndarray) -> tuple[int, ...]:
+    """Multi-index of the first largest entry of ``gap`` in row-major order."""
+    return tuple(int(i) for i in np.argwhere(gap == gap.max())[0])
+
+
 def _signalling_defect(
     u: UnitaryChannel, frm: tuple[str, ...], to: tuple[str, ...], tol: float
 ) -> Optional[dict]:
-    g = _grouped(u.matrix, u.output, u.input, to, frm)
-    d_from = u.input.select(frm).total_dim
-    m = np.einsum("tsak,usbl->tuakbl", g, g.conj())
-    ref = m[:, :, 0:1, :, 0:1, :]
-    delta = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1)
-    gap = np.abs(m - delta * ref)
+    m, expected = _signalling_terms(u, frm, to)
+    gap = np.abs(m - expected)
     if np.max(gap) <= tol:
         return None
-    t, s, a, k, b, l = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    actual = m[t, s, a, k, b, l]
-    expected = (delta * ref)[t, s, a, k, b, l]
+    entry = _worst_entry(gap)
+    t, s, a, k, b, l = entry
+    actual, wanted = m[entry], expected[entry]
     return {
         "variant": "signalling-identity",
         "acting_on": list(frm),
         "target": list(to),
-        "from_unit": [int(a), int(b)],
-        "complement_unit": [int(k), int(l)],
-        "marginal_entry": [int(t), int(s)],
+        "from_unit": [a, b],
+        "complement_unit": [k, l],
+        "marginal_entry": [t, s],
         "actual": [float(actual.real), float(actual.imag)],
-        "expected": [float(expected.real), float(expected.imag)],
+        "expected": [float(wanted.real), float(wanted.imag)],
     }
 
 
 def _quantum_witness(
-    u: UnitaryChannel, frm: tuple[str, ...], to: tuple[str, ...], tol: float
+    u: UnitaryChannel, tp: TProcessResult, to: tuple[str, ...], tol: float
 ) -> Witness:
-    defect = _signalling_defect(u, frm, to, tol)
+    defect = _signalling_defect(u, tp.probed, to, tol)
     if defect is not None:
         return Witness(kind="factorization-defect", detail=defect)
     # causal influence without signalling: exhibit the idle-pattern failure
-    gap, v, pattern = _idle_pattern_gap(u, frm, to, tol)
-    i, j, k, l = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    gap, v, pattern = _idle_pattern_gap(tp.channel, to)
+    entry = _worst_entry(gap)
     return Witness(
         kind="factorization-defect",
         detail={
             "variant": "idle-pattern",
-            "acting_on": list(frm),
+            "acting_on": list(tp.probed),
             "target": list(to),
-            "entry": [int(i), int(j), int(k), int(l)],
-            "actual": [float(v[i, j, k, l].real), float(v[i, j, k, l].imag)],
-            "expected": [float(pattern[i, j, k, l].real), float(pattern[i, j, k, l].imag)],
+            "entry": list(entry),
+            "actual": [float(v[entry].real), float(v[entry].imag)],
+            "expected": [float(pattern[entry].real), float(pattern[entry].imag)],
         },
     )
 
 
-def _idle_pattern_gap(u: UnitaryChannel, frm: tuple[str, ...], to: tuple[str, ...], tol: float):
-    """Deviation of the probe process from (factor tensor identity-on-target)."""
-    tilde = t_process(u, frm, tol).channel
+def _idle_pattern_gap(tilde: UnitaryChannel, to: tuple[str, ...]):
+    """Deviation of the probe process ``tilde`` from (factor tensor identity-on-target)."""
     rest = tilde.output.complement(to)
     v = _grouped(tilde.matrix, tilde.output, tilde.input, rest, rest)
     w = v[:, 0, :, 0]
@@ -928,7 +867,7 @@ def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bo
     if d.get("variant") == "signalling-identity":
         fresh = _signalling_defect(u, frm, to, tol)
         return fresh is not None
-    gap, _, _ = _idle_pattern_gap(u, frm, to, tol)
+    gap, _, _ = _idle_pattern_gap(t_process(u, frm, tol).channel, to)
     i, j, k, l = d["entry"]
     return bool(gap[i, j, k, l] > tol)
 
@@ -946,41 +885,30 @@ def probe_conjugation_matches_evolution(
     dimensions must match the probed block.
     """
     tp = t_process(u, probed)
-    tilde = tp.channel
     frm = tp.probed
     from_sys = u.input.select(frm)
     d_from = from_sys.total_dim
-    n_probe_digits = len(frm)
-    inst_dims = instrument.input.dims
-    if n_probe_digits and tuple(inst_dims[-n_probe_digits:]) != from_sys.dims:
+    if frm and tuple(instrument.input.dims[-len(frm):]) != from_sys.dims:
         raise SpecError("instrument's trailing wires must match the probed block")
     d_env = instrument.input.total_dim // d_from
     d_out = u.output.total_dim
-    d_copy = d_from
-    in_from_pos = [u.input.position(n) for n in frm]
-    inv = u.invert()
-
-    for e in range(d_env):
-        for cz in range(d_copy * d_out):
-            c, z = divmod(cz, d_out)
-            # probe, intervene on (env, copy), probe again
-            c1, z1 = divmod(tilde.table[cz], d_out)
-            hit = instrument.table[e * d_copy + c1]
-            lhs: Optional[tuple[int, int, int]] = None
-            if hit is not None:
-                e2, c2 = divmod(hit, d_copy)
-                c3, z3 = divmod(tilde.table[c2 * d_out + z1], d_out)
-                lhs = (e2, c3, z3)
-            # undo, intervene on (env, real input block), evolve; copy untouched
-            x = list(u.input.unflatten(inv.table[z]))
-            a = from_sys.flatten([x[p] for p in in_from_pos])
-            hit2 = instrument.table[e * d_from + a]
-            rhs: Optional[tuple[int, int, int]] = None
-            if hit2 is not None:
-                e3, a2 = divmod(hit2, d_from)
-                for p, v in zip(in_from_pos, from_sys.unflatten(a2)):
-                    x[p] = v
-                rhs = (e3, c, u.table[u.input.flatten(x)])
-            if lhs != rhs:
-                return False
-    return True
+    inst = np.array([-1 if v is None else v for v in instrument.table])
+    env = np.arange(d_env)[:, None]
+    c, z = np.divmod(np.arange(d_from * d_out), d_out)
+    # probe, intervene on (env, copy), probe again
+    probe = tp.channel._arr
+    c1, z1 = np.divmod(probe, d_out)
+    hit = inst[env * d_from + c1]
+    e2, c2 = np.divmod(hit, d_from)
+    lhs = probe[c2 * d_out + z1]
+    # undo, intervene on (env, real input block), evolve; copy untouched
+    x = np.argsort(u._arr)[z]
+    hit2 = inst[env * d_from + u.input.digits(x, frm)]
+    e3, a2 = np.divmod(hit2, d_from)
+    rhs = c * d_out + u._arr[u.input.with_digits(x, frm, a2)]
+    defined = hit >= 0
+    return (
+        np.array_equal(defined, hit2 >= 0)
+        and bool((e2 == e3)[defined].all())
+        and bool((lhs == rhs)[defined].all())
+    )

@@ -33,14 +33,9 @@ __all__ = [
 ]
 
 
-def _digit_arrays(system: CompositeSystem, indices: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Combined value of the wires at ``positions``, vectorized over joint ``indices``."""
-    sub = system.select([system.names[p] for p in positions])
-    strides = np.asarray(system.strides)
-    out = np.zeros_like(indices)
-    for sub_stride, p in zip(sub.strides, positions):
-        out += (indices // strides[p] % system.dims[p]) * sub_stride
-    return out
+def _at_zero(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``grid`` with each of ``axes`` held at index 0, kept as a length-1 axis."""
+    return grid[tuple(slice(0, 1) if a in axes else slice(None) for a in range(grid.ndim))]
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,8 @@ class ClassicalChannel:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.table, dtype=np.int64)
+        arr = np.array(self.table, dtype=np.int64)
+        arr.flags.writeable = False
         object.__setattr__(self, "table", tuple(arr.tolist()))
         object.__setattr__(self, "_arr", arr)
         n = self.input.total_dim
@@ -77,14 +73,14 @@ class ClassicalChannel:
 
     @classmethod
     def identity(cls, system: CompositeSystem) -> "ClassicalChannel":
-        return cls(system, system, tuple(range(system.total_dim)))
+        return cls(system, system, np.arange(system.total_dim))
 
     @classmethod
     def from_index_permutation(
         cls, input: CompositeSystem, output: CompositeSystem, table: Sequence[int]
     ) -> "ClassicalChannel":
         """A channel given directly by its joint-index bijection."""
-        return cls(input, output, tuple(table))
+        return cls(input, output, table)
 
     # -- algebra -------------------------------------------------------------
 
@@ -117,7 +113,7 @@ class ClassicalChannel:
             inp = composite(*zip(input_names, inp.dims))
         if output_names is not None:
             out = composite(*zip(output_names, out.dims))
-        return ClassicalChannel(inp, out, self.table)
+        return ClassicalChannel(inp, out, self._arr)
 
     # -- causal-structure primitives -----------------------------------------
 
@@ -129,15 +125,8 @@ class ClassicalChannel:
         of the remaining inputs. ``tol`` is unused.
         """
         from_pos = self.input.subset_positions(from_in)
-        to_pos = self.output.subset_positions(to_out)
-        if not from_pos or not to_pos:
-            return False
-        to_vals = _digit_arrays(self.output, self._arr, to_pos)
-        grid = to_vals.reshape(self.input.dims)
-        ref = grid
-        for ax in from_pos:
-            ref = np.take(ref, [0], axis=ax)
-        return not np.array_equal(grid, np.broadcast_to(ref, grid.shape))
+        grid = self.output.digits(self._arr, tuple(to_out)).reshape(self.input.dims)
+        return not (grid == _at_zero(grid, from_pos)).all()
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = 0.0
@@ -150,40 +139,25 @@ class ClassicalChannel:
         """
         idle = tuple(idle)
         in_pos = self.input.subset_positions(idle)
-        out_pos = self.output.subset_positions(idle)
+        self.output.subset_positions(idle)
         for name in idle:
             din = self.input.parts[self.input.position(name)].dim
             dout = self.output.parts[self.output.position(name)].dim
             if din != dout:
                 raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
-        arr = np.arange(self.input.total_dim)
-        tbl = self._arr
-        # (i) pass-through, paired by name in a fixed canonical order
-        order = [self.input.names[p] for p in in_pos]
-        in_vals = _digit_arrays(self.input, arr, [self.input.position(n) for n in order])
-        out_vals = _digit_arrays(self.output, tbl, [self.output.position(n) for n in order])
-        if not np.array_equal(in_vals, out_vals):
+        # (i) pass-through, paired by name
+        passed = self.input.digits(np.arange(self.input.total_dim), idle)
+        if not np.array_equal(passed, self.output.digits(self._arr, idle)):
             return None
-        # (ii) complement outputs independent of idle inputs
-        comp_out = [self.output.position(n) for n in self.output.complement(idle)]
-        rest_vals = _digit_arrays(self.output, tbl, comp_out).reshape(self.input.dims)
-        ref = rest_vals
-        for ax in in_pos:
-            ref = np.take(ref, [0], axis=ax)
-        if not np.array_equal(rest_vals, np.broadcast_to(ref, rest_vals.shape)):
-            return None
-        # extract the factor on the complements (idle inputs held at 0)
+        # (ii) complement outputs independent of idle inputs; the factor is their
+        # table with the idle inputs held at 0
         w_in = self.input.restrict(self.input.complement(idle))
         w_out = self.output.restrict(self.output.complement(idle))
-        y = np.arange(w_in.total_dim)
-        x = np.zeros_like(y)
-        for sub_stride, name in zip(w_in.strides, w_in.names):
-            p = self.input.position(name)
-            x += (y // sub_stride % w_in.dims[w_in.position(name)]) * self.input.strides[p]
-        w_table = _digit_arrays(
-            self.output, tbl[x], [self.output.position(n) for n in w_out.names]
-        )
-        return ClassicalChannel(w_in, w_out, tuple(w_table.tolist()))
+        rest = self.output.digits(self._arr, w_out.names).reshape(self.input.dims)
+        w_table = _at_zero(rest, in_pos)
+        if not (rest == w_table).all():
+            return None
+        return ClassicalChannel(w_in, w_out, w_table.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -305,7 +279,7 @@ def random_reversible(
 ) -> ClassicalChannel:
     """Uniformly random permutation channel on ``system``."""
     table = rng.permutation(system.total_dim)
-    return ClassicalChannel(system, out_system or system, tuple(table.tolist()))
+    return ClassicalChannel(system, out_system or system, table)
 
 
 def all_reversible_channels(system: CompositeSystem) -> Iterable[ClassicalChannel]:

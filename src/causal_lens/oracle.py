@@ -2,8 +2,8 @@
 
 This module re-decides causal influence straight from its definition: quantify
 over interventions on the probed block extended by a bounded environment, and
-for each one search exhaustively for a post-evolution intervention that
-reproduces its effect locally. It shares no code path with the probe-process
+for each one decide directly whether a post-evolution intervention reproduces
+its effect locally. It shares no code path with the probe-process
 criterion, which makes it a usable oracle for that faster path on small
 instances.
 
@@ -123,11 +123,10 @@ def definition_check(
 ) -> OracleVerdict:
     """Decide influence by quantifying over interventions within the budget.
 
-    For each intervention A on (environment, probed block), search every
-    candidate A' on (environment, non-target outputs) for the identity
-    "intervene then evolve equals evolve then intervene locally", comparing the
-    two sides pointwise over all inputs. An intervention with no matching
-    candidate witnesses influence.
+    For each intervention A on (environment, probed block), decide whether some
+    A' on (environment, non-target outputs) satisfies "intervene then evolve
+    equals evolve then intervene locally" pointwise over all inputs. An
+    intervention with no such A' witnesses influence.
     """
     frm = tuple(n for n in u.input.names if n in set(from_in))
     u.input.subset_positions(frm)
@@ -140,7 +139,6 @@ def definition_check(
     rest_names = u.output.complement(to)
     rest_sys = u.output.restrict(rest_names)
     to_sys = u.output.restrict(to)
-    d_rest, d_to = rest_sys.total_dim, to_sys.total_dim
     rest_pos = [u.output.position(n) for n in rest_names]
     to_pos = [u.output.position(n) for n in to]
 
@@ -186,9 +184,7 @@ def definition_check(
                         e2, a2 = divmod(hit, d_from)
                         rest, tgt = evolved(x, a2)
                         lhs[(e, x)] = (e2, rest, tgt)
-            if not _exists_local_match(
-                lhs, table, env_dim, d_rest, d_to, input_points, out_split
-            ):
+            if not _exists_local_match(lhs, env_dim, input_points, out_split):
                 return OracleVerdict(
                     influence=True,
                     env_dim=env_dim,
@@ -198,43 +194,27 @@ def definition_check(
     return OracleVerdict(influence=False, interventions_checked=checked)
 
 
-def _candidate_locals(
-    deterministic: bool, m: int
-) -> Iterator[tuple[Optional[int], ...]]:
-    if deterministic:
-        yield from _tables(m)
-    else:
-        for i in range(m):
-            for j in range(m):
-                table: list[Optional[int]] = [None] * m
-                table[i] = j
-                yield tuple(table)
+def _exists_local_match(lhs, env_dim, input_points, out_split) -> bool:
+    """Whether some intervention on (env, non-target outputs) after the evolution,
+    with the target passed through, reproduces ``lhs`` at every input point.
 
-
-def _exists_local_match(
-    lhs, table, env_dim, d_rest, d_to, input_points, out_split
-) -> bool:
-    """Search for a post-evolution intervention on (env, non-target outputs)."""
-    m = env_dim * d_rest
-    deterministic = all(v is not None for v in table)
-    for cand in _candidate_locals(deterministic, m):
-        ok = True
-        for e in range(env_dim):
-            for x in input_points:
-                rest0, tgt0 = out_split[x]
-                hit = cand[e * d_rest + rest0]
-                rhs = None
-                if hit is not None:
-                    e2, rest2 = divmod(hit, d_rest)
-                    rhs = (e2, rest2, tgt0)
-                if lhs[(e, x)] != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    One exists iff the target passes through wherever ``lhs`` is defined, and
+    ``lhs`` (undefined included) is single-valued on each (env, non-target
+    output) fibre: the local intervention is then read off fibre by fibre.
+    """
+    local: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    for e in range(env_dim):
+        for x in input_points:
+            rest0, tgt0 = out_split[x]
+            hit = lhs[(e, x)]
+            if hit is not None:
+                e2, rest2, tgt2 = hit
+                if tgt2 != tgt0:
+                    return False
+                hit = (e2, rest2)
+            if local.setdefault((e, rest0), hit) != hit:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,30 @@ def _grouped(
     return t.reshape(d_of, out_sys.total_dim // d_of, d_if, in_sys.total_dim // d_if)
 
 
+def _partial_trace(matrix: np.ndarray, system: CompositeSystem, keep: Iterable[str]) -> np.ndarray:
+    """Partial trace of any square matrix on ``system``; kept wires stay in system order."""
+    kept = system.restrict(keep)
+    g = _grouped(matrix, system, system, kept.names, kept.names)
+    return np.trace(g, axis1=1, axis2=3)
+
+
+def _signalling_terms(
+    u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the no-signalling identity from ``frm`` to ``to``.
+
+    ``m[t, u, a, k, b, l] = sum_s U[(t,s),(a,k)] conj(U[(u,s),(b,l)])`` is the
+    ``to`` marginal of U (E_ab x E_kl) U+; no-signalling asks it to equal
+    delta_ab times its a=b=0 slice, the second array returned.
+    """
+    g = _grouped(u.matrix, u.output, u.input, to, frm)
+    d_from = g.shape[2]
+    m = np.einsum("tsak,usbl->tuakbl", g, g.conj())
+    ref = m[:, :, 0:1, :, 0:1, :]
+    delta = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1)
+    return m, delta * ref
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryChannel:
     """A unitarity-certified complex matrix typed by input/output systems."""
@@ -104,8 +128,7 @@ class UnitaryChannel:
         """The unitary sending basis state ``x`` to basis state ``table[x]``."""
         n = input.total_dim
         m = np.zeros((n, n))
-        for x, y in enumerate(table):
-            m[y, x] = 1.0
+        m[table, np.arange(n)] = 1.0
         return cls(input, output, m)
 
     # -- algebra -------------------------------------------------------------
@@ -165,12 +188,8 @@ class UnitaryChannel:
         d_to = self.output.select(to).total_dim
         if d_from == 1 or d_to == 1:
             return False
-        g = _grouped(self.matrix, self.output, self.input, to, frm)
-        # m[t, u, a, k, b, l] = sum_s U[(t,s),(a,k)] conj(U[(u,s),(b,l)])
-        m = np.einsum("tsak,usbl->tuakbl", g, g.conj())
-        ref = m[:, :, 0:1, :, 0:1, :]
-        delta = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1)
-        return bool(np.max(np.abs(m - delta * ref)) > tol)
+        m, expected = _signalling_terms(self, frm, to)
+        return bool(np.max(np.abs(m - expected)) > tol)
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = DEFAULT_TOL
@@ -248,20 +267,12 @@ class DensityOperator:
         """Trace out every wire not named in ``keep``; kept wires stay in system order."""
         keep = tuple(keep)
         self.system.subset_positions(keep)
-        keep_set = set(keep)
-        t = _as_tensor(self.matrix, self.system.dims, self.system.dims)
-        n = len(self.system)
-        traced = 0
-        for pos in range(n):
-            if self.system.names[pos] not in keep_set:
-                ax = pos - traced
-                rest = n - traced
-                t = np.trace(t, axis1=ax, axis2=ax + rest)
-                traced += 1
-        kept = self.system.restrict(keep)
-        d = kept.total_dim
         # floor relaxed to 1e-8: repeated arithmetic may nudge eigenvalues
-        return DensityOperator(kept, t.reshape(d, d), atol=max(self.atol, 1e-8))
+        return DensityOperator(
+            self.system.restrict(keep),
+            _partial_trace(self.matrix, self.system, keep),
+            atol=max(self.atol, 1e-8),
+        )
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:

@@ -7,6 +7,10 @@ system (total dimension 1), so tensoring with it is a no-op by construction.
 
 Wires are identified by name, not position, so subset queries survive
 reordering.
+
+``CompositeSystem.digits`` and ``with_digits`` are the one array codec for
+wire digits: they read and write the named wires of whole arrays of joint
+indices by strides. ``flatten``/``unflatten`` are the validated scalar forms.
 """
 
 from __future__ import annotations
@@ -143,6 +147,33 @@ class CompositeSystem:
             acc *= p.dim
         return tuple(reversed(out))
 
+    def digits(self, index, names: Sequence[str]) -> np.ndarray:
+        """Joint index of ``select(names)`` read off each joint ``index``.
+
+        The named wires' digits are read in the order given. Vectorized over
+        any integer array ``index``, one pass per named wire; no names read 0.
+        """
+        sub, strides = self.select(names), self.strides
+        index = np.asarray(index, dtype=np.int64)
+        out = np.zeros_like(index)
+        for name, sub_stride, dim in zip(names, sub.strides, sub.dims):
+            out += index // strides[self._positions[name]] % dim * sub_stride
+        return out
+
+    def with_digits(self, index, names: Sequence[str], values) -> np.ndarray:
+        """Each joint ``index`` with the named wires' digits set from ``values``.
+
+        ``values`` holds joint indices of ``select(names)``, the inverse of
+        :meth:`digits`; it broadcasts against ``index``. One pass per named wire.
+        """
+        sub, strides = self.select(names), self.strides
+        values = np.asarray(values, dtype=np.int64)
+        out = np.asarray(index, dtype=np.int64) + np.zeros_like(values)
+        for name, sub_stride, dim in zip(names, sub.strides, sub.dims):
+            stride = strides[self._positions[name]]
+            out += (values // sub_stride % dim - out // stride % dim) * stride
+        return out
+
 
 def composite(*parts: tuple[str, int] | SubsystemLabel) -> CompositeSystem:
     """Build a system from ``(name, dim)`` pairs or labels: ``composite(("A", 2), ("B", 2))``."""
@@ -163,11 +194,4 @@ def reorder_permutation(system: CompositeSystem, new_order: Sequence[str]) -> tu
         raise SpecError(
             f"new order {order} is not a permutation of wire names {list(system.names)}"
         )
-    idx = np.arange(system.total_dim)
-    strides = system.strides
-    dims = system.dims
-    new = np.zeros_like(idx)
-    for name in order:
-        p = system.position(name)
-        new = new * dims[p] + (idx // strides[p]) % dims[p]
-    return tuple(int(v) for v in new)
+    return tuple(system.digits(np.arange(system.total_dim), order).tolist())

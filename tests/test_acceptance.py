@@ -72,6 +72,35 @@ def test_criterion_2_oracle_agreement_on_all_two_bit_channels():
             assert report.full_agreement, f"disagreement for table {u.table}"
 
 
+def _local_gate_channel(system, rng):
+    """Two random two-wire gates on random wire pairs: leaves no-influence pairs."""
+    u = ClassicalChannel.identity(system)
+    for _ in range(2):
+        pair = [system.names[k] for k in sorted(rng.choice(len(system), 2, replace=False))]
+        u = embed_on(classical.random_reversible(system.select(pair), rng), system).compose(u)
+    return u
+
+
+def test_criterion_2_oracle_agreement_on_three_wire_sample():
+    with criterion(2, "oracle agrees with the probe process on a seeded 3-wire sample", 10.0):
+        rng = np.random.default_rng(20261018)
+        for dims, classes in (
+            ((2, 2, 2), ("constants", "atoms", "all-functions")),
+            ((2, 3, 2), ("constants", "atoms")),
+        ):
+            system = composite(*zip("ABC", dims))
+            for k in range(8):
+                u = (
+                    classical.random_reversible(system, rng)
+                    if k % 4 == 0
+                    else _local_gate_channel(system, rng)
+                )
+                for cls in classes:
+                    report = cross_validate(u, OracleBudget(max_env_dim=2, intervention_class=cls))
+                    assert report.sound, f"soundness violation for table {u.table} ({cls})"
+                    assert report.full_agreement, f"disagreement for table {u.table} ({cls})"
+
+
 def test_criterion_3_quantum_collapse():
     with criterion(3, "signalling equals causal influence on 100 random 2-qubit unitaries", 30.0):
         for u in hundred_two_qubit_unitaries():

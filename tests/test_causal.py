@@ -261,6 +261,24 @@ def test_memory_quantum_product_channel():
 # -- hierarchy -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("case", ["witness", "memory"])
+def test_hierarchy_report_builds_one_probe_process(monkeypatch, case):
+    rng = np.random.default_rng(43)
+    if case == "witness":
+        u = quantum.cnot()  # signals A -> B: influence with a witness
+    else:
+        u = quantum.random_unitary(composite(("A", 2)), rng).tensor(
+            quantum.random_unitary(composite(("B", 2)), rng)
+        )
+    built = []
+    real = causal.t_process
+    monkeypatch.setattr(causal, "t_process", lambda *a, **k: built.append(a) or real(*a, **k))
+    rep = hierarchy_report(u, ["A"], ["B"])
+    assert (rep.witness is not None) == (case == "witness")
+    assert rep.memory_decomposable == (case == "memory")
+    assert len(built) == 1
+
+
 def test_hierarchy_cnot_target_to_control():
     rep = hierarchy_report(K, ["B"], ["A"])
     assert (rep.causal_influence, rep.memory_decomposable, rep.signalling) == (True, True, False)
@@ -411,6 +429,149 @@ def test_witness_quantum_cnot_kickback():
     assert replay_witness(u, w)
 
 
+def test_witness_quantum_idle_pattern_inside_the_tolerance_band():
+    # with tol between the signalling defect and the probe's idle-pattern defect,
+    # influence holds without signalling and the witness is the idle-pattern entry
+    rng = np.random.default_rng(11)
+    system = composite(("A", 3), ("B", 2))
+    cases = 0
+    for _ in range(10):
+        h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        w, v = np.linalg.eigh(h + h.conj().T)
+        u = UnitaryChannel(system, system, (v * np.exp(0.03j * w)) @ v.conj().T)
+        for tol in np.geomspace(1e-2, 0.5, 30):
+            if u.signals(["A"], ["B"], tol) or not has_causal_influence(u, ["A"], ["B"], tol):
+                continue
+            cases += 1
+            wit = find_witness(u, ["A"], ["B"], tol)
+            assert wit.detail["variant"] == "idle-pattern"
+            gap = np.subtract(wit.detail["actual"], wit.detail["expected"])
+            assert np.hypot(*gap) > tol
+            assert replay_witness(u, wit, tol)
+    assert cases > 0
+
+
 def test_witness_requires_influence():
     with pytest.raises(SpecError):
         find_witness(IDENT, ["A"], ["B"])
+
+
+# -- mixed-radix tables against a per-point reference -----------------------------------
+
+
+def _mixed_radix_channel(seed):
+    """A seeded 3-4 wire channel of dims 1-3, built from a few two-wire gates."""
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 2
+    system = composite(*zip("ABCD", (int(d) for d in rng.integers(1, 4, size=n))))
+    u = ClassicalChannel.identity(system)
+    for _ in range(1 + seed % 3):
+        pair = [system.names[k] for k in sorted(rng.choice(n, 2, replace=False))]
+        u = embed_on(classical.random_reversible(system.select(pair), rng), system).compose(u)
+    return u
+
+
+def _pick(system, index, names):
+    """Per-point: the joint index of ``select(names)`` read off one joint index."""
+    values = system.unflatten(index)
+    return system.select(names).flatten([values[system.position(n)] for n in names])
+
+
+def _evolve(u, parts):
+    """Per-point: u applied to the input given as {wire: value}."""
+    return u.table[u.input.flatten([parts[n] for n in u.input.names])]
+
+
+def _candidates(d_from):
+    """Constants, atoms and the copy-swap, in the witness search order."""
+    out = [(1, (j,) * d_from, "constant") for j in range(d_from)]
+    out += [
+        (1, tuple(j if k == i else None for k in range(d_from)), "atom")
+        for i in range(d_from)
+        for j in range(d_from)
+    ]
+    swap = tuple(a * d_from + e for e in range(d_from) for a in range(d_from))
+    return out + [(d_from, swap, "copy-swap")]
+
+
+def _reference_violation(u, frm, to, env_dim, table):
+    """Per-point: the first (env, output) point breaking the target-local form."""
+    from_sys = u.input.select(frm)
+    d_from = from_sys.total_dim
+    rest = u.output.complement(to)
+    inverse = u.invert().table
+    fibres = {}
+    for e in range(env_dim):
+        for z in range(u.output.total_dim):
+            x = dict(zip(u.input.names, u.input.unflatten(inverse[z])))
+            hit = table[e * d_from + from_sys.flatten([x[n] for n in frm])]
+            z_to, z_rest = _pick(u.output, z, to), _pick(u.output, z, rest)
+            summary = None
+            if hit is not None:
+                e2, a2 = divmod(hit, d_from)
+                x.update(zip(frm, from_sys.unflatten(a2)))
+                z2 = _evolve(u, x)
+                if _pick(u.output, z2, to) != z_to:
+                    return {
+                        "type": "pass-through",
+                        "points": [[e, z]],
+                        "target_in": z_to,
+                        "target_out": _pick(u.output, z2, to),
+                    }
+                summary = (e2, _pick(u.output, z2, rest))
+            first = fibres.setdefault((e, z_rest), (summary, [e, z]))
+            if first[0] != summary:
+                return {"type": "independence", "points": [first[1], [e, z]]}
+    return None
+
+
+def _reference_witness(u, frm, to):
+    for env_dim, table, label in _candidates(u.input.select(frm).total_dim):
+        violation = _reference_violation(u, frm, to, env_dim, table)
+        if violation is not None:
+            return {
+                "acting_on": list(frm),
+                "target": list(to),
+                "env_dim": env_dim,
+                "intervention": list(table),
+                "intervention_class": label,
+                "violation": violation,
+            }
+    raise AssertionError("the copy-swap witnesses every influence")
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_mixed_radix_memory_and_witness_match_per_point_reference(seed):
+    u = _mixed_radix_channel(seed)
+    names = u.input.names
+    blocks = [(n,) for n in names] + [names[:2], names[1:]]
+    for frm in blocks:
+        for to in blocks:
+            if has_causal_influence(u, frm, to):
+                assert find_witness(u, frm, to).detail == _reference_witness(u, frm, to)
+            if len(frm) == 1:  # every candidate, not only the first that witnesses
+                for env_dim, table, _ in _candidates(u.input.select(frm).total_dim):
+                    conj = causal._conjugated_table(u, frm, env_dim, table)
+                    assert causal._local_form_violation(
+                        conj, env_dim, u.output, to
+                    ) == _reference_violation(u, frm, to, env_dim, table)
+            dec = memory_decomposition(u, frm, to)
+            if dec is None:
+                assert u.signals(frm, to)
+                continue
+            b_names = u.input.complement(frm)
+            a_sys, b_sys = u.input.select(frm), u.input.select(b_names)
+            d_bp = u.output.select(to).total_dim
+            ap_names = u.output.complement(to)
+            v_ref = []
+            for y in range(b_sys.total_dim):
+                parts = {n: 0 for n in frm} | dict(zip(b_names, b_sys.unflatten(y)))
+                v_ref.append(y * d_bp + _pick(u.output, _evolve(u, parts), to))
+            w_ref = []
+            for a in range(a_sys.total_dim):
+                for e in range(b_sys.total_dim):
+                    parts = dict(zip(frm, a_sys.unflatten(a)))
+                    parts.update(zip(b_names, b_sys.unflatten(e)))
+                    w_ref.append(_pick(u.output, _evolve(u, parts), ap_names))
+            assert dec.v.table == tuple(v_ref)
+            assert dec.w.table == tuple(w_ref)

@@ -211,3 +211,12 @@ def test_instrument_validation():
 
 def test_all_reversible_channels_count():
     assert sum(1 for _ in all_reversible_channels(BITS)) == 24
+
+
+def test_table_is_copied_so_a_callers_array_cannot_change_the_channel():
+    arr = np.array([0, 1, 3, 2], dtype=np.int64)  # CNOT, control A
+    k = ClassicalChannel(BITS, BITS, arr)
+    arr[:] = [0, 3, 2, 1]  # control B: would signal B -> A
+    assert k.table == (0, 1, 3, 2)
+    assert not k.signals(["B"], ["A"])
+    assert k.compose(ClassicalChannel.identity(BITS)).table == (0, 1, 3, 2)

@@ -93,3 +93,28 @@ def test_oracle_soundness_against_probe_process():
                 verdict = definition_check(u, [frm], [to], OracleBudget(2, "atoms"))
                 if verdict.influence:
                     assert has_causal_influence(u, [frm], [to])
+
+
+THREE_BITS = composite(("A", 2), ("B", 2), ("C", 2))
+IDENT3 = ClassicalChannel.identity(THREE_BITS)
+CNOT_ID = classical.cnot().tensor(ClassicalChannel.identity(composite(("C", 2))))
+
+
+@pytest.mark.parametrize("env_dim", [1, 2])
+@pytest.mark.parametrize("cls", ["constants", "atoms", "all-functions"])
+def test_three_bit_identity_oracle_sound_and_exact(env_dim, cls):
+    # the local intervention needed here is "atom x identity" on two output wires
+    report = cross_validate(IDENT3, OracleBudget(env_dim, cls))
+    assert report.sound and report.full_agreement
+    for p in report.pairs:
+        assert p.oracle_influence == (p.from_wire == p.to_wire)
+
+
+@pytest.mark.parametrize("env_dim", [1, 2])
+@pytest.mark.parametrize("cls", ["constants", "atoms", "all-functions"])
+def test_cnot_tensor_identity_oracle_sound(env_dim, cls):
+    report = cross_validate(CNOT_ID, OracleBudget(env_dim, cls))
+    assert report.sound
+    for p in report.pairs:
+        if "C" in (p.from_wire, p.to_wire):
+            assert p.oracle_influence == (p.from_wire == p.to_wire)

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,3 +107,73 @@ def test_strides_and_positions():
         sys3.subset_positions(("A", "A"))
     with pytest.raises(SpecError):
         sys3.position("Z")
+
+
+# -- the array codec against the scalar one -----------------------------------------
+
+
+@st.composite
+def systems_and_names(draw):
+    """A system of 0-6 wires of dims 1-5 (at most 4096 states) and a subset in any order."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    dims = draw(st.lists(st.integers(min_value=1, max_value=5), min_size=n, max_size=n))
+    while math.prod(dims) > 4096:
+        dims[dims.index(max(dims))] -= 1
+    system = composite(*((f"w{k}", d) for k, d in enumerate(dims)))
+    names = draw(st.permutations(system.names))
+    size = draw(st.integers(min_value=0, max_value=n))
+    return system, list(names[:size])
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems_and_names(), st.data())
+def test_digits_matches_unflatten_then_flatten(case, data):
+    system, names = case
+    sub = system.select(names)
+    idx = np.arange(system.total_dim)
+    got = system.digits(idx, names)
+    assert got.shape == idx.shape
+    for x in data.draw(st.lists(st.integers(0, system.total_dim - 1), max_size=20)):
+        values = system.unflatten(x)
+        assert got[x] == sub.flatten([values[system.position(n)] for n in names])
+        assert system.digits(x, names) == got[x]
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems_and_names(), st.data())
+def test_with_digits_matches_scalar_rewrite(case, data):
+    system, names = case
+    sub = system.select(names)
+    idx = np.arange(system.total_dim)
+    v = data.draw(st.integers(0, sub.total_dim - 1))
+    got = system.with_digits(idx, names, v)
+    for x in data.draw(st.lists(st.integers(0, system.total_dim - 1), max_size=20)):
+        values = list(system.unflatten(x))
+        for n, d in zip(names, sub.unflatten(v)):
+            values[system.position(n)] = d
+        assert got[x] == system.flatten(values)
+    # broadcasting: a column of sub-indices against a row of joint indices
+    table = system.with_digits(idx, names, np.arange(sub.total_dim)[:, None])
+    assert table.shape == (sub.total_dim, system.total_dim)
+    column = np.arange(sub.total_dim)[:, None]
+    assert np.array_equal(system.digits(table, names), np.broadcast_to(column, table.shape))
+    # every wire named: the inverse of reading the wires in that order
+    if len(names) == len(system):
+        assert np.array_equal(system.with_digits(0, names, system.digits(idx, names)), idx)
+
+
+def test_codec_on_the_empty_system():
+    triv = composite()
+    assert triv.digits(np.arange(1), []).tolist() == [0]
+    assert triv.with_digits(0, [], np.arange(1)).tolist() == [0]
+    sys2 = composite(("A", 2), ("B", 3))
+    assert np.array_equal(sys2.digits(np.arange(6), []), np.zeros(6))
+    assert np.array_equal(sys2.with_digits(np.arange(6), [], 0), np.arange(6))
+
+
+def test_codec_rejects_unknown_and_duplicate_names():
+    sys2 = composite(("A", 2), ("B", 3))
+    with pytest.raises(SpecError):
+        sys2.digits(np.arange(6), ["C"])
+    with pytest.raises(SpecError):
+        sys2.with_digits(np.arange(6), ["A", "A"], 0)
