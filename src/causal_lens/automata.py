@@ -82,7 +82,6 @@ def build_ring(
     described = []
     for layer_no, layer in enumerate(layers):
         occupied: set[int] = set()
-        layer_channel = cls.identity(ring)
         layer_desc = []
         for gate, at in layer:
             if not isinstance(gate, cls):
@@ -101,10 +100,8 @@ def build_ring(
                 raise SpecError(f"layer {layer_no}: overlapping gates at cells {sorted(span)}")
             occupied |= set(span)
             names = [_cell_name(i) for i in span]
-            placed = embed_on(gate.with_names(names, names), ring)
-            layer_channel = placed.compose(layer_channel)
+            step = embed_on(gate.with_names(names, names), ring).compose(step)
             layer_desc.append((type(gate).__name__, at))
-        step = layer_channel.compose(step)
         described.append(tuple(layer_desc))
     return RingAutomaton(
         cells=cells,

@@ -7,13 +7,16 @@ together with all outputs, and the largest output subset on which it factors
 as an identity is exactly the set of outputs that ``A`` cannot influence. Its
 complement is the causal neighbourhood of ``A``.
 
-Most of this module is generic over the two channel models through the
-shared reversible-channel protocol (``compose``, ``tensor``, ``invert``,
-``signals``, ``factors_as_identity``, ``identity``, ``from_index_permutation``).
-Three places branch on the model. The classical probe process is gathered
-straight from the lookup table instead of being composed, and its idle
-outputs are read off that table in one sweep. Memory decompositions and
-witness extraction branch because their constructions genuinely differ.
+Neither probe process is composed: both are read off the evolution in
+closed form, ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``
+with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
+table gathered in one pass, quantumly one matrix product certified once. So
+``t_process`` branches on the model, as do the memory decompositions (the
+quantum legs are checked against ``U`` by contraction on product states),
+the interaction-without-disturbance premise and witness extraction. Wiring
+(``embed_on``, ``reorder_wires``, ``iterate``) is generic over the shared
+reversible-channel protocol (``compose``, ``tensor``, ``invert``,
+``identity``, ``from_index_permutation``).
 
 Every wire digit is read and written through the system's codec
 (``CompositeSystem.digits`` / ``with_digits``), vectorized over whole tables;
@@ -37,6 +40,7 @@ from .quantum import (
     StateMap,
     UnitaryChannel,
     _grouped,
+    _identity_pattern,
     _partial_trace,
     _signalling_terms,
 )
@@ -134,21 +138,6 @@ def embed_on(channel: Channel, system: CompositeSystem) -> Channel:
     return r.invert().compose(big).compose(r)
 
 
-def _content_swap(
-    system: CompositeSystem, left: Sequence[str], right: Sequence[str]
-) -> UnitaryChannel:
-    """Unitary exchanging the contents of the ``left`` and ``right`` wires, pairwise.
-
-    Paired wires must have equal dimensions, so that swapping their axes of
-    the index grid keeps its shape.
-    """
-    axes = np.arange(len(system))
-    pa, pb = [system.position(n) for n in left], [system.position(n) for n in right]
-    axes[pa], axes[pb] = pb, pa
-    table = np.arange(system.total_dim).reshape(system.dims).transpose(axes).reshape(-1)
-    return UnitaryChannel.from_index_permutation(system, system, table)
-
-
 def _grounded(system: CompositeSystem, names: Sequence[str]) -> np.ndarray:
     """Joint indices with the ``names`` wires running over ``select(names)``, others at 0.
 
@@ -199,9 +188,10 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     """Conjugate the copy-swap at ``probed`` by the evolution and factor it.
 
     The probe channel is (copy-padded u) after (swap copies with probed inputs)
-    after (copy-padded u inverse). Classically it is gathered in one pass as
-    ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``, and the idle
-    outputs are read off that table. Quantum idle outputs are found wire by
+    after (copy-padded u inverse), read off ``u`` in closed form: classically
+    the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``, with
+    the idle outputs read off it in one sweep; quantumly one matrix product on
+    ``U`` (see ``_quantum_probe_matrix``), with the idle outputs found wire by
     wire (identity factors on disjoint wires combine). Either way the joint
     factorization is verified once at the end.
     """
@@ -211,16 +201,13 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     copy_sys = composite(
         *((c, u.input.parts[u.input.position(n)].dim) for c, n in zip(copies, frm))
     )
+    probe_sys = copy_sys.concat(u.output)
     if isinstance(u, ClassicalChannel):
         table = _classical_probe_table(u, frm)
-        probe_sys = copy_sys.concat(u.output)
         tilde = ClassicalChannel(probe_sys, probe_sys, table)
         idle = _idle_wires(probe_sys, table, u.output.names)
     else:
-        back = UnitaryChannel.identity(copy_sys).tensor(u.invert())
-        swap = _content_swap(copy_sys.concat(u.input), copies, frm)
-        fwd = UnitaryChannel.identity(copy_sys).tensor(u)
-        tilde = fwd.compose(swap).compose(back)
+        tilde = UnitaryChannel(probe_sys, probe_sys, _quantum_probe_matrix(u, frm))
         idle = tuple(
             w for w in u.output.names if tilde.factors_as_identity((w,), tol) is not None
         )
@@ -249,6 +236,20 @@ def _classical_probe_table(u: ClassicalChannel, frm: tuple[str, ...]) -> np.ndar
     c = np.arange(u.input.select(frm).total_dim)[:, None]
     after = u._arr[u.input.with_digits(x, frm, c)]
     return (u.input.digits(x, frm) * u.output.total_dim + after).reshape(-1)
+
+
+def _quantum_probe_matrix(u: UnitaryChannel, frm: tuple[str, ...]) -> np.ndarray:
+    """Matrix of the quantum probe process on (copies, outputs).
+
+    ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``, with
+    the inputs of ``U`` grouped as (probed ``c``, rest ``b``).
+    """
+    g = _grouped(u.matrix, u.output, u.input, (), frm)[0].transpose(1, 0, 2)  # [c, z, b]
+    d_a, d_out = g.shape[:2]
+    x = g.reshape(d_a * d_out, -1)
+    # one matrix product: m[c, z', c', z] is the sum over b
+    m = (x @ x.conj().T).reshape(d_a, d_out, d_a, d_out)
+    return m.transpose(2, 1, 0, 3).reshape(d_a * d_out, d_a * d_out)
 
 
 def _idle_wires(
@@ -373,24 +374,6 @@ def _classical_memory(
     return MemoryDecomposition(env=env_sys, v=v, w=w)
 
 
-def _herm_basis_states(dim: int) -> list[np.ndarray]:
-    """Pure states spanning the Hermitian operators on a ``dim``-level system."""
-    states = []
-    for i in range(dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[i, i] = 1.0
-        states.append(m)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for phase in (1.0, 1j):
-                v = np.zeros(dim, dtype=complex)
-                v[i] = 1.0
-                v[j] = phase
-                v /= np.sqrt(2.0)
-                states.append(np.outer(v, v.conj()))
-    return states
-
-
 def _quantum_memory(
     u: UnitaryChannel,
     frm: tuple[str, ...],
@@ -435,30 +418,48 @@ def _quantum_memory(
     return MemoryDecomposition(env=env_sys, v=v, w=w)
 
 
+# working set of one chunk of product states in the quantum memory check:
+# about four complex d_out x d_out arrays per state
+_CHECK_CHUNK_BYTES = 1 << 20
+
+
+def _spanning_vectors(dim: int) -> np.ndarray:
+    """Rows: unit vectors whose projectors span the Hermitian operators on ``dim`` levels.
+
+    The basis states, then ``(e_i + e_j)/sqrt2`` and ``(e_i + i e_j)/sqrt2`` for ``i < j``.
+    """
+    eye = np.eye(dim, dtype=complex)
+    i, j = np.triu_indices(dim, 1)
+    return np.concatenate([eye] + [(eye[i] + p * eye[j]) / np.sqrt(2.0) for p in (1.0, 1j)])
+
+
 def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, tol):
-    a_sys = u.input.restrict(frm)
-    b_sys = u.input.restrict(b_names)
-    ap_sys = u.output.restrict(ap_names)
-    bp_sys = u.output.restrict(idle)
-    d_a, d_b = a_sys.total_dim, b_sys.total_dim
-    d_ap, d_bp = ap_sys.total_dim, bp_sys.total_dim
+    """Check that the legs recompose ``u`` on a spanning set of pure product states.
 
-    p = u.input.digits(np.arange(u.input.total_dim), frm + b_names)  # system -> (A, B)
-    q = _grounded(u.output, ap_names + idle)  # (A', B') -> system
-
-    big_w = np.kron(t_mat, np.eye(d_bp))
+    On ``a x b`` the evolution gives ``y y+`` with ``y = U (a x b)``; the legs
+    give ``sum_c k_c k_c+``, where ``k_c`` is row ``c`` of (probe factor x
+    identity-on-B') applied to ``a x v_iso b`` and ``c`` runs over the
+    discarded copies. Both sides are grouped (A', B') and must agree entrywise
+    within ``max(tol, 1e-9)``; the states are taken a chunk at a time.
+    """
+    d_a = u.input.select(frm).total_dim
+    d_out = u.output.total_dim
+    rows, cols = _grounded(u.output, ap_names + idle), _grounded(u.input, frm + b_names)
+    u_g = u.matrix[np.ix_(rows, cols)]
+    s_a, s_b = _spanning_vectors(d_a), _spanning_vectors(u.input.total_dim // d_a)
+    n_pairs = len(s_a) * len(s_b)
+    chunk = max(1, _CHECK_CHUNK_BYTES // (64 * d_out * d_out))
     check_tol = max(tol, 1e-9)
-    for rho_a in _herm_basis_states(d_a):
-        for rho_b in _herm_basis_states(d_b):
-            x_grouped = np.kron(rho_a, rho_b)
-            x_orig = x_grouped[np.ix_(p, p)]
-            lhs = (u.matrix @ x_orig @ u.matrix.conj().T)[np.ix_(q, q)]
-            tau = np.kron(rho_a, v_iso @ rho_b @ v_iso.conj().T)
-            moved = big_w @ tau @ big_w.conj().T
-            t4 = moved.reshape(d_a, d_ap * d_bp, d_a, d_ap * d_bp)
-            rhs = np.trace(t4, axis1=0, axis2=2)
-            if np.max(np.abs(lhs - rhs)) > check_tol:
-                raise ConsistencyError("quantum memory decomposition failed to recompose")
+    for lo in range(0, n_pairs, chunk):
+        i_a, i_b = np.divmod(np.arange(lo, min(lo + chunk, n_pairs)), len(s_b))
+        a, b = s_a[i_a], s_b[i_b]
+        n = len(a)
+        y = (a[:, :, None] * b[:, None, :]).reshape(n, -1) @ u_g.T
+        tau = (a[:, :, None] * (b @ v_iso.T)[:, None, :]).reshape(n, t_mat.shape[0], -1)
+        k = (t_mat @ tau).reshape(n, d_a, d_out)
+        gap = y[:, :, None] * y[:, None, :].conj() - k.transpose(0, 2, 1) @ k.conj()
+        if np.max(np.abs(gap)) > check_tol:
+            raise ConsistencyError("quantum memory decomposition failed to recompose")
 
 
 # -- hierarchy ---------------------------------------------------------------------
@@ -618,10 +619,9 @@ def _discard_leaves_rest_alone(
     if isinstance(u, ClassicalChannel):
         passed = u.input.digits(np.arange(u.input.total_dim), bystander)
         return np.array_equal(passed, u.output.digits(u._arr, bystander))
-    g = _grouped(u.matrix, u.output, u.input, act, act)
+    m, _ = _signalling_terms(u, act, bystander)
     d_a = u.input.select(act).total_dim
     d_b = u.input.total_dim // d_a
-    m = np.einsum("apxw,aqyv->pqxwyv", g, g.conj())
     req = (
         np.eye(d_a).reshape(1, 1, d_a, 1, d_a, 1)
         * np.eye(d_b).reshape(d_b, 1, 1, d_b, 1, 1)
@@ -830,8 +830,8 @@ def _quantum_witness(
     if defect is not None:
         return Witness(kind="factorization-defect", detail=defect)
     # causal influence without signalling: exhibit the idle-pattern failure
-    gap, v, pattern = _idle_pattern_gap(tp.channel, to)
-    entry = _worst_entry(gap)
+    v, pattern = _identity_pattern(tp.channel, to)
+    entry = _worst_entry(np.abs(v - pattern))
     return Witness(
         kind="factorization-defect",
         detail={
@@ -843,16 +843,6 @@ def _quantum_witness(
             "expected": [float(pattern[entry].real), float(pattern[entry].imag)],
         },
     )
-
-
-def _idle_pattern_gap(tilde: UnitaryChannel, to: tuple[str, ...]):
-    """Deviation of the probe process ``tilde`` from (factor tensor identity-on-target)."""
-    rest = tilde.output.complement(to)
-    v = _grouped(tilde.matrix, tilde.output, tilde.input, rest, rest)
-    w = v[:, 0, :, 0]
-    d_idle = v.shape[1]
-    pattern = np.einsum("ij,kl->ikjl", w, np.eye(d_idle))
-    return np.abs(v - pattern), v, pattern
 
 
 def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bool:
@@ -867,9 +857,9 @@ def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bo
     if d.get("variant") == "signalling-identity":
         fresh = _signalling_defect(u, frm, to, tol)
         return fresh is not None
-    gap, _, _ = _idle_pattern_gap(t_process(u, frm, tol).channel, to)
-    i, j, k, l = d["entry"]
-    return bool(gap[i, j, k, l] > tol)
+    v, pattern = _identity_pattern(t_process(u, frm, tol).channel, to)
+    entry = tuple(d["entry"])
+    return bool(abs(v[entry] - pattern[entry]) > tol)
 
 
 # -- probe-process identities ---------------------------------------------------------

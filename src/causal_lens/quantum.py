@@ -84,6 +84,21 @@ def _signalling_terms(
     return m, delta * ref
 
 
+def _identity_pattern(
+    u: "UnitaryChannel", idle: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` against its idle-index-zero block ``w`` tensor identity-on-``idle``.
+
+    Returns ``(v, pattern)`` of shape (d_rest_out, d_idle, d_rest_in, d_idle):
+    ``v`` is the matrix with the ``idle`` wires last on both sides, in the
+    order given, so that they pair by name; ``pattern`` is ``w x 1`` in the
+    same layout.
+    """
+    v = _grouped(u.matrix, u.output, u.input, idle, idle).transpose(1, 0, 3, 2)
+    pattern = np.einsum("ij,kl->ikjl", v[:, 0, :, 0], np.eye(v.shape[1]))
+    return v, pattern
+
+
 @dataclass(frozen=True, eq=False)
 class UnitaryChannel:
     """A unitarity-certified complex matrix typed by input/output systems."""
@@ -209,20 +224,13 @@ class UnitaryChannel:
             dout = self.output.parts[self.output.position(name)].dim
             if din != dout:
                 raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
-        comp_in = self.input.complement(idle)
-        comp_out = self.output.complement(idle)
-        # idle last on both sides, in a shared canonical order
-        v = _grouped(self.matrix, self.output, self.input, comp_out, comp_in)
-        # v has shape (dc_out, d_idle, dc_in, d_idle)
-        w = v[:, 0, :, 0]
-        d_idle = v.shape[1]
-        pattern = np.einsum("ij,kl->ikjl", w, np.eye(d_idle))
+        v, pattern = _identity_pattern(self, idle)
         if np.max(np.abs(v - pattern)) > tol:
             return None
-        w_in = self.input.restrict(comp_in)
-        w_out = self.output.restrict(comp_out)
+        w_in = self.input.restrict(self.input.complement(idle))
+        w_out = self.output.restrict(self.output.complement(idle))
         try:
-            return UnitaryChannel(w_in, w_out, w, atol=max(tol, DEFAULT_TOL))
+            return UnitaryChannel(w_in, w_out, v[:, 0, :, 0], atol=max(tol, DEFAULT_TOL))
         except SpecError:
             return None
 

@@ -352,6 +352,17 @@ def test_niwd_quantum():
     assert check_interaction_without_disturbance(u).verdict == "no-interaction"
 
 
+@pytest.mark.parametrize("cls", [ClassicalChannel, UnitaryChannel])
+def test_idle_wires_pair_by_name_when_outputs_are_listed_in_another_order(cls):
+    system = composite(("A", 2), ("B", 2), ("C", 3))
+    u = causal.reorder_wires(cls.identity(system), output_order=["A", "C", "B"])
+    for idle in [("B", "C"), ("C", "B")]:
+        w = u.factors_as_identity(idle)
+        assert w is not None and w.input.names == w.output.names == ("A",)
+    res = check_interaction_without_disturbance(u, ["A"])
+    assert (res.premise_holds, res.factorizes, res.verdict) == (True, True, "no-interaction")
+
+
 def test_niwd_forced_influence_on_random_sweep():
     rng = np.random.default_rng(45)
     found_witness_case = 0

@@ -1,9 +1,10 @@
-"""The classical probe process, gathered from the table, against its definition.
+"""The probe process, read off the evolution, against its definition.
 
 The reference builds the probe by composition, as the paper defines it:
 ``(identity x u)`` after (swap the copies with the probed inputs) after
-``(identity x u^-1)``. Its idle set comes from a per-wire
-``factors_as_identity`` sweep.
+``(identity x u^-1)``, in the channel's own model. Its idle set comes from a
+per-wire ``factors_as_identity`` sweep. The classical probe is gathered from
+the table; the quantum one is contracted from the matrix of ``u``.
 """
 
 import itertools
@@ -11,13 +12,16 @@ import itertools
 import numpy as np
 import pytest
 
-from causal_lens import classical
+from causal_lens import classical, quantum
 from causal_lens.causal import reorder_wires, t_process
 from causal_lens.classical import ClassicalChannel
+from causal_lens.quantum import UnitaryChannel
 from causal_lens.systems import composite
 
 
-def composed_probe(u: ClassicalChannel, probed, copies) -> ClassicalChannel:
+def composed_probe(u, probed, copies):
+    """The probe process of ``u`` at ``probed``, composed in ``u``'s model."""
+    cls = type(u)
     copy_sys = composite(
         *((c, u.input.parts[u.input.position(n)].dim) for c, n in zip(copies, probed))
     )
@@ -30,9 +34,9 @@ def composed_probe(u: ClassicalChannel, probed, copies) -> ClassicalChannel:
     for x in range(padded.total_dim):
         digits = padded.unflatten(x)
         swap_table.append(padded.flatten([digits[s] for s in source]))
-    swap = ClassicalChannel(padded, padded, tuple(swap_table))
-    back = ClassicalChannel.identity(copy_sys).tensor(u.invert())
-    fwd = ClassicalChannel.identity(copy_sys).tensor(u)
+    swap = cls.from_index_permutation(padded, padded, swap_table)
+    back = cls.identity(copy_sys).tensor(u.invert())
+    fwd = cls.identity(copy_sys).tensor(u)
     return fwd.compose(swap).compose(back)
 
 
@@ -43,10 +47,28 @@ def controlled_channel(block, rng: np.random.Generator) -> ClassicalChannel:
     return ClassicalChannel(block, block, tuple(table))
 
 
-def mixed_radix_channel(rng: np.random.Generator, primed: bool) -> ClassicalChannel:
-    """A seeded channel on 1-4 wires of dims 1-4, often with idle wires."""
+def in_model(cls, channel: ClassicalChannel):
+    return channel if cls is ClassicalChannel else quantum.from_classical(channel)
+
+
+def random_block(cls, block, rng: np.random.Generator):
+    """A random permutation of ``block``; in the quantum model, half the time a random unitary."""
+    if cls is UnitaryChannel and rng.random() < 0.5:
+        return quantum.random_unitary(block, rng)
+    return in_model(cls, classical.random_reversible(block, rng))
+
+
+def mixed_radix_channel(
+    rng: np.random.Generator, primed: bool, cls=ClassicalChannel, max_dim=None
+):
+    """A seeded channel on 1-4 wires of dims 1-4, often with idle wires.
+
+    With ``max_dim``, the wire dimensions are drawn again until their product fits.
+    """
     n = int(rng.integers(1, 5))
     dims = [int(d) for d in rng.integers(1, 5, size=n)]
+    while max_dim is not None and np.prod(dims) > max_dim:
+        dims = [int(d) for d in rng.integers(1, 5, size=n)]
     names = [chr(ord("A") + k) for k in range(n)]
     # a tensor product of random blocks, read back in a shuffled wire order
     cuts = sorted(set(int(c) for c in rng.integers(1, n + 1, size=int(rng.integers(0, n)))))
@@ -56,11 +78,11 @@ def mixed_radix_channel(rng: np.random.Generator, primed: bool) -> ClassicalChan
         block = composite(*zip(names[lo:hi], dims[lo:hi]))
         kind = rng.random()
         if kind < 0.2:
-            part = ClassicalChannel.identity(block)
+            part = cls.identity(block)
         elif kind < 0.5 and hi - lo > 1:
-            part = controlled_channel(block, rng)
+            part = in_model(cls, controlled_channel(block, rng))
         else:
-            part = classical.random_reversible(block, rng)
+            part = random_block(cls, block, rng)
         u = part if u is None else u.tensor(part)
     order = list(u.input.names)
     rng.shuffle(order)
@@ -70,7 +92,7 @@ def mixed_radix_channel(rng: np.random.Generator, primed: bool) -> ClassicalChan
     return u
 
 
-def probe_sets(u: ClassicalChannel):
+def probe_sets(u):
     names = u.input.names
     yield ()
     for w in names:
@@ -134,3 +156,60 @@ def test_gathered_probe_on_controlled_shift_beside_idle_wire():
         assert tp.channel.table == ref.table
     assert t_process(u, ["B"]).idle_subset == frozenset({"C"})
     assert t_process(u, ["C"]).idle_subset == frozenset({"A", "B"})
+
+
+# -- the quantum probe, contracted from U --------------------------------------------
+
+
+def quantum_cases():
+    rng = np.random.default_rng(2013)
+    out = []
+    for k in range(40):
+        u = mixed_radix_channel(rng, primed=bool(k % 2), cls=UnitaryChannel, max_dim=16)
+        out.extend((u, probe) for probe in probe_sets(u))
+    return out
+
+
+def test_quantum_cases_cover_the_required_shapes():
+    shapes = quantum_cases()
+    dims = {d for u, _ in shapes for d in u.input.dims}
+    assert dims == {1, 2, 3, 4}
+    assert any(len(p) == 0 for _, p in shapes)
+    assert any(len(p) == 1 for _, p in shapes)
+    assert any(len(p) > 1 for _, p in shapes)
+    assert any(u.output.names != u.input.names for u, _ in shapes)
+    # permutation unitaries and genuinely complex ones both occur
+    real01 = [np.isin(u.matrix, (0.0, 1.0)).all() for u, _ in shapes]
+    assert any(real01) and not all(real01)
+    idle_sizes = {len(t_process(u, p).idle_subset) for u, p in shapes}
+    assert 0 in idle_sizes and max(idle_sizes) >= 2
+
+
+@pytest.mark.parametrize("u,probe", quantum_cases())
+def test_quantum_probe_matches_composition(u, probe):
+    tp = t_process(u, probe)
+    ref = composed_probe(u, tp.probed, tp.probe_copies)
+    assert tp.channel.input == ref.input and tp.channel.output == ref.output
+    assert np.max(np.abs(tp.channel.matrix - ref.matrix)) <= 1e-12
+    sweep = frozenset(
+        w for w in u.output.names if ref.factors_as_identity((w,)) is not None
+    )
+    assert tp.idle_subset == sweep
+    want = ref.factors_as_identity(tuple(w for w in u.output.names if w in sweep))
+    assert (tp.factor.input, tp.factor.output) == (want.input, want.output)
+    assert np.max(np.abs(tp.factor.matrix - want.matrix)) <= 1e-12
+
+
+def test_quantum_t_process_builds_only_the_probe_and_its_factors(monkeypatch):
+    u = quantum.cnot(("A", "B")).tensor(UnitaryChannel.identity(composite(("C", 3))))
+    built = []
+    real = UnitaryChannel.__post_init__
+    monkeypatch.setattr(UnitaryChannel, "__post_init__", lambda self: built.append(self) or real(self))
+    for name in ("compose", "tensor", "invert"):
+        monkeypatch.setattr(UnitaryChannel, name, lambda *a, name=name: pytest.fail(name))
+    tp = t_process(u, ["A"])
+    assert tp.idle_subset == frozenset({"C"})
+    # the probe, the factor found while sweeping wire C, the joint factor
+    assert len(built) == 3
+    assert built[0] is tp.channel and built[2] is tp.factor
+    assert (built[1].input, built[1].output) == (tp.factor.input, tp.factor.output)
