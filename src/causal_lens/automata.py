@@ -2,6 +2,10 @@
 
 An automaton is built from layers of identical-dimension gates placed at
 cyclic positions; its step channel is the ordered composition of the layers.
+The step is built by contraction, with no channel per gate: each gate is
+applied to the running step on its own cells (quantumly a ``tensordot`` on the
+cell axes of the step's matrix, classically a lookup on the cell digits of its
+table), and the result is certified once.
 For each cell the causal neighbourhood comes from the probe process of the
 iterated step, the signalling set from pairwise signalling tests. The
 signalling set is always contained in the causal neighbourhood; a strict gap
@@ -14,7 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .causal import embed_on, iterate, neighbourhood
+import numpy as np
+
+from .causal import iterate, neighbourhood
 from .classical import ClassicalChannel
 from .errors import BudgetError, ConsistencyError, SpecError
 from .quantum import DEFAULT_TOL, UnitaryChannel
@@ -66,6 +72,13 @@ def build_ring(
     Each layer is a sequence of ``(gate, at)`` pairs; a gate of arity k covers
     cells ``at .. at+k-1`` with cyclic indexing (no wrap-around when
     ``boundary="open"``). Gates within one layer must not overlap.
+
+    Each gate acts on the running step, gate wire ``j`` on cell ``at+j``:
+    quantumly the step is a tensor with one axis per output cell and one for
+    the input index, and the gate is contracted into its cells' axes;
+    classically the gate's table is looked up on its cells' digits of the
+    step's table. The step channel is built and certified once, at the end
+    (the gates were certified when they were built).
     """
     if cells < 2 or cell_dim < 2:
         raise SpecError("a ring needs at least 2 cells of dimension >= 2")
@@ -78,7 +91,9 @@ def build_ring(
         )
     ring = composite(*((_cell_name(i), cell_dim) for i in range(cells)))
     cls = ClassicalChannel if model == "classical" else UnitaryChannel
-    step = cls.identity(ring)
+    n = ring.total_dim
+    # the step so far: classically its table, quantumly its matrix [cells..., input]
+    acc = np.arange(n) if model == "classical" else np.eye(n).reshape(ring.dims + (n,))
     described = []
     for layer_no, layer in enumerate(layers):
         occupied: set[int] = set()
@@ -99,10 +114,16 @@ def build_ring(
             if occupied & set(span):
                 raise SpecError(f"layer {layer_no}: overlapping gates at cells {sorted(span)}")
             occupied |= set(span)
-            names = [_cell_name(i) for i in span]
-            step = embed_on(gate.with_names(names, names), ring).compose(step)
+            if model == "classical":
+                names = [_cell_name(i) for i in span]
+                acc = ring.with_digits(acc, names, gate._arr[ring.digits(acc, names)])
+            else:
+                g = gate.matrix.reshape(gate.input.dims * 2)
+                acc = np.tensordot(g, acc, axes=(range(arity, 2 * arity), span))
+                acc = np.moveaxis(acc, range(arity), span)
             layer_desc.append((type(gate).__name__, at))
         described.append(tuple(layer_desc))
+    step = cls(ring, ring, acc if model == "classical" else acc.reshape(n, n))
     return RingAutomaton(
         cells=cells,
         cell_dim=cell_dim,

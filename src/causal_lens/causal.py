@@ -27,13 +27,12 @@ witness search.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import ClassicalChannel, ClassicalInstrument
+from .classical import ClassicalChannel, ClassicalInstrument, _at_zero
 from .errors import ConsistencyError, SpecError
 from .quantum import (
     DEFAULT_TOL,
@@ -43,6 +42,7 @@ from .quantum import (
     _identity_pattern,
     _partial_trace,
     _signalling_terms,
+    _signals,
 )
 from .systems import CompositeSystem, composite
 
@@ -191,9 +191,9 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     after (copy-padded u inverse), read off ``u`` in closed form: classically
     the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``, with
     the idle outputs read off it in one sweep; quantumly one matrix product on
-    ``U`` (see ``_quantum_probe_matrix``), with the idle outputs found wire by
-    wire (identity factors on disjoint wires combine). Either way the joint
-    factorization is verified once at the end.
+    ``U`` (see ``_quantum_probe_matrix``), with the idle outputs read off its
+    matrix in one sweep (identity factors on disjoint wires combine). Either
+    way the joint factorization is verified once at the end.
     """
     frm = _ordered_subset(u.input, probed)
     taken = set(u.input.names) | set(u.output.names)
@@ -208,9 +208,7 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
         idle = _idle_wires(probe_sys, table, u.output.names)
     else:
         tilde = UnitaryChannel(probe_sys, probe_sys, _quantum_probe_matrix(u, frm))
-        idle = tuple(
-            w for w in u.output.names if tilde.factors_as_identity((w,), tol) is not None
-        )
+        idle = _quantum_idle_wires(probe_sys, tilde.matrix, u.output.names, tol)
     factor = tilde.factors_as_identity(idle, tol)
     if factor is None:
         raise ConsistencyError(
@@ -275,6 +273,34 @@ def _idle_wires(
     return tuple(idle)
 
 
+def _quantum_idle_wires(
+    system: CompositeSystem, matrix: np.ndarray, names: Sequence[str], tol: float
+) -> tuple[str, ...]:
+    """The ``names`` wires on which a unitary ``matrix`` of ``system`` factors as identity.
+
+    The quantum twin of ``_idle_wires``, and the two tests that
+    ``factors_as_identity((w,), tol)`` makes, without building a channel: with
+    ``w`` the block at wire digits 0 on both sides, the matrix must be
+    ``w x 1`` on the wire within ``tol``, and ``w`` must certify as unitary
+    within ``max(tol, DEFAULT_TOL)``.
+    """
+    n = len(system)
+    grid = matrix.reshape(system.dims * 2)
+    idle = []
+    for name in names:
+        k = system.position(name)
+        dim = system.dims[k]
+        w = _at_zero(grid, (k, n + k))
+        delta = np.eye(dim).reshape([dim if a in (k, n + k) else 1 for a in range(2 * n)])
+        if np.max(np.abs(grid - w * delta)) > tol:
+            continue
+        block = np.ascontiguousarray(w.reshape(matrix.shape[0] // dim, -1))
+        defect = np.max(np.abs(block.conj().T @ block - np.eye(len(block))))
+        if defect <= max(tol, DEFAULT_TOL):
+            idle.append(name)
+    return tuple(idle)
+
+
 def neighbourhood(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> frozenset[str]:
     """Output wires causally influenced by the ``probed`` inputs.
 
@@ -328,6 +354,8 @@ def memory_decomposition(
     """
     frm = _ordered_subset(u.input, from_in)
     idle = _ordered_subset(u.output, idle_out)
+    if u.signals(frm, idle, tol):
+        return None
     if isinstance(u, ClassicalChannel):
         return _classical_memory(u, frm, idle)
     return _quantum_memory(u, frm, idle, tol)
@@ -345,9 +373,8 @@ def _blocks(u: Channel, frm: tuple[str, ...], idle: tuple[str, ...]):
 
 def _classical_memory(
     u: ClassicalChannel, frm: tuple[str, ...], idle: tuple[str, ...]
-) -> Optional[MemoryDecomposition]:
-    if u.signals(frm, idle):
-        return None
+) -> MemoryDecomposition:
+    """The memory form of ``u``, which does not signal from ``frm`` to ``idle``."""
     a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _blocks(u, frm, idle)
     taken = set(u.input.names) | set(u.output.names)
     env_names = _fresh_names(taken, b_names, "_env")
@@ -380,10 +407,11 @@ def _quantum_memory(
     idle: tuple[str, ...],
     tol: float,
     tp: Optional[TProcessResult] = None,
-) -> Optional[MemoryDecomposition]:
-    """``tp`` is the probe process of ``u`` at ``frm``, built here when not given."""
-    if u.signals(frm, idle, tol):
-        return None
+) -> MemoryDecomposition:
+    """The memory form of ``u``, which does not signal from ``frm`` to ``idle``.
+
+    ``tp`` is the probe process of ``u`` at ``frm``, built here when not given.
+    """
     a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _blocks(u, frm, idle)
     tp = tp or t_process(u, frm, tol)
     t_fac = tp.channel.factors_as_identity(idle, tol)
@@ -515,19 +543,27 @@ def hierarchy_report(
     """Compute causal influence, memory-decomposability, and signalling independently.
 
     One probe process serves the influence verdict, the quantum memory
-    decomposition and the witness.
+    decomposition and the witness; quantumly, one computation of the
+    signalling terms serves the signalling verdict and the witness.
     """
     frm = _ordered_subset(u.input, from_in)
     to = _ordered_subset(u.output, to_out)
     tp = t_process(u, frm, tol)
     causal = not tp.idle_subset.issuperset(to)
+    # a memory form exists iff there is no signalling; building it verifies it
     if isinstance(u, ClassicalChannel):
-        memory = _classical_memory(u, frm, to) is not None
+        sig = u.signals(frm, to, tol)
+        if not sig:
+            _classical_memory(u, frm, to)
+        witness = _classical_witness(u, frm, to) if causal else None
     else:
-        memory = _quantum_memory(u, frm, to, tol, tp) is not None
-    sig = u.signals(frm, to, tol)
+        terms = _signalling_terms(u, frm, to)
+        sig = _signals(u, frm, to, tol, terms)
+        if not sig:
+            _quantum_memory(u, frm, to, tol, tp)
+        witness = _quantum_witness(u, tp, to, tol, terms) if causal else None
+    memory = not sig
     consistent = (causal or memory) and ((not memory) or (not sig))
-    witness = _witness(u, tp, to, tol) if causal else None
     return HierarchyReport(
         from_in=frm,
         to_out=to,
@@ -682,22 +718,16 @@ def find_witness(
     """Produce replayable evidence that ``from_in`` causally influences ``to_out``.
 
     Classical search order is fixed for reproducibility: constant preparations,
-    then measure-and-prepare atoms, then the copy-swap intervention, then
-    deterministic intervention tables in lexicographic order. The copy-swap is
-    guaranteed to witness whenever influence exists, so the search terminates.
+    then measure-and-prepare atoms, then the copy-swap intervention. The
+    copy-swap witnesses every influence, so the search ends there.
     """
     frm = _ordered_subset(u.input, from_in)
     to = _ordered_subset(u.output, to_out)
     tp = t_process(u, frm, tol)
     if tp.idle_subset.issuperset(to):
         raise SpecError("find_witness requires causal influence from_in -> to_out")
-    return _witness(u, tp, to, tol)
-
-
-def _witness(u: Channel, tp: TProcessResult, to: tuple[str, ...], tol: float) -> Witness:
-    """Witness of influence from ``tp.probed`` to ``to``; ``tp`` is u's probe process there."""
     if isinstance(u, ClassicalChannel):
-        return _classical_witness(u, tp.probed, to)
+        return _classical_witness(u, frm, to)
     return _quantum_witness(u, tp, to, tol)
 
 
@@ -712,8 +742,6 @@ def _intervention_candidates(d_from: int):
             yield 1, tuple(table), "atom"
     swap = tuple(a * d_from + e for e in range(d_from) for a in range(d_from))
     yield d_from, swap, "copy-swap"
-    for table in itertools.product(range(d_from), repeat=d_from):
-        yield 1, table, "table"
 
 
 def _conjugated_table(
@@ -796,19 +824,34 @@ def _classical_witness(u: ClassicalChannel, frm: tuple[str, ...], to: tuple[str,
     raise ConsistencyError("influence asserted but no intervention witnessed it")
 
 
-def _worst_entry(gap: np.ndarray) -> tuple[int, ...]:
-    """Multi-index of the first largest entry of ``gap`` in row-major order."""
-    return tuple(int(i) for i in np.argwhere(gap == gap.max())[0])
+def _worst_entry(gap: np.ndarray, mirror: Sequence[int]) -> tuple[int, ...]:
+    """Multi-index of a largest entry of ``gap``, the same for any rounding.
+
+    ``gap`` is symmetric under the axis permutation ``mirror`` up to rounding
+    (the Hermitian mirror of its entries), so a tied pair is ranked as one: the
+    first largest entry of ``max(gap, mirrored gap)`` in row-major order, which
+    is the lexicographically smaller entry of its pair.
+    """
+    sym = np.maximum(gap, gap.transpose(mirror))
+    return tuple(int(i) for i in np.unravel_index(np.argmax(sym), sym.shape))
 
 
 def _signalling_defect(
-    u: UnitaryChannel, frm: tuple[str, ...], to: tuple[str, ...], tol: float
+    u: UnitaryChannel,
+    frm: tuple[str, ...],
+    to: tuple[str, ...],
+    tol: float,
+    terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Optional[dict]:
-    m, expected = _signalling_terms(u, frm, to)
+    """The worst entry of the signalling identity, or None within ``tol``.
+
+    ``terms`` is ``_signalling_terms(u, frm, to)`` when the caller already has it.
+    """
+    m, expected = _signalling_terms(u, frm, to) if terms is None else terms
     gap = np.abs(m - expected)
     if np.max(gap) <= tol:
         return None
-    entry = _worst_entry(gap)
+    entry = _worst_entry(gap, (1, 0, 4, 5, 2, 3))
     t, s, a, k, b, l = entry
     actual, wanted = m[entry], expected[entry]
     return {
@@ -824,14 +867,19 @@ def _signalling_defect(
 
 
 def _quantum_witness(
-    u: UnitaryChannel, tp: TProcessResult, to: tuple[str, ...], tol: float
+    u: UnitaryChannel,
+    tp: TProcessResult,
+    to: tuple[str, ...],
+    tol: float,
+    terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Witness:
-    defect = _signalling_defect(u, tp.probed, to, tol)
+    """Witness of influence from ``tp.probed`` to ``to``; ``tp`` is u's probe process there."""
+    defect = _signalling_defect(u, tp.probed, to, tol, terms)
     if defect is not None:
         return Witness(kind="factorization-defect", detail=defect)
     # causal influence without signalling: exhibit the idle-pattern failure
     v, pattern = _identity_pattern(tp.channel, to)
-    entry = _worst_entry(np.abs(v - pattern))
+    entry = _worst_entry(np.abs(v - pattern), (2, 3, 0, 1))
     return Witness(
         kind="factorization-defect",
         detail={

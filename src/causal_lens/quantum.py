@@ -77,11 +77,32 @@ def _signalling_terms(
     delta_ab times its a=b=0 slice, the second array returned.
     """
     g = _grouped(u.matrix, u.output, u.input, to, frm)
-    d_from = g.shape[2]
-    m = np.einsum("tsak,usbl->tuakbl", g, g.conj())
+    d_to, d_s, d_from, d_k = g.shape
+    x = g.transpose(1, 0, 2, 3).reshape(d_s, -1)  # rows s, columns (t, a, k)
+    # one matrix product: m[(t, a, k), (u, b, l)] is the sum over s
+    m = (x.T @ x.conj()).reshape(d_to, d_from, d_k, d_to, d_from, d_k)
+    m = m.transpose(0, 3, 1, 2, 4, 5)
     ref = m[:, :, 0:1, :, 0:1, :]
     delta = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1)
     return m, delta * ref
+
+
+def _signals(
+    u: "UnitaryChannel",
+    frm: Sequence[str],
+    to: Sequence[str],
+    tol: float,
+    terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> bool:
+    """``u.signals(frm, to, tol)`` on validated names.
+
+    ``terms`` is ``_signalling_terms(u, frm, to)`` when the caller already has
+    it. A trivial block on either side never signals.
+    """
+    if u.input.select(frm).total_dim == 1 or u.output.select(to).total_dim == 1:
+        return False
+    m, expected = _signalling_terms(u, frm, to) if terms is None else terms
+    return bool(np.max(np.abs(m - expected)) > tol)
 
 
 def _identity_pattern(
@@ -199,12 +220,7 @@ class UnitaryChannel:
         to = tuple(to_out)
         self.input.subset_positions(frm)
         self.output.subset_positions(to)
-        d_from = self.input.select(frm).total_dim
-        d_to = self.output.select(to).total_dim
-        if d_from == 1 or d_to == 1:
-            return False
-        m, expected = _signalling_terms(self, frm, to)
-        return bool(np.max(np.abs(m - expected)) > tol)
+        return _signals(self, frm, to, tol)
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = DEFAULT_TOL

@@ -462,6 +462,26 @@ def test_witness_quantum_idle_pattern_inside_the_tolerance_band():
     assert cases > 0
 
 
+def test_classical_witness_search_ends_at_the_copy_swap():
+    # the copy-swap witnesses every influence, so no wider intervention table is tried
+    rng = np.random.default_rng(48)
+    channels = list(classical.all_reversible_channels(BITS))
+    channels += classical.all_reversible_channels(composite(("A", 2), ("B", 3)))
+    for dims in [(2, 2, 2), (2, 3, 2)]:
+        system = composite(*zip("ABC", dims))
+        channels += [classical.random_reversible(system, rng) for _ in range(40)]
+    classes = set()
+    for u in channels:
+        blocks = [(w,) for w in u.input.names] + [u.input.names[:2]]
+        for frm in blocks:
+            tp = t_process(u, frm)
+            for to in blocks:
+                if not tp.idle_subset.issuperset(to):
+                    wit = causal._classical_witness(u, tp.probed, to)
+                    classes.add(wit.detail["intervention_class"])
+    assert classes and classes <= {"constant", "atom", "copy-swap"}
+
+
 def test_witness_requires_influence():
     with pytest.raises(SpecError):
         find_witness(IDENT, ["A"], ["B"])

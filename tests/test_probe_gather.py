@@ -209,7 +209,6 @@ def test_quantum_t_process_builds_only_the_probe_and_its_factors(monkeypatch):
         monkeypatch.setattr(UnitaryChannel, name, lambda *a, name=name: pytest.fail(name))
     tp = t_process(u, ["A"])
     assert tp.idle_subset == frozenset({"C"})
-    # the probe, the factor found while sweeping wire C, the joint factor
-    assert len(built) == 3
-    assert built[0] is tp.channel and built[2] is tp.factor
-    assert (built[1].input, built[1].output) == (tp.factor.input, tp.factor.output)
+    # the probe and the joint factor; the idle sweep builds no channel
+    assert len(built) == 2
+    assert built[0] is tp.channel and built[1] is tp.factor

@@ -1,0 +1,139 @@
+"""The quantum signalling kernel against its einsum form, and the witnesses it feeds.
+
+``reference_terms`` is the signalling kernel as a plain ``einsum``, kept as the
+reference for the matrix-product form in ``quantum._signalling_terms``.
+"""
+
+import numpy as np
+import pytest
+
+from causal_lens import causal, quantum
+from causal_lens.causal import find_witness, has_causal_influence, hierarchy_report, replay_witness
+from causal_lens.quantum import UnitaryChannel, _signalling_terms
+from causal_lens.systems import composite
+
+
+def reference_terms(u, frm, to):
+    """``m[t,u,a,k,b,l] = sum_s U[(t,s),(a,k)] conj(U[(u,s),(b,l)])`` and its expected form."""
+    out_axes = [u.output.position(n) for n in to]
+    out_axes += [k for k in range(len(u.output)) if k not in out_axes]
+    in_axes = [u.input.position(n) for n in frm]
+    in_axes += [k for k in range(len(u.input)) if k not in in_axes]
+    d_to = u.output.select(to).total_dim
+    d_from = u.input.select(frm).total_dim
+    t = u.matrix.reshape(u.output.dims + u.input.dims)
+    t = t.transpose(out_axes + [len(u.output) + k for k in in_axes])
+    g = t.reshape(d_to, -1, d_from, u.input.total_dim // d_from)
+    m = np.einsum("tsak,usbl->tuakbl", g, g.conj())
+    delta = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1)
+    return m, delta * m[:, :, 0:1, :, 0:1, :]
+
+
+def random_subset(names, rng):
+    """A random subset of ``names`` in random order, possibly empty."""
+    picked = [n for n in names if rng.random() < 0.5]
+    rng.shuffle(picked)
+    return tuple(picked)
+
+
+def kernel_cases():
+    """Seeded unitaries on 1-4 wires of dims 1-4, total dim <= 16, with subset pairs."""
+    rng = np.random.default_rng(2014)
+    out = []
+    for k in range(60):
+        n = int(rng.integers(1, 5))
+        dims = [int(d) for d in rng.integers(1, 5, size=n)]
+        while np.prod(dims) > 16:
+            dims = [int(d) for d in rng.integers(1, 5, size=n)]
+        system = composite(*zip("ABCD", dims))
+        if rng.random() < 0.3:
+            perm = rng.permutation(system.total_dim)
+            u = UnitaryChannel.from_index_permutation(system, system, perm)
+        else:
+            u = quantum.random_unitary(system, rng)
+        if k % 2:
+            u = u.with_names(output_names=[f"{w}'" for w in u.output.names])
+        for _ in range(4):
+            out.append((u, random_subset(u.input.names, rng), random_subset(u.output.names, rng)))
+    return out
+
+
+def test_kernel_cases_cover_the_required_shapes():
+    cases = kernel_cases()
+    assert {d for u, _, _ in cases for d in u.input.dims} == {1, 2, 3, 4}
+    assert any(len(frm) == 0 for _, frm, _ in cases)
+    assert any(len(to) == 0 for _, _, to in cases)
+    # subsets listed against the system order on both sides
+    assert any(list(frm) != sorted(frm) for _, frm, _ in cases)
+    assert any(list(to) != sorted(to) for _, _, to in cases)
+
+
+@pytest.mark.parametrize("u,frm,to", kernel_cases())
+def test_signalling_terms_match_the_einsum_reference(u, frm, to):
+    m, expected = _signalling_terms(u, frm, to)
+    m_ref, expected_ref = reference_terms(u, frm, to)
+    assert m.shape == m_ref.shape and expected.shape == expected_ref.shape
+    assert np.max(np.abs(m - m_ref), initial=0.0) <= 1e-12
+    assert np.max(np.abs(expected - expected_ref), initial=0.0) <= 1e-12
+
+
+# -- canonical witness entries ----------------------------------------------------------
+
+
+def seed_11_channels():
+    """The 3x2 ``exp(0.03i H)`` channels of numpy seed 11."""
+    rng = np.random.default_rng(11)
+    system = composite(("A", 3), ("B", 2))
+    for _ in range(10):
+        h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        w, v = np.linalg.eigh(h + h.conj().T)
+        yield UnitaryChannel(system, system, (v * np.exp(0.03j * w)) @ v.conj().T)
+
+
+def test_witness_names_the_smaller_entry_of_its_hermitian_mirror_pair():
+    variants = set()
+    for u in seed_11_channels():
+        for tol in np.geomspace(1e-2, 0.5, 30):
+            if not has_causal_influence(u, ["A"], ["B"], tol):
+                continue
+            wit = find_witness(u, ["A"], ["B"], tol)
+            d = wit.detail
+            if d["variant"] == "idle-pattern":
+                entry = tuple(d["entry"])
+                mirror = tuple(entry[i] for i in (2, 3, 0, 1))
+            else:
+                (t, s), (a, b), (k, l) = d["marginal_entry"], d["from_unit"], d["complement_unit"]
+                entry, mirror = (t, s, a, k, b, l), (s, t, b, l, a, k)
+            assert entry <= mirror
+            assert replay_witness(u, wit, tol)
+            variants.add(d["variant"])
+    assert variants == {"idle-pattern", "signalling-identity"}
+
+
+def test_idle_pattern_witness_of_a_tied_pair_is_stable():
+    # entries (5,1,7,1) and (7,1,5,1) tie exactly; the smaller one is named
+    u = next(seed_11_channels())
+    d = find_witness(u, ["A"], ["B"], 0.1).detail
+    assert d["variant"] == "idle-pattern"
+    assert d["entry"] == [5, 1, 7, 1]
+
+
+@pytest.mark.parametrize(
+    "u,signals",
+    [(quantum.cnot(), True), (UnitaryChannel.identity(composite(("A", 2), ("B", 3))), False)],
+)
+def test_hierarchy_report_computes_the_signalling_terms_once(monkeypatch, u, signals):
+    # one computation serves the signalling verdict, the memory path and the witness
+    calls = []
+    real = quantum._signalling_terms
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quantum, "_signalling_terms", counted)
+    monkeypatch.setattr(causal, "_signalling_terms", counted)
+    report = hierarchy_report(u, ["A"], ["B"])
+    assert report.signalling == report.causal_influence == signals
+    assert report.memory_decomposable != signals
+    assert len(calls) == 1
