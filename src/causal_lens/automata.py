@@ -7,9 +7,12 @@ applied to the running step on its own cells (quantumly a ``tensordot`` on the
 cell axes of the step's matrix, classically a lookup on the cell digits of its
 table), and the result is certified once.
 For each cell the causal neighbourhood comes from the probe process of the
-iterated step, the signalling set from pairwise signalling tests. The
-signalling set is always contained in the causal neighbourhood; a strict gap
-is the classical phenomenon that disappears when the same layout is quantized.
+iterated step. The signalling sets of all cells come from one pass over it
+(``wire_signalling``): classically one output-digit grid, compared with its
+digit-0 slice along each input axis; quantumly the signalling kernel on axis
+transposes of one wire tensor. The signalling set is always contained in the
+causal neighbourhood; a strict gap is the classical phenomenon that
+disappears when the same layout is quantized.
 """
 
 from __future__ import annotations
@@ -153,10 +156,11 @@ def neighbourhood_map(
 def _cell_neighbourhoods(
     a: RingAutomaton, u: ClassicalChannel | UnitaryChannel, tol: float
 ) -> tuple[CellNeighbourhood, ...]:
+    relation = u.wire_signalling(tol)  # the step's whole signalling relation, one pass
     out = []
-    for name in a.system.names:
+    for name, row in zip(u.input.names, relation):
         causal = neighbourhood(u, [name], tol)
-        sig = frozenset(t for t in a.system.names if u.signals([name], [t], tol))
+        sig = frozenset(t for t, hit in zip(u.output.names, row) if hit)
         if not sig <= causal:
             raise ConsistencyError(
                 f"signalling set of {name} escapes its causal neighbourhood"

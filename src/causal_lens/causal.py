@@ -40,7 +40,6 @@ from .quantum import (
     UnitaryChannel,
     _grouped,
     _identity_pattern,
-    _partial_trace,
     _signalling_terms,
     _signals,
 )
@@ -446,8 +445,8 @@ def _quantum_memory(
     return MemoryDecomposition(env=env_sys, v=v, w=w)
 
 
-# working set of one chunk of product states in the quantum memory check:
-# about four complex d_out x d_out arrays per state
+# working set of one chunk in the quantum memory check (about four complex
+# d_out x d_out arrays per product state) and in the inverse check
 _CHECK_CHUNK_BYTES = 1 << 20
 
 
@@ -681,31 +680,31 @@ def inverse_nosignalling_check(
     to = _ordered_subset(u.output, to_out)
     if u.signals(frm, to, tol):
         raise SpecError("precondition failed: the channel signals from_in -> to_out")
-    b_names = u.input.complement(frm)
-    grounded = _grounded(u.input, b_names)  # the from block in its ground state
     if isinstance(u, ClassicalChannel):
+        b_names = u.input.complement(frm)
+        grounded = _grounded(u.input, b_names)  # the from block in its ground state
         c_table = u.output.digits(u._arr[grounded], to)
         b_of = u.input.digits(np.argsort(u._arr), b_names)  # B digits of u^-1(z)
         targets = u.output.digits(np.arange(u.output.total_dim), to)
         return np.array_equal(c_table[b_of], targets)
-    # quantum: test the two CP maps on a matrix-unit basis of the output space
-    c_iso = u.matrix[:, grounded]
-
-    def c_map(sigma: np.ndarray) -> np.ndarray:
-        return _partial_trace(c_iso @ sigma @ c_iso.conj().T, u.output, to)
-
-    d = u.output.total_dim
-    udag = u.matrix.conj().T
-    for z1 in range(d):
-        for z2 in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[z1, z2] = 1.0
-            back = udag @ e @ u.matrix
-            sigma = _partial_trace(back, u.input, b_names)
-            lhs = c_map(sigma)
-            rhs = _partial_trace(e, u.output, to)
-            if np.max(np.abs(lhs - rhs)) > tol:
-                return False
+    # quantum: both CP maps on every matrix unit E_(z1, z2) of the output space
+    # at once, by contraction. Outputs are grouped (target t, rest r), inputs
+    # (from a, rest b), and C feeds a = 0. With p[z1, a, t, r] = sum_b
+    # conj(U[z1, (a, b)]) U[(t, r), (0, b)], the left side is
+    # lhs[(z1, t), (z2, t')] = sum_(a, r) p[z1, a, t, r] conj(p[z2, a, t', r]),
+    # the right side delta(r1, r2) delta(t1, t) delta(t2, t') for z = (t, r).
+    h = _grouped(u.matrix, u.output, u.input, to, frm)  # [t, r, a, b]
+    d_to, d_r, d_a, _ = h.shape
+    p = np.tensordot(h.conj(), h[:, :, 0, :], axes=(3, 2))  # [t1, r1, a, t, r]
+    x = p.transpose(0, 1, 3, 2, 4).reshape(d_to * d_r * d_to, d_a * d_r)
+    rows = np.arange(len(x))  # (t1, r1, t); the columns alike
+    r1, diag = rows // d_to % d_r, rows // (d_r * d_to) == rows % d_to
+    chunk = max(1, _CHECK_CHUNK_BYTES // (16 * len(x)))
+    for lo in range(0, len(x), chunk):
+        part = slice(lo, lo + chunk)
+        rhs = diag[part, None] & diag[None, :] & (r1[part, None] == r1[None, :])
+        if np.max(np.abs(x[part] @ x.conj().T - rhs)) > tol:
+            return False
     return True
 
 

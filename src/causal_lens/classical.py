@@ -38,9 +38,19 @@ def _at_zero(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return grid[tuple(slice(0, 1) if a in axes else slice(None) for a in range(grid.ndim))]
 
 
+def _varies(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """For each row ``grid[t]``, whether it changes along any of its ``axes``."""
+    moved = grid != _at_zero(grid, [a + 1 for a in axes])
+    return moved.any(axis=tuple(range(1, grid.ndim)))
+
+
 @dataclass(frozen=True)
 class ClassicalChannel:
-    """A bijection between the joint indices of two equal-cardinality systems."""
+    """A bijection between the joint indices of two equal-cardinality systems.
+
+    The bijection is kept as a read-only array; ``table``, the same bijection
+    as a tuple, is built from it on first access.
+    """
 
     input: CompositeSystem
     output: CompositeSystem
@@ -49,17 +59,25 @@ class ClassicalChannel:
     def __post_init__(self) -> None:
         arr = np.array(self.table, dtype=np.int64)
         arr.flags.writeable = False
-        object.__setattr__(self, "table", tuple(arr.tolist()))
         object.__setattr__(self, "_arr", arr)
+        object.__delattr__(self, "table")  # rebuilt from the array on first access
         n = self.input.total_dim
         if self.output.total_dim != n:
             raise SpecError(
                 f"reversible channel needs equal cardinalities, got {n} -> {self.output.total_dim}"
             )
-        if len(self.table) != n:
-            raise SpecError(f"table length {len(self.table)} != input total_dim {n}")
+        if len(arr) != n:
+            raise SpecError(f"table length {len(arr)} != input total_dim {n}")
         if not np.array_equal(np.sort(arr), np.arange(n)):
             raise SpecError("table is not a bijection on joint indices")
+
+    def __getattr__(self, name: str):
+        # reached only while the ``table`` tuple is not cached on the instance
+        if name != "table":
+            raise AttributeError(name)
+        table = tuple(self._arr.tolist())
+        object.__setattr__(self, "table", table)
+        return table
 
     # -- evaluation ----------------------------------------------------------
 
@@ -125,8 +143,21 @@ class ClassicalChannel:
         of the remaining inputs. ``tol`` is unused.
         """
         from_pos = self.input.subset_positions(from_in)
-        grid = self.output.digits(self._arr, tuple(to_out)).reshape(self.input.dims)
-        return not (grid == _at_zero(grid, from_pos)).all()
+        grid = self.output.digits(self._arr, tuple(to_out)).reshape((1,) + self.input.dims)
+        return bool(_varies(grid, from_pos)[0])
+
+    def wire_signalling(self, tol: float = 0.0) -> np.ndarray:
+        """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
+
+        Entry ``[i, t]`` is ``signals([input i], [output t])``, decided in one
+        pass: the output-digit grid ``g[t, x_0, ..., x_{n-1}]`` is built once,
+        and row ``i`` is where ``g`` varies along input axis ``i``, every target
+        at once. ``tol`` is unused.
+        """
+        grid = np.array([self.output.digits(self._arr, (t,)) for t in self.output.names])
+        grid = grid.reshape((len(self.output),) + self.input.dims)
+        rel = [_varies(grid, (i,)) for i in range(len(self.input))]
+        return np.array(rel, dtype=bool).reshape(len(self.input), len(self.output))
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = 0.0

@@ -9,6 +9,7 @@ dimension <= 64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -48,16 +49,16 @@ def _grouped(
 
     Output shape: (d_out_first, d_out_rest, d_in_first, d_in_rest).
     """
-    out_order = list(out_first) + [n for n in out_sys.names if n not in set(out_first)]
-    in_order = list(in_first) + [n for n in in_sys.names if n not in set(in_first)]
-    t = _as_tensor(matrix, out_sys.dims, in_sys.dims)
-    axes = [out_sys.position(n) for n in out_order] + [
-        len(out_sys) + in_sys.position(n) for n in in_order
-    ]
-    t = t.transpose(axes)
-    d_of = out_sys.select(out_first).total_dim
-    d_if = in_sys.select(in_first).total_dim
+    (o_pos, o_dims), (i_pos, i_dims) = out_sys.layout(out_first), in_sys.layout(in_first)
+    axes = _first(o_pos, len(out_sys)) + [len(out_sys) + k for k in _first(i_pos, len(in_sys))]
+    t = _as_tensor(matrix, out_sys.dims, in_sys.dims).transpose(axes)
+    d_of, d_if = math.prod(o_dims), math.prod(i_dims)
     return t.reshape(d_of, out_sys.total_dim // d_of, d_if, in_sys.total_dim // d_if)
+
+
+def _first(pos: Sequence[int], n: int) -> list[int]:
+    """Axes ``0..n-1`` with ``pos`` first, in the order given, then the rest in order."""
+    return list(pos) + [k for k in range(n) if k not in pos]
 
 
 def _partial_trace(matrix: np.ndarray, system: CompositeSystem, keep: Iterable[str]) -> np.ndarray:
@@ -67,24 +68,39 @@ def _partial_trace(matrix: np.ndarray, system: CompositeSystem, keep: Iterable[s
     return np.trace(g, axis1=1, axis2=3)
 
 
-def _signalling_terms(
-    u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
+def _wire_terms(
+    tensor: np.ndarray, n_out: int, to: Sequence[int], frm: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the no-signalling identity from ``frm`` to ``to``.
+    """Both sides of the no-signalling identity from input wires ``frm`` to outputs ``to``.
 
-    ``m[t, u, a, k, b, l] = sum_s U[(t,s),(a,k)] conj(U[(u,s),(b,l)])`` is the
-    ``to`` marginal of U (E_ab x E_kl) U+; no-signalling asks it to equal
-    delta_ab times its a=b=0 slice, the second array returned.
+    ``tensor`` is U with one axis per output wire, then one per input wire;
+    ``to`` and ``frm`` are wire positions. ``m[t, u, a, k, b, l] = sum_s
+    U[(t,s),(a,k)] conj(U[(u,s),(b,l)])`` is the ``to`` marginal of
+    U (E_ab x E_kl) U+; no-signalling asks it to equal delta_ab times its a=b=0
+    slice, the second array returned. It is one matrix product ``x.T @ conj(x)``
+    of U grouped by an axis transpose as rows ``s``, columns ``(t, a, k)``.
     """
-    g = _grouped(u.matrix, u.output, u.input, to, frm)
-    d_to, d_s, d_from, d_k = g.shape
-    x = g.transpose(1, 0, 2, 3).reshape(d_s, -1)  # rows s, columns (t, a, k)
+    shape = tensor.shape
+    rest_out = [k for k in range(n_out) if k not in to]
+    axes = rest_out + list(to) + [n_out + k for k in _first(frm, len(shape) - n_out)]
+    d_to = math.prod(shape[k] for k in to)
+    d_from = math.prod(shape[n_out + k] for k in frm)
+    x = tensor.transpose(axes).reshape(math.prod(shape[k] for k in rest_out), -1)
+    d_k = x.shape[1] // (d_to * d_from)
     # one matrix product: m[(t, a, k), (u, b, l)] is the sum over s
     m = (x.T @ x.conj()).reshape(d_to, d_from, d_k, d_to, d_from, d_k)
     m = m.transpose(0, 3, 1, 2, 4, 5)
     ref = m[:, :, 0:1, :, 0:1, :]
     delta = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1)
     return m, delta * ref
+
+
+def _signalling_terms(
+    u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_wire_terms`` from the named ``frm`` inputs to the named ``to`` outputs."""
+    tensor = _as_tensor(u.matrix, u.output.dims, u.input.dims)
+    return _wire_terms(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
 
 
 def _signals(
@@ -99,7 +115,7 @@ def _signals(
     ``terms`` is ``_signalling_terms(u, frm, to)`` when the caller already has
     it. A trivial block on either side never signals.
     """
-    if u.input.select(frm).total_dim == 1 or u.output.select(to).total_dim == 1:
+    if math.prod(u.input.layout(frm)[1]) == 1 or math.prod(u.output.layout(to)[1]) == 1:
         return False
     m, expected = _signalling_terms(u, frm, to) if terms is None else terms
     return bool(np.max(np.abs(m - expected)) > tol)
@@ -221,6 +237,22 @@ class UnitaryChannel:
         self.input.subset_positions(frm)
         self.output.subset_positions(to)
         return _signals(self, frm, to, tol)
+
+    def wire_signalling(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
+
+        Entry ``[i, t]`` is ``signals([input i], [output t], tol)``, decided in
+        one pass: ``U`` is reshaped once into its wire tensor, and each pair is
+        grouped by an axis transpose of it for the signalling kernel.
+        """
+        tensor = _as_tensor(self.matrix, self.output.dims, self.input.dims)
+        n_out = len(self.output)
+        rel = [
+            _signals(self, (a,), (t,), tol, _wire_terms(tensor, n_out, (k,), (i,)))
+            for i, a in enumerate(self.input.names)
+            for k, t in enumerate(self.output.names)
+        ]
+        return np.array(rel, dtype=bool).reshape(len(self.input), n_out)
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = DEFAULT_TOL

@@ -26,6 +26,14 @@ from .errors import SpecError
 __all__ = ["SubsystemLabel", "CompositeSystem", "composite", "reorder_permutation"]
 
 
+def _strides(dims: Sequence[int]) -> tuple[int, ...]:
+    """Big-endian mixed-radix strides of wires with the given dims."""
+    out = [1] * len(dims)
+    for k in range(len(dims) - 1, 0, -1):
+        out[k - 1] = out[k] * dims[k]
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SubsystemLabel:
     """A named finite wire; ``dim`` is the alphabet size or Hilbert dimension.
@@ -52,22 +60,31 @@ class CompositeSystem:
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        names = [p.name for p in parts]
+        names = tuple(p.name for p in parts)
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise SpecError(f"duplicate wire names {dup} in composite system")
+        dims = tuple(p.dim for p in parts)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "_strides", _strides(dims))
         object.__setattr__(self, "_positions", {n: k for k, n in enumerate(names)})
-        object.__setattr__(self, "_total_dim", math.prod(p.dim for p in parts))
+        object.__setattr__(self, "_total_dim", math.prod(dims))
 
     # -- basic views ---------------------------------------------------------
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.parts)
+        return self._names
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(p.dim for p in self.parts)
+        return self._dims
+
+    @property
+    def strides(self) -> tuple[int, ...]:
+        """Big-endian strides: ``strides[k]`` is the weight of wire ``k``'s digit."""
+        return self._strides
 
     @property
     def total_dim(self) -> int:
@@ -86,10 +103,7 @@ class CompositeSystem:
 
     def subset_positions(self, names: Iterable[str]) -> tuple[int, ...]:
         """Positions of the named wires, ascending; rejects unknowns and duplicates."""
-        wanted = list(names)
-        if len(set(wanted)) != len(wanted):
-            raise SpecError(f"duplicate names in subset: {wanted}")
-        return tuple(sorted(self.position(n) for n in wanted))
+        return tuple(sorted(self.layout(list(names))[0]))
 
     def complement(self, names: Iterable[str]) -> tuple[str, ...]:
         """Names of the wires not in ``names``, in system order."""
@@ -105,8 +119,18 @@ class CompositeSystem:
 
     def select(self, order: Sequence[str]) -> "CompositeSystem":
         """Sub-composite of the named wires, in the order given."""
-        self.subset_positions(order)  # validate
-        return CompositeSystem(tuple(self.parts[self.position(n)] for n in order))
+        return CompositeSystem(tuple(self.parts[k] for k in self.layout(order)[0]))
+
+    def layout(self, names: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Positions and dims of the named wires, in the order given.
+
+        The layout of ``select(names)`` without building it; rejects unknown
+        and duplicate names.
+        """
+        if len(set(names)) != len(names):
+            raise SpecError(f"duplicate names in subset: {list(names)}")
+        pos = tuple(self.position(n) for n in names)
+        return pos, tuple(self._dims[k] for k in pos)
 
     def concat(self, other: "CompositeSystem") -> "CompositeSystem":
         return CompositeSystem(self.parts + other.parts)
@@ -137,27 +161,17 @@ class CompositeSystem:
             index, out[k] = divmod(index, self.parts[k].dim)
         return tuple(out)
 
-    @property
-    def strides(self) -> tuple[int, ...]:
-        """Big-endian strides: ``strides[k]`` is the weight of wire ``k``'s digit."""
-        out = []
-        acc = 1
-        for p in reversed(self.parts):
-            out.append(acc)
-            acc *= p.dim
-        return tuple(reversed(out))
-
     def digits(self, index, names: Sequence[str]) -> np.ndarray:
         """Joint index of ``select(names)`` read off each joint ``index``.
 
         The named wires' digits are read in the order given. Vectorized over
         any integer array ``index``, one pass per named wire; no names read 0.
         """
-        sub, strides = self.select(names), self.strides
+        pos, dims = self.layout(names)
         index = np.asarray(index, dtype=np.int64)
         out = np.zeros_like(index)
-        for name, sub_stride, dim in zip(names, sub.strides, sub.dims):
-            out += index // strides[self._positions[name]] % dim * sub_stride
+        for k, sub_stride, dim in zip(pos, _strides(dims), dims):
+            out += index // self._strides[k] % dim * sub_stride
         return out
 
     def with_digits(self, index, names: Sequence[str], values) -> np.ndarray:
@@ -166,11 +180,11 @@ class CompositeSystem:
         ``values`` holds joint indices of ``select(names)``, the inverse of
         :meth:`digits`; it broadcasts against ``index``. One pass per named wire.
         """
-        sub, strides = self.select(names), self.strides
+        pos, dims = self.layout(names)
         values = np.asarray(values, dtype=np.int64)
         out = np.asarray(index, dtype=np.int64) + np.zeros_like(values)
-        for name, sub_stride, dim in zip(names, sub.strides, sub.dims):
-            stride = strides[self._positions[name]]
+        for k, sub_stride, dim in zip(pos, _strides(dims), dims):
+            stride = self._strides[k]
             out += (values // sub_stride % dim - out // stride % dim) * stride
         return out
 

@@ -220,3 +220,14 @@ def test_table_is_copied_so_a_callers_array_cannot_change_the_channel():
     assert k.table == (0, 1, 3, 2)
     assert not k.signals(["B"], ["A"])
     assert k.compose(ClassicalChannel.identity(BITS)).table == (0, 1, 3, 2)
+
+
+def test_table_tuple_is_built_from_the_array_on_first_access():
+    k = ClassicalChannel(BITS, BITS, np.array([0, 1, 3, 2]))
+    assert "table" not in vars(k)  # no tuple until asked for
+    assert k.table == (0, 1, 3, 2) and all(type(v) is int for v in k.table)
+    assert k.table is k.table
+    fresh = cnot()
+    assert k == fresh and hash(k) == hash(fresh) == hash((k.input, k.output, (0, 1, 3, 2)))
+    assert k != swap_gate() and k != k.with_names(("X", "Y")) and k != (0, 1, 3, 2)
+    assert len({k, cnot(), swap_gate()}) == 2

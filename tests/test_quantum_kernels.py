@@ -10,7 +10,7 @@ import pytest
 from causal_lens import causal, quantum
 from causal_lens.causal import find_witness, has_causal_influence, hierarchy_report, replay_witness
 from causal_lens.quantum import UnitaryChannel, _signalling_terms
-from causal_lens.systems import composite
+from causal_lens.systems import CompositeSystem, composite
 
 
 def reference_terms(u, frm, to):
@@ -137,3 +137,16 @@ def test_hierarchy_report_computes_the_signalling_terms_once(monkeypatch, u, sig
     assert report.signalling == report.causal_influence == signals
     assert report.memory_decomposable != signals
     assert len(calls) == 1
+
+
+def test_signalling_kernels_build_no_composite_system(monkeypatch):
+    u = quantum.random_unitary(composite(("A", 2), ("B", 3), ("C", 2)), np.random.default_rng(3))
+    built = []
+    real = CompositeSystem.__post_init__
+    monkeypatch.setattr(
+        CompositeSystem, "__post_init__", lambda self: built.append(self) or real(self)
+    )
+    assert u.signals(["C", "A"], ["B"]) == quantum._signals(u, ("C", "A"), ("B",), 1e-9)
+    u.wire_signalling()
+    quantum._grouped(u.matrix, u.output, u.input, ("B",), ("C", "A"))
+    assert built == []

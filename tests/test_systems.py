@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_lens.errors import SpecError
-from causal_lens.systems import SubsystemLabel, composite, reorder_permutation
+from causal_lens.systems import CompositeSystem, SubsystemLabel, composite, reorder_permutation
 
 
 def test_flatten_examples():
@@ -177,3 +177,21 @@ def test_codec_rejects_unknown_and_duplicate_names():
         sys2.digits(np.arange(6), ["C"])
     with pytest.raises(SpecError):
         sys2.with_digits(np.arange(6), ["A", "A"], 0)
+
+
+def test_views_are_computed_once_and_layout_builds_no_subsystem(monkeypatch):
+    sys3 = composite(("A", 2), ("B", 3), ("C", 4))
+    assert sys3.names is sys3.names and sys3.dims is sys3.dims and sys3.strides is sys3.strides
+    built = []
+    real = CompositeSystem.__post_init__
+    monkeypatch.setattr(
+        CompositeSystem, "__post_init__", lambda self: built.append(self) or real(self)
+    )
+    assert sys3.layout(("C", "A")) == ((2, 0), (4, 2))
+    assert sys3.layout(()) == ((), ())
+    idx = np.arange(24)
+    assert np.array_equal(sys3.with_digits(idx, ["C", "A"], sys3.digits(idx, ["C", "A"])), idx)
+    assert built == []
+    for bad in (["Z"], ["A", "A"]):
+        with pytest.raises(SpecError):
+            sys3.layout(bad)
