@@ -20,6 +20,7 @@ from .causal import (
     find_witness,
     has_causal_influence,
     hierarchy_report,
+    influence_relation,
     inverse_nosignalling_check,
     memory_decomposition,
     neighbourhood,
@@ -66,6 +67,7 @@ __all__ = [
     "find_witness",
     "has_causal_influence",
     "hierarchy_report",
+    "influence_relation",
     "inverse_nosignalling_check",
     "memory_decomposition",
     "neighbourhood",

@@ -6,13 +6,16 @@ The step is built by contraction, with no channel per gate: each gate is
 applied to the running step on its own cells (quantumly a ``tensordot`` on the
 cell axes of the step's matrix, classically a lookup on the cell digits of its
 table), and the result is certified once.
-For each cell the causal neighbourhood comes from the probe process of the
-iterated step. The signalling sets of all cells come from one pass over it
-(``wire_signalling``): classically one output-digit grid, compared with its
-digit-0 slice along each input axis; quantumly the signalling kernel on axis
-transposes of one wire tensor. The signalling set is always contained in the
-causal neighbourhood; a strict gap is the classical phenomenon that
-disappears when the same layout is quantized.
+The causal neighbourhoods of all cells come from one pass over the iterated
+step (``causal.influence_relation``): the probe processes of the cells are
+gathered as stacks, each output cell's idle test runs once per stack, and
+each probe's joint factorization is checked, with no channel built. The
+signalling sets of all cells come from one pass too (``wire_signalling``):
+classically one output-digit grid, compared with its digit-0 slice along
+each input axis; quantumly the signalling kernel on axis transposes of one
+wire tensor. The signalling set is always contained in the causal
+neighbourhood; a strict gap is the classical phenomenon that disappears when
+the same layout is quantized.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .causal import iterate, neighbourhood
+from .causal import influence_relation, iterate
 from .classical import ClassicalChannel
 from .errors import BudgetError, ConsistencyError, SpecError
 from .quantum import DEFAULT_TOL, UnitaryChannel
@@ -156,11 +159,13 @@ def neighbourhood_map(
 def _cell_neighbourhoods(
     a: RingAutomaton, u: ClassicalChannel | UnitaryChannel, tol: float
 ) -> tuple[CellNeighbourhood, ...]:
-    relation = u.wire_signalling(tol)  # the step's whole signalling relation, one pass
+    # the step's whole signalling and influence relations, one pass each
+    signalling = u.wire_signalling(tol)
+    influence = influence_relation(u, tol)
     out = []
-    for name, row in zip(u.input.names, relation):
-        causal = neighbourhood(u, [name], tol)
-        sig = frozenset(t for t, hit in zip(u.output.names, row) if hit)
+    for name, sig_row, causal_row in zip(u.input.names, signalling, influence):
+        causal = frozenset(t for t, hit in zip(u.output.names, causal_row) if hit)
+        sig = frozenset(t for t, hit in zip(u.output.names, sig_row) if hit)
         if not sig <= causal:
             raise ConsistencyError(
                 f"signalling set of {name} escapes its causal neighbourhood"

@@ -27,23 +27,34 @@ witness search.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import ClassicalChannel, ClassicalInstrument, _at_zero
+from .classical import (
+    ClassicalChannel,
+    ClassicalInstrument,
+    _at_zero,
+    _bijective,
+    _certify_bijection,
+    _passes_through,
+)
 from .errors import ConsistencyError, SpecError
 from .quantum import (
     DEFAULT_TOL,
     StateMap,
     UnitaryChannel,
+    _certify_unitary,
     _grouped,
     _identity_pattern,
     _signalling_terms,
     _signals,
+    _unitarity_defects,
+    _within_identity_pattern,
 )
-from .systems import CompositeSystem, composite
+from .systems import CompositeSystem, _read_digits, _write_digits, composite
 
 __all__ = [
     "DisturbanceClassification",
@@ -56,6 +67,7 @@ __all__ = [
     "find_witness",
     "has_causal_influence",
     "hierarchy_report",
+    "influence_relation",
     "inverse_nosignalling_check",
     "iterate",
     "memory_decomposition",
@@ -160,6 +172,13 @@ def iterate(channel: Channel, steps: int) -> Channel:
 # -- the probe process ------------------------------------------------------------
 
 
+# working set of one chunk in the influence relation (about four int64 arrays
+# the size of a classical probe table, four complex arrays the size of a
+# quantum probe matrix), in the quantum memory check (about four complex
+# d_out x d_out arrays per product state) and in the inverse check
+_CHECK_CHUNK_BYTES = 1 << 20
+
+
 @dataclass(frozen=True, eq=False)
 class TProcessResult:
     """Probe process of a channel relative to an input subset.
@@ -188,11 +207,11 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
 
     The probe channel is (copy-padded u) after (swap copies with probed inputs)
     after (copy-padded u inverse), read off ``u`` in closed form: classically
-    the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``, with
-    the idle outputs read off it in one sweep; quantumly one matrix product on
-    ``U`` (see ``_quantum_probe_matrix``), with the idle outputs read off its
-    matrix in one sweep (identity factors on disjoint wires combine). Either
-    way the joint factorization is verified once at the end.
+    the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``,
+    quantumly one matrix product on ``U``. It runs the kernels of
+    ``influence_relation`` on a stack of one probe: the gather, the per-wire
+    idle sweep and the joint factorization on the idle set. Only here are the
+    probe and its factor built as channels, whose constructors certify them.
     """
     frm = _ordered_subset(u.input, probed)
     taken = set(u.input.names) | set(u.output.names)
@@ -201,18 +220,20 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
         *((c, u.input.parts[u.input.position(n)].dim) for c, n in zip(copies, frm))
     )
     probe_sys = copy_sys.concat(u.output)
+    probes = _probes(u, [tuple(u.input.position(n) for n in frm)])
     if isinstance(u, ClassicalChannel):
-        table = _classical_probe_table(u, frm)
-        tilde = ClassicalChannel(probe_sys, probe_sys, table)
-        idle = _idle_wires(probe_sys, table, u.output.names)
+        tilde = ClassicalChannel(probe_sys, probe_sys, probes.reshape(-1))
     else:
-        tilde = UnitaryChannel(probe_sys, probe_sys, _quantum_probe_matrix(u, frm))
-        idle = _quantum_idle_wires(probe_sys, tilde.matrix, u.output.names, tol)
-    factor = tilde.factors_as_identity(idle, tol)
-    if factor is None:
-        raise ConsistencyError(
-            "per-wire idle factors did not combine into a joint factorization"
-        )
+        d = probe_sys.total_dim
+        tilde = UnitaryChannel(probe_sys, probe_sys, probes.reshape(d, d))
+    mask = _idle_outputs(u, probes, tol)[0]
+    w = _joint_factor(u, probes, mask, tol)
+    idle = tuple(n for n, hit in zip(u.output.names, mask) if hit)
+    w_sys = probe_sys.restrict(probe_sys.complement(idle))
+    if isinstance(u, ClassicalChannel):
+        factor = ClassicalChannel(w_sys, w_sys, w)
+    else:
+        factor = UnitaryChannel(w_sys, w_sys, w, atol=max(tol, DEFAULT_TOL))
     return TProcessResult(
         channel=tilde,
         probed=frm,
@@ -223,81 +244,129 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     )
 
 
-def _classical_probe_table(u: ClassicalChannel, frm: tuple[str, ...]) -> np.ndarray:
-    """Joint-index table of the classical probe process on (copies, outputs).
+def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The single-wire influence relation: ``r[i, t]`` iff input ``i`` influences output ``t``.
 
-    Entry ``(c, z)`` is ``(x_A, u(x with A := c))`` for ``x = u^-1(z)``.
+    Entry ``[i, t]`` is ``t in neighbourhood(u, [input i], tol)``, decided in
+    one pass with every check of ``t_process`` and no channel built. Probes of
+    inputs with equal dims share a stack, taken a chunk at a time: the stack
+    is gathered and certified at once (bijection classically, unitarity within
+    ``DEFAULT_TOL`` quantumly), each output wire's idle test runs once for it,
+    and each probe's joint factorization on its idle set is checked.
     """
-    x = np.argsort(u._arr)
-    # a column of copy values: broadcasts against the outputs' row
-    c = np.arange(u.input.select(frm).total_dim)[:, None]
-    after = u._arr[u.input.with_digits(x, frm, c)]
-    return (u.input.digits(x, frm) * u.output.total_dim + after).reshape(-1)
+    classical = isinstance(u, ClassicalChannel)
+    rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
+    by_dim: dict[int, list[int]] = {}
+    for k, dim in enumerate(u.input.dims):
+        by_dim.setdefault(dim, []).append(k)
+    for dim, wires in by_dim.items():
+        size = dim * u.output.total_dim
+        chunk = max(1, _CHECK_CHUNK_BYTES // (32 * size if classical else 64 * size * size))
+        for lo in range(0, len(wires), chunk):
+            part = wires[lo : lo + chunk]
+            probes = _probes(u, [(k,) for k in part])
+            if classical:
+                _certify_bijection(probes.reshape(len(part), size))
+            else:
+                _certify_unitary(probes.reshape(len(part), size, size), DEFAULT_TOL)
+            idle = _idle_outputs(u, probes, tol)
+            for p, mask in enumerate(idle):
+                _joint_factor(u, probes[p : p + 1], mask, tol)
+            rel[part] = ~idle
+    return rel
 
 
-def _quantum_probe_matrix(u: UnitaryChannel, frm: tuple[str, ...]) -> np.ndarray:
-    """Matrix of the quantum probe process on (copies, outputs).
+def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The probe processes of ``u`` at the input ``blocks``, as one stack of grids.
 
-    ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``, with
-    the inputs of ``U`` grouped as (probed ``c``, rest ``b``).
+    Each block is a tuple of input positions, and all blocks have the same
+    dims. A grid has one axis for the probe copies and one per output wire:
+    classically entry ``[p, c, z]`` is the joint index ``(x_A, u(x with A :=
+    c))`` for ``x = u^-1(z)``, every table gathered from one ``argsort``;
+    quantumly these axes come twice (output side, then input side) and entry
+    ``[p, (c', z'), (c, z)]`` is ``sum_b U[z', (c, b)] conj(U[z, (c', b)])``,
+    with ``c`` the probed inputs and ``b`` the rest, one batched product.
     """
-    g = _grouped(u.matrix, u.output, u.input, (), frm)[0].transpose(1, 0, 2)  # [c, z, b]
-    d_a, d_out = g.shape[:2]
-    x = g.reshape(d_a * d_out, -1)
-    # one matrix product: m[c, z', c', z] is the sum over b
-    m = (x @ x.conj().T).reshape(d_a, d_out, d_a, d_out)
-    return m.transpose(2, 1, 0, 3).reshape(d_a * d_out, d_a * d_out)
+    d_out = u.output.total_dim
+    dims = [u.input.dims[k] for k in blocks[0]]
+    d_a = math.prod(dims)
+    if isinstance(u, ClassicalChannel):
+        x = np.argsort(u._arr)
+        # per probed wire, a (probes, 1, 1) column of its strides
+        strides = np.array(u.input.strides)[np.array(blocks, dtype=int).T][..., None, None]
+        c = np.arange(d_a)[:, None]
+        after = u._arr[_write_digits(x, strides, dims, c)]
+        tables = _read_digits(x, strides, dims) * d_out + after
+        return tables.reshape((len(blocks), d_a) + u.output.dims)
+    n_in = len(u.input)
+    t = u.matrix.reshape((d_out,) + u.input.dims)
+    # rows (c, z), columns b
+    x = np.stack(
+        [
+            t.transpose([1 + k for k in b] + [0] + [1 + k for k in range(n_in) if k not in b])
+            .reshape(d_a * d_out, -1)
+            for b in blocks
+        ]
+    )
+    # one batched product: m[p, c, z', c', z] is the sum over b
+    m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, d_out, d_a, d_out)
+    grid = (len(blocks), d_a) + u.output.dims + (d_a,) + u.output.dims
+    return m.transpose(0, 3, 2, 1, 4).reshape(grid)
 
 
-def _idle_wires(
-    system: CompositeSystem, table: np.ndarray, names: Sequence[str]
-) -> tuple[str, ...]:
-    """The ``names`` wires on which a bijective table of ``system`` acts as identity.
+def _idle_outputs(u: Channel, grid: np.ndarray, tol: float) -> np.ndarray:
+    """The per-wire idle test: ``r[p, k]`` iff probe ``p`` acts as identity on output ``k``.
 
-    A wire is idle when its digit passes through and no other output digit
-    depends on it. For a bijection that holds exactly when, along the wire's
-    axis, the table is its value at digit 0 plus the digit times the wire's
-    stride. (Each line along the axis then maps onto ``dim`` consecutive
-    values of ``index // stride``; runs of that length tile the index space
-    only when each starts at digit 0.)
+    Each output wire is tested once for the whole stack. Classically the probe
+    table must pass the wire's digit through with no other digit depending on
+    it (``_passes_through``); quantumly the probe must be ``w x 1`` on the
+    wire within ``tol``, with ``w`` unitary within ``max(tol, DEFAULT_TOL)``.
     """
-    grid = table.reshape(system.dims)
-    idle = []
-    for name in names:
-        k = system.position(name)
-        dim, stride = system.dims[k], system.strides[k]
-        digit = np.arange(dim).reshape([dim if a == k else 1 for a in range(grid.ndim)])
-        if np.array_equal(grid, np.take(grid, [0], axis=k) + digit * stride):
-            idle.append(name)
-    return tuple(idle)
+    n = len(u.output)
+    idle = np.zeros((len(grid), n), dtype=bool)
+    for k in range(n):
+        if isinstance(u, ClassicalChannel):
+            idle[:, k] = _passes_through(grid, (k + 1,), (u.output.strides[k],))
+        else:
+            idle[:, k] = _factor_within(grid, [(k + 1, n + k + 2)], tol)[0]
+    return idle
 
 
-def _quantum_idle_wires(
-    system: CompositeSystem, matrix: np.ndarray, names: Sequence[str], tol: float
-) -> tuple[str, ...]:
-    """The ``names`` wires on which a unitary ``matrix`` of ``system`` factors as identity.
+def _joint_factor(u: Channel, grid: np.ndarray, idle: np.ndarray, tol: float) -> np.ndarray:
+    """The factor of one probe (a stack of one) off its ``idle`` outputs, on (copies, rest).
 
-    The quantum twin of ``_idle_wires``, and the two tests that
-    ``factors_as_identity((w,), tol)`` makes, without building a channel: with
-    ``w`` the block at wire digits 0 on both sides, the matrix must be
-    ``w x 1`` on the wire within ``tol``, and ``w`` must certify as unitary
-    within ``max(tol, DEFAULT_TOL)``.
+    The grid-level test of ``factors_as_identity`` runs on all idle wires at
+    once, and the factor, a table or a matrix, is certified: a bijection
+    classically, unitary within ``max(tol, DEFAULT_TOL)`` quantumly.
     """
-    n = len(system)
-    grid = matrix.reshape(system.dims * 2)
-    idle = []
-    for name in names:
-        k = system.position(name)
-        dim = system.dims[k]
-        w = _at_zero(grid, (k, n + k))
-        delta = np.eye(dim).reshape([dim if a in (k, n + k) else 1 for a in range(2 * n)])
-        if np.max(np.abs(grid - w * delta)) > tol:
-            continue
-        block = np.ascontiguousarray(w.reshape(matrix.shape[0] // dim, -1))
-        defect = np.max(np.abs(block.conj().T @ block - np.eye(len(block))))
-        if defect <= max(tol, DEFAULT_TOL):
-            idle.append(name)
-    return tuple(idle)
+    wires = [int(k) for k in np.flatnonzero(idle)]
+    n = len(u.output)
+    if isinstance(u, ClassicalChannel):
+        ok = _passes_through(grid, [k + 1 for k in wires], [u.output.strides[k] for k in wires])[0]
+        # the copy and remaining output digits of the table with the idle inputs at 0
+        rest = [k for k in range(n) if k not in wires]
+        w = _read_digits(
+            _at_zero(grid, [k + 2 for k in wires]).reshape(-1),
+            [u.output.total_dim] + [u.output.strides[k] for k in rest],
+            [grid.shape[1]] + [u.output.dims[k] for k in rest],
+        )
+        ok = ok and _bijective(w)
+    else:
+        ok, w = _factor_within(grid, [(k + 1, n + k + 2) for k in wires], tol)
+        ok, w = ok[0], w[0]
+    if not ok:
+        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
+    return w
+
+
+def _factor_within(
+    grid: np.ndarray, pairs: Sequence[tuple[int, int]], tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_within_identity_pattern``, each factor also unitary within ``max(tol, DEFAULT_TOL)``."""
+    ok, w = _within_identity_pattern(grid, pairs, tol)
+    if ok.any():
+        ok[ok] = _unitarity_defects(w[ok]) <= max(tol, DEFAULT_TOL)
+    return ok, w
 
 
 def neighbourhood(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> frozenset[str]:
@@ -445,11 +514,6 @@ def _quantum_memory(
     return MemoryDecomposition(env=env_sys, v=v, w=w)
 
 
-# working set of one chunk in the quantum memory check (about four complex
-# d_out x d_out arrays per product state) and in the inverse check
-_CHECK_CHUNK_BYTES = 1 << 20
-
-
 def _spanning_vectors(dim: int) -> np.ndarray:
     """Rows: unit vectors whose projectors span the Hermitian operators on ``dim`` levels.
 
@@ -557,7 +621,7 @@ def hierarchy_report(
         witness = _classical_witness(u, frm, to) if causal else None
     else:
         terms = _signalling_terms(u, frm, to)
-        sig = _signals(u, frm, to, tol, terms)
+        sig = _signals(u, frm, to, tol, terms[0])
         if not sig:
             _quantum_memory(u, frm, to, tol, tp)
         witness = _quantum_witness(u, tp, to, tol, terms) if causal else None

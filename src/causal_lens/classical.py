@@ -44,6 +44,36 @@ def _varies(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return moved.any(axis=tuple(range(1, grid.ndim)))
 
 
+def _passes_through(grid: np.ndarray, axes: Sequence[int], strides: Sequence[int]) -> np.ndarray:
+    """For each row ``grid[p]`` of joint output indices, whether it is its value
+    with ``axes`` at digit 0 plus each axis' digit times its output ``strides``.
+
+    The grid-level identity-factor test. For a bijection it holds exactly when
+    each axis' digit passes through to the output wire of that stride (of the
+    same dim) and no other output digit depends on it: each line along an axis
+    then maps onto ``dim`` consecutive values of ``index // stride``, and runs
+    of that length tile the index space only when each starts at digit 0.
+    """
+    offset = 0  # spans the named axes only, until it is added to the full grid
+    for a, stride in zip(axes, strides):
+        dim = grid.shape[a + 1]
+        digit = np.arange(dim).reshape([dim if b == a + 1 else 1 for b in range(grid.ndim)])
+        offset = offset + digit * stride
+    base = _at_zero(grid, [a + 1 for a in axes]) + offset
+    return (grid == base).reshape(len(grid), -1).all(axis=1)
+
+
+def _bijective(tables: np.ndarray) -> np.ndarray:
+    """Whether each table (along the last axis) is a permutation of its indices."""
+    return (np.sort(tables, axis=-1) == np.arange(tables.shape[-1])).all(axis=-1)
+
+
+def _certify_bijection(tables: np.ndarray) -> None:
+    """The channel certificate, on one table or on each of a stack."""
+    if not _bijective(tables).all():
+        raise SpecError("table is not a bijection on joint indices")
+
+
 @dataclass(frozen=True)
 class ClassicalChannel:
     """A bijection between the joint indices of two equal-cardinality systems.
@@ -68,8 +98,7 @@ class ClassicalChannel:
             )
         if len(arr) != n:
             raise SpecError(f"table length {len(arr)} != input total_dim {n}")
-        if not np.array_equal(np.sort(arr), np.arange(n)):
-            raise SpecError("table is not a bijection on joint indices")
+        _certify_bijection(arr)
 
     def __getattr__(self, name: str):
         # reached only while the ``table`` tuple is not cached on the instance
@@ -166,28 +195,25 @@ class ClassicalChannel:
 
         The idle wires must appear by name on both sides with equal dimensions.
         Returns None unless (i) every idle output equals the same-named idle
-        input and (ii) the remaining outputs do not depend on the idle inputs.
+        input and (ii) the remaining outputs do not depend on the idle inputs;
+        for a bijection that is ``_passes_through`` on the idle input axes.
         """
         idle = tuple(idle)
-        in_pos = self.input.subset_positions(idle)
+        in_pos = self.input.layout(idle)[0]
         self.output.subset_positions(idle)
         for name in idle:
             din = self.input.parts[self.input.position(name)].dim
             dout = self.output.parts[self.output.position(name)].dim
             if din != dout:
                 raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
-        # (i) pass-through, paired by name
-        passed = self.input.digits(np.arange(self.input.total_dim), idle)
-        if not np.array_equal(passed, self.output.digits(self._arr, idle)):
+        grid = self._arr.reshape((1,) + self.input.dims)
+        strides = [self.output.strides[self.output.position(n)] for n in idle]
+        if not _passes_through(grid, in_pos, strides)[0]:
             return None
-        # (ii) complement outputs independent of idle inputs; the factor is their
-        # table with the idle inputs held at 0
+        # the factor is the table of the remaining outputs with the idle inputs at 0
         w_in = self.input.restrict(self.input.complement(idle))
         w_out = self.output.restrict(self.output.complement(idle))
-        rest = self.output.digits(self._arr, w_out.names).reshape(self.input.dims)
-        w_table = _at_zero(rest, in_pos)
-        if not (rest == w_table).all():
-            return None
+        w_table = self.output.digits(_at_zero(grid, [k + 1 for k in in_pos]), w_out.names)
         return ClassicalChannel(w_in, w_out, w_table.reshape(-1))
 
 

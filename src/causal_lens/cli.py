@@ -35,7 +35,7 @@ from .automata import DEFAULT_MAX_DIM, ConeRow, build_ring, neighbourhood_maps
 from .causal import (
     check_interaction_without_disturbance,
     hierarchy_report,
-    neighbourhood,
+    influence_relation,
 )
 from .classical import ClassicalChannel
 from .errors import BudgetError, ConsistencyError, SpecError
@@ -69,11 +69,25 @@ def _load_json(path: str) -> dict:
         raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
 
 
+def _integer(path: str, what: str, value) -> int:
+    """``int(value)``, or a SpecError naming ``what`` in the file at ``path``.
+
+    A fractional number is an error, not truncated.
+    """
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"{path}: {what} must be an integer, got {value!r}") from None
+
+
 def _system_from(path: str, key: str, entries) -> "composite":
     try:
-        return composite(*((e["name"], int(e["dim"])) for e in entries))
+        wires = [(e["name"], e["dim"]) for e in entries]
     except (TypeError, KeyError):
         raise SpecError(f"{path}: {key} must be a list of {{name, dim}} objects") from None
+    return composite(*((name, _integer(path, f"{key} dim", dim)) for name, dim in wires))
 
 
 def load_channel_file(
@@ -158,15 +172,21 @@ def load_rule_file(path: str, model: str, tol: float = DEFAULT_TOL):
     for key in ("cell_dim", "layers"):
         if key not in data:
             raise SpecError(f"{path}: missing key {key!r}")
-    cell_dim = int(data["cell_dim"])
+    cell_dim = _integer(path, "cell_dim", data["cell_dim"])
+    rows = data["layers"]
+    if not isinstance(rows, list) or not all(isinstance(layer, list) for layer in rows):
+        raise SpecError(f"{path}: layers must be a list of lists of gate entries")
     layers = []
-    for layer in data["layers"]:
+    for layer in rows:
         built = []
         for entry in layer:
             try:
-                gate_ref, at = entry["gate"], int(entry["at"])
+                gate_ref, at = entry["gate"], entry["at"]
             except (TypeError, KeyError):
                 raise SpecError(f"{path}: each gate entry needs 'gate' and 'at'") from None
+            at = _integer(path, "at", at)
+            if not isinstance(gate_ref, str):
+                raise SpecError(f"{path}: gate must be a builtin name or a file path")
             if gate_ref in _BUILTIN_ARITY:
                 gate = _builtin_gate(gate_ref, model, cell_dim)
             else:
@@ -210,16 +230,19 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_analyze(args) -> int:
+    """Causal and signalling matrices of every (input, output) wire pair.
+
+    Each matrix is one pass over the channel: ``influence_relation`` for the
+    causal neighbourhoods, ``wire_signalling`` for signalling. Signalling
+    outside the causal neighbourhood is a consistency violation.
+    """
     u = load_channel_file(args.file, args.model, args.tol)
     ins, outs = list(u.input.names), list(u.output.names)
-    causal = {}
-    signalling = {}
-    hoods = {}
-    for i in ins:
-        hood = neighbourhood(u, [i], args.tol)
-        hoods[i] = [o for o in outs if o in hood]
-        causal[i] = {o: o in hood for o in outs}
-        signalling[i] = {o: u.signals([i], [o], args.tol) for o in outs}
+    influence = influence_relation(u, args.tol).tolist()
+    causal = {i: dict(zip(outs, row)) for i, row in zip(ins, influence)}
+    hoods = {i: [o for o, hit in zip(outs, row) if hit] for i, row in zip(ins, influence)}
+    sig_rows = u.wire_signalling(args.tol).tolist()
+    signalling = {i: dict(zip(outs, row)) for i, row in zip(ins, sig_rows)}
     for i in ins:
         for o in outs:
             if signalling[i][o] and not causal[i][o]:

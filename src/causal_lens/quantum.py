@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .classical import _at_zero
 from .errors import SpecError
 from .systems import CompositeSystem, composite
 
@@ -68,16 +69,14 @@ def _partial_trace(matrix: np.ndarray, system: CompositeSystem, keep: Iterable[s
     return np.trace(g, axis1=1, axis2=3)
 
 
-def _wire_terms(
+def _wire_products(
     tensor: np.ndarray, n_out: int, to: Sequence[int], frm: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the no-signalling identity from input wires ``frm`` to outputs ``to``.
+) -> np.ndarray:
+    """The ``to`` marginals of ``U (E_ab x E_kl) U+`` for input wires ``frm``.
 
     ``tensor`` is U with one axis per output wire, then one per input wire;
     ``to`` and ``frm`` are wire positions. ``m[t, u, a, k, b, l] = sum_s
-    U[(t,s),(a,k)] conj(U[(u,s),(b,l)])`` is the ``to`` marginal of
-    U (E_ab x E_kl) U+; no-signalling asks it to equal delta_ab times its a=b=0
-    slice, the second array returned. It is one matrix product ``x.T @ conj(x)``
+    U[(t,s),(a,k)] conj(U[(u,s),(b,l)])`` is one matrix product ``x.T @ conj(x)``
     of U grouped by an axis transpose as rows ``s``, columns ``(t, a, k)``.
     """
     shape = tensor.shape
@@ -89,18 +88,21 @@ def _wire_terms(
     d_k = x.shape[1] // (d_to * d_from)
     # one matrix product: m[(t, a, k), (u, b, l)] is the sum over s
     m = (x.T @ x.conj()).reshape(d_to, d_from, d_k, d_to, d_from, d_k)
-    m = m.transpose(0, 3, 1, 2, 4, 5)
-    ref = m[:, :, 0:1, :, 0:1, :]
-    delta = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1)
-    return m, delta * ref
+    return m.transpose(0, 3, 1, 2, 4, 5)
 
 
 def _signalling_terms(
     u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_wire_terms`` from the named ``frm`` inputs to the named ``to`` outputs."""
+    """Both sides of the no-signalling identity from the named ``frm`` inputs to ``to`` outputs.
+
+    The first is ``_wire_products``; no-signalling asks it to equal delta_ab
+    times its a=b=0 slice, the second array returned.
+    """
     tensor = _as_tensor(u.matrix, u.output.dims, u.input.dims)
-    return _wire_terms(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
+    m = _wire_products(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
+    delta = np.eye(m.shape[2]).reshape(1, 1, m.shape[2], 1, m.shape[2], 1)
+    return m, delta * m[:, :, 0:1, :, 0:1, :]
 
 
 def _signals(
@@ -108,17 +110,59 @@ def _signals(
     frm: Sequence[str],
     to: Sequence[str],
     tol: float,
-    terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    m: Optional[np.ndarray] = None,
 ) -> bool:
     """``u.signals(frm, to, tol)`` on validated names.
 
-    ``terms`` is ``_signalling_terms(u, frm, to)`` when the caller already has
-    it. A trivial block on either side never signals.
+    ``m`` is ``_wire_products`` for the pair (the first of
+    ``_signalling_terms``) when the caller already has it. The deviation from
+    the no-signalling identity is ``|m|`` off the a=b diagonal and ``|m - ref|``
+    on it, with ``ref`` the a=b=0 slice, so no expected array is formed. A
+    trivial block on either side never signals.
     """
     if math.prod(u.input.layout(frm)[1]) == 1 or math.prod(u.output.layout(to)[1]) == 1:
         return False
-    m, expected = _signalling_terms(u, frm, to) if terms is None else terms
-    return bool(np.max(np.abs(m - expected)) > tol)
+    if m is None:
+        m = _signalling_terms(u, frm, to)[0]
+    gap = np.abs(m)
+    diag = np.arange(m.shape[2])
+    gap[:, :, diag, :, diag, :] = np.abs(m[:, :, diag, :, diag, :] - m[:, :, 0, :, 0, :])
+    return bool(gap.max() > tol)
+
+
+def _unitarity_defects(m: np.ndarray) -> np.ndarray:
+    """``max |M+ M - 1|`` of one matrix, or of each matrix in a stack: the unitarity certificate."""
+    return np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
+
+
+def _certify_unitary(m: np.ndarray, atol: float) -> None:
+    """The channel certificate, on one matrix or on each of a stack."""
+    for defect in np.ravel(_unitarity_defects(m)):
+        if defect > atol:
+            raise SpecError(f"unitarity certificate failed: max |U+U - I| = {defect:.3e}")
+
+
+def _within_identity_pattern(
+    grid: np.ndarray, pairs: Sequence[tuple[int, int]], tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a stack of matrices: whether it is ``w x 1`` on ``pairs`` within ``tol``.
+
+    The grid-level identity-factor test. ``grid[p]`` has one axis per output
+    wire, then one per input wire; each pair is the (output axis, input axis)
+    of one wire, counted without the stack axis. ``w`` is the row at digit 0
+    on both axes of every pair, and is returned as a stack of square matrices
+    (remaining outputs by remaining inputs, in axis order).
+    """
+    w = _at_zero(grid, [a + 1 for pair in pairs for a in pair])
+    pattern = w
+    for o, i in pairs:
+        dim = grid.shape[o + 1]
+        pattern = pattern * np.eye(dim).reshape(
+            [dim if a in (o + 1, i + 1) else 1 for a in range(grid.ndim)]
+        )
+    within = np.abs(grid - pattern).reshape(len(grid), -1).max(axis=1) <= tol
+    side = math.isqrt(w[0].size)  # a unitary's factor is square
+    return within, w.reshape(len(grid), side, side)
 
 
 def _identity_pattern(
@@ -156,9 +200,7 @@ class UnitaryChannel:
             )
         if m.shape != (n, n):
             raise SpecError(f"matrix shape {m.shape} does not match joint dimension {n}")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(n))) if n else 0.0
-        if defect > self.atol:
-            raise SpecError(f"unitarity certificate failed: max |U+U - I| = {defect:.3e}")
+        _certify_unitary(m, self.atol)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -248,7 +290,7 @@ class UnitaryChannel:
         tensor = _as_tensor(self.matrix, self.output.dims, self.input.dims)
         n_out = len(self.output)
         rel = [
-            _signals(self, (a,), (t,), tol, _wire_terms(tensor, n_out, (k,), (i,)))
+            _signals(self, (a,), (t,), tol, _wire_products(tensor, n_out, (k,), (i,)))
             for i, a in enumerate(self.input.names)
             for k, t in enumerate(self.output.names)
         ]
@@ -272,13 +314,16 @@ class UnitaryChannel:
             dout = self.output.parts[self.output.position(name)].dim
             if din != dout:
                 raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
-        v, pattern = _identity_pattern(self, idle)
-        if np.max(np.abs(v - pattern)) > tol:
+        n_out = len(self.output)
+        pairs = [(self.output.position(n), n_out + self.input.position(n)) for n in idle]
+        grid = self.matrix.reshape((1,) + self.output.dims + self.input.dims)
+        within, w = _within_identity_pattern(grid, pairs, tol)
+        if not within[0]:
             return None
         w_in = self.input.restrict(self.input.complement(idle))
         w_out = self.output.restrict(self.output.complement(idle))
         try:
-            return UnitaryChannel(w_in, w_out, v[:, 0, :, 0], atol=max(tol, DEFAULT_TOL))
+            return UnitaryChannel(w_in, w_out, w[0], atol=max(tol, DEFAULT_TOL))
         except SpecError:
             return None
 

@@ -10,7 +10,8 @@ reordering.
 
 ``CompositeSystem.digits`` and ``with_digits`` are the one array codec for
 wire digits: they read and write the named wires of whole arrays of joint
-indices by strides. ``flatten``/``unflatten`` are the validated scalar forms.
+indices by strides (``_read_digits`` / ``_write_digits``, whose strides may
+vary along a stack). ``flatten``/``unflatten`` are the validated scalar forms.
 """
 
 from __future__ import annotations
@@ -168,11 +169,8 @@ class CompositeSystem:
         any integer array ``index``, one pass per named wire; no names read 0.
         """
         pos, dims = self.layout(names)
-        index = np.asarray(index, dtype=np.int64)
-        out = np.zeros_like(index)
-        for k, sub_stride, dim in zip(pos, _strides(dims), dims):
-            out += index // self._strides[k] % dim * sub_stride
-        return out
+        strides = [self._strides[k] for k in pos]
+        return _read_digits(np.asarray(index, dtype=np.int64), strides, dims)
 
     def with_digits(self, index, names: Sequence[str], values) -> np.ndarray:
         """Each joint ``index`` with the named wires' digits set from ``values``.
@@ -181,12 +179,34 @@ class CompositeSystem:
         :meth:`digits`; it broadcasts against ``index``. One pass per named wire.
         """
         pos, dims = self.layout(names)
-        values = np.asarray(values, dtype=np.int64)
-        out = np.asarray(index, dtype=np.int64) + np.zeros_like(values)
-        for k, sub_stride, dim in zip(pos, _strides(dims), dims):
-            stride = self._strides[k]
-            out += (values // sub_stride % dim - out // stride % dim) * stride
-        return out
+        strides = [self._strides[k] for k in pos]
+        return _write_digits(
+            np.asarray(index, dtype=np.int64), strides, dims, np.asarray(values, dtype=np.int64)
+        )
+
+
+def _read_digits(index: np.ndarray, strides, dims: Sequence[int]) -> np.ndarray:
+    """Joint index (radices ``dims``) of the digits of ``index`` at ``strides``.
+
+    The codec behind ``digits``. A stride may be an integer array that
+    broadcasts against ``index``: each row of a stack then reads its own wires.
+    """
+    out = np.zeros_like(index)
+    for stride, sub_stride, dim in zip(strides, _strides(dims), dims):
+        out = out + index // stride % dim * sub_stride
+    return out
+
+
+def _write_digits(index: np.ndarray, strides, dims: Sequence[int], values) -> np.ndarray:
+    """Each ``index`` with its digits at ``strides`` set from ``values``.
+
+    The codec behind ``with_digits``, the inverse of ``_read_digits``; strides
+    broadcast as there.
+    """
+    out = index + np.zeros_like(values)
+    for stride, sub_stride, dim in zip(strides, _strides(dims), dims):
+        out = out + (values // sub_stride % dim - out // stride % dim) * stride
+    return out
 
 
 def composite(*parts: tuple[str, int] | SubsystemLabel) -> CompositeSystem:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from causal_lens.cli import load_channel_file, main
@@ -145,6 +146,65 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 1 and "bijection" in err
 
 
+CNOT_CHANNEL = {
+    "model": "classical",
+    "inputs": [{"name": "A", "dim": 2}, {"name": "B", "dim": 2}],
+    "outputs": [{"name": "A'", "dim": 2}, {"name": "B'", "dim": 2}],
+    "data": [0, 1, 3, 2],
+}
+SWAP_RULE = {"cell_dim": 2, "layers": [[{"gate": "swap", "at": 0}]]}
+
+
+def with_entry(doc, path, value):
+    """A deep copy of ``doc`` with the entry at the key/index ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("analyze", with_entry(CNOT_CHANNEL, ["inputs", 0, "dim"], "two")),
+        ("analyze", with_entry(CNOT_CHANNEL, ["outputs", 1, "dim"], "2.5")),
+        ("analyze", with_entry(CNOT_CHANNEL, ["inputs", 1, "dim"], 1e400)),
+        ("analyze", with_entry(CNOT_CHANNEL, ["inputs", 0, "dim"], 2.5)),
+        ("ca", with_entry(SWAP_RULE, ["cell_dim"], "two")),
+        ("ca", with_entry(SWAP_RULE, ["cell_dim"], None)),
+        ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], 0.5)),
+        ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], "first")),
+        ("ca", with_entry(SWAP_RULE, ["layers"], 5)),
+        ("ca", with_entry(SWAP_RULE, ["layers"], None)),
+        ("ca", with_entry(SWAP_RULE, ["layers", 0], 7)),
+        ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "gate"], 3)),
+    ],
+    ids=[
+        "input-dim-word",
+        "output-dim-decimal-string",
+        "input-dim-overflow",
+        "input-dim-fraction",
+        "cell-dim-word",
+        "cell-dim-null",
+        "at-fraction",
+        "at-word",
+        "layers-number",
+        "layers-null",
+        "layer-number",
+        "gate-number",
+    ],
+)
+def test_malformed_fields_are_parse_errors(capsys, tmp_path, command, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    extra = ["--cells", "4"] if command == "ca" else []
+    code, out, err = run(capsys, command, bad, *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {bad}: ")
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hierarchy", str(FIXTURES / "cnot.json"), "--from", "B"])
@@ -158,10 +218,12 @@ def test_exit_code_budget(capsys, monkeypatch):
 
 
 def test_exit_code_consistency(capsys, monkeypatch):
-    # a neighbourhood that forgets wires would make signalling escape causal
+    # an influence relation that forgets wires would make signalling escape causal
     import causal_lens.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "neighbourhood", lambda u, probe, tol: frozenset())
+    monkeypatch.setattr(
+        cli_mod, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
+    )
     code, out, err = run(capsys, "analyze", FIXTURES / "cnot.json")
     assert code == 2 and "consistency" in err
 

@@ -151,7 +151,9 @@ def test_near_identity_rings_match_pairwise_signals_on_both_sides_of_tol(
     tol = split_tolerance(a.step)
     # the probe process near the tolerance is not under test here: report every
     # cell as influenced, so that only the signalling sets are compared
-    monkeypatch.setattr(automata, "neighbourhood", lambda u, probed, tol: frozenset(u.output.names))
+    monkeypatch.setattr(
+        automata, "influence_relation", lambda u, tol: np.ones((len(u.input), len(u.output)), bool)
+    )
     (entries,) = neighbourhood_maps(a, 1, tol)
     want = pairwise_signalling(a.step, tol)
     assert {e.cell: e.signalling for e in entries} == want
@@ -181,7 +183,9 @@ def test_neighbourhood_maps_makes_no_signals_call(monkeypatch, model):
 def test_signalling_outside_the_reported_neighbourhood_still_raises(monkeypatch, model):
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)
     a = build_ring(layers, 6, cell_dim, model=model)
-    monkeypatch.setattr(automata, "neighbourhood", lambda u, probed, tol: frozenset())
+    monkeypatch.setattr(
+        automata, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
+    )
     with pytest.raises(ConsistencyError, match="escapes its causal neighbourhood"):
         neighbourhood_maps(a, 1)
 
