@@ -13,7 +13,8 @@ with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
 table gathered in one pass, quantumly one matrix product certified once. So
 ``t_process`` branches on the model, as do the memory decompositions (the
 quantum legs are checked against ``U`` by contraction on product states),
-the interaction-without-disturbance premise and witness extraction. Wiring
+the interaction-without-disturbance premise and witness extraction; every
+quantum verdict, witness and replay reads ``quantum._delta_gap``. Wiring
 (``embed_on``, ``reorder_wires``, ``iterate``) is generic over the shared
 reversible-channel protocol (``compose``, ``tensor``, ``invert``,
 ``identity``, ``from_index_permutation``).
@@ -47,12 +48,11 @@ from .quantum import (
     StateMap,
     UnitaryChannel,
     _certify_unitary,
+    _delta_gap,
     _grouped,
-    _identity_pattern,
+    _identity_factor,
     _signalling_terms,
     _signals,
-    _unitarity_defects,
-    _within_identity_pattern,
 )
 from .systems import CompositeSystem, _read_digits, _write_digits, composite
 
@@ -328,7 +328,7 @@ def _idle_outputs(u: Channel, grid: np.ndarray, tol: float) -> np.ndarray:
         if isinstance(u, ClassicalChannel):
             idle[:, k] = _passes_through(grid, (k + 1,), (u.output.strides[k],))
         else:
-            idle[:, k] = _factor_within(grid, [(k + 1, n + k + 2)], tol)[0]
+            idle[:, k] = _identity_factor(grid, [(k + 1, n + k + 2)], tol)[0]
     return idle
 
 
@@ -352,21 +352,11 @@ def _joint_factor(u: Channel, grid: np.ndarray, idle: np.ndarray, tol: float) ->
         )
         ok = ok and _bijective(w)
     else:
-        ok, w = _factor_within(grid, [(k + 1, n + k + 2) for k in wires], tol)
+        ok, w = _identity_factor(grid, [(k + 1, n + k + 2) for k in wires], tol)
         ok, w = ok[0], w[0]
     if not ok:
         raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
     return w
-
-
-def _factor_within(
-    grid: np.ndarray, pairs: Sequence[tuple[int, int]], tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_within_identity_pattern``, each factor also unitary within ``max(tol, DEFAULT_TOL)``."""
-    ok, w = _within_identity_pattern(grid, pairs, tol)
-    if ok.any():
-        ok[ok] = _unitarity_defects(w[ok]) <= max(tol, DEFAULT_TOL)
-    return ok, w
 
 
 def neighbourhood(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> frozenset[str]:
@@ -620,11 +610,11 @@ def hierarchy_report(
             _classical_memory(u, frm, to)
         witness = _classical_witness(u, frm, to) if causal else None
     else:
-        terms = _signalling_terms(u, frm, to)
-        sig = _signals(u, frm, to, tol, terms[0])
+        m = _signalling_terms(u, frm, to)
+        sig = _signals(u, frm, to, tol, m)
         if not sig:
             _quantum_memory(u, frm, to, tol, tp)
-        witness = _quantum_witness(u, tp, to, tol, terms) if causal else None
+        witness = _quantum_witness(u, tp, to, tol, m) if causal else None
     memory = not sig
     consistent = (causal or memory) and ((not memory) or (not sig))
     return HierarchyReport(
@@ -718,7 +708,7 @@ def _discard_leaves_rest_alone(
     if isinstance(u, ClassicalChannel):
         passed = u.input.digits(np.arange(u.input.total_dim), bystander)
         return np.array_equal(passed, u.output.digits(u._arr, bystander))
-    m, _ = _signalling_terms(u, act, bystander)
+    m = _signalling_terms(u, act, bystander)
     d_a = u.input.select(act).total_dim
     d_b = u.input.total_dim // d_a
     req = (
@@ -904,19 +894,21 @@ def _signalling_defect(
     frm: tuple[str, ...],
     to: tuple[str, ...],
     tol: float,
-    terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    m: Optional[np.ndarray] = None,
 ) -> Optional[dict]:
     """The worst entry of the signalling identity, or None within ``tol``.
 
-    ``terms`` is ``_signalling_terms(u, frm, to)`` when the caller already has it.
+    ``m`` is ``_signalling_terms(u, frm, to)`` when the caller already has it.
+    The expected value, delta_ab times the a=b=0 entry, is formed at the worst
+    entry alone.
     """
-    m, expected = _signalling_terms(u, frm, to) if terms is None else terms
-    gap = np.abs(m - expected)
+    m = _signalling_terms(u, frm, to) if m is None else m
+    gap = _delta_gap(m, [(2, 4)])
     if np.max(gap) <= tol:
         return None
     entry = _worst_entry(gap, (1, 0, 4, 5, 2, 3))
     t, s, a, k, b, l = entry
-    actual, wanted = m[entry], expected[entry]
+    actual, wanted = m[entry], float(a == b) * m[t, s, 0, k, 0, l]
     return {
         "variant": "signalling-identity",
         "acting_on": list(frm),
@@ -934,15 +926,18 @@ def _quantum_witness(
     tp: TProcessResult,
     to: tuple[str, ...],
     tol: float,
-    terms: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    m: Optional[np.ndarray] = None,
 ) -> Witness:
     """Witness of influence from ``tp.probed`` to ``to``; ``tp`` is u's probe process there."""
-    defect = _signalling_defect(u, tp.probed, to, tol, terms)
+    defect = _signalling_defect(u, tp.probed, to, tol, m)
     if defect is not None:
         return Witness(kind="factorization-defect", detail=defect)
     # causal influence without signalling: exhibit the idle-pattern failure
-    v, pattern = _identity_pattern(tp.channel, to)
-    entry = _worst_entry(np.abs(v - pattern), (2, 3, 0, 1))
+    v = _idle_last(tp.channel, to)
+    entry = _worst_entry(_delta_gap(v, [(1, 3)]), (2, 3, 0, 1))
+    i, j, k, l = entry
+    # (w x 1) at the entry, with + 0.0 so that a zero is recorded as +0.0
+    wanted = v[i, 0, k, 0] * float(j == l) + 0.0
     return Witness(
         kind="factorization-defect",
         detail={
@@ -951,7 +946,7 @@ def _quantum_witness(
             "target": list(to),
             "entry": list(entry),
             "actual": [float(v[entry].real), float(v[entry].imag)],
-            "expected": [float(pattern[entry].real), float(pattern[entry].imag)],
+            "expected": [float(wanted.real), float(wanted.imag)],
         },
     )
 
@@ -968,9 +963,13 @@ def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bo
     if d.get("variant") == "signalling-identity":
         fresh = _signalling_defect(u, frm, to, tol)
         return fresh is not None
-    v, pattern = _identity_pattern(t_process(u, frm, tol).channel, to)
-    entry = tuple(d["entry"])
-    return bool(abs(v[entry] - pattern[entry]) > tol)
+    v = _idle_last(t_process(u, frm, tol).channel, to)
+    return bool(_delta_gap(v, [(1, 3)])[tuple(d["entry"])] > tol)
+
+
+def _idle_last(u: UnitaryChannel, idle: tuple[str, ...]) -> np.ndarray:
+    """``u`` as (rest out, idle, rest in, idle), idle wires paired by name: the witness layout."""
+    return _grouped(u.matrix, u.output, u.input, idle, idle).transpose(1, 0, 3, 2)
 
 
 # -- probe-process identities ---------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import SpecError
-from .systems import CompositeSystem, composite
+from .systems import CompositeSystem, _paired_layout, composite
 
 __all__ = [
     "ClassicalChannel",
@@ -199,15 +199,9 @@ class ClassicalChannel:
         for a bijection that is ``_passes_through`` on the idle input axes.
         """
         idle = tuple(idle)
-        in_pos = self.input.layout(idle)[0]
-        self.output.subset_positions(idle)
-        for name in idle:
-            din = self.input.parts[self.input.position(name)].dim
-            dout = self.output.parts[self.output.position(name)].dim
-            if din != dout:
-                raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
+        in_pos, out_pos = _paired_layout(self.input, self.output, idle)
         grid = self._arr.reshape((1,) + self.input.dims)
-        strides = [self.output.strides[self.output.position(n)] for n in idle]
+        strides = [self.output.strides[k] for k in out_pos]
         if not _passes_through(grid, in_pos, strides)[0]:
             return None
         # the factor is the table of the remaining outputs with the idle inputs at 0

@@ -22,6 +22,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -72,10 +73,10 @@ def _load_json(path: str) -> dict:
 def _integer(path: str, what: str, value) -> int:
     """``int(value)``, or a SpecError naming ``what`` in the file at ``path``.
 
-    A fractional number is an error, not truncated.
+    A fractional number or a boolean is an error, not converted.
     """
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -145,6 +146,7 @@ def _permutation_from_matrix(matrix: np.ndarray, tol: float):
 _BUILTIN_ARITY = {"cnot": 2, "swap": 2, "identity": 1, "hadamard": 1}
 
 
+@functools.cache  # gates are immutable: every entry naming a builtin shares one
 def _builtin_gate(name: str, model: str, cell_dim: int):
     if name == "cnot":
         if model == "classical":
@@ -382,6 +384,14 @@ def cmd_niwd(args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+def tolerance(raw: str) -> float:
+    """The ``--tol`` type: a finite number >= 0, else a usage error."""
+    tol = float(raw)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(raw)
+    return tol
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped onto the parse-error exit code."""
 
@@ -396,7 +406,7 @@ def build_parser() -> _Parser:
 
     def common(p, with_model=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
         p.add_argument("--timestamps", action="store_true", help="add a timestamp in text mode")
         if with_model:
             p.add_argument("--model", choices=("classical", "quantum"), default=None)
@@ -429,9 +439,7 @@ def build_parser() -> _Parser:
     p.add_argument("rulefile")
     p.add_argument("--cells", type=int, required=True)
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--timestamps", action="store_true")
+    common(p, with_model=False)
     p.add_argument("--model", choices=("classical", "quantum"), default="classical")
     p.set_defaults(run=cmd_ca)
 

@@ -5,6 +5,10 @@ Matrices are dense, row-major, and indexed by big-endian joint indices, so
 inverse of a channel is its adjoint. All comparisons are absolute entrywise
 with a configurable tolerance (default 1e-9); the intended scale is joint
 dimension <= 64.
+
+Signalling (``m`` of ``_signalling_terms``) and an identity factor (``w x 1``)
+both ask an array to equal delta on axis pairs times its digit-0 slice. One
+deviation, ``_delta_gap``, serves every quantum verdict, witness and replay.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .classical import _at_zero
 from .errors import SpecError
-from .systems import CompositeSystem, composite
+from .systems import CompositeSystem, _paired_layout, composite
 
 __all__ = [
     "DEFAULT_TOL",
@@ -91,18 +95,32 @@ def _wire_products(
     return m.transpose(0, 3, 1, 2, 4, 5)
 
 
-def _signalling_terms(
-    u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the no-signalling identity from the named ``frm`` inputs to ``to`` outputs.
+def _signalling_terms(u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]) -> np.ndarray:
+    """``_wire_products`` from the named ``frm`` inputs to the ``to`` outputs.
 
-    The first is ``_wire_products``; no-signalling asks it to equal delta_ab
-    times its a=b=0 slice, the second array returned.
+    No-signalling asks it to equal delta_ab times its a=b=0 slice, so its
+    deviation is ``_delta_gap(m, [(2, 4)])``.
     """
     tensor = _as_tensor(u.matrix, u.output.dims, u.input.dims)
-    m = _wire_products(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
-    delta = np.eye(m.shape[2]).reshape(1, 1, m.shape[2], 1, m.shape[2], 1)
-    return m, delta * m[:, :, 0:1, :, 0:1, :]
+    return _wire_products(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
+
+
+def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Entrywise ``|x - delta x0|``, in the layout of ``x``: the one quantum deviation.
+
+    Each pair names two axes of ``x`` of equal dim; ``x0`` is ``x`` at digit 0
+    on every paired axis. The gap is ``|x|`` off the diagonal of any pair and
+    ``|x - x0|`` on the diagonal of all, written through a view of the gap.
+    """
+    gap = np.abs(x)
+    sub = list(range(x.ndim))
+    for a, b in pairs:
+        sub[b] = sub[a]
+    out = list(dict.fromkeys(sub))  # each diagonal axis where its pair first appears
+    diag = np.einsum(gap, sub, out)  # a writeable view
+    x0 = _at_zero(x, [a for pair in pairs for a in pair])
+    diag[...] = np.abs(np.einsum(x, sub, out) - np.einsum(x0, sub, out))
+    return gap
 
 
 def _signals(
@@ -114,20 +132,14 @@ def _signals(
 ) -> bool:
     """``u.signals(frm, to, tol)`` on validated names.
 
-    ``m`` is ``_wire_products`` for the pair (the first of
-    ``_signalling_terms``) when the caller already has it. The deviation from
-    the no-signalling identity is ``|m|`` off the a=b diagonal and ``|m - ref|``
-    on it, with ``ref`` the a=b=0 slice, so no expected array is formed. A
-    trivial block on either side never signals.
+    ``m`` is ``_signalling_terms`` for the pair when the caller already has
+    it. A trivial block on either side never signals.
     """
     if math.prod(u.input.layout(frm)[1]) == 1 or math.prod(u.output.layout(to)[1]) == 1:
         return False
     if m is None:
-        m = _signalling_terms(u, frm, to)[0]
-    gap = np.abs(m)
-    diag = np.arange(m.shape[2])
-    gap[:, :, diag, :, diag, :] = np.abs(m[:, :, diag, :, diag, :] - m[:, :, 0, :, 0, :])
-    return bool(gap.max() > tol)
+        m = _signalling_terms(u, frm, to)
+    return bool(_delta_gap(m, [(2, 4)]).max() > tol)
 
 
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:
@@ -142,42 +154,25 @@ def _certify_unitary(m: np.ndarray, atol: float) -> None:
             raise SpecError(f"unitarity certificate failed: max |U+U - I| = {defect:.3e}")
 
 
-def _within_identity_pattern(
+def _identity_factor(
     grid: np.ndarray, pairs: Sequence[tuple[int, int]], tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a stack of matrices: whether it is ``w x 1`` on ``pairs`` within ``tol``.
+    """Per row of a stack of matrices: whether it is ``w x 1`` on ``pairs``, and ``w``.
 
-    The grid-level identity-factor test. ``grid[p]`` has one axis per output
+    The quantum identity-factor kernel. ``grid[p]`` has one axis per output
     wire, then one per input wire; each pair is the (output axis, input axis)
-    of one wire, counted without the stack axis. ``w`` is the row at digit 0
-    on both axes of every pair, and is returned as a stack of square matrices
-    (remaining outputs by remaining inputs, in axis order).
+    of one wire, counted without the stack axis. ``w``, the row at digit 0 on
+    every pair, is a stack of square matrices. A row passes when its
+    ``_delta_gap`` is within ``tol`` and ``w`` is unitary within ``max(tol, DEFAULT_TOL)``.
     """
+    gap = _delta_gap(grid, [(o + 1, i + 1) for o, i in pairs])
+    ok = gap.reshape(len(grid), -1).max(axis=1) <= tol
     w = _at_zero(grid, [a + 1 for pair in pairs for a in pair])
-    pattern = w
-    for o, i in pairs:
-        dim = grid.shape[o + 1]
-        pattern = pattern * np.eye(dim).reshape(
-            [dim if a in (o + 1, i + 1) else 1 for a in range(grid.ndim)]
-        )
-    within = np.abs(grid - pattern).reshape(len(grid), -1).max(axis=1) <= tol
     side = math.isqrt(w[0].size)  # a unitary's factor is square
-    return within, w.reshape(len(grid), side, side)
-
-
-def _identity_pattern(
-    u: "UnitaryChannel", idle: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``u`` against its idle-index-zero block ``w`` tensor identity-on-``idle``.
-
-    Returns ``(v, pattern)`` of shape (d_rest_out, d_idle, d_rest_in, d_idle):
-    ``v`` is the matrix with the ``idle`` wires last on both sides, in the
-    order given, so that they pair by name; ``pattern`` is ``w x 1`` in the
-    same layout.
-    """
-    v = _grouped(u.matrix, u.output, u.input, idle, idle).transpose(1, 0, 3, 2)
-    pattern = np.einsum("ij,kl->ikjl", v[:, 0, :, 0], np.eye(v.shape[1]))
-    return v, pattern
+    w = w.reshape(len(grid), side, side)
+    if ok.any():
+        ok[ok] = _unitarity_defects(w[ok]) <= max(tol, DEFAULT_TOL)
+    return ok, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,25 +302,15 @@ class UnitaryChannel:
         unitary. An exact tensor factor is recovered exactly.
         """
         idle = tuple(idle)
-        self.input.subset_positions(idle)
-        self.output.subset_positions(idle)
-        for name in idle:
-            din = self.input.parts[self.input.position(name)].dim
-            dout = self.output.parts[self.output.position(name)].dim
-            if din != dout:
-                raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
+        in_pos, out_pos = _paired_layout(self.input, self.output, idle)
         n_out = len(self.output)
-        pairs = [(self.output.position(n), n_out + self.input.position(n)) for n in idle]
         grid = self.matrix.reshape((1,) + self.output.dims + self.input.dims)
-        within, w = _within_identity_pattern(grid, pairs, tol)
-        if not within[0]:
+        ok, w = _identity_factor(grid, [(o, n_out + i) for o, i in zip(out_pos, in_pos)], tol)
+        if not ok[0]:
             return None
         w_in = self.input.restrict(self.input.complement(idle))
         w_out = self.output.restrict(self.output.complement(idle))
-        try:
-            return UnitaryChannel(w_in, w_out, w[0], atol=max(tol, DEFAULT_TOL))
-        except SpecError:
-            return None
+        return UnitaryChannel(w_in, w_out, w[0], atol=max(tol, DEFAULT_TOL))
 
 
 @dataclass(frozen=True, eq=False)

@@ -185,6 +185,20 @@ class CompositeSystem:
         )
 
 
+def _paired_layout(
+    input: CompositeSystem, output: CompositeSystem, names: Sequence[str]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Input and output positions of wires paired by name, in the order given.
+
+    Rejects unknown and duplicate names, and a wire whose dim differs between the sides.
+    """
+    (in_pos, in_dims), (out_pos, out_dims) = input.layout(names), output.layout(names)
+    for name, din, dout in zip(names, in_dims, out_dims):
+        if din != dout:
+            raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
+    return in_pos, out_pos
+
+
 def _read_digits(index: np.ndarray, strides, dims: Sequence[int]) -> np.ndarray:
     """Joint index (radices ``dims``) of the digits of ``index`` at ``strides``.
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_lens.cli import load_channel_file, main
+from causal_lens.cli import load_channel_file, load_rule_file, main
 from causal_lens.classical import ClassicalChannel
 from causal_lens.quantum import UnitaryChannel
 
@@ -153,6 +153,13 @@ CNOT_CHANNEL = {
     "data": [0, 1, 3, 2],
 }
 SWAP_RULE = {"cell_dim": 2, "layers": [[{"gate": "swap", "at": 0}]]}
+# a bit flip next to a trivial wire, whose dim a boolean ``true`` would pass for
+FLIP_WITH_TRIVIAL_WIRE = {
+    "model": "classical",
+    "inputs": [{"name": "A", "dim": 2}, {"name": "T", "dim": 1}],
+    "outputs": [{"name": "A'", "dim": 2}, {"name": "T'", "dim": 1}],
+    "data": [1, 0],
+}
 
 
 def with_entry(doc, path, value):
@@ -172,10 +179,14 @@ def with_entry(doc, path, value):
         ("analyze", with_entry(CNOT_CHANNEL, ["outputs", 1, "dim"], "2.5")),
         ("analyze", with_entry(CNOT_CHANNEL, ["inputs", 1, "dim"], 1e400)),
         ("analyze", with_entry(CNOT_CHANNEL, ["inputs", 0, "dim"], 2.5)),
+        ("analyze", with_entry(FLIP_WITH_TRIVIAL_WIRE, ["inputs", 1, "dim"], True)),
+        ("analyze", with_entry(FLIP_WITH_TRIVIAL_WIRE, ["outputs", 1, "dim"], True)),
         ("ca", with_entry(SWAP_RULE, ["cell_dim"], "two")),
         ("ca", with_entry(SWAP_RULE, ["cell_dim"], None)),
+        ("ca", with_entry(SWAP_RULE, ["cell_dim"], True)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], 0.5)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], "first")),
+        ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], False)),
         ("ca", with_entry(SWAP_RULE, ["layers"], 5)),
         ("ca", with_entry(SWAP_RULE, ["layers"], None)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0], 7)),
@@ -186,10 +197,14 @@ def with_entry(doc, path, value):
         "output-dim-decimal-string",
         "input-dim-overflow",
         "input-dim-fraction",
+        "input-dim-true",
+        "output-dim-true",
         "cell-dim-word",
         "cell-dim-null",
+        "cell-dim-true",
         "at-fraction",
         "at-word",
+        "at-false",
         "layers-number",
         "layers-null",
         "layer-number",
@@ -203,6 +218,30 @@ def test_malformed_fields_are_parse_errors(capsys, tmp_path, command, doc):
     code, out, err = run(capsys, command, bad, *extra)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {bad}: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", FIXTURES / "cnot.json", "--model", "quantum"),
+        ("ca", FIXTURES / "swap_chain_ring.json", "--cells", "4", "--model", "quantum"),
+    ],
+    ids=["analyze", "ca"],
+)
+def test_tol_must_be_finite_and_non_negative(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--tol", tol])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert f"error: argument --tol: invalid tolerance value: '{tol}'" in out.err
+
+
+def test_rule_entries_naming_one_builtin_share_one_gate():
+    for model in ("classical", "quantum"):
+        _, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)
+        gates = [gate for layer in layers for gate, _ in layer]
+        assert len(gates) == 6 and all(gate is gates[0] for gate in gates)
 
 
 def test_exit_code_usage_error(capsys):

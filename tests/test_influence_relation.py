@@ -176,8 +176,8 @@ def test_the_quantum_factor_certificate_rejects_a_non_unitary_block():
     # half of (identity x identity) is exactly its own identity pattern on the
     # second wire, but its block is not unitary
     grid = 0.5 * np.eye(4).reshape(1, 2, 2, 2, 2)
-    assert causal._within_identity_pattern(grid, [(1, 3)], 1e-9)[0].tolist() == [True]
-    assert causal._factor_within(grid, [(1, 3)], 1e-9)[0].tolist() == [False]
+    assert quantum._delta_gap(grid, [(2, 4)]).max() <= 1e-9
+    assert quantum._identity_factor(grid, [(1, 3)], 1e-9)[0].tolist() == [False]
 
 
 @pytest.mark.parametrize("model", sorted(MAX_CELLS))

@@ -13,7 +13,7 @@ import pytest
 from causal_lens import classical, quantum
 from causal_lens.causal import _grounded, inverse_nosignalling_check
 from causal_lens.errors import SpecError
-from causal_lens.quantum import UnitaryChannel, _partial_trace, _signalling_terms
+from causal_lens.quantum import UnitaryChannel, _delta_gap, _partial_trace, _signalling_terms
 from causal_lens.systems import composite
 
 BITS = composite(("A", 2), ("B", 2))
@@ -40,8 +40,7 @@ def loop_deviation(u, frm, to):
 
 
 def signalling_defect(u, frm, to):
-    m, expected = _signalling_terms(u, frm, to)
-    return float(np.max(np.abs(m - expected)))
+    return float(np.max(_delta_gap(_signalling_terms(u, frm, to), [(2, 4)])))
 
 
 def assert_agrees(u, frm, to, tol, dev=None):

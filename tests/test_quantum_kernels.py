@@ -1,15 +1,18 @@
 """The quantum signalling kernel against its einsum form, and the witnesses it feeds.
 
 ``reference_terms`` is the signalling kernel as a plain ``einsum``, kept as the
-reference for the matrix-product form in ``quantum._signalling_terms``.
+reference for the matrix-product form in ``quantum._signalling_terms`` and for
+the deviation ``quantum._delta_gap`` reads off it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_lens import causal, quantum
 from causal_lens.causal import find_witness, has_causal_influence, hierarchy_report, replay_witness
-from causal_lens.quantum import UnitaryChannel, _signalling_terms
+from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_terms
 from causal_lens.systems import CompositeSystem, composite
 
 
@@ -70,11 +73,60 @@ def test_kernel_cases_cover_the_required_shapes():
 
 @pytest.mark.parametrize("u,frm,to", kernel_cases())
 def test_signalling_terms_match_the_einsum_reference(u, frm, to):
-    m, expected = _signalling_terms(u, frm, to)
+    m = _signalling_terms(u, frm, to)
     m_ref, expected_ref = reference_terms(u, frm, to)
-    assert m.shape == m_ref.shape and expected.shape == expected_ref.shape
+    gap = _delta_gap(m, [(2, 4)])
+    assert m.shape == m_ref.shape and gap.shape == expected_ref.shape
     assert np.max(np.abs(m - m_ref), initial=0.0) <= 1e-12
-    assert np.max(np.abs(expected - expected_ref), initial=0.0) <= 1e-12
+    assert np.max(np.abs(gap - np.abs(m_ref - expected_ref)), initial=0.0) <= 1e-12
+
+
+# -- the deviation kernel --------------------------------------------------------------
+
+
+@st.composite
+def delta_gap_cases(draw):
+    """An array with a stack axis, 0-3 axis pairs and 0-1 free axes of dims 1-4, in any order.
+
+    Some entries are set to their digit-0 reference or to signed zeros, so
+    that exact ties and zero gaps occur.
+    """
+    pair_dims = draw(st.lists(st.integers(1, 4), max_size=3))
+    free_dims = draw(st.lists(st.integers(1, 4), max_size=1))
+    dims = [draw(st.integers(1, 3))] + free_dims + [d for d in pair_dims for _ in "ab"]
+    order = draw(st.permutations(range(len(dims))))
+    shape = [0] * len(dims)
+    for axis, pos in enumerate(order):
+        shape[pos] = dims[axis]
+    first = 1 + len(free_dims)
+    pairs = [(order[first + 2 * j], order[first + 2 * j + 1]) for j in range(len(pair_dims))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x.real[rng.random(shape) < 0.2] = -0.0
+    x.imag[rng.random(shape) < 0.2] = 0.0
+    paired = {a for pair in pairs for a in pair}
+    x0 = x[tuple(slice(0, 1) if a in paired else slice(None) for a in range(x.ndim))]
+    x = np.where(rng.random(shape) < 0.2, x0, x)
+    return x, pairs
+
+
+def reference_gap(x, pairs):
+    """``|x - w * prod(eye)|``, pattern formed: ``w`` is ``x`` at digit 0 on every pair."""
+    paired = {a for pair in pairs for a in pair}
+    pattern = x[tuple(slice(0, 1) if a in paired else slice(None) for a in range(x.ndim))]
+    for a, b in pairs:
+        dim = x.shape[a]
+        pattern = pattern * np.eye(dim).reshape([dim if c in (a, b) else 1 for c in range(x.ndim)])
+    return np.abs(x - pattern)
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_gap_cases())
+def test_delta_gap_is_bit_identical_to_the_float_pattern_reference(case):
+    x, pairs = case
+    gap, ref = _delta_gap(x, pairs), reference_gap(x, pairs)
+    assert gap.shape == x.shape and gap.dtype == ref.dtype
+    assert np.array_equal(gap.view(np.uint64), ref.view(np.uint64))
 
 
 # -- canonical witness entries ----------------------------------------------------------

@@ -16,7 +16,7 @@ from causal_lens.causal import iterate
 from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file, main
 from causal_lens.errors import ConsistencyError, SpecError
-from causal_lens.quantum import UnitaryChannel, _signalling_terms
+from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_terms
 from causal_lens.systems import composite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -131,7 +131,7 @@ def split_tolerance(u):
     """A ``tol`` halfway between two adjacent pair deviations near their median."""
     devs = sorted(
         {
-            float(np.max(np.abs(np.subtract(*_signalling_terms(u, [i], [t])))))
+            float(np.max(_delta_gap(_signalling_terms(u, [i], [t]), [(2, 4)])))
             for i in u.input.names
             for t in u.output.names
         }
