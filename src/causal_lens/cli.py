@@ -73,10 +73,13 @@ def _load_json(path: str) -> dict:
 def _integer(path: str, what: str, value) -> int:
     """``int(value)``, or a SpecError naming ``what`` in the file at ``path``.
 
-    A fractional number or a boolean is an error, not converted.
+    Only a JSON integer or an integral number is accepted: a fractional
+    number, a boolean or a string (even of digits) is an error, not converted.
     """
     try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(value)
+        if isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
         return int(value)
     except (TypeError, ValueError, OverflowError):

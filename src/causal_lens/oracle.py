@@ -3,9 +3,11 @@
 This module re-decides causal influence straight from its definition: quantify
 over interventions on the probed block extended by a bounded environment, and
 for each one decide directly whether a post-evolution intervention reproduces
-its effect locally. It shares no code path with the probe-process
-criterion, which makes it a usable oracle for that faster path on small
-instances.
+its effect locally. ``definition_check`` shares only the channel table and the
+scalar ``flatten``/``unflatten`` codec with the rest of the library, and no
+code path with the probe-process criterion, which makes it a usable oracle for
+that faster path on small instances. Each channel entry it reads is evaluated
+once per (from, to) pair, before the search over interventions.
 
 Soundness direction: whenever the oracle reports influence, the probe process
 must as well. The converse can fail only because the environment bound or the
@@ -19,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .causal import has_causal_influence
+from .causal import influence_relation
 from .classical import ClassicalChannel
 from .errors import BudgetError, SpecError
 
@@ -126,12 +128,14 @@ def definition_check(
     For each intervention A on (environment, probed block), decide whether some
     A' on (environment, non-target outputs) satisfies "intervene then evolve
     equals evolve then intervene locally" pointwise over all inputs. An
-    intervention with no such A' witnesses influence.
+    intervention with no such A' witnesses influence. Unknown and duplicate
+    wire names raise ``SpecError``; the named wires are read in system order.
     """
-    frm = tuple(n for n in u.input.names if n in set(from_in))
-    u.input.subset_positions(frm)
-    to = tuple(n for n in u.output.names if n in set(to_out))
-    u.output.subset_positions(to)
+    from_in, to_out = list(from_in), list(to_out)
+    u.input.layout(from_in)  # rejects unknown and duplicate names
+    u.output.layout(to_out)
+    frm = tuple(n for n in u.input.names if n in from_in)
+    to = tuple(n for n in u.output.names if n in to_out)
 
     from_sys = u.input.select(frm)
     d_from = from_sys.total_dim
@@ -148,43 +152,32 @@ def definition_check(
     else:
         input_points = range(0, n_inputs, max(1, n_inputs // 64))
 
-    # static data: per input, the from-digit, and the output split of u(x)
-    from_digit = []
-    out_split = []
-    for x in range(n_inputs):
+    def split(y: int) -> tuple[int, int]:
+        """The (non-target, target) output split of output index ``y``."""
+        z = u.output.unflatten(y)
+        return rest_sys.flatten([z[p] for p in rest_pos]), to_sys.flatten([z[p] for p in to_pos])
+
+    # per input point: its from-digit, the output split of u(x), and per
+    # replacement from-digit a2 the output split of u(x with from := a2),
+    # evaluated once here and read by every intervention
+    from_vals = [from_sys.unflatten(a2) for a2 in range(d_from)]
+    points = []
+    for x in input_points:
         vals = u.input.unflatten(x)
-        from_digit.append(from_sys.flatten([vals[p] for p in in_from_pos]))
-        z = u.output.unflatten(u.table[x])
-        out_split.append(
-            (rest_sys.flatten([z[p] for p in rest_pos]), to_sys.flatten([z[p] for p in to_pos]))
-        )
-    # per (input, replacement from-digit): the evolved output split
-    def evolved(x: int, a2: int) -> tuple[int, int]:
-        vals = list(u.input.unflatten(x))
-        for p, v in zip(in_from_pos, from_sys.unflatten(a2)):
-            vals[p] = v
-        z = u.output.unflatten(u.table[u.input.flatten(vals)])
-        return (
-            rest_sys.flatten([z[p] for p in rest_pos]),
-            to_sys.flatten([z[p] for p in to_pos]),
-        )
+        evolved = []
+        for a2_vals in from_vals:
+            replaced = list(vals)
+            for p, v in zip(in_from_pos, a2_vals):
+                replaced[p] = v
+            evolved.append(split(u.table[u.input.flatten(replaced)]))
+        digit = from_sys.flatten([vals[p] for p in in_from_pos])
+        points.append((digit, split(u.table[x]), evolved))
 
     checked = 0
     for env_dim in range(1, budget.max_env_dim + 1):
         for table in _interventions(budget, env_dim, d_from):
             checked += 1
-            # left side: intervene on (env, from block), then evolve
-            lhs: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
-            for e in range(env_dim):
-                for x in input_points:
-                    hit = table[e * d_from + from_digit[x]]
-                    if hit is None:
-                        lhs[(e, x)] = None
-                    else:
-                        e2, a2 = divmod(hit, d_from)
-                        rest, tgt = evolved(x, a2)
-                        lhs[(e, x)] = (e2, rest, tgt)
-            if not _exists_local_match(lhs, env_dim, input_points, out_split):
+            if not _exists_local_match(table, env_dim, d_from, points):
                 return OracleVerdict(
                     influence=True,
                     env_dim=env_dim,
@@ -194,21 +187,24 @@ def definition_check(
     return OracleVerdict(influence=False, interventions_checked=checked)
 
 
-def _exists_local_match(lhs, env_dim, input_points, out_split) -> bool:
+def _exists_local_match(table, env_dim, d_from, points) -> bool:
     """Whether some intervention on (env, non-target outputs) after the evolution,
-    with the target passed through, reproduces ``lhs`` at every input point.
+    with the target passed through, reproduces "apply ``table`` to (env, from
+    block), then evolve" at every input point.
 
-    One exists iff the target passes through wherever ``lhs`` is defined, and
-    ``lhs`` (undefined included) is single-valued on each (env, non-target
-    output) fibre: the local intervention is then read off fibre by fibre.
+    ``points`` holds, per input point, its from-digit, its output split and the
+    output splits with each replacement from-digit. A match exists iff the
+    target passes through wherever ``table`` is defined, and the left side
+    (undefined included) is single-valued on each (env, non-target output)
+    fibre: the local intervention is then read off fibre by fibre.
     """
     local: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
     for e in range(env_dim):
-        for x in input_points:
-            rest0, tgt0 = out_split[x]
-            hit = lhs[(e, x)]
+        for digit, (rest0, tgt0), evolved in points:
+            hit = table[e * d_from + digit]
             if hit is not None:
-                e2, rest2, tgt2 = hit
+                e2, a2 = divmod(hit, d_from)
+                rest2, tgt2 = evolved[a2]
                 if tgt2 != tgt0:
                     return False
                 hit = (e2, rest2)
@@ -266,25 +262,29 @@ class CrossValidationReport:
 def cross_validate(u: ClassicalChannel, budget: OracleBudget) -> CrossValidationReport:
     """Compare oracle and probe-process verdicts on every single-wire pair.
 
-    A soundness violation (oracle influence, probe process none) indicates an
-    implementation bug; budget-limited disagreements are expected when the
-    environment bound is small.
+    The probe side is one ``influence_relation`` pass, which runs every check
+    of ``t_process``; the oracle side is one ``definition_check`` per pair,
+    which shares only the channel table and the ``flatten``/``unflatten``
+    codec with the rest of the library. A soundness violation (oracle
+    influence, probe process none) indicates an implementation bug;
+    budget-limited disagreements are expected when the environment bound is
+    small.
     """
     if not isinstance(u, ClassicalChannel):
         raise SpecError("the oracle only covers the classical model")
     if len(u.input) > 3 or any(d > 3 for d in u.input.dims):
         raise SpecError("cross_validate is desk-scale only: at most 3 wires of dim <= 3")
+    rel = influence_relation(u)
     pairs = []
-    for i in u.input.names:
-        for j in u.output.names:
-            verdict = definition_check(u, [i], [j], budget)
-            fast = has_causal_influence(u, [i], [j])
+    for i, frm in enumerate(u.input.names):
+        for j, to in enumerate(u.output.names):
+            verdict = definition_check(u, [frm], [to], budget)
             pairs.append(
                 PairComparison(
-                    from_wire=i,
-                    to_wire=j,
+                    from_wire=frm,
+                    to_wire=to,
                     oracle_influence=verdict.influence,
-                    tprocess_influence=fast,
+                    tprocess_influence=bool(rel[i, j]),
                 )
             )
     return CrossValidationReport(pairs=tuple(pairs))

@@ -181,12 +181,15 @@ def with_entry(doc, path, value):
         ("analyze", with_entry(CNOT_CHANNEL, ["inputs", 0, "dim"], 2.5)),
         ("analyze", with_entry(FLIP_WITH_TRIVIAL_WIRE, ["inputs", 1, "dim"], True)),
         ("analyze", with_entry(FLIP_WITH_TRIVIAL_WIRE, ["outputs", 1, "dim"], True)),
+        ("analyze", with_entry(CNOT_CHANNEL, ["inputs", 0, "dim"], "2")),
+        ("analyze", with_entry(CNOT_CHANNEL, ["outputs", 0, "dim"], " 2 ")),
         ("ca", with_entry(SWAP_RULE, ["cell_dim"], "two")),
         ("ca", with_entry(SWAP_RULE, ["cell_dim"], None)),
         ("ca", with_entry(SWAP_RULE, ["cell_dim"], True)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], 0.5)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], "first")),
         ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], False)),
+        ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "at"], "1")),
         ("ca", with_entry(SWAP_RULE, ["layers"], 5)),
         ("ca", with_entry(SWAP_RULE, ["layers"], None)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0], 7)),
@@ -199,12 +202,15 @@ def with_entry(doc, path, value):
         "input-dim-fraction",
         "input-dim-true",
         "output-dim-true",
+        "input-dim-digit-string",
+        "output-dim-padded-digit-string",
         "cell-dim-word",
         "cell-dim-null",
         "cell-dim-true",
         "at-fraction",
         "at-word",
         "at-false",
+        "at-digit-string",
         "layers-number",
         "layers-null",
         "layer-number",

@@ -1,11 +1,19 @@
+from typing import Iterable, Optional
+
 import numpy as np
 import pytest
 
 from causal_lens import classical
 from causal_lens.classical import ClassicalChannel
 from causal_lens.errors import BudgetError, SpecError
-from causal_lens.oracle import OracleBudget, cross_validate, definition_check
-from causal_lens.systems import composite
+from causal_lens.oracle import (
+    OracleBudget,
+    OracleVerdict,
+    _interventions,
+    cross_validate,
+    definition_check,
+)
+from causal_lens.systems import CompositeSystem, composite
 
 BITS = composite(("A", 2), ("B", 2))
 K = classical.cnot()
@@ -118,3 +126,220 @@ def test_cnot_tensor_identity_oracle_sound(env_dim, cls):
     for p in report.pairs:
         if "C" in (p.from_wire, p.to_wire):
             assert p.oracle_influence == (p.from_wire == p.to_wire)
+
+
+# -- the oracle's search against the per-intervention reference ----------------
+#
+# A verbatim copy of ``definition_check`` as it stood before the evolved
+# output splits were tabulated once per pair: it re-evaluates the channel for
+# every intervention, which it takes from the oracle's own enumeration. The
+# tabulated search must give the same verdicts, witness tables and
+# intervention counts.
+
+
+def reference_definition_check(
+    u: ClassicalChannel,
+    from_in: Iterable[str],
+    to_out: Iterable[str],
+    budget: OracleBudget,
+) -> OracleVerdict:
+    """Decide influence by quantifying over interventions within the budget.
+
+    For each intervention A on (environment, probed block), decide whether some
+    A' on (environment, non-target outputs) satisfies "intervene then evolve
+    equals evolve then intervene locally" pointwise over all inputs. An
+    intervention with no such A' witnesses influence.
+    """
+    frm = tuple(n for n in u.input.names if n in set(from_in))
+    u.input.subset_positions(frm)
+    to = tuple(n for n in u.output.names if n in set(to_out))
+    u.output.subset_positions(to)
+
+    from_sys = u.input.select(frm)
+    d_from = from_sys.total_dim
+    in_from_pos = [u.input.position(n) for n in frm]
+    rest_names = u.output.complement(to)
+    rest_sys = u.output.restrict(rest_names)
+    to_sys = u.output.restrict(to)
+    rest_pos = [u.output.position(n) for n in rest_names]
+    to_pos = [u.output.position(n) for n in to]
+
+    n_inputs = u.input.total_dim
+    if budget.exhaustive_inputs:
+        input_points = range(n_inputs)
+    else:
+        input_points = range(0, n_inputs, max(1, n_inputs // 64))
+
+    # static data: per input, the from-digit, and the output split of u(x)
+    from_digit = []
+    out_split = []
+    for x in range(n_inputs):
+        vals = u.input.unflatten(x)
+        from_digit.append(from_sys.flatten([vals[p] for p in in_from_pos]))
+        z = u.output.unflatten(u.table[x])
+        out_split.append(
+            (rest_sys.flatten([z[p] for p in rest_pos]), to_sys.flatten([z[p] for p in to_pos]))
+        )
+    # per (input, replacement from-digit): the evolved output split
+    def evolved(x: int, a2: int) -> tuple[int, int]:
+        vals = list(u.input.unflatten(x))
+        for p, v in zip(in_from_pos, from_sys.unflatten(a2)):
+            vals[p] = v
+        z = u.output.unflatten(u.table[u.input.flatten(vals)])
+        return (
+            rest_sys.flatten([z[p] for p in rest_pos]),
+            to_sys.flatten([z[p] for p in to_pos]),
+        )
+
+    checked = 0
+    for env_dim in range(1, budget.max_env_dim + 1):
+        for table in _interventions(budget, env_dim, d_from):
+            checked += 1
+            # left side: intervene on (env, from block), then evolve
+            lhs: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {}
+            for e in range(env_dim):
+                for x in input_points:
+                    hit = table[e * d_from + from_digit[x]]
+                    if hit is None:
+                        lhs[(e, x)] = None
+                    else:
+                        e2, a2 = divmod(hit, d_from)
+                        rest, tgt = evolved(x, a2)
+                        lhs[(e, x)] = (e2, rest, tgt)
+            if not _ref_exists_local_match(lhs, env_dim, input_points, out_split):
+                return OracleVerdict(
+                    influence=True,
+                    env_dim=env_dim,
+                    witness_table=table,
+                    interventions_checked=checked,
+                )
+    return OracleVerdict(influence=False, interventions_checked=checked)
+
+
+def _ref_exists_local_match(lhs, env_dim, input_points, out_split) -> bool:
+    """Whether some intervention on (env, non-target outputs) after the evolution,
+    with the target passed through, reproduces ``lhs`` at every input point.
+
+    One exists iff the target passes through wherever ``lhs`` is defined, and
+    ``lhs`` (undefined included) is single-valued on each (env, non-target
+    output) fibre: the local intervention is then read off fibre by fibre.
+    """
+    local: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    for e in range(env_dim):
+        for x in input_points:
+            rest0, tgt0 = out_split[x]
+            hit = lhs[(e, x)]
+            if hit is not None:
+                e2, rest2, tgt2 = hit
+                if tgt2 != tgt0:
+                    return False
+                hit = (e2, rest2)
+            if local.setdefault((e, rest0), hit) != hit:
+                return False
+    return True
+
+
+def _same_outcome(u, frm, to, budget):
+    """Run the oracle and the reference; both raise the same error or agree."""
+    try:
+        want = reference_definition_check(u, frm, to, budget)
+    except BudgetError:
+        with pytest.raises(BudgetError):
+            definition_check(u, frm, to, budget)
+        return None
+    got = definition_check(u, frm, to, budget)
+    assert got == want, (u.table, frm, to, budget)
+    return got
+
+
+@pytest.mark.parametrize("cls", ["constants", "atoms", "all-functions"])
+def test_definition_check_matches_the_per_intervention_reference(cls):
+    blocks = ([], ["A"], ["B"], ["A", "B"])
+    outcomes = set()
+    for u in classical.all_reversible_channels(BITS):
+        for env_dim in (1, 2):
+            budget = OracleBudget(env_dim, cls)
+            for frm in blocks:
+                for to in blocks:
+                    got = _same_outcome(u, frm, to, budget)
+                    outcomes.add(None if got is None else got.influence)
+    assert outcomes == ({True, False, None} if cls == "all-functions" else {True, False})
+
+    rng = np.random.default_rng(10)
+    for _ in range(12):
+        system = composite(*((n, int(d)) for n, d in zip("ABC", rng.integers(1, 4, size=3))))
+        u = classical.random_reversible(system, rng)
+        for env_dim in (1, 2):
+            for frm in system.names:
+                for to in system.names:
+                    _same_outcome(u, [frm], [to], OracleBudget(env_dim, cls))
+    # sampled inputs: 128 joint inputs, every second one read
+    system = composite(("A", 4), ("B", 4), ("C", 8))
+    u = classical.random_reversible(system, rng)
+    budget = OracleBudget(2, cls, exhaustive_inputs=False)
+    for frm in system.names:
+        for to in system.names:
+            _same_outcome(u, [frm], [to], budget)
+
+
+@pytest.mark.parametrize(
+    "frm,to",
+    [(["A", "nope"], ["B"]), (["nope"], ["B"]), (["A"], ["nope"]), (["A", "A"], ["B"]), (["A"], ["B", "B"])],
+    ids=["unknown-among-known", "unknown-from", "unknown-to", "duplicate-from", "duplicate-to"],
+)
+def test_definition_check_rejects_unknown_and_duplicate_names(frm, to):
+    with pytest.raises(SpecError):
+        definition_check(K, frm, to, OracleBudget(1, "constants"))
+
+
+def test_definition_check_reads_named_wires_in_system_order():
+    budget = OracleBudget(2, "atoms")
+    assert definition_check(CNOT_ID, ["C", "A"], ["B"], budget) == definition_check(
+        CNOT_ID, ["A", "C"], ["B"], budget
+    )
+
+
+def test_definition_check_evaluates_each_channel_entry_once_per_pair(monkeypatch):
+    calls = 0
+    unflatten = CompositeSystem.unflatten
+
+    def counting(self, index):
+        nonlocal calls
+        calls += 1
+        return unflatten(self, index)
+
+    monkeypatch.setattr(CompositeSystem, "unflatten", counting)
+    verdict = definition_check(SWAP, ["A"], ["A"], OracleBudget(2, "all-functions"))
+    assert not verdict.influence and verdict.interventions_checked > 256
+    n_inputs, d_from = 4, 2
+    assert calls <= n_inputs * (3 * d_from + 2) == 32
+
+
+def test_cross_validate_runs_one_relation_pass_and_no_probe_process(monkeypatch):
+    from causal_lens import causal, oracle
+
+    relation_calls = 0
+    relation = oracle.influence_relation
+
+    def counting(u, *args, **kwargs):
+        nonlocal relation_calls
+        relation_calls += 1
+        return relation(u, *args, **kwargs)
+
+    def no_probe_process(*args, **kwargs):
+        raise AssertionError("cross_validate built a probe process")
+
+    monkeypatch.setattr(oracle, "influence_relation", counting)
+    monkeypatch.setattr(causal, "t_process", no_probe_process)
+    report = cross_validate(CNOT_ID, OracleBudget(1, "atoms"))
+    assert relation_calls == 1 and len(report.pairs) == 9 and report.sound
+
+
+def test_cross_validate_probe_side_matches_has_causal_influence():
+    from causal_lens.causal import has_causal_influence
+
+    rng = np.random.default_rng(57)
+    for _ in range(10):
+        u = classical.random_reversible(composite(("A", 2), ("B", 3), ("C", 2)), rng)
+        for p in cross_validate(u, OracleBudget(1, "constants")).pairs:
+            assert p.tprocess_influence == has_causal_influence(u, [p.from_wire], [p.to_wire])
