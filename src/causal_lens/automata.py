@@ -6,16 +6,14 @@ The step is built by contraction, with no channel per gate: each gate is
 applied to the running step on its own cells (quantumly a ``tensordot`` on the
 cell axes of the step's matrix, classically a lookup on the cell digits of its
 table), and the result is certified once.
-The causal neighbourhoods of all cells come from one pass over the iterated
-step (``causal.influence_relation``): the probe processes of the cells are
-gathered as stacks, each output cell's idle test runs once per stack, and
-each probe's joint factorization is checked, with no channel built. The
-signalling sets of all cells come from one pass too (``wire_signalling``):
-classically one output-digit grid, compared with its digit-0 slice along
-each input axis; quantumly the signalling kernel on axis transposes of one
-wire tensor. The signalling set is always contained in the causal
-neighbourhood; a strict gap is the classical phenomenon that disappears when
-the same layout is quantized.
+The causal neighbourhoods and signalling sets of all cells come from
+``causal.wire_relations`` on the iterated step: one ``influence_relation``
+pass (the probe processes of the cells gathered as stacks, each output
+cell's idle test run once per stack, each probe's joint factorization
+checked, no channel built) and one ``wire_signalling`` pass, with the
+signalling set of every cell checked to lie inside its causal
+neighbourhood. A strict gap is the classical phenomenon that disappears
+when the same layout is quantized.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .causal import influence_relation, iterate
+from .causal import iterate, wire_relations
 from .classical import ClassicalChannel
-from .errors import BudgetError, ConsistencyError, SpecError
+from .errors import BudgetError, SpecError
 from .quantum import DEFAULT_TOL, UnitaryChannel
 from .systems import CompositeSystem, composite
 
@@ -153,25 +151,21 @@ def neighbourhood_map(
     """Per-cell causal neighbourhood and signalling set of the iterated step."""
     if steps < 1:
         raise SpecError("steps must be >= 1")
-    return _cell_neighbourhoods(a, iterate(a.step, steps), tol)
+    return _cell_neighbourhoods(iterate(a.step, steps), tol)
 
 
 def _cell_neighbourhoods(
-    a: RingAutomaton, u: ClassicalChannel | UnitaryChannel, tol: float
+    u: ClassicalChannel | UnitaryChannel, tol: float
 ) -> tuple[CellNeighbourhood, ...]:
-    # the step's whole signalling and influence relations, one pass each
-    signalling = u.wire_signalling(tol)
-    influence = influence_relation(u, tol)
-    out = []
-    for name, sig_row, causal_row in zip(u.input.names, signalling, influence):
-        causal = frozenset(t for t, hit in zip(u.output.names, causal_row) if hit)
-        sig = frozenset(t for t, hit in zip(u.output.names, sig_row) if hit)
-        if not sig <= causal:
-            raise ConsistencyError(
-                f"signalling set of {name} escapes its causal neighbourhood"
-            )
-        out.append(CellNeighbourhood(cell=name, causal=causal, signalling=sig))
-    return tuple(out)
+    influence, signalling = wire_relations(u, tol)
+    return tuple(
+        CellNeighbourhood(
+            cell=name,
+            causal=frozenset(t for t, hit in zip(u.output.names, causal_row) if hit),
+            signalling=frozenset(t for t, hit in zip(u.output.names, sig_row) if hit),
+        )
+        for name, causal_row, sig_row in zip(u.input.names, influence, signalling)
+    )
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,7 @@ def _iterated_maps(
     for t in range(1, max_steps + 1):
         if t > 1:
             u = a.step.compose(u)
-        maps.append(_cell_neighbourhoods(a, u, tol))
+        maps.append(_cell_neighbourhoods(u, tol))
     return maps
 
 

@@ -10,20 +10,25 @@ complement is the causal neighbourhood of ``A``.
 Neither probe process is composed: both are read off the evolution in
 closed form, ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``
 with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
-table gathered in one pass, quantumly one matrix product certified once. So
-``t_process`` branches on the model, as do the memory decompositions (the
-quantum legs are checked against ``U`` by contraction on product states),
-the interaction-without-disturbance premise and witness extraction; every
-quantum verdict, witness and replay reads ``quantum._delta_gap``. Wiring
-(``embed_on``, ``reorder_wires``, ``iterate``) is generic over the shared
-reversible-channel protocol (``compose``, ``tensor``, ``invert``,
-``identity``, ``from_index_permutation``).
+table gathered in one pass, quantumly one matrix product certified once.
+``t_process`` branches on the model only to build that probe channel; its
+factor is the probe's own ``factors_as_identity``. The memory decompositions
+(the quantum legs are checked against ``U`` by contraction on product
+states), the interaction-without-disturbance premise and witness extraction
+branch on the model too; every quantum verdict, witness and replay reads
+``quantum._delta_gap``. Wiring (``embed_on``, ``reorder_wires``,
+``iterate``) is generic over the shared reversible-channel protocol
+(``compose``, ``tensor``, ``invert``, ``identity``,
+``from_index_permutation``), with wire reorderings from
+``systems.reorder_permutation``.
 
-Every wire digit is read and written through the system's codec
-(``CompositeSystem.digits`` / ``with_digits``), vectorized over whole tables;
-wire reorderings are index permutations built from it. ``hierarchy_report``
-builds one probe process and hands it to the memory decomposition and the
-witness search.
+Every wire name list is read through ``CompositeSystem.subset_positions``,
+which rejects unknown and duplicate names. Every wire digit is read and
+written through the system's codec (``CompositeSystem.digits`` /
+``with_digits``), vectorized over whole tables. ``wire_relations`` is the one
+place that checks signalling against influence, for ``analyze`` and ``ca``.
+``hierarchy_report`` builds one probe process and hands it to the memory
+decomposition and the witness search.
 """
 
 from __future__ import annotations
@@ -51,10 +56,11 @@ from .quantum import (
     _delta_gap,
     _grouped,
     _identity_factor,
+    _partial_trace,
     _signalling_terms,
     _signals,
 )
-from .systems import CompositeSystem, _read_digits, _write_digits, composite
+from .systems import CompositeSystem, _read_digits, _write_digits, composite, reorder_permutation
 
 __all__ = [
     "DisturbanceClassification",
@@ -77,6 +83,7 @@ __all__ = [
     "reorder_wires",
     "signalling_relation",
     "t_process",
+    "wire_relations",
 ]
 
 Channel = Union[ClassicalChannel, UnitaryChannel]
@@ -86,10 +93,11 @@ Channel = Union[ClassicalChannel, UnitaryChannel]
 
 
 def _ordered_subset(system: CompositeSystem, names: Iterable[str]) -> tuple[str, ...]:
-    """Validate ``names`` against ``system`` and return them in system order."""
-    wanted = set(names)
-    system.subset_positions(wanted)
-    return tuple(n for n in system.names if n in wanted)
+    """Validate ``names`` against ``system`` and return them in system order.
+
+    Unknown and duplicate names raise ``SpecError``.
+    """
+    return tuple(system.names[k] for k in system.subset_positions(names))
 
 
 def _fresh_names(taken: set[str], bases: Sequence[str], suffix: str) -> tuple[str, ...]:
@@ -105,14 +113,8 @@ def _fresh_names(taken: set[str], bases: Sequence[str], suffix: str) -> tuple[st
 
 def _relabelling(cls, system: CompositeSystem, order: Sequence[str]) -> Channel:
     """The channel from ``system`` to ``system.select(order)``: its wires relisted."""
-    new = system.select(order)
-    if len(new) != len(system):
-        raise SpecError(
-            f"new order {list(order)} is not a permutation of wire names {list(system.names)}"
-        )
-    return cls.from_index_permutation(
-        system, new, system.digits(np.arange(system.total_dim), order)
-    )
+    perm = reorder_permutation(system, order)
+    return cls.from_index_permutation(system, system.select(order), perm)
 
 
 def reorder_wires(
@@ -208,10 +210,10 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     The probe channel is (copy-padded u) after (swap copies with probed inputs)
     after (copy-padded u inverse), read off ``u`` in closed form: classically
     the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``,
-    quantumly one matrix product on ``U``. It runs the kernels of
-    ``influence_relation`` on a stack of one probe: the gather, the per-wire
-    idle sweep and the joint factorization on the idle set. Only here are the
-    probe and its factor built as channels, whose constructors certify them.
+    quantumly one matrix product on ``U``. It runs the gather and the per-wire
+    idle sweep of ``influence_relation`` on a stack of one probe. Only here is
+    the probe built as a channel, whose constructor certifies it, and its
+    factor on the idle set is the probe's own ``factors_as_identity``.
     """
     frm = _ordered_subset(u.input, probed)
     taken = set(u.input.names) | set(u.output.names)
@@ -227,13 +229,10 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
         d = probe_sys.total_dim
         tilde = UnitaryChannel(probe_sys, probe_sys, probes.reshape(d, d))
     mask = _idle_outputs(u, probes, tol)[0]
-    w = _joint_factor(u, probes, mask, tol)
     idle = tuple(n for n, hit in zip(u.output.names, mask) if hit)
-    w_sys = probe_sys.restrict(probe_sys.complement(idle))
-    if isinstance(u, ClassicalChannel):
-        factor = ClassicalChannel(w_sys, w_sys, w)
-    else:
-        factor = UnitaryChannel(w_sys, w_sys, w, atol=max(tol, DEFAULT_TOL))
+    factor = tilde.factors_as_identity(idle, tol)
+    if factor is None:
+        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
     return TProcessResult(
         channel=tilde,
         probed=frm,
@@ -337,7 +336,8 @@ def _joint_factor(u: Channel, grid: np.ndarray, idle: np.ndarray, tol: float) ->
 
     The grid-level test of ``factors_as_identity`` runs on all idle wires at
     once, and the factor, a table or a matrix, is certified: a bijection
-    classically, unitary within ``max(tol, DEFAULT_TOL)`` quantumly.
+    classically, unitary within ``max(tol, DEFAULT_TOL)`` quantumly. Only
+    ``influence_relation`` needs it, since it builds no probe channel.
     """
     wires = [int(k) for k in np.flatnonzero(idle)]
     n = len(u.output)
@@ -357,6 +357,22 @@ def _joint_factor(u: Channel, grid: np.ndarray, idle: np.ndarray, tol: float) ->
     if not ok:
         raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
     return w
+
+
+def wire_relations(u: Channel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The single-wire influence and signalling relations, ``[input, output]`` each.
+
+    One ``influence_relation`` pass and one ``wire_signalling`` pass. No
+    causal influence implies no signalling, so a signalling pair outside the
+    influence relation is a consistency violation.
+    """
+    influence = influence_relation(u, tol)
+    signalling = u.wire_signalling(tol)
+    escaped = np.flatnonzero((signalling & ~influence).any(axis=1))
+    if escaped.size:
+        name = u.input.names[escaped[0]]
+        raise ConsistencyError(f"signalling set of {name} escapes its causal neighbourhood")
+    return influence, signalling
 
 
 def neighbourhood(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> frozenset[str]:
@@ -490,13 +506,9 @@ def _quantum_memory(
 
     # w feeds (A, env) through the extracted probe factor and discards the copies
     t_mat = t_fac.matrix
-    d_a = a_sys.total_dim
-    d_ap = ap_sys.total_dim
 
     def w_eval(x: np.ndarray) -> np.ndarray:
-        y = t_mat @ x @ t_mat.conj().T
-        t4 = y.reshape(d_a, d_ap, d_a, d_ap)
-        return np.trace(t4, axis1=0, axis2=2)
+        return _partial_trace(t_mat @ x @ t_mat.conj().T, t_fac.output, ap_names)
 
     w = StateMap(a_sys.concat(env_sys), ap_sys, w_eval)
 
@@ -993,22 +1005,21 @@ def probe_conjugation_matches_evolution(
     d_env = instrument.input.total_dim // d_from
     d_out = u.output.total_dim
     inst = np.array([-1 if v is None else v for v in instrument.table])
-    env = np.arange(d_env)[:, None]
-    c, z = np.divmod(np.arange(d_from * d_out), d_out)
-    # probe, intervene on (env, copy), probe again
+    # probe, intervene on (env, copy), probe again; rows env, columns (c, z)
     probe = tp.channel._arr
     c1, z1 = np.divmod(probe, d_out)
-    hit = inst[env * d_from + c1]
+    hit = inst[np.arange(d_env)[:, None] * d_from + c1]
     e2, c2 = np.divmod(hit, d_from)
     lhs = probe[c2 * d_out + z1]
-    # undo, intervene on (env, real input block), evolve; copy untouched
-    x = np.argsort(u._arr)[z]
-    hit2 = inst[env * d_from + u.input.digits(x, frm)]
-    e3, a2 = np.divmod(hit2, d_from)
-    rhs = c * d_out + u._arr[u.input.with_digits(x, frm, a2)]
+    # undo, intervene on (env, real input block), evolve; the copy c passes through
+    e3, z3 = (
+        np.tile(a.reshape(d_env, d_out), d_from)
+        for a in _conjugated_table(u, frm, d_env, instrument.table)
+    )
+    rhs = np.repeat(np.arange(d_from), d_out) * d_out + z3
     defined = hit >= 0
     return (
-        np.array_equal(defined, hit2 >= 0)
+        np.array_equal(defined, e3 >= 0)
         and bool((e2 == e3)[defined].all())
         and bool((lhs == rhs)[defined].all())
     )

@@ -33,11 +33,7 @@ import numpy as np
 from . import classical as cl
 from . import quantum as qm
 from .automata import DEFAULT_MAX_DIM, ConeRow, build_ring, neighbourhood_maps
-from .causal import (
-    check_interaction_without_disturbance,
-    hierarchy_report,
-    influence_relation,
-)
+from .causal import check_interaction_without_disturbance, hierarchy_report, wire_relations
 from .classical import ClassicalChannel
 from .errors import BudgetError, ConsistencyError, SpecError
 from .oracle import OracleBudget, cross_validate
@@ -237,21 +233,16 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def cmd_analyze(args) -> int:
     """Causal and signalling matrices of every (input, output) wire pair.
 
-    Each matrix is one pass over the channel: ``influence_relation`` for the
-    causal neighbourhoods, ``wire_signalling`` for signalling. Signalling
-    outside the causal neighbourhood is a consistency violation.
+    Both matrices come from ``wire_relations``: one pass over the channel
+    each, with signalling outside the causal neighbourhood a consistency
+    violation.
     """
     u = load_channel_file(args.file, args.model, args.tol)
     ins, outs = list(u.input.names), list(u.output.names)
-    influence = influence_relation(u, args.tol).tolist()
+    influence, sig_rows = (r.tolist() for r in wire_relations(u, args.tol))
     causal = {i: dict(zip(outs, row)) for i, row in zip(ins, influence)}
     hoods = {i: [o for o, hit in zip(outs, row) if hit] for i, row in zip(ins, influence)}
-    sig_rows = u.wire_signalling(args.tol).tolist()
     signalling = {i: dict(zip(outs, row)) for i, row in zip(ins, sig_rows)}
-    for i in ins:
-        for o in outs:
-            if signalling[i][o] and not causal[i][o]:
-                raise ConsistencyError(f"signalling without causal influence at ({i}, {o})")
     payload = {
         "file": args.file,
         "model": "classical" if isinstance(u, ClassicalChannel) else "quantum",
@@ -301,8 +292,6 @@ def cmd_hierarchy(args) -> int:
 
 def cmd_oracle(args) -> int:
     u = load_channel_file(args.file, args.model, args.tol)
-    if not isinstance(u, ClassicalChannel):
-        raise SpecError("the oracle covers the classical model only")
     budget = OracleBudget(max_env_dim=args.env_dim, intervention_class=args.intervention_class)
     report = cross_validate(u, budget)
     payload = {

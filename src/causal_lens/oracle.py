@@ -93,21 +93,15 @@ def _tables(m: int) -> Iterator[tuple[int, ...]]:
 def _interventions(
     budget: OracleBudget, env_dim: int, d_from: int
 ) -> Iterator[tuple[Optional[int], ...]]:
+    """The constants (every table under ``all-functions``), the atoms unless
+    the class is ``constants``, then the copy-swap when ``env_dim == d_from``."""
     m = env_dim * d_from
-    if budget.intervention_class == "constants":
-        for j in range(m):
-            yield tuple([j] * m)
-    elif budget.intervention_class == "atoms":
-        for j in range(m):
-            yield tuple([j] * m)
-        for i in range(m):
-            for j in range(m):
-                table: list[Optional[int]] = [None] * m
-                table[i] = j
-                yield tuple(table)
+    if budget.intervention_class == "all-functions":
+        yield from _tables(m)
     else:
-        for table in _tables(m):
-            yield table
+        for j in range(m):
+            yield tuple([j] * m)
+    if budget.intervention_class != "constants":
         for i in range(m):
             for j in range(m):
                 atom: list[Optional[int]] = [None] * m
@@ -131,11 +125,7 @@ def definition_check(
     intervention with no such A' witnesses influence. Unknown and duplicate
     wire names raise ``SpecError``; the named wires are read in system order.
     """
-    from_in, to_out = list(from_in), list(to_out)
-    u.input.layout(from_in)  # rejects unknown and duplicate names
-    u.output.layout(to_out)
-    frm = tuple(n for n in u.input.names if n in from_in)
-    to = tuple(n for n in u.output.names if n in to_out)
+    frm, to = u.input.restrict(from_in).names, u.output.restrict(to_out).names
 
     from_sys = u.input.select(frm)
     d_from = from_sys.total_dim

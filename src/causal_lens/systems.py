@@ -108,15 +108,12 @@ class CompositeSystem:
 
     def complement(self, names: Iterable[str]) -> tuple[str, ...]:
         """Names of the wires not in ``names``, in system order."""
-        inside = set(names)
-        self.subset_positions(inside)  # validate
-        return tuple(n for n in self.names if n not in inside)
+        inside = self.subset_positions(names)
+        return tuple(n for k, n in enumerate(self.names) if k not in inside)
 
     def restrict(self, names: Iterable[str]) -> "CompositeSystem":
         """Sub-composite of the named wires, kept in system order."""
-        keep = set(names)
-        self.subset_positions(keep)  # validate
-        return CompositeSystem(tuple(p for p in self.parts if p.name in keep))
+        return CompositeSystem(tuple(self.parts[k] for k in self.subset_positions(names)))
 
     def select(self, order: Sequence[str]) -> "CompositeSystem":
         """Sub-composite of the named wires, in the order given."""

@@ -85,6 +85,27 @@ def test_t_process_rejects_unknown_probe():
         t_process(K, ["Z"])
 
 
+DUPLICATE_NAME_CALLS = {
+    "t_process": lambda u: t_process(u, ["A", "A"]),
+    "neighbourhood": lambda u: neighbourhood(u, ["B", "B"]),
+    "has_causal_influence-from": lambda u: has_causal_influence(u, ["B", "B"], ["A"]),
+    "has_causal_influence-to": lambda u: has_causal_influence(u, ["B"], ["A", "A"]),
+    "hierarchy_report": lambda u: hierarchy_report(u, ["B", "B"], ["A"]),
+    "memory_decomposition": lambda u: memory_decomposition(u, ["B"], ["A", "A"]),
+    "find_witness": lambda u: find_witness(u, ["B", "B"], ["A"]),
+    "inverse_nosignalling_check": lambda u: inverse_nosignalling_check(u, ["B"], ["A", "A"]),
+    "niwd": lambda u: check_interaction_without_disturbance(u, ["A", "A"]),
+}
+
+
+@pytest.mark.parametrize("model", ["classical", "quantum"])
+@pytest.mark.parametrize("call", sorted(DUPLICATE_NAME_CALLS))
+def test_a_name_given_twice_is_rejected(call, model):
+    u = K if model == "classical" else quantum.from_classical(K)
+    with pytest.raises(SpecError, match="duplicate names"):
+        DUPLICATE_NAME_CALLS[call](u)
+
+
 def test_t_process_idle_subset_is_maximal():
     rng = np.random.default_rng(17)
     sys3 = composite(("x", 2), ("y", 2), ("z", 2))

@@ -256,6 +256,16 @@ def test_exit_code_usage_error(capsys):
     assert exc.value.code == 1
 
 
+def test_a_wire_named_twice_exits_1(capsys):
+    code, out, err = run(capsys, "hierarchy", FIXTURES / "cnot.json", "--from", "B,B", "--to", "A'")
+    assert code == 1 and out == "" and "duplicate names" in err
+
+
+def test_oracle_on_a_quantum_file_exits_1_naming_the_classical_model(capsys):
+    code, out, err = run(capsys, "oracle", FIXTURES / "cnot_quantum.json")
+    assert code == 1 and out == "" and "classical model" in err
+
+
 def test_exit_code_budget(capsys, monkeypatch):
     monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", "2")
     code, out, err = run(capsys, "analyze", FIXTURES / "cnot.json")
@@ -264,10 +274,10 @@ def test_exit_code_budget(capsys, monkeypatch):
 
 def test_exit_code_consistency(capsys, monkeypatch):
     # an influence relation that forgets wires would make signalling escape causal
-    import causal_lens.cli as cli_mod
+    import causal_lens.causal as causal_mod
 
     monkeypatch.setattr(
-        cli_mod, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
+        causal_mod, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
     )
     code, out, err = run(capsys, "analyze", FIXTURES / "cnot.json")
     assert code == 2 and "consistency" in err

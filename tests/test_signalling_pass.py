@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_lens import automata, classical, quantum
+from causal_lens import causal, classical, quantum
 from causal_lens.automata import RingAutomaton, build_ring, neighbourhood_maps
 from causal_lens.causal import iterate
 from causal_lens.classical import ClassicalChannel
@@ -152,7 +152,7 @@ def test_near_identity_rings_match_pairwise_signals_on_both_sides_of_tol(
     # the probe process near the tolerance is not under test here: report every
     # cell as influenced, so that only the signalling sets are compared
     monkeypatch.setattr(
-        automata, "influence_relation", lambda u, tol: np.ones((len(u.input), len(u.output)), bool)
+        causal, "influence_relation", lambda u, tol: np.ones((len(u.input), len(u.output)), bool)
     )
     (entries,) = neighbourhood_maps(a, 1, tol)
     want = pairwise_signalling(a.step, tol)
@@ -184,7 +184,7 @@ def test_signalling_outside_the_reported_neighbourhood_still_raises(monkeypatch,
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)
     a = build_ring(layers, 6, cell_dim, model=model)
     monkeypatch.setattr(
-        automata, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
+        causal, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
     )
     with pytest.raises(ConsistencyError, match="escapes its causal neighbourhood"):
         neighbourhood_maps(a, 1)

@@ -171,6 +171,15 @@ def test_codec_on_the_empty_system():
     assert np.array_equal(sys2.with_digits(np.arange(6), [], 0), np.arange(6))
 
 
+def test_restrict_and_complement_reject_duplicate_names():
+    sys3 = composite(("A", 2), ("B", 3), ("C", 2))
+    for method in (sys3.restrict, sys3.complement):
+        with pytest.raises(SpecError, match="duplicate names"):
+            method(["B", "A", "B"])
+    assert sys3.restrict(["C", "A"]).names == ("A", "C")
+    assert sys3.complement(["C", "A"]) == ("B",)
+
+
 def test_codec_rejects_unknown_and_duplicate_names():
     sys2 = composite(("A", 2), ("B", 3))
     with pytest.raises(SpecError):
