@@ -9,7 +9,7 @@ decompositions, and the interaction-without-disturbance classification, plus a
 brute-force oracle and ring-automaton neighbourhood tooling.
 """
 
-from .classical import ClassicalChannel, ClassicalInstrument, apply_instrument
+from .classical import ClassicalChannel, ClassicalInstrument
 from .causal import (
     DisturbanceClassification,
     HierarchyReport,
@@ -26,13 +26,12 @@ from .causal import (
     neighbourhood,
     probe_conjugation_matches_evolution,
     replay_witness,
-    signalling_relation,
     t_process,
 )
 from .automata import RingAutomaton, build_ring, cone_growth, neighbourhood_map, neighbourhood_maps
 from .errors import BudgetError, ConsistencyError, SpecError
 from .oracle import CrossValidationReport, OracleBudget, OracleVerdict, cross_validate, definition_check
-from .quantum import DensityOperator, StateMap, UnitaryChannel, partial_trace
+from .quantum import DensityOperator, StateMap, UnitaryChannel
 from .systems import CompositeSystem, SubsystemLabel, composite, reorder_permutation
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "TProcessResult",
     "UnitaryChannel",
     "Witness",
-    "apply_instrument",
     "build_ring",
     "check_interaction_without_disturbance",
     "composite",
@@ -73,10 +71,8 @@ __all__ = [
     "neighbourhood",
     "neighbourhood_map",
     "neighbourhood_maps",
-    "partial_trace",
     "probe_conjugation_matches_evolution",
     "replay_witness",
     "reorder_permutation",
-    "signalling_relation",
     "t_process",
 ]

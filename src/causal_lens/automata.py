@@ -193,7 +193,7 @@ def _iterated_maps(
     checked before the first neighbourhood is computed.
     """
     bits = a.cells * math.log2(a.cell_dim)
-    limit = 12 if a.model == "classical" else 6
+    limit = int(math.log2(DEFAULT_MAX_DIM[a.model]))
     if bits > limit:
         raise BudgetError(
             f"cone growth capped at {limit} cell-bits for the {a.model} model, got {bits:.1f}"

@@ -34,7 +34,7 @@ decomposition and the witness search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -81,7 +81,6 @@ __all__ = [
     "probe_conjugation_matches_evolution",
     "replay_witness",
     "reorder_wires",
-    "signalling_relation",
     "t_process",
     "wire_relations",
 ]
@@ -393,13 +392,6 @@ def has_causal_influence(
     return bool(set(to) & neighbourhood(u, from_in, tol))
 
 
-def signalling_relation(
-    u: Channel, from_in: Iterable[str], to_out: Iterable[str], tol: float = DEFAULT_TOL
-) -> bool:
-    """True iff signalling from ``from_in`` to ``to_out`` is possible."""
-    return u.signals(from_in, to_out, tol)
-
-
 # -- memory decomposition ----------------------------------------------------------
 
 
@@ -589,17 +581,9 @@ class HierarchyReport:
     witness: Optional[Witness] = None
 
     def to_dict(self) -> dict:
-        return {
-            "from": list(self.from_in),
-            "to": list(self.to_out),
-            "causal_influence": self.causal_influence,
-            "memory_decomposable": self.memory_decomposable,
-            "signalling": self.signalling,
-            "consistent": self.consistent,
-            "witness": None
-            if self.witness is None
-            else {"kind": self.witness.kind, "detail": self.witness.detail},
-        }
+        out = asdict(self)
+        out["from"], out["to"] = out.pop("from_in"), out.pop("to_out")
+        return out
 
 
 def hierarchy_report(
@@ -623,19 +607,17 @@ def hierarchy_report(
         witness = _classical_witness(u, frm, to) if causal else None
     else:
         m = _signalling_terms(u, frm, to)
-        sig = _signals(u, frm, to, tol, m)
+        sig = _signals(m, tol)
         if not sig:
             _quantum_memory(u, frm, to, tol, tp)
-        witness = _quantum_witness(u, tp, to, tol, m) if causal else None
-    memory = not sig
-    consistent = (causal or memory) and ((not memory) or (not sig))
+        witness = _quantum_witness(tp, to, tol, m) if causal else None
     return HierarchyReport(
         from_in=frm,
         to_out=to,
         causal_influence=causal,
-        memory_decomposable=memory,
+        memory_decomposable=not sig,
         signalling=sig,
-        consistent=consistent,
+        consistent=causal or not sig,
         witness=witness,
     )
 
@@ -663,14 +645,7 @@ class DisturbanceClassification:
     forced_influence: Optional[bool] = None
 
     def to_dict(self) -> dict:
-        return {
-            "acting": list(self.acting),
-            "bystander": list(self.bystander),
-            "premise_holds": self.premise_holds,
-            "factorizes": self.factorizes,
-            "verdict": self.verdict,
-            "forced_influence": self.forced_influence,
-        }
+        return asdict(self)
 
 
 def check_interaction_without_disturbance(
@@ -688,9 +663,9 @@ def check_interaction_without_disturbance(
             u.output.position(name)
         ].dim:
             raise SpecError(f"wire {name!r} changes dimension between input and output")
-    if acting is None:
-        acting = (u.input.names[0],)
-    act = _ordered_subset(u.input, acting)
+    act = _ordered_subset(u.input, u.input.names[:1] if acting is None else acting)
+    if not act:
+        raise SpecError("the acting block needs at least one wire")
     bystander = u.input.complement(act)
     premise = _discard_leaves_rest_alone(u, act, bystander, tol)
     factor = u.factors_as_identity(bystander, tol) if premise else None
@@ -793,7 +768,7 @@ def find_witness(
         raise SpecError("find_witness requires causal influence from_in -> to_out")
     if isinstance(u, ClassicalChannel):
         return _classical_witness(u, frm, to)
-    return _quantum_witness(u, tp, to, tol)
+    return _quantum_witness(tp, to, tol, _signalling_terms(u, frm, to))
 
 
 def _intervention_candidates(d_from: int):
@@ -902,19 +877,13 @@ def _worst_entry(gap: np.ndarray, mirror: Sequence[int]) -> tuple[int, ...]:
 
 
 def _signalling_defect(
-    u: UnitaryChannel,
-    frm: tuple[str, ...],
-    to: tuple[str, ...],
-    tol: float,
-    m: Optional[np.ndarray] = None,
+    m: np.ndarray, frm: tuple[str, ...], to: tuple[str, ...], tol: float
 ) -> Optional[dict]:
     """The worst entry of the signalling identity, or None within ``tol``.
 
-    ``m`` is ``_signalling_terms(u, frm, to)`` when the caller already has it.
-    The expected value, delta_ab times the a=b=0 entry, is formed at the worst
-    entry alone.
+    ``m`` is ``_signalling_terms(u, frm, to)``. The expected value, delta_ab
+    times the a=b=0 entry, is formed at the worst entry alone.
     """
-    m = _signalling_terms(u, frm, to) if m is None else m
     gap = _delta_gap(m, [(2, 4)])
     if np.max(gap) <= tol:
         return None
@@ -933,15 +902,12 @@ def _signalling_defect(
     }
 
 
-def _quantum_witness(
-    u: UnitaryChannel,
-    tp: TProcessResult,
-    to: tuple[str, ...],
-    tol: float,
-    m: Optional[np.ndarray] = None,
-) -> Witness:
-    """Witness of influence from ``tp.probed`` to ``to``; ``tp`` is u's probe process there."""
-    defect = _signalling_defect(u, tp.probed, to, tol, m)
+def _quantum_witness(tp: TProcessResult, to: tuple[str, ...], tol: float, m: np.ndarray) -> Witness:
+    """Witness of influence from ``tp.probed`` to ``to``.
+
+    ``tp`` is u's probe process there and ``m`` is ``_signalling_terms(u, tp.probed, to)``.
+    """
+    defect = _signalling_defect(m, tp.probed, to, tol)
     if defect is not None:
         return Witness(kind="factorization-defect", detail=defect)
     # causal influence without signalling: exhibit the idle-pattern failure
@@ -973,8 +939,7 @@ def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bo
         return violation is not None and violation["type"] == d["violation"]["type"]
     frm, to = tuple(d["acting_on"]), tuple(d["target"])
     if d.get("variant") == "signalling-identity":
-        fresh = _signalling_defect(u, frm, to, tol)
-        return fresh is not None
+        return _signalling_defect(_signalling_terms(u, frm, to), frm, to, tol) is not None
     v = _idle_last(t_process(u, frm, tol).channel, to)
     return bool(_delta_gap(v, [(1, 3)])[tuple(d["entry"])] > tol)
 

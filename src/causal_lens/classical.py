@@ -24,7 +24,6 @@ from .systems import CompositeSystem, _paired_layout, composite
 __all__ = [
     "ClassicalChannel",
     "ClassicalInstrument",
-    "apply_instrument",
     "cnot",
     "cyclic_shift",
     "random_reversible",
@@ -237,12 +236,6 @@ class ClassicalInstrument:
                 raise SpecError(f"prepared index {v} out of range")
 
     @classmethod
-    def from_function(
-        cls, input: CompositeSystem, output: CompositeSystem, table: Sequence[int]
-    ) -> "ClassicalInstrument":
-        return cls(input, output, tuple(table))
-
-    @classmethod
     def constant(
         cls, input: CompositeSystem, output: CompositeSystem, prepared: int
     ) -> "ClassicalInstrument":
@@ -269,14 +262,10 @@ class ClassicalInstrument:
         return frozenset((i, v) for i, v in enumerate(self.table) if v is not None)
 
     def apply(self, x: int) -> Optional[int]:
+        """Apply one event: the prepared index, or None for the null event."""
         if not 0 <= x < self.input.total_dim:
             raise SpecError(f"input index {x} out of range")
         return self.table[x]
-
-
-def apply_instrument(instrument: ClassicalInstrument, x: int) -> Optional[int]:
-    """Apply one event: the prepared index, or None for the null event."""
-    return instrument.apply(x)
 
 
 # -- gate constructors ---------------------------------------------------------

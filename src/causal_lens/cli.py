@@ -90,10 +90,20 @@ def _system_from(path: str, key: str, entries) -> "composite":
     return composite(*((name, _integer(path, f"{key} dim", dim)) for name, dim in wires))
 
 
+def _check_tol(model: str, tol: float) -> None:
+    """A quantum verdict cannot be finer than the unitarity certificate, ``DEFAULT_TOL``."""
+    if model == "quantum" and tol < DEFAULT_TOL:
+        raise SpecError(f"--tol {tol} is below the quantum floor {DEFAULT_TOL}")
+
+
 def load_channel_file(
     path: str, model_override: Optional[str] = None, tol: float = DEFAULT_TOL
 ):
-    """Parse and certify a channel file, optionally coercing it to the other model."""
+    """Parse and certify a channel file, optionally coercing it to the other model.
+
+    The unitarity certificate and the permutation read run at ``DEFAULT_TOL``
+    whatever ``tol`` is; ``tol`` is only checked against the quantum floor.
+    """
     data = _load_json(path)
     for key in ("model", "inputs", "outputs", "data"):
         if key not in data:
@@ -102,6 +112,7 @@ def load_channel_file(
     if declared not in ("classical", "quantum"):
         raise SpecError(f"{path}: model must be 'classical' or 'quantum'")
     model = model_override or declared
+    _check_tol(model, tol)
     inputs = _system_from(path, "inputs", data["inputs"])
     outputs = _system_from(path, "outputs", data["outputs"])
     if inputs.total_dim > _max_dim(model):
@@ -110,14 +121,15 @@ def load_channel_file(
         )
     try:
         if declared == "classical":
-            chan = ClassicalChannel(inputs, outputs, tuple(data["data"]))
+            table = tuple(_integer(path, "data entry", v) for v in data["data"])
+            chan = ClassicalChannel(inputs, outputs, table)
             return qm.from_classical(chan) if model == "quantum" else chan
         matrix = np.array(
             [[complex(re, im) for re, im in row] for row in data["data"]], dtype=complex
         )
-        chan = UnitaryChannel(inputs, outputs, matrix, atol=tol)
+        chan = UnitaryChannel(inputs, outputs, matrix)
         if model == "classical":
-            table = _permutation_from_matrix(chan.matrix, tol)
+            table = _permutation_from_matrix(chan.matrix)
             if table is None:
                 raise SpecError(
                     f"{path}: matrix is not a permutation; cannot force --model classical"
@@ -130,13 +142,13 @@ def load_channel_file(
         raise SpecError(f"{path}: malformed data: {exc}") from None
 
 
-def _permutation_from_matrix(matrix: np.ndarray, tol: float):
+def _permutation_from_matrix(matrix: np.ndarray):
     n = matrix.shape[0]
     table = []
     for x in range(n):
         col = matrix[:, x]
-        hits = np.nonzero(np.abs(col) > tol)[0]
-        if len(hits) != 1 or abs(col[hits[0]] - 1.0) > tol:
+        hits = np.nonzero(np.abs(col) > DEFAULT_TOL)[0]
+        if len(hits) != 1 or abs(col[hits[0]] - 1.0) > DEFAULT_TOL:
             return None
         table.append(int(hits[0]))
     return tuple(table)
@@ -147,28 +159,26 @@ _BUILTIN_ARITY = {"cnot": 2, "swap": 2, "identity": 1, "hadamard": 1}
 
 @functools.cache  # gates are immutable: every entry naming a builtin shares one
 def _builtin_gate(name: str, model: str, cell_dim: int):
-    if name == "cnot":
-        if model == "classical":
-            return cl.cnot(dim=cell_dim)
-        return qm.from_classical(cl.cnot(dim=cell_dim))
-    if name == "swap":
-        gate = cl.swap_gate(dim=cell_dim)
-        return gate if model == "classical" else qm.from_classical(gate)
-    if name == "identity":
-        sys1 = composite(("A", cell_dim))
-        cls = ClassicalChannel if model == "classical" else UnitaryChannel
-        return cls.identity(sys1)
     if name == "hadamard":
         if model != "quantum":
             raise SpecError("the hadamard builtin needs --model quantum")
         if cell_dim != 2:
             raise SpecError("the hadamard builtin needs cell_dim 2")
         return qm.hadamard()
-    raise SpecError(f"unknown builtin gate {name!r}; known: {sorted(_BUILTIN_ARITY)}")
+    if name == "cnot":
+        gate = cl.cnot(dim=cell_dim)
+    elif name == "swap":
+        gate = cl.swap_gate(dim=cell_dim)
+    elif name == "identity":
+        gate = ClassicalChannel.identity(composite(("A", cell_dim)))
+    else:
+        raise SpecError(f"unknown builtin gate {name!r}; known: {sorted(_BUILTIN_ARITY)}")
+    return gate if model == "classical" else qm.from_classical(gate)
 
 
 def load_rule_file(path: str, model: str, tol: float = DEFAULT_TOL):
     """Parse an automaton rule file into (cell_dim, layers)."""
+    _check_tol(model, tol)
     data = _load_json(path)
     for key in ("cell_dim", "layers"):
         if key not in data:

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import classical
 from .classical import _at_zero
 from .errors import SpecError
 from .systems import CompositeSystem, _paired_layout, composite
@@ -31,7 +32,6 @@ __all__ = [
     "cnot",
     "from_classical",
     "hadamard",
-    "partial_trace",
     "random_unitary",
     "swap_gate",
 ]
@@ -123,23 +123,12 @@ def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     return gap
 
 
-def _signals(
-    u: "UnitaryChannel",
-    frm: Sequence[str],
-    to: Sequence[str],
-    tol: float,
-    m: Optional[np.ndarray] = None,
-) -> bool:
-    """``u.signals(frm, to, tol)`` on validated names.
+def _signals(m: np.ndarray, tol: float) -> bool:
+    """The signalling verdict on ``m``, the ``_wire_products`` of one (from, to) pair.
 
-    ``m`` is ``_signalling_terms`` for the pair when the caller already has
-    it. A trivial block on either side never signals.
+    A trivial block on either side (``to`` on axis 0, ``from`` on axis 2) never signals.
     """
-    if math.prod(u.input.layout(frm)[1]) == 1 or math.prod(u.output.layout(to)[1]) == 1:
-        return False
-    if m is None:
-        m = _signalling_terms(u, frm, to)
-    return bool(_delta_gap(m, [(2, 4)]).max() > tol)
+    return m.shape[0] > 1 and m.shape[2] > 1 and bool(_delta_gap(m, [(2, 4)]).max() > tol)
 
 
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:
@@ -237,12 +226,9 @@ class UnitaryChannel:
             np.kron(self.matrix, other.matrix),
         )
 
-    def dagger(self) -> "UnitaryChannel":
-        return UnitaryChannel(self.output, self.input, self.matrix.conj().T)
-
     def invert(self) -> "UnitaryChannel":
         """The inverse channel; for a unitary this is the adjoint."""
-        return self.dagger()
+        return UnitaryChannel(self.output, self.input, self.matrix.conj().T)
 
     def with_names(
         self,
@@ -273,7 +259,7 @@ class UnitaryChannel:
         to = tuple(to_out)
         self.input.subset_positions(frm)
         self.output.subset_positions(to)
-        return _signals(self, frm, to, tol)
+        return _signals(_signalling_terms(self, frm, to), tol)
 
     def wire_signalling(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
@@ -285,9 +271,9 @@ class UnitaryChannel:
         tensor = _as_tensor(self.matrix, self.output.dims, self.input.dims)
         n_out = len(self.output)
         rel = [
-            _signals(self, (a,), (t,), tol, _wire_products(tensor, n_out, (k,), (i,)))
-            for i, a in enumerate(self.input.names)
-            for k, t in enumerate(self.output.names)
+            _signals(_wire_products(tensor, n_out, (k,), (i,)), tol)
+            for i in range(len(self.input))
+            for k in range(n_out)
         ]
         return np.array(rel, dtype=bool).reshape(len(self.input), n_out)
 
@@ -361,10 +347,6 @@ class DensityOperator:
         )
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
-    return rho.partial_trace(keep)
-
-
 @dataclass(frozen=True, eq=False)
 class StateMap:
     """A channel in evaluator form: a closure acting on density matrices.
@@ -391,9 +373,7 @@ def cnot(
     names: Sequence[str] = ("A", "B"), out_names: Optional[Sequence[str]] = None
 ) -> UnitaryChannel:
     """Two-qubit controlled-NOT, control on the first wire."""
-    inp = composite((names[0], 2), (names[1], 2))
-    out = composite(*zip(out_names, (2, 2))) if out_names else inp
-    return UnitaryChannel.from_index_permutation(inp, out, (0, 1, 3, 2))
+    return from_classical(classical.cnot(2, names, out_names))
 
 
 def swap_gate(
@@ -401,10 +381,7 @@ def swap_gate(
     names: Sequence[str] = ("A", "B"),
     out_names: Optional[Sequence[str]] = None,
 ) -> UnitaryChannel:
-    inp = composite((names[0], dim), (names[1], dim))
-    out = composite(*zip(out_names, (dim, dim))) if out_names else inp
-    table = [b * dim + a for a in range(dim) for b in range(dim)]
-    return UnitaryChannel.from_index_permutation(inp, out, table)
+    return from_classical(classical.swap_gate(dim, names, out_names))
 
 
 def hadamard(name: str = "A", out_name: Optional[str] = None) -> UnitaryChannel:

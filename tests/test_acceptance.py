@@ -160,7 +160,7 @@ def test_criterion_5_probe_conjugation_identity():
             joint = composite(("E", d_env), ("P", d_probe))
             if rng.random() < 0.5:
                 table = tuple(int(v) for v in rng.integers(0, joint.total_dim, joint.total_dim))
-                inst = ClassicalInstrument.from_function(joint, joint, table)
+                inst = ClassicalInstrument(joint, joint, table)
             else:
                 inst = ClassicalInstrument.atom(
                     joint,

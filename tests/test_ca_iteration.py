@@ -61,9 +61,9 @@ def test_ca_over_cone_budget_exits_before_any_probe(capsys, monkeypatch):
     monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", "8192")
 
     def no_probe(*args, **kwargs):
-        raise AssertionError("t_process called although the cone budget is exceeded")
+        raise AssertionError("a probe was built although the cone budget is exceeded")
 
-    monkeypatch.setattr(causal, "t_process", no_probe)
+    monkeypatch.setattr(causal, "_probes", no_probe)
     code = main(["ca", str(FIXTURES / "staggered_cnot_ring.json"), "--cells", "13"])
     assert code == 3
     assert "cone growth capped" in capsys.readouterr().err

@@ -13,7 +13,6 @@ from causal_lens.causal import (
     neighbourhood,
     probe_conjugation_matches_evolution,
     replay_witness,
-    signalling_relation,
     t_process,
 )
 from causal_lens.classical import ClassicalChannel, ClassicalInstrument
@@ -145,9 +144,9 @@ def test_causal_influence_cnot():
 
 
 def test_signalling_relation_fixtures():
-    assert not signalling_relation(K, ["B"], ["A"])
-    assert signalling_relation(quantum.cnot(), ["B"], ["A"])  # kickback
-    assert not signalling_relation(IDENT, ["A"], ["B"])
+    assert not K.signals(["B"], ["A"])
+    assert quantum.cnot().signals(["B"], ["A"])  # kickback
+    assert not IDENT.signals(["A"], ["B"])
 
 
 def test_neighbourhood_union_law_classical():
@@ -214,7 +213,7 @@ def test_probe_conjugation_identity_random_sweep():
         joint = composite(("E", d_env), ("P", d_probe))
         if rng.random() < 0.5:
             table = tuple(int(v) for v in rng.integers(0, joint.total_dim, joint.total_dim))
-            inst = ClassicalInstrument.from_function(joint, joint, table)
+            inst = ClassicalInstrument(joint, joint, table)
         else:
             inst = ClassicalInstrument.atom(
                 joint, joint, int(rng.integers(0, joint.total_dim)), int(rng.integers(0, joint.total_dim))

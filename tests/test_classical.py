@@ -5,7 +5,6 @@ from causal_lens.classical import (
     ClassicalChannel,
     ClassicalInstrument,
     all_reversible_channels,
-    apply_instrument,
     cnot,
     cyclic_shift,
     random_reversible,
@@ -190,12 +189,12 @@ def test_bijection_preserved_under_algebra():
 def test_instrument_constant_and_atom():
     bit = composite(("A", 2))
     const0 = ClassicalInstrument.constant(bit, bit, 0)
-    assert apply_instrument(const0, 1) == 0
+    assert const0.apply(1) == 0
     atom = ClassicalInstrument.atom(bit, bit, measured=1, prepared=0)
-    assert apply_instrument(atom, 1) == 0
-    assert apply_instrument(atom, 0) is None
+    assert atom.apply(1) == 0
+    assert atom.apply(0) is None
     ident = ClassicalInstrument.identity(bit)
-    assert [apply_instrument(ident, x) for x in range(2)] == [0, 1]
+    assert [ident.apply(x) for x in range(2)] == [0, 1]
 
 
 def test_instrument_validation():

@@ -194,6 +194,9 @@ def with_entry(doc, path, value):
         ("ca", with_entry(SWAP_RULE, ["layers"], None)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0], 7)),
         ("ca", with_entry(SWAP_RULE, ["layers", 0, 0, "gate"], 3)),
+        ("analyze", with_entry(CNOT_CHANNEL, ["data", 1], 1.7)),
+        ("analyze", with_entry(CNOT_CHANNEL, ["data", 1], "1")),
+        ("analyze", with_entry(CNOT_CHANNEL, ["data", 1], True)),
     ],
     ids=[
         "input-dim-word",
@@ -215,6 +218,9 @@ def with_entry(doc, path, value):
         "layers-null",
         "layer-number",
         "gate-number",
+        "data-fraction",
+        "data-digit-string",
+        "data-true",
     ],
 )
 def test_malformed_fields_are_parse_errors(capsys, tmp_path, command, doc):
@@ -264,6 +270,83 @@ def test_a_wire_named_twice_exits_1(capsys):
 def test_oracle_on_a_quantum_file_exits_1_naming_the_classical_model(capsys):
     code, out, err = run(capsys, "oracle", FIXTURES / "cnot_quantum.json")
     assert code == 1 and out == "" and "classical model" in err
+
+
+def quantum_file(path, matrix):
+    """Write ``matrix`` as a quantum channel file on qubits A, B."""
+    qubits = [{"name": "A", "dim": 2}, {"name": "B", "dim": 2}]
+    path.write_text(json.dumps({
+        "model": "quantum",
+        "inputs": qubits,
+        "outputs": qubits,
+        "data": [[[z.real, z.imag] for z in row] for row in np.asarray(matrix, complex)],
+    }))
+    return path
+
+
+H_ID = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("analyze", []),
+        ("hierarchy", ["--from", "A", "--to", "B"]),
+        ("niwd", []),
+        ("ca", ["--cells", "2", "--model", "quantum"]),
+    ],
+)
+def test_input_channels_are_certified_at_1e_9_whatever_the_tol(capsys, tmp_path, command, extra):
+    # unitarity defect 1e-6: inside --tol 1e-3, outside the certificate
+    target = quantum_file(tmp_path / "gate.json", H_ID * (1 + 5e-7))
+    if command == "ca":
+        target = tmp_path / "rule.json"
+        target.write_text(json.dumps({"cell_dim": 2, "layers": [[{"gate": "gate.json", "at": 0}]]}))
+    code, out, err = run(capsys, command, target, *extra, "--tol", "1e-3")
+    assert code == 1 and out == ""
+    assert "unitarity certificate failed: max |U+U - I| = 1.000e-06" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{tmp}/h_id.json"),
+        ("analyze", str(FIXTURES / "cnot.json"), "--model", "quantum"),
+        ("ca", "{tmp}/hadamard_ring.json", "--cells", "2", "--model", "quantum"),
+    ],
+    ids=["analyze", "analyze-coerced", "ca"],
+)
+@pytest.mark.parametrize("tol", ["0", "1e-10"])
+def test_a_quantum_tol_below_the_certificate_floor_exits_1(capsys, tmp_path, argv, tol):
+    quantum_file(tmp_path / "h_id.json", H_ID)
+    (tmp_path / "hadamard_ring.json").write_text(
+        json.dumps({"cell_dim": 2, "layers": [[{"gate": "hadamard", "at": 0}]]})
+    )
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv), "--tol", tol)
+    assert code == 1 and out == ""
+    assert f"--tol {float(tol)} is below the quantum floor 1e-09" in err
+
+
+def test_a_matrix_reads_as_a_permutation_at_1e_9_whatever_the_tol(capsys, tmp_path):
+    # a rotation by 1e-4 on A: inside --tol 1e-3 of the identity, not a permutation
+    rotation = np.array([[np.cos(1e-4), -np.sin(1e-4)], [np.sin(1e-4), np.cos(1e-4)]])
+    path = quantum_file(tmp_path / "rotation.json", np.kron(rotation, np.eye(2)))
+    code, out, err = run(capsys, "analyze", path, "--model", "classical", "--tol", "1e-3")
+    assert code == 1 and out == ""
+    assert "matrix is not a permutation; cannot force --model classical" in err
+
+
+def test_the_certificate_floor_is_a_valid_quantum_tol(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", quantum_file(tmp_path / "h_id.json", H_ID), "--tol", "1e-9")
+    assert code == 0, err
+
+
+def test_niwd_on_a_channel_without_wires_exits_1(capsys, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"model": "classical", "inputs": [], "outputs": [], "data": [0]}))
+    code, out, err = run(capsys, "niwd", empty)
+    assert code == 1 and out == ""
+    assert "the acting block needs at least one wire" in err
 
 
 def test_exit_code_budget(capsys, monkeypatch):

@@ -8,7 +8,6 @@ from causal_lens.quantum import (
     cnot,
     from_classical,
     hadamard,
-    partial_trace,
     random_unitary,
     swap_gate,
 )
@@ -25,8 +24,8 @@ def test_cnot_squares_to_identity():
 
 def test_unitary_times_dagger_is_identity():
     u = random_unitary(QUBITS, np.random.default_rng(0))
-    assert np.max(np.abs(u.compose(u.dagger()).matrix - np.eye(4))) <= 1e-9
-    assert np.max(np.abs(u.dagger().compose(u).matrix - np.eye(4))) <= 1e-9
+    assert np.max(np.abs(u.compose(u.invert()).matrix - np.eye(4))) <= 1e-9
+    assert np.max(np.abs(u.invert().compose(u).matrix - np.eye(4))) <= 1e-9
 
 
 def test_hadamard_squared():
@@ -36,7 +35,7 @@ def test_hadamard_squared():
 
 def test_dagger_cnot_is_cnot():
     # real symmetric permutation matrix
-    assert np.allclose(cnot().dagger().matrix, cnot().matrix)
+    assert np.allclose(cnot().invert().matrix, cnot().matrix)
 
 
 def test_tensor_identity():
@@ -78,7 +77,7 @@ def test_partial_trace_product_state():
 
 def test_partial_trace_bell_state():
     bell = DensityOperator.from_vector(QUBITS, [1, 0, 0, 1])
-    reduced = partial_trace(bell, ["A"])
+    reduced = bell.partial_trace(["A"])
     assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
 
 

@@ -198,7 +198,8 @@ def test_signalling_kernels_build_no_composite_system(monkeypatch):
     monkeypatch.setattr(
         CompositeSystem, "__post_init__", lambda self: built.append(self) or real(self)
     )
-    assert u.signals(["C", "A"], ["B"]) == quantum._signals(u, ("C", "A"), ("B",), 1e-9)
+    m = quantum._signalling_terms(u, ("C", "A"), ("B",))
+    assert u.signals(["C", "A"], ["B"]) == quantum._signals(m, 1e-9)
     u.wire_signalling()
     quantum._grouped(u.matrix, u.output, u.input, ("B",), ("C", "A"))
     assert built == []
