@@ -10,7 +10,8 @@ The causal neighbourhoods and signalling sets of all cells come from
 ``causal.wire_relations`` on the iterated step: one ``influence_relation``
 pass (the probe processes of the cells gathered as stacks, each output
 cell's idle test run once per stack, each probe's joint factorization
-checked, no channel built) and one ``wire_signalling`` pass, with the
+checked, no channel built) and one ``wire_signalling`` pass (quantumly one
+Heisenberg product per output cell, read for every input cell), with the
 signalling set of every cell checked to lie inside its causal
 neighbourhood. A strict gap is the classical phenomenon that disappears
 when the same layout is quantized.

@@ -34,7 +34,7 @@ decomposition and the witness search.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -49,11 +49,13 @@ from .classical import (
 )
 from .errors import ConsistencyError, SpecError
 from .quantum import (
+    _CHECK_CHUNK_BYTES,
     DEFAULT_TOL,
     StateMap,
     UnitaryChannel,
     _certify_unitary,
     _delta_gap,
+    _dim_chunks,
     _grouped,
     _identity_factor,
     _partial_trace,
@@ -173,13 +175,6 @@ def iterate(channel: Channel, steps: int) -> Channel:
 # -- the probe process ------------------------------------------------------------
 
 
-# working set of one chunk in the influence relation (about four int64 arrays
-# the size of a classical probe table, four complex arrays the size of a
-# quantum probe matrix), in the quantum memory check (about four complex
-# d_out x d_out arrays per product state) and in the inverse check
-_CHECK_CHUNK_BYTES = 1 << 20
-
-
 @dataclass(frozen=True, eq=False)
 class TProcessResult:
     """Probe process of a channel relative to an input subset.
@@ -254,23 +249,21 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     classical = isinstance(u, ClassicalChannel)
     rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
-    by_dim: dict[int, list[int]] = {}
-    for k, dim in enumerate(u.input.dims):
-        by_dim.setdefault(dim, []).append(k)
-    for dim, wires in by_dim.items():
-        size = dim * u.output.total_dim
-        chunk = max(1, _CHECK_CHUNK_BYTES // (32 * size if classical else 64 * size * size))
-        for lo in range(0, len(wires), chunk):
-            part = wires[lo : lo + chunk]
-            probes = _probes(u, [(k,) for k in part])
-            if classical:
-                _certify_bijection(probes.reshape(len(part), size))
-            else:
-                _certify_unitary(probes.reshape(len(part), size, size), DEFAULT_TOL)
-            idle = _idle_outputs(u, probes, tol)
-            for p, mask in enumerate(idle):
-                _joint_factor(u, probes[p : p + 1], mask, tol)
-            rel[part] = ~idle
+    d_out = u.output.total_dim
+    # working set: about four int64 arrays the size of a classical probe
+    # table, four complex arrays the size of a quantum probe matrix
+    entry_bytes = (lambda d: 32 * d * d_out) if classical else (lambda d: 64 * (d * d_out) ** 2)
+    for dim, part in _dim_chunks(u.input.dims, entry_bytes):
+        size = dim * d_out
+        probes = _probes(u, [(k,) for k in part])
+        if classical:
+            _certify_bijection(probes.reshape(len(part), size))
+        else:
+            _certify_unitary(probes.reshape(len(part), size, size), DEFAULT_TOL)
+        idle = _idle_outputs(u, probes, tol)
+        for p, mask in enumerate(idle):
+            _joint_factor(u, probes[p : p + 1], mask, tol)
+        rel[part] = ~idle
     return rel
 
 
@@ -550,6 +543,11 @@ def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, tol):
 # -- hierarchy ---------------------------------------------------------------------
 
 
+def _fields_dict(report) -> dict:
+    """The fields of a report dataclass in declaration order, read without a copy."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
 @dataclass(frozen=True, eq=False)
 class Witness:
     """Replayable evidence of causal influence.
@@ -581,8 +579,10 @@ class HierarchyReport:
     witness: Optional[Witness] = None
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = _fields_dict(self)
         out["from"], out["to"] = out.pop("from_in"), out.pop("to_out")
+        if self.witness is not None:
+            out["witness"] = {"kind": self.witness.kind, "detail": self.witness.detail}
         return out
 
 
@@ -645,7 +645,7 @@ class DisturbanceClassification:
     forced_influence: Optional[bool] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _fields_dict(self)
 
 
 def check_interaction_without_disturbance(

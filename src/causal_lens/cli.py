@@ -121,7 +121,10 @@ def load_channel_file(
         )
     try:
         if declared == "classical":
-            table = tuple(_integer(path, "data entry", v) for v in data["data"])
+            # a JSON integer as is; every other value through the one rule
+            table = tuple(
+                v if type(v) is int else _integer(path, "data entry", v) for v in data["data"]
+            )
             chan = ClassicalChannel(inputs, outputs, table)
             return qm.from_classical(chan) if model == "quantum" else chan
         matrix = np.array(

@@ -9,13 +9,16 @@ dimension <= 64.
 Signalling (``m`` of ``_signalling_terms``) and an identity factor (``w x 1``)
 both ask an array to equal delta on axis pairs times its digit-0 slice. One
 deviation, ``_delta_gap``, serves every quantum verdict, witness and replay.
+The single-wire signalling pass forms one Heisenberg product per output wire,
+``U+ (E_tu x 1) U`` over every input digit, and reads each input wire off it
+as one axis pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +40,11 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+
+# working set of one chunk of a stacked check: the signalling pass here, and
+# the influence relation, the quantum memory check and the inverse check of
+# ``causal`` (about four arrays the size of one stacked entry each)
+_CHECK_CHUNK_BYTES = 1 << 20
 
 
 def _as_tensor(matrix: np.ndarray, out_dims: Sequence[int], in_dims: Sequence[int]) -> np.ndarray:
@@ -121,6 +129,23 @@ def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     x0 = _at_zero(x, [a for pair in pairs for a in pair])
     diag[...] = np.abs(np.einsum(x, sub, out) - np.einsum(x0, sub, out))
     return gap
+
+
+def _dim_chunks(
+    dims: Sequence[int], entry_bytes: Callable[[int], int]
+) -> Iterator[tuple[int, list[int]]]:
+    """Positions of ``dims`` grouped by equal dim, a chunk at a time, as ``(dim, positions)``.
+
+    ``entry_bytes(dim)`` is the working set of one position; a chunk holds as
+    many as fit in ``_CHECK_CHUNK_BYTES``, and at least one.
+    """
+    by_dim: dict[int, list[int]] = {}
+    for k, dim in enumerate(dims):
+        by_dim.setdefault(dim, []).append(k)
+    for dim, wires in by_dim.items():
+        chunk = max(1, _CHECK_CHUNK_BYTES // entry_bytes(dim))
+        for lo in range(0, len(wires), chunk):
+            yield dim, wires[lo : lo + chunk]
 
 
 def _signals(m: np.ndarray, tol: float) -> bool:
@@ -265,17 +290,27 @@ class UnitaryChannel:
         """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
 
         Entry ``[i, t]`` is ``signals([input i], [output t], tol)``, decided in
-        one pass: ``U`` is reshaped once into its wire tensor, and each pair is
-        grouped by an axis transpose of it for the signalling kernel.
+        one pass. Per output wire ``t``, one ``_wire_products`` with an empty
+        ``from`` block is ``U+ (E_tu x 1) U`` on every input digit; the pair
+        ``(i, t)`` is that array with input ``i`` as its axis pair. Outputs of
+        equal dim share a stack, taken a chunk at a time, and each input's
+        ``_delta_gap`` runs once per stack. A dim-1 wire never signals.
         """
         tensor = _as_tensor(self.matrix, self.output.dims, self.input.dims)
-        n_out = len(self.output)
-        rel = [
-            _signals(_wire_products(tensor, n_out, (k,), (i,)), tol)
-            for i in range(len(self.input))
-            for k in range(n_out)
-        ]
-        return np.array(rel, dtype=bool).reshape(len(self.input), n_out)
+        n_in, n_out = len(self.input), len(self.output)
+        rel = np.zeros((n_in, n_out), dtype=bool)
+        live = [i for i, dim in enumerate(self.input.dims) if dim > 1]
+        d_in = self.input.total_dim
+        for dim, part in _dim_chunks(self.output.dims, lambda d: 64 * (d * d_in) ** 2):
+            if dim == 1:
+                continue
+            # stack[p, t, u, x, x'], one axis per input wire in x and in x'
+            stack = np.stack([_wire_products(tensor, n_out, (k,), ()) for k in part])
+            stack = stack.reshape((len(part), dim, dim) + self.input.dims * 2)
+            for i in live:
+                gap = _delta_gap(stack, [(3 + i, 3 + n_in + i)])
+                rel[i, part] = gap.reshape(len(part), -1).max(axis=1) > tol
+        return rel
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = DEFAULT_TOL

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -341,6 +344,38 @@ def test_hierarchy_quantum_collapse_smoke():
                 rep = hierarchy_report(u, [frm], [to])
                 assert rep.consistent
                 assert rep.causal_influence == rep.signalling  # quantum collapse
+
+
+REPORTS = {
+    "classical-witness": lambda: hierarchy_report(K, ["B"], ["A"]),
+    "classical-none": lambda: hierarchy_report(IDENT, ["A"], ["B"]),
+    "classical-trit-witness": lambda: hierarchy_report(classical.cnot(3), ["A"], ["B"]),
+    "quantum-signalling-witness": lambda: hierarchy_report(quantum.cnot(), ["A"], ["B"]),
+    "quantum-none": lambda: hierarchy_report(quantum.from_classical(IDENT), ["A"], ["B"]),
+    "classical-niwd": lambda: check_interaction_without_disturbance(XORBACK),
+    "classical-niwd-none": lambda: check_interaction_without_disturbance(IDENT),
+    "quantum-niwd": lambda: check_interaction_without_disturbance(quantum.cnot()),
+    "quantum-niwd-xorback": lambda: check_interaction_without_disturbance(
+        quantum.from_classical(XORBACK)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_report_to_dict_serializes_as_the_deep_copy_would(case):
+    rep = REPORTS[case]()
+    deep = asdict(rep)
+    if "from_in" in deep:
+        deep["from"], deep["to"] = deep.pop("from_in"), deep.pop("to_out")
+    out = rep.to_dict()
+    assert list(out) == list(deep)
+    assert json.dumps(out, sort_keys=True) == json.dumps(deep, sort_keys=True)
+
+
+def test_report_cases_cover_both_models_with_and_without_a_witness():
+    hier = {c: REPORTS[c]() for c in REPORTS if "niwd" not in c}
+    kinds = {(c.split("-")[0], r.witness is None) for c, r in hier.items()}
+    assert kinds == {(m, w) for m in ("classical", "quantum") for w in (False, True)}
 
 
 # -- interaction without disturbance ---------------------------------------------------

@@ -232,3 +232,49 @@ def test_neighbourhood_maps_raise_where_the_relation_does():
     a = near_identity_ring(3, 4, 3e-10)
     with pytest.raises(ConsistencyError, match="did not combine"):
         neighbourhood_maps(a, 1, 1e-9)
+
+
+# -- quantum signalling is the transposed influence relation of the inverse ------------
+
+
+def assert_signalling_is_inverse_influence(u):
+    """``wire_signalling`` equals ``influence_relation(u.invert()).T``, out of the tolerance band.
+
+    The relations are the same at ``tol`` 1000 times below and above the
+    default, so no deviation of either pass lies near it.
+    """
+    tol = quantum.DEFAULT_TOL
+    sig, inf = u.wire_signalling(tol), influence_relation(u.invert(), tol).T
+    for far in (tol / 1000, tol * 1000):
+        assert np.array_equal(u.wire_signalling(far), sig)
+        assert np.array_equal(influence_relation(u.invert(), far).T, inf)
+    assert np.array_equal(sig, inf)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_lifted_signalling_is_inverse_influence_on_every_permutation(dims):
+    system = composite(*zip("AB", dims))
+    for u in classical.all_reversible_channels(system):
+        assert_signalling_is_inverse_influence(quantum.from_classical(u))
+
+
+HAAR_DIMS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_haar_signalling_is_inverse_influence(seed):
+    dims = HAAR_DIMS[seed % len(HAAR_DIMS)]
+    u = quantum.random_unitary(composite(*zip("ABC", dims)), np.random.default_rng([2020, seed]))
+    assert_signalling_is_inverse_influence(u)
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_fixture_ring_signalling_is_inverse_influence(rule):
+    cell_dim, layers = load_rule_file(str(FIXTURES / rule), "quantum")
+    for cells in range(2, MAX_CELLS["quantum"] + 1):
+        try:
+            a = build_ring(layers, cells, cell_dim, model="quantum")
+        except SpecError:  # the rule's gates overlap on so few cells
+            continue
+        for steps in range(1, MAX_STEPS + 1):
+            assert_signalling_is_inverse_influence(iterate(a.step, steps))

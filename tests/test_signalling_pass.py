@@ -190,16 +190,97 @@ def test_signalling_outside_the_reported_neighbourhood_still_raises(monkeypatch,
         neighbourhood_maps(a, 1)
 
 
-@pytest.mark.parametrize("model", sorted(MAX_CELLS))
-def test_wire_signalling_on_mixed_and_trivial_wires(model):
-    # wires of dims 1-3 with distinct input and output names, against signals
-    rng = np.random.default_rng(7)
-    inp = composite(("A", 3), ("B", 1), ("C", 2))
-    out = composite(("X", 2), ("Y", 3), ("Z", 1))
-    for _ in range(10):
+MIXED = composite(("A", 3), ("B", 1), ("C", 2)), composite(("X", 2), ("Y", 3), ("Z", 1))
+# two outputs of dim 2 share a stack
+REPEATED = (
+    composite(("A", 3), ("B", 1), ("C", 2), ("D", 2)),
+    composite(("X", 2), ("Y", 3), ("Z", 1), ("W", 2)),
+)
+
+
+def mixed_dim_channels(model, inp, out, seed=7, count=10):
+    """Random channels between wires of dims 1-3, lifted or Haar in the quantum model."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         u = classical.random_reversible(inp, rng, out)
         if model == "quantum":
             lifted = quantum.from_classical(u)
             u = quantum.random_unitary(inp, rng, out) if rng.random() < 0.5 else lifted
+        yield u
+
+
+@pytest.mark.parametrize("model", sorted(MAX_CELLS))
+def test_wire_signalling_on_mixed_and_trivial_wires(model):
+    # wires of dims 1-3 with distinct input and output names, against signals
+    inp, out = MIXED
+    for u in mixed_dim_channels(model, inp, out):
         want = [[u.signals([i], [t]) for t in out.names] for i in inp.names]
         assert u.wire_signalling().tolist() == want
+
+
+# -- the quantum pass: one product per output wire, stacked by dim ---------------------
+
+
+def stack_sizes(monkeypatch):
+    """Record the length of every output stack that ``wire_signalling`` takes."""
+    sizes = []
+    chunks = quantum._dim_chunks
+
+    def spy(dims, entry_bytes):
+        for dim, part in chunks(dims, entry_bytes):
+            sizes.append(len(part))
+            yield dim, part
+
+    monkeypatch.setattr(quantum, "_dim_chunks", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("dims", [MIXED, REPEATED], ids=["mixed", "repeated"])
+def test_quantum_wire_signalling_matches_signals_when_stacks_split(monkeypatch, dims):
+    inp, out = dims
+    channels = list(mixed_dim_channels("quantum", inp, out, seed=11))
+    wants = [[[u.signals([i], [t]) for t in out.names] for i in inp.names] for u in channels]
+    sizes = stack_sizes(monkeypatch)
+    whole = [u.wire_signalling().tolist() for u in channels]
+    assert max(sizes) == (2 if dims is REPEATED else 1)
+    monkeypatch.setattr(quantum, "_CHECK_CHUNK_BYTES", 1)
+    sizes.clear()
+    for u, want, w in zip(channels, wants, whole):
+        assert u.wire_signalling().tolist() == want == w
+    assert set(sizes) == {1}
+
+
+@pytest.mark.parametrize("seed,cells,eps", NEAR)
+def test_near_identity_rings_split_stacks_match_signals_on_both_sides_of_tol(
+    monkeypatch, seed, cells, eps
+):
+    u = near_identity_ring(seed, cells, eps).step
+    tol = split_tolerance(u)
+    want = pairwise_signalling(u, tol)
+    sizes = stack_sizes(monkeypatch)
+    whole = u.wire_signalling(tol)
+    assert max(sizes) == cells  # under the default budget every output shares one stack
+    monkeypatch.setattr(quantum, "_CHECK_CHUNK_BYTES", 1)
+    sizes.clear()
+    split = u.wire_signalling(tol)
+    assert set(sizes) == {1}
+    assert np.array_equal(whole, split)
+    assert np.array_equal(split, [[t in want[i] for t in u.output.names] for i in u.input.names])
+    assert split.any() and not split.all()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 1, 2), (1, 2, 3, 2)])
+def test_quantum_wire_signalling_forms_one_product_per_output_wire(monkeypatch, dims):
+    calls = []
+    products = quantum._wire_products
+
+    def spy(tensor, n_out, to, frm):
+        calls.append((tuple(to), tuple(frm)))
+        return products(tensor, n_out, to, frm)
+
+    monkeypatch.setattr(quantum, "_wire_products", spy)
+    system = composite(*zip("ABCD", dims))
+    u = quantum.random_unitary(system, np.random.default_rng(len(dims)))
+    u.wire_signalling()
+    # n products, not n^2: none for a dim-1 output, which never signals
+    assert sorted(calls) == [((k,), ()) for k, d in enumerate(dims) if d > 1]
