@@ -757,9 +757,18 @@ def find_witness(
 ) -> Witness:
     """Produce replayable evidence that ``from_in`` causally influences ``to_out``.
 
-    Classical search order is fixed for reproducibility: constant preparations,
-    then measure-and-prepare atoms, then the copy-swap intervention. The
-    copy-swap witnesses every influence, so the search ends there.
+    Classically the witness is the first constant preparation ``A := j`` (no
+    environment), ``j`` in order, whose conjugate by the evolution breaks the
+    target-local form. One always exists. Suppose every conjugate of
+    ``A := j`` keeps the target output digit and maps the other output
+    digits through some ``f_j``. At ``j = x_A`` the conjugate is the identity
+    at ``u(x)``, so ``f_(x_A)`` fixes the rest digits of ``u(x)``. If two
+    outputs with equal rest digits had preimages ``x, x'`` differing on
+    ``A``, then ``u(x'[A := x_A])`` would share the target digit of ``u(x')``
+    and, through ``f_(x_A)``, its rest digits too: ``u(x'[A := x_A]) =
+    u(x')``, against injectivity. So the preimage's ``A`` digit is a function
+    of the rest outputs, and the copy-swap conjugate, which is the probe
+    process, is target-local as well: no influence.
     """
     frm = _ordered_subset(u.input, from_in)
     to = _ordered_subset(u.output, to_out)
@@ -769,19 +778,6 @@ def find_witness(
     if isinstance(u, ClassicalChannel):
         return _classical_witness(u, frm, to)
     return _quantum_witness(tp, to, tol, _signalling_terms(u, frm, to))
-
-
-def _intervention_candidates(d_from: int):
-    """(env_dim, partial table on env*from) in the documented search order."""
-    for j in range(d_from):
-        yield 1, tuple([j] * d_from), "constant"
-    for i in range(d_from):
-        for j in range(d_from):
-            table: list[Optional[int]] = [None] * d_from
-            table[i] = j
-            yield 1, tuple(table), "atom"
-    swap = tuple(a * d_from + e for e in range(d_from) for a in range(d_from))
-    yield d_from, swap, "copy-swap"
 
 
 def _conjugated_table(
@@ -846,22 +842,22 @@ def _local_form_violation(
 
 def _classical_witness(u: ClassicalChannel, frm: tuple[str, ...], to: tuple[str, ...]) -> Witness:
     d_from = u.input.select(frm).total_dim
-    for env_dim, table, label in _intervention_candidates(d_from):
-        conj = _conjugated_table(u, frm, env_dim, table)
-        violation = _local_form_violation(conj, env_dim, u.output, to)
+    for j in range(d_from):
+        table = (j,) * d_from
+        violation = _local_form_violation(_conjugated_table(u, frm, 1, table), 1, u.output, to)
         if violation is not None:
             return Witness(
                 kind="intervention",
                 detail={
                     "acting_on": list(frm),
                     "target": list(to),
-                    "env_dim": env_dim,
+                    "env_dim": 1,
                     "intervention": list(table),
-                    "intervention_class": label,
+                    "intervention_class": "constant",
                     "violation": violation,
                 },
             )
-    raise ConsistencyError("influence asserted but no intervention witnessed it")
+    raise ConsistencyError("influence asserted but no constant preparation witnessed it")
 
 
 def _worst_entry(gap: np.ndarray, mirror: Sequence[int]) -> tuple[int, ...]:

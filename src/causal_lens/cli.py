@@ -157,11 +157,12 @@ def _permutation_from_matrix(matrix: np.ndarray):
     return tuple(table)
 
 
-_BUILTIN_ARITY = {"cnot": 2, "swap": 2, "identity": 1, "hadamard": 1}
+_BUILTINS = ("cnot", "hadamard", "identity", "swap")
 
 
 @functools.cache  # gates are immutable: every entry naming a builtin shares one
 def _builtin_gate(name: str, model: str, cell_dim: int):
+    """The builtin gate ``name``, one of ``_BUILTINS``."""
     if name == "hadamard":
         if model != "quantum":
             raise SpecError("the hadamard builtin needs --model quantum")
@@ -172,10 +173,8 @@ def _builtin_gate(name: str, model: str, cell_dim: int):
         gate = cl.cnot(dim=cell_dim)
     elif name == "swap":
         gate = cl.swap_gate(dim=cell_dim)
-    elif name == "identity":
-        gate = ClassicalChannel.identity(composite(("A", cell_dim)))
     else:
-        raise SpecError(f"unknown builtin gate {name!r}; known: {sorted(_BUILTIN_ARITY)}")
+        gate = ClassicalChannel.identity(composite(("A", cell_dim)))
     return gate if model == "classical" else qm.from_classical(gate)
 
 
@@ -201,10 +200,14 @@ def load_rule_file(path: str, model: str, tol: float = DEFAULT_TOL):
             at = _integer(path, "at", at)
             if not isinstance(gate_ref, str):
                 raise SpecError(f"{path}: gate must be a builtin name or a file path")
-            if gate_ref in _BUILTIN_ARITY:
+            if gate_ref in _BUILTINS:
                 gate = _builtin_gate(gate_ref, model, cell_dim)
             else:
                 gate_path = str(Path(path).parent / gate_ref) if not os.path.isabs(gate_ref) else gate_ref
+                if not os.path.isfile(gate_path):
+                    raise SpecError(
+                        f"{path}: gate {gate_ref!r} is neither a builtin {list(_BUILTINS)} nor a file"
+                    )
                 gate = load_channel_file(gate_path, model_override=model, tol=tol)
             built.append((gate, at))
         layers.append(built)
@@ -322,6 +325,8 @@ def cmd_oracle(args) -> int:
     _emit(args, payload, lines)
     if not report.sound:
         raise ConsistencyError("oracle found influence the probe process missed")
+    if not report.full_agreement:
+        raise ConsistencyError("probe process found influence no constant preparation witnessed")
     return 0
 
 

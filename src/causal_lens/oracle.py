@@ -10,9 +10,11 @@ that faster path on small instances. Each channel entry it reads is evaluated
 once per (from, to) pair, before the search over interventions.
 
 Soundness direction: whenever the oracle reports influence, the probe process
-must as well. The converse can fail only because the environment bound or the
-intervention class was too small, which is reported as budget-limited, not as
-an error.
+must as well. The converse holds at every budget: each one tries the constant
+preparations with no environment first, and on a reversible classical channel
+one of them witnesses every influence (the theorem of ``causal.find_witness``).
+Wider classes and environments exercise the search but decide no verdict the
+constants leave open, so a disagreement either way is a bug.
 """
 
 from __future__ import annotations
@@ -50,12 +52,13 @@ class OracleBudget:
     interventions are tried: constant preparations, those plus
     measure-and-prepare atoms, or every deterministic function table.
     The copy-swap intervention is always included when the environment
-    matches the probed block, since it decides influence exactly.
+    matches the probed block. Every budget holds the constant preparations
+    at environment dimension 1, which witness every influence, so the budget
+    bounds the work of the search, not its verdict. Every input point is read.
     """
 
     max_env_dim: int = 2
     intervention_class: str = "all-functions"
-    exhaustive_inputs: bool = True
 
     def __post_init__(self) -> None:
         if self.intervention_class not in INTERVENTION_CLASSES:
@@ -136,12 +139,6 @@ def definition_check(
     rest_pos = [u.output.position(n) for n in rest_names]
     to_pos = [u.output.position(n) for n in to]
 
-    n_inputs = u.input.total_dim
-    if budget.exhaustive_inputs:
-        input_points = range(n_inputs)
-    else:
-        input_points = range(0, n_inputs, max(1, n_inputs // 64))
-
     def split(y: int) -> tuple[int, int]:
         """The (non-target, target) output split of output index ``y``."""
         z = u.output.unflatten(y)
@@ -152,7 +149,7 @@ def definition_check(
     # evaluated once here and read by every intervention
     from_vals = [from_sys.unflatten(a2) for a2 in range(d_from)]
     points = []
-    for x in input_points:
+    for x in range(u.input.total_dim):
         vals = u.input.unflatten(x)
         evolved = []
         for a2_vals in from_vals:
@@ -255,10 +252,10 @@ def cross_validate(u: ClassicalChannel, budget: OracleBudget) -> CrossValidation
     The probe side is one ``influence_relation`` pass, which runs every check
     of ``t_process``; the oracle side is one ``definition_check`` per pair,
     which shares only the channel table and the ``flatten``/``unflatten``
-    codec with the rest of the library. A soundness violation (oracle
-    influence, probe process none) indicates an implementation bug;
-    budget-limited disagreements are expected when the environment bound is
-    small.
+    codec with the rest of the library. Any disagreement is an implementation
+    bug: a soundness violation (oracle influence, probe process none) as much
+    as a budget-limited pair (probe influence the oracle missed), since the
+    constant preparations every budget tries witness every influence.
     """
     if not isinstance(u, ClassicalChannel):
         raise SpecError("the oracle only covers the classical model")

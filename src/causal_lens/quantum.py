@@ -278,13 +278,10 @@ class UnitaryChannel:
         traceless part of the ``from_in`` factor. Concretely, on matrix units
         E_ab (from factor) and E_kl (its complement), the kept marginal of
         U (E_ab x E_kl) U+ must equal delta_ab times the a=b=0 reference,
-        entrywise within ``tol``.
+        entrywise within ``tol``. The names are read once, by ``layout``,
+        which rejects unknown and duplicate names.
         """
-        frm = tuple(from_in)
-        to = tuple(to_out)
-        self.input.subset_positions(frm)
-        self.output.subset_positions(to)
-        return _signals(_signalling_terms(self, frm, to), tol)
+        return _signals(_signalling_terms(self, tuple(from_in), tuple(to_out)), tol)
 
     def wire_signalling(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.

@@ -2,7 +2,9 @@ import pytest
 
 from causal_lens import classical, quantum
 from causal_lens.automata import RingAutomaton, build_ring, cone_growth, neighbourhood_map
+from causal_lens.classical import ClassicalChannel
 from causal_lens.errors import BudgetError, SpecError
+from causal_lens.systems import composite
 
 
 def staggered_cnot_layers(cells, model="classical"):
@@ -42,6 +44,38 @@ def test_two_staggered_layers_compose():
 def test_overlapping_gates_rejected():
     with pytest.raises(SpecError):
         build_ring([[(classical.cnot(), 0), (classical.cnot(), 1)]], cells=4, cell_dim=2)
+
+
+THREE_BIT_IDENTITY = ClassicalChannel.identity(composite(("A", 2), ("B", 2), ("C", 2)))
+
+
+@pytest.mark.parametrize(
+    "layers,cells,cell_dim,model,message",
+    [
+        ([], 1, 2, "classical", "a ring needs at least 2 cells of dimension >= 2"),
+        ([], 3, 1, "classical", "a ring needs at least 2 cells of dimension >= 2"),
+        ([], 3, 2, "stochastic", "model must be one of ['classical', 'quantum']"),
+        ([[(quantum.cnot(), 0)]], 3, 2, "classical", "layer 0: gate model does not match 'classical'"),
+        ([[(THREE_BIT_IDENTITY, 0)]], 2, 2, "classical", "layer 0: gate arity 3 exceeds ring size"),
+        (
+            [[], [(classical.cnot(dim=3), 0)]],
+            3,
+            2,
+            "classical",
+            "layer 1: gate wires must all have the cell dimension 2",
+        ),
+    ],
+    ids=["one-cell", "dim-1-cells", "unknown-model", "model-mismatch", "arity", "cell-dim"],
+)
+def test_build_ring_rejects_bad_specs(layers, cells, cell_dim, model, message):
+    with pytest.raises(SpecError) as exc:
+        build_ring(layers, cells=cells, cell_dim=cell_dim, model=model)
+    assert str(exc.value) == message
+
+
+def test_neighbourhood_map_needs_a_step():
+    with pytest.raises(SpecError, match="steps must be >= 1"):
+        neighbourhood_map(build_ring([], cells=2, cell_dim=2), 0)
 
 
 def test_wraparound_and_open_boundary():

@@ -20,6 +20,7 @@ from causal_lens.causal import (
 )
 from causal_lens.classical import ClassicalChannel, ClassicalInstrument
 from causal_lens.errors import SpecError
+from causal_lens.oracle import OracleBudget, definition_check
 from causal_lens.quantum import UnitaryChannel
 from causal_lens.systems import composite
 
@@ -97,6 +98,8 @@ DUPLICATE_NAME_CALLS = {
     "find_witness": lambda u: find_witness(u, ["B", "B"], ["A"]),
     "inverse_nosignalling_check": lambda u: inverse_nosignalling_check(u, ["B"], ["A", "A"]),
     "niwd": lambda u: check_interaction_without_disturbance(u, ["A", "A"]),
+    "signals-from": lambda u: u.signals(["B", "B"], ["A"]),
+    "signals-to": lambda u: u.signals(["B"], ["A", "A"]),
 }
 
 
@@ -106,6 +109,22 @@ def test_a_name_given_twice_is_rejected(call, model):
     u = K if model == "classical" else quantum.from_classical(K)
     with pytest.raises(SpecError, match="duplicate names"):
         DUPLICATE_NAME_CALLS[call](u)
+
+
+def test_embed_on_rejects_a_channel_it_cannot_place():
+    with pytest.raises(SpecError, match="embed_on needs a channel with identical input/output wires"):
+        embed_on(classical.cnot(out_names=("A'", "B'")), BITS)
+    with pytest.raises(SpecError, match="wire 'A' has a different dimension in the host system"):
+        embed_on(ClassicalChannel.identity(composite(("A", 3))), BITS)
+
+
+def test_iterate_rejects_a_bad_step_count_or_a_dimension_change():
+    with pytest.raises(SpecError, match="steps must be >= 1"):
+        causal.iterate(K, 0)
+    inp, out = composite(("A", 2), ("B", 3)), composite(("A", 3), ("B", 2))
+    turned = ClassicalChannel(inp, out, tuple(range(6)))
+    with pytest.raises(SpecError, match="iterate needs matching input/output dimensions"):
+        causal.iterate(turned, 2)
 
 
 def test_t_process_idle_subset_is_maximal():
@@ -517,8 +536,8 @@ def test_witness_quantum_idle_pattern_inside_the_tolerance_band():
     assert cases > 0
 
 
-def test_classical_witness_search_ends_at_the_copy_swap():
-    # the copy-swap witnesses every influence, so no wider intervention table is tried
+def test_a_constant_preparation_witnesses_every_classical_influence():
+    # the witness is the oracle's first witness at the constants budget
     rng = np.random.default_rng(48)
     channels = list(classical.all_reversible_channels(BITS))
     channels += classical.all_reversible_channels(composite(("A", 2), ("B", 3)))
@@ -534,7 +553,10 @@ def test_classical_witness_search_ends_at_the_copy_swap():
                 if not tp.idle_subset.issuperset(to):
                     wit = causal._classical_witness(u, tp.probed, to)
                     classes.add(wit.detail["intervention_class"])
-    assert classes and classes <= {"constant", "atom", "copy-swap"}
+                    verdict = definition_check(u, frm, to, OracleBudget(1, "constants"))
+                    assert tuple(wit.detail["intervention"]) == verdict.witness_table
+                    assert wit.detail["env_dim"] == verdict.env_dim == 1
+    assert classes == {"constant"}
 
 
 def test_witness_requires_influence():
@@ -569,7 +591,7 @@ def _evolve(u, parts):
 
 
 def _candidates(d_from):
-    """Constants, atoms and the copy-swap, in the witness search order."""
+    """Constants, atoms and the copy-swap, in the order the reference tries them."""
     out = [(1, (j,) * d_from, "constant") for j in range(d_from)]
     out += [
         (1, tuple(j if k == i else None for k in range(d_from)), "atom")

@@ -89,6 +89,32 @@ def test_oracle_command(capsys):
     assert len(payload["pairs"]) == 4
 
 
+@pytest.mark.parametrize(
+    "entry,status,message",
+    [
+        ((0, 1), "budget-limited", "no constant preparation witnessed"),
+        ((0, 0), "soundness-violation", "the probe process missed"),
+    ],
+    ids=["probe-over-reports", "probe-under-reports"],
+)
+def test_oracle_exits_2_on_any_disagreement(capsys, monkeypatch, entry, status, message):
+    # the identity's relation is its diagonal; one entry flipped either way is a bug
+    from causal_lens import oracle
+
+    relation = oracle.influence_relation
+
+    def flipped(u, *args, **kwargs):
+        rel = relation(u, *args, **kwargs).copy()
+        rel[entry] = not rel[entry]
+        return rel
+
+    monkeypatch.setattr(oracle, "influence_relation", flipped)
+    code, payload, err = run_json(capsys, "oracle", FIXTURES / "identity.json")
+    assert code == 2 and message in err
+    assert [p["status"] for p in payload["pairs"]].count(status) == 1
+    assert payload["full_agreement"] is False
+
+
 def test_niwd_xorback_witness(capsys):
     code, payload, _ = run_json(capsys, "niwd", FIXTURES / "xorback.json")
     assert code == 0
@@ -126,6 +152,47 @@ def test_ca_quantum_model(capsys):
     assert code == 0
     for cell, sets in payload["neighbourhoods"].items():
         assert sets["causal"] == sets["signalling"]
+
+
+def one_gate_rule(tmp_path, gate, cell_dim=2):
+    """A rule file with one layer: ``gate`` at cell 0."""
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"cell_dim": cell_dim, "layers": [[{"gate": gate, "at": 0}]]}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "gate,model", [("identity", "classical"), ("identity", "quantum"), ("hadamard", "quantum")]
+)
+def test_one_cell_builtins_keep_each_cell_to_itself(capsys, tmp_path, gate, model):
+    code, payload, _ = run_json(
+        capsys, "ca", one_gate_rule(tmp_path, gate), "--cells", "3", "--model", model
+    )
+    assert code == 0
+    assert payload["neighbourhoods"] == {
+        c: {"causal": [c], "signalling": [c]} for c in ("c0", "c1", "c2")
+    }
+
+
+@pytest.mark.parametrize(
+    "gate,cell_dim,model,message",
+    [
+        ("hadamard", 2, "classical", "the hadamard builtin needs --model quantum"),
+        ("hadamard", 3, "quantum", "the hadamard builtin needs cell_dim 2"),
+        (
+            "toffoli",
+            2,
+            "classical",
+            "gate 'toffoli' is neither a builtin ['cnot', 'hadamard', 'identity', 'swap'] nor a file",
+        ),
+        (".", 2, "classical", "gate '.' is neither a builtin"),
+    ],
+    ids=["hadamard-classical", "hadamard-cell-dim-3", "unknown-builtin", "directory"],
+)
+def test_a_builtin_it_cannot_build_exits_1(capsys, tmp_path, gate, cell_dim, model, message):
+    rule = one_gate_rule(tmp_path, gate, cell_dim)
+    code, out, err = run(capsys, "ca", rule, "--cells", "2", "--model", model)
+    assert code == 1 and out == "" and message in err
 
 
 def test_exit_code_parse_error(capsys, tmp_path):
@@ -347,6 +414,19 @@ def test_niwd_on_a_channel_without_wires_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "niwd", empty)
     assert code == 1 and out == ""
     assert "the acting block needs at least one wire" in err
+
+
+def test_niwd_on_a_wire_that_changes_dimension_exits_1(capsys, tmp_path):
+    turned = tmp_path / "turned.json"
+    turned.write_text(json.dumps({
+        "model": "classical",
+        "inputs": [{"name": "A", "dim": 2}, {"name": "B", "dim": 3}],
+        "outputs": [{"name": "A", "dim": 3}, {"name": "B", "dim": 2}],
+        "data": list(range(6)),
+    }))
+    code, out, err = run(capsys, "niwd", turned)
+    assert code == 1 and out == ""
+    assert "wire 'A' changes dimension between input and output" in err
 
 
 def test_exit_code_budget(capsys, monkeypatch):

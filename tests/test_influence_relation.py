@@ -278,3 +278,32 @@ def test_fixture_ring_signalling_is_inverse_influence(rule):
             continue
         for steps in range(1, MAX_STEPS + 1):
             assert_signalling_is_inverse_influence(iterate(a.step, steps))
+
+
+# -- the lift identity: classical influence is quantum influence is quantum signalling -
+
+
+def assert_lift_identity(u):
+    """``influence_relation(u)`` equals both single-wire relations of the lift of ``u``.
+
+    The lift is an exact permutation matrix: every probe entry and every
+    signalling term is 0 or 1, so no deviation lies near the tolerance.
+    """
+    lift = quantum.from_classical(u)
+    rel = influence_relation(u)
+    assert np.array_equal(influence_relation(lift), rel)
+    assert np.array_equal(lift.wire_signalling(), rel)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_the_lift_identity_on_every_permutation(dims):
+    for u in classical.all_reversible_channels(composite(*zip("AB", dims))):
+        assert_lift_identity(u)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (1, 2, 3), (2, 2, 2, 2)])
+def test_the_lift_identity_on_seeded_channels(dims):
+    system = composite(*zip("ABCD", dims))
+    rng = np.random.default_rng([2020, *dims])
+    for _ in range(40):
+        assert_lift_identity(classical.random_reversible(system, rng))

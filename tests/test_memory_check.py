@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from causal_lens import causal, quantum
-from causal_lens.causal import _grounded, hierarchy_report, memory_decomposition, reorder_wires
+from causal_lens.causal import (
+    _grounded,
+    embed_on,
+    hierarchy_report,
+    memory_decomposition,
+    reorder_wires,
+)
 from causal_lens.errors import ConsistencyError
 from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_terms
 from causal_lens.systems import composite
@@ -88,6 +94,45 @@ def test_a_perturbed_leg_fails_to_recompose(monkeypatch, leg, verify, eps):
             memory_decomposition(u, ["A"], ["B"])
     else:
         assert memory_decomposition(u, ["A"], ["B"]) is not None
+
+
+def random_state(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho)
+
+
+@pytest.mark.parametrize(
+    "dims,first,then,frm,idle",
+    [
+        ((2, 3, 2), "BC", "AB", "A", "C"),
+        ((2, 3, 2), "AB", "BC", "C", "A"),
+        ((2, 2, 2, 2), "BCD", "AB", "A", "CD"),
+    ],
+    ids=["one-idle-wire", "one-idle-wire-first", "two-idle-wires"],
+)
+def test_the_legs_recompose_the_evolution_through_apply(dims, first, then, frm, idle):
+    # u runs a gate on ``first``, then one on ``then``: ``frm`` reaches no idle output
+    rng = np.random.default_rng([49, len(dims), ord(frm)])
+    system = composite(*zip("ABCD", dims))
+    u = embed_on(quantum.random_unitary(system.select(list(then)), rng), system).compose(
+        embed_on(quantum.random_unitary(system.select(list(first)), rng), system)
+    )
+    dec = memory_decomposition(u, list(frm), list(idle))
+    b_names, ap_names = u.input.complement(frm), u.output.complement(idle)
+    d_a, d_b = u.input.select(frm).total_dim, u.input.select(b_names).total_dim
+    d_ap, d_bp = u.output.select(ap_names).total_dim, u.output.select(idle).total_dim
+    assert dec.env.total_dim == d_ap
+    grouped = reorder_wires(u, list(frm) + list(b_names), list(ap_names) + list(idle)).matrix
+    for _ in range(3):
+        rho_a, rho_b = random_state(d_a, rng), random_state(d_b, rng)
+        want = grouped @ np.kron(rho_a, rho_b) @ grouped.conj().T
+        sigma = dec.v.apply(rho_b).reshape(d_ap, d_bp, d_ap, d_bp)  # on (env, B')
+        got = np.zeros((d_ap, d_bp, d_ap, d_bp), dtype=complex)
+        for k in range(d_bp):
+            for l in range(d_bp):
+                got[:, k, :, l] = dec.w.apply(np.kron(rho_a, sigma[:, k, :, l]))
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-12
 
 
 def sweep_channels(seeds):

@@ -130,11 +130,11 @@ def test_cnot_tensor_identity_oracle_sound(env_dim, cls):
 
 # -- the oracle's search against the per-intervention reference ----------------
 #
-# A verbatim copy of ``definition_check`` as it stood before the evolved
-# output splits were tabulated once per pair: it re-evaluates the channel for
-# every intervention, which it takes from the oracle's own enumeration. The
-# tabulated search must give the same verdicts, witness tables and
-# intervention counts.
+# A copy of ``definition_check`` as it stood before the evolved output splits
+# were tabulated once per pair: it reads every input point and re-evaluates
+# the channel for every intervention, which it takes from the oracle's own
+# enumeration. The tabulated search must give the same verdicts, witness
+# tables and intervention counts.
 
 
 def reference_definition_check(
@@ -165,10 +165,7 @@ def reference_definition_check(
     to_pos = [u.output.position(n) for n in to]
 
     n_inputs = u.input.total_dim
-    if budget.exhaustive_inputs:
-        input_points = range(n_inputs)
-    else:
-        input_points = range(0, n_inputs, max(1, n_inputs // 64))
+    input_points = range(n_inputs)
 
     # static data: per input, the from-digit, and the output split of u(x)
     from_digit = []
@@ -273,10 +270,10 @@ def test_definition_check_matches_the_per_intervention_reference(cls):
             for frm in system.names:
                 for to in system.names:
                     _same_outcome(u, [frm], [to], OracleBudget(env_dim, cls))
-    # sampled inputs: 128 joint inputs, every second one read
+    # 128 joint inputs, every one read
     system = composite(("A", 4), ("B", 4), ("C", 8))
     u = classical.random_reversible(system, rng)
-    budget = OracleBudget(2, cls, exhaustive_inputs=False)
+    budget = OracleBudget(2, cls)
     for frm in system.names:
         for to in system.names:
             _same_outcome(u, [frm], [to], budget)
