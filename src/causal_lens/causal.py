@@ -16,7 +16,8 @@ factor is the probe's own ``factors_as_identity``. The memory decompositions
 (the quantum legs are checked against ``U`` by contraction on product
 states), the interaction-without-disturbance premise and witness extraction
 branch on the model too; every quantum verdict, witness and replay reads
-``quantum._delta_gap``. Wiring (``embed_on``, ``reorder_wires``,
+one deviation, in full (``quantum._delta_gap``) or as the row maxima of a
+stack (``quantum._pair_gap_max``). Wiring (``embed_on``, ``reorder_wires``,
 ``iterate``) is generic over the shared reversible-channel protocol
 (``compose``, ``tensor``, ``invert``, ``identity``,
 ``from_index_permutation``), with wire reorderings from
@@ -58,6 +59,7 @@ from .quantum import (
     _dim_chunks,
     _grouped,
     _identity_factor,
+    _pair_gap_max,
     _partial_trace,
     _signalling_terms,
     _signals,
@@ -222,7 +224,8 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     else:
         d = probe_sys.total_dim
         tilde = UnitaryChannel(probe_sys, probe_sys, probes.reshape(d, d))
-    mask = _idle_outputs(u, probes, tol)[0]
+    absx = None if isinstance(u, ClassicalChannel) else np.abs(probes)
+    mask = _idle_outputs(u, probes, absx, tol)[0]
     idle = tuple(n for n, hit in zip(u.output.names, mask) if hit)
     factor = tilde.factors_as_identity(idle, tol)
     if factor is None:
@@ -245,7 +248,10 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     inputs with equal dims share a stack, taken a chunk at a time: the stack
     is gathered and certified at once (bijection classically, unitarity within
     ``DEFAULT_TOL`` quantumly), each output wire's idle test runs once for it,
-    and each probe's joint factorization on its idle set is checked.
+    and each probe's joint factorization on its idle set is checked. A
+    quantum stack's modulus is taken once: the idle sweep reads each wire's
+    deviation off it as a row max, and the joint test copies it into its
+    full gap.
     """
     classical = isinstance(u, ClassicalChannel)
     rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
@@ -258,11 +264,13 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
         probes = _probes(u, [(k,) for k in part])
         if classical:
             _certify_bijection(probes.reshape(len(part), size))
+            absx = None
         else:
             _certify_unitary(probes.reshape(len(part), size, size), DEFAULT_TOL)
-        idle = _idle_outputs(u, probes, tol)
+            absx = np.abs(probes)
+        idle = _idle_outputs(u, probes, absx, tol)
         for p, mask in enumerate(idle):
-            _joint_factor(u, probes[p : p + 1], mask, tol)
+            _joint_factor(u, probes[p : p + 1], None if classical else absx[p : p + 1], mask, tol)
         rel[part] = ~idle
     return rel
 
@@ -302,16 +310,20 @@ def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
     # one batched product: m[p, c, z', c', z] is the sum over b
     m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, d_out, d_a, d_out)
     grid = (len(blocks), d_a) + u.output.dims + (d_a,) + u.output.dims
-    return m.transpose(0, 3, 2, 1, 4).reshape(grid)
+    return np.ascontiguousarray(m.transpose(0, 3, 2, 1, 4)).reshape(grid)
 
 
-def _idle_outputs(u: Channel, grid: np.ndarray, tol: float) -> np.ndarray:
+def _idle_outputs(
+    u: Channel, grid: np.ndarray, absx: Optional[np.ndarray], tol: float
+) -> np.ndarray:
     """The per-wire idle test: ``r[p, k]`` iff probe ``p`` acts as identity on output ``k``.
 
     Each output wire is tested once for the whole stack. Classically the probe
     table must pass the wire's digit through with no other digit depending on
     it (``_passes_through``); quantumly the probe must be ``w x 1`` on the
     wire within ``tol``, with ``w`` unitary within ``max(tol, DEFAULT_TOL)``.
+    The quantum deviation is read as a row max (``_pair_gap_max``) off
+    ``absx``, the stack's modulus ``|grid|``; classically ``absx`` is None.
     """
     n = len(u.output)
     idle = np.zeros((len(grid), n), dtype=bool)
@@ -319,17 +331,23 @@ def _idle_outputs(u: Channel, grid: np.ndarray, tol: float) -> np.ndarray:
         if isinstance(u, ClassicalChannel):
             idle[:, k] = _passes_through(grid, (k + 1,), (u.output.strides[k],))
         else:
-            idle[:, k] = _identity_factor(grid, [(k + 1, n + k + 2)], tol)[0]
+            pair = (k + 2, n + k + 3)
+            idle[:, k] = _identity_factor(grid, [pair], _pair_gap_max(grid, absx, *pair), tol)[0]
     return idle
 
 
-def _joint_factor(u: Channel, grid: np.ndarray, idle: np.ndarray, tol: float) -> np.ndarray:
+def _joint_factor(
+    u: Channel, grid: np.ndarray, absx: Optional[np.ndarray], idle: np.ndarray, tol: float
+) -> np.ndarray:
     """The factor of one probe (a stack of one) off its ``idle`` outputs, on (copies, rest).
 
     The grid-level test of ``factors_as_identity`` runs on all idle wires at
     once, and the factor, a table or a matrix, is certified: a bijection
     classically, unitary within ``max(tol, DEFAULT_TOL)`` quantumly. Only
-    ``influence_relation`` needs it, since it builds no probe channel.
+    ``influence_relation`` needs it, since it builds no probe channel. The
+    quantum test forms the full ``_delta_gap`` of all idle wires from a copy
+    of ``absx``, the probe's modulus (None classically). It does not reuse
+    the per-wire sweep, because its job is to catch a wrong sweep.
     """
     wires = [int(k) for k in np.flatnonzero(idle)]
     n = len(u.output)
@@ -344,7 +362,9 @@ def _joint_factor(u: Channel, grid: np.ndarray, idle: np.ndarray, tol: float) ->
         )
         ok = ok and _bijective(w)
     else:
-        ok, w = _identity_factor(grid, [(k + 1, n + k + 2) for k in wires], tol)
+        pairs = [(k + 2, n + k + 3) for k in wires]
+        gap = _delta_gap(grid, pairs, absx)  # in full: it checks the sweep's verdicts
+        ok, w = _identity_factor(grid, pairs, gap.reshape(1, -1).max(axis=1), tol)
         ok, w = ok[0], w[0]
     if not ok:
         raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")

@@ -57,13 +57,25 @@ def _max_dim(model: str) -> int:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``; any failure to read one is a SpecError."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"{path}: file not found") from None
+    except OSError as exc:
+        raise SpecError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise SpecError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise SpecError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecError(f"{path}: invalid JSON: nested too deeply") from None
+    if not isinstance(data, dict):
+        raise SpecError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _integer(path: str, what: str, value) -> int:

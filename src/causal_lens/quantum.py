@@ -7,11 +7,15 @@ with a configurable tolerance (default 1e-9); the intended scale is joint
 dimension <= 64.
 
 Signalling (``m`` of ``_signalling_terms``) and an identity factor (``w x 1``)
-both ask an array to equal delta on axis pairs times its digit-0 slice. One
-deviation, ``_delta_gap``, serves every quantum verdict, witness and replay.
-The single-wire signalling pass forms one Heisenberg product per output wire,
-``U+ (E_tu x 1) U`` over every input digit, and reads each input wire off it
-as one axis pair.
+both ask an array to equal delta on axis pairs times its digit-0 slice. That
+is one deviation with two readings. ``_delta_gap`` is the full entrywise gap:
+it decides one pair or one probe and gives the witnesses and their replay.
+``_pair_gap_max`` is the gap's per-row max on one axis pair, read off the
+modulus ``|x|`` of a whole stack, which is taken once and shared by every
+wire; the relation passes read it. Both compare the same floats, so their
+verdicts agree bit for bit. The single-wire signalling pass forms one
+Heisenberg product per output wire, ``U+ (E_tu x 1) U`` over every input
+digit, and reads each input wire off it as one axis pair.
 """
 
 from __future__ import annotations
@@ -113,14 +117,19 @@ def _signalling_terms(u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
     return _wire_products(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
 
 
-def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+def _delta_gap(
+    x: np.ndarray, pairs: Sequence[tuple[int, int]], absx: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Entrywise ``|x - delta x0|``, in the layout of ``x``: the one quantum deviation.
 
     Each pair names two axes of ``x`` of equal dim; ``x0`` is ``x`` at digit 0
     on every paired axis. The gap is ``|x|`` off the diagonal of any pair and
     ``|x - x0|`` on the diagonal of all, written through a view of the gap.
+    This full reading serves the verdicts of one pair or one probe, the
+    witnesses and ``replay_witness``. ``absx``, if given, is ``|x|`` already
+    taken; it is copied, never overwritten, so a stack's passes can share it.
     """
-    gap = np.abs(x)
+    gap = np.abs(x) if absx is None else absx.copy()
     sub = list(range(x.ndim))
     for a, b in pairs:
         sub[b] = sub[a]
@@ -129,6 +138,33 @@ def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     x0 = _at_zero(x, [a for pair in pairs for a in pair])
     diag[...] = np.abs(np.einsum(x, sub, out) - np.einsum(x0, sub, out))
     return gap
+
+
+def _pair_gap_max(x: np.ndarray, absx: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Per row of a stack, the max of ``_delta_gap(x, [(a, b)])``, with no gap formed.
+
+    The row-max reading of the deviation, for the passes that test every wire
+    of a stack: ``absx`` is ``|x|``, taken once per stack and shared by its
+    wires. ``x`` and ``absx`` are C-contiguous with the row axis first, and
+    ``a < b`` are axes of equal dim ``d``. On the view ``(rows, L, d, M, d,
+    R)``, an off-diagonal block ``(i, j)`` reads its max off ``absx`` and a
+    diagonal block ``j >= 1`` is ``|x_jj - x_00|``, the same floats as the
+    full gap; max is exact, so the result equals its row max bit for bit.
+    """
+    s = x.shape
+    view = (s[0], math.prod(s[1:a]), s[a], math.prod(s[a + 1 : b]), s[b], -1)
+    x, absx = x.reshape(view), absx.reshape(view)
+    out = np.zeros(s[0])
+    for i in range(s[a]):
+        for j in range(s[a]):
+            if i != j:
+                block = absx[:, :, i, :, j, :]
+            elif j:
+                block = np.abs(x[:, :, j, :, j, :] - x[:, :, 0, :, 0, :])
+            else:
+                continue  # the digit-0 block is its own reference: a zero gap
+            np.maximum(out, block.max(axis=(1, 2, 3)), out=out)
+    return out
 
 
 def _dim_chunks(
@@ -169,19 +205,21 @@ def _certify_unitary(m: np.ndarray, atol: float) -> None:
 
 
 def _identity_factor(
-    grid: np.ndarray, pairs: Sequence[tuple[int, int]], tol: float
+    grid: np.ndarray, pairs: Sequence[tuple[int, int]], gap_max: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a stack of matrices: whether it is ``w x 1`` on ``pairs``, and ``w``.
 
     The quantum identity-factor kernel. ``grid[p]`` has one axis per output
     wire, then one per input wire; each pair is the (output axis, input axis)
-    of one wire, counted without the stack axis. ``w``, the row at digit 0 on
-    every pair, is a stack of square matrices. A row passes when its
-    ``_delta_gap`` is within ``tol`` and ``w`` is unitary within ``max(tol, DEFAULT_TOL)``.
+    of one wire, as axes of ``grid``. ``gap_max`` is the per-row max of the
+    pairs' deviation, read in full (``_delta_gap``) for one probe or off the
+    shared modulus (``_pair_gap_max``) for a stack's one-wire sweep. ``w``,
+    the row at digit 0 on every pair, is a stack of square matrices. A row
+    passes when its gap max is within ``tol`` and ``w`` is unitary within
+    ``max(tol, DEFAULT_TOL)``.
     """
-    gap = _delta_gap(grid, [(o + 1, i + 1) for o, i in pairs])
-    ok = gap.reshape(len(grid), -1).max(axis=1) <= tol
-    w = _at_zero(grid, [a + 1 for pair in pairs for a in pair])
+    ok = gap_max <= tol
+    w = _at_zero(grid, [a for pair in pairs for a in pair])
     side = math.isqrt(w[0].size)  # a unitary's factor is square
     w = w.reshape(len(grid), side, side)
     if ok.any():
@@ -290,8 +328,9 @@ class UnitaryChannel:
         one pass. Per output wire ``t``, one ``_wire_products`` with an empty
         ``from`` block is ``U+ (E_tu x 1) U`` on every input digit; the pair
         ``(i, t)`` is that array with input ``i`` as its axis pair. Outputs of
-        equal dim share a stack, taken a chunk at a time, and each input's
-        ``_delta_gap`` runs once per stack. A dim-1 wire never signals.
+        equal dim share a C-contiguous stack, taken a chunk at a time; its
+        modulus is taken once, and each input's ``_pair_gap_max`` reads its
+        row maxima off it. A dim-1 wire never signals.
         """
         tensor = _as_tensor(self.matrix, self.output.dims, self.input.dims)
         n_in, n_out = len(self.input), len(self.output)
@@ -301,12 +340,12 @@ class UnitaryChannel:
         for dim, part in _dim_chunks(self.output.dims, lambda d: 64 * (d * d_in) ** 2):
             if dim == 1:
                 continue
-            # stack[p, t, u, x, x'], one axis per input wire in x and in x'
-            stack = np.stack([_wire_products(tensor, n_out, (k,), ()) for k in part])
+            # stack[p, t, u, x, x'], one axis per input wire in x and in x', C-contiguous
+            stack = np.array([_wire_products(tensor, n_out, (k,), ()) for k in part])
             stack = stack.reshape((len(part), dim, dim) + self.input.dims * 2)
+            absx = np.abs(stack)
             for i in live:
-                gap = _delta_gap(stack, [(3 + i, 3 + n_in + i)])
-                rel[i, part] = gap.reshape(len(part), -1).max(axis=1) > tol
+                rel[i, part] = _pair_gap_max(stack, absx, 3 + i, 3 + n_in + i) > tol
         return rel
 
     def factors_as_identity(
@@ -323,7 +362,9 @@ class UnitaryChannel:
         in_pos, out_pos = _paired_layout(self.input, self.output, idle)
         n_out = len(self.output)
         grid = self.matrix.reshape((1,) + self.output.dims + self.input.dims)
-        ok, w = _identity_factor(grid, [(o, n_out + i) for o, i in zip(out_pos, in_pos)], tol)
+        pairs = [(1 + o, 1 + n_out + i) for o, i in zip(out_pos, in_pos)]
+        gap = _delta_gap(grid, pairs)
+        ok, w = _identity_factor(grid, pairs, gap.reshape(1, -1).max(axis=1), tol)
         if not ok[0]:
             return None
         w_in = self.input.restrict(self.input.complement(idle))

@@ -316,6 +316,30 @@ def test_tol_must_be_finite_and_non_negative(capsys, argv, tol):
     assert f"error: argument --tol: invalid tolerance value: '{tol}'" in out.err
 
 
+@pytest.mark.parametrize("command", ["analyze", "ca"])
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "cannot read: Is a directory"),
+        (b"\xff\xfe{}", "not UTF-8 text"),
+        (b"5", "the top level must be a JSON object"),
+        (b'["model", "inputs", "outputs", "data", "cell_dim", "layers"]', "the top level must be a JSON object"),
+        (b'{"cell_dim": ' + b"9" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+        (b"[" * 100000 + b"]" * 100000, "invalid JSON: nested too deeply"),
+    ],
+    ids=["directory", "utf-16-bom", "number", "list-of-keys", "long-integer", "deep-nesting"],
+)
+def test_an_unreadable_file_is_a_parse_error(capsys, tmp_path, command, content, message):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+    extra = ["--cells", "4"] if command == "ca" else []
+    code, out, err = run(capsys, command, path, *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
 def test_rule_entries_naming_one_builtin_share_one_gate():
     for model in ("classical", "quantum"):
         _, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)

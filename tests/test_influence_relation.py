@@ -153,7 +153,7 @@ def test_an_over_reported_idle_wire_fails_the_joint_test(monkeypatch, model):
     u = classical.cnot()
     u = quantum.from_classical(u) if model == "quantum" else u
     monkeypatch.setattr(
-        causal, "_idle_outputs", lambda u, grid, tol: np.ones((len(grid), len(u.output)), bool)
+        causal, "_idle_outputs", lambda u, grid, absx, tol: np.ones((len(grid), len(u.output)), bool)
     )
     match = "did not combine into a joint factorization"
     with pytest.raises(ConsistencyError, match=match):
@@ -176,8 +176,9 @@ def test_the_quantum_factor_certificate_rejects_a_non_unitary_block():
     # half of (identity x identity) is exactly its own identity pattern on the
     # second wire, but its block is not unitary
     grid = 0.5 * np.eye(4).reshape(1, 2, 2, 2, 2)
-    assert quantum._delta_gap(grid, [(2, 4)]).max() <= 1e-9
-    assert quantum._identity_factor(grid, [(1, 3)], 1e-9)[0].tolist() == [False]
+    gap_max = quantum._delta_gap(grid, [(2, 4)]).reshape(1, -1).max(axis=1)
+    assert gap_max.max() <= 1e-9
+    assert quantum._identity_factor(grid, [(2, 4)], gap_max, 1e-9)[0].tolist() == [False]
 
 
 @pytest.mark.parametrize("model", sorted(MAX_CELLS))

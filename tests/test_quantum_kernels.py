@@ -2,7 +2,8 @@
 
 ``reference_terms`` is the signalling kernel as a plain ``einsum``, kept as the
 reference for the matrix-product form in ``quantum._signalling_terms`` and for
-the deviation ``quantum._delta_gap`` reads off it.
+the deviation ``quantum._delta_gap`` reads off it. The row-max reading of the
+deviation, ``quantum._pair_gap_max``, is checked against the full gap.
 """
 
 import numpy as np
@@ -127,6 +128,61 @@ def test_delta_gap_is_bit_identical_to_the_float_pattern_reference(case):
     gap, ref = _delta_gap(x, pairs), reference_gap(x, pairs)
     assert gap.shape == x.shape and gap.dtype == ref.dtype
     assert np.array_equal(gap.view(np.uint64), ref.view(np.uint64))
+
+
+def pair_stacks():
+    """Seeded stacks of 1-3 rows on 1-3 wires of dims 1-3, as (stack, wire axis pairs).
+
+    A row is ``(lead axes, wire dims, wire dims)``, with 0-2 lead axes of dims
+    1-3 (the probe copy; the ``t, u`` of the signalling pass). Entries are
+    rounded to one decimal and some are set to their digit-0 reference, so
+    exact ties and zero gaps occur.
+    """
+    rng = np.random.default_rng(1515)
+    out = []
+    for _ in range(80):
+        rows = int(rng.integers(1, 4))
+        lead = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(0, 3)))]
+        dims = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+        shape = [rows] + lead + dims + dims
+        x = np.round(rng.normal(size=shape), 1) + 1j * np.round(rng.normal(size=shape), 1)
+        x.real[rng.random(shape) < 0.2] = -0.0
+        first = 1 + len(lead)
+        pairs = [(first + k, first + len(dims) + k) for k in range(len(dims))]
+        for a, b in pairs:
+            x0 = np.take(np.take(x, [0], axis=a), [0], axis=b)
+            x = np.where(rng.random(shape) < 0.2, x0, x)
+        out.append((np.ascontiguousarray(x), pairs))
+    return out
+
+
+def test_pair_stacks_cover_the_required_shapes():
+    stacks = pair_stacks()
+    assert {len(x) for x, _ in stacks} == {1, 2, 3}
+    assert {x.shape[a] for x, pairs in stacks for a, _ in pairs} == {1, 2, 3}
+    assert {len(pairs) for _, pairs in stacks} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("x,pairs", pair_stacks())
+def test_pair_gap_max_is_bit_identical_to_the_row_max_of_the_gap(x, pairs):
+    absx = np.abs(x)
+    kept = absx.copy()
+    for a, b in pairs:
+        ref = _delta_gap(x, [(a, b)]).reshape(len(x), -1).max(axis=1)
+        got = quantum._pair_gap_max(x, absx, a, b)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    # the modulus is shared by every wire of the stack and by the joint test
+    for some in (pairs[:1], pairs, []):
+        gap, ref = _delta_gap(x, some, absx), _delta_gap(x, some)
+        assert np.array_equal(gap.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(absx.view(np.uint64), kept.view(np.uint64))
+
+
+def test_the_quantum_probe_stack_is_c_contiguous():
+    u = quantum.random_unitary(composite(("A", 2), ("B", 3), ("C", 2)), np.random.default_rng(5))
+    for blocks in ([(0,), (2,)], [(1,)], [(0, 2)]):
+        assert causal._probes(u, blocks).flags.c_contiguous
 
 
 # -- canonical witness entries ----------------------------------------------------------
