@@ -11,6 +11,8 @@ Neither probe process is composed: both are read off the evolution in
 closed form, ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``
 with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
 table gathered in one pass, quantumly one matrix product certified once.
+``influence_relation`` checks the joint factorization of a whole classical
+probe stack in one gather, and of each quantum probe in turn.
 ``t_process`` branches on the model only to build that probe channel; its
 factor is the probe's own ``factors_as_identity``. The memory decompositions
 (the quantum legs are checked against ``U`` by contraction on product
@@ -40,14 +42,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import (
-    ClassicalChannel,
-    ClassicalInstrument,
-    _at_zero,
-    _bijective,
-    _certify_bijection,
-    _passes_through,
-)
+from .classical import ClassicalChannel, ClassicalInstrument, _certify_bijection, _passes_through
 from .errors import ConsistencyError, SpecError
 from .quantum import (
     _CHECK_CHUNK_BYTES,
@@ -248,10 +243,12 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     inputs with equal dims share a stack, taken a chunk at a time: the stack
     is gathered and certified at once (bijection classically, unitarity within
     ``DEFAULT_TOL`` quantumly), each output wire's idle test runs once for it,
-    and each probe's joint factorization on its idle set is checked. A
-    quantum stack's modulus is taken once: the idle sweep reads each wire's
-    deviation off it as a row max, and the joint test copies it into its
-    full gap.
+    and each probe's joint factorization on its idle set is checked.
+    Classically that joint test runs for the whole stack in one gather
+    (``_classical_joint_test``), off a digit table built once per call;
+    quantumly it runs per probe (``_joint_factor``). A quantum stack's
+    modulus is taken once: the idle sweep reads each wire's deviation off it
+    as a row max, and the joint test copies it into its full gap.
     """
     classical = isinstance(u, ClassicalChannel)
     rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
@@ -259,18 +256,21 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     # working set: about four int64 arrays the size of a classical probe
     # table, four complex arrays the size of a quantum probe matrix
     entry_bytes = (lambda d: 32 * d * d_out) if classical else (lambda d: 64 * (d * d_out) ** 2)
+    zd = _digit_table(u.output) if classical else None
     for dim, part in _dim_chunks(u.input.dims, entry_bytes):
         size = dim * d_out
         probes = _probes(u, [(k,) for k in part])
         if classical:
-            _certify_bijection(probes.reshape(len(part), size))
-            absx = None
+            flat = probes.reshape(len(part), size)
+            _certify_bijection(flat)
+            idle = _idle_outputs(u, probes, None, tol)
+            _classical_joint_test(flat, idle, zd)
         else:
             _certify_unitary(probes.reshape(len(part), size, size), DEFAULT_TOL)
             absx = np.abs(probes)
-        idle = _idle_outputs(u, probes, absx, tol)
-        for p, mask in enumerate(idle):
-            _joint_factor(u, probes[p : p + 1], None if classical else absx[p : p + 1], mask, tol)
+            idle = _idle_outputs(u, probes, absx, tol)
+            for p, mask in enumerate(idle):
+                _joint_factor(u, probes[p : p + 1], absx[p : p + 1], mask, tol)
         rel[part] = ~idle
     return rel
 
@@ -336,39 +336,69 @@ def _idle_outputs(
     return idle
 
 
+def _digit_table(system: CompositeSystem) -> np.ndarray:
+    """``zd[k, z]``: wire ``k``'s digit of joint index ``z`` times its stride.
+
+    Floats, so that a 0/1 mask times the table is one BLAS product; every
+    value is an integer below ``total_dim``, so the product is exact.
+    """
+    zd = np.empty((len(system), system.total_dim))
+    for k, (dim, stride) in enumerate(zip(system.dims, system.strides)):
+        zd[k].reshape(-1, dim, stride)[...] = (np.arange(dim) * stride)[:, None]
+    return zd
+
+
+def _classical_joint_test(flat: np.ndarray, idle: np.ndarray, zd: np.ndarray) -> None:
+    """The joint factorization of every classical probe off its ``idle`` outputs, in one gather.
+
+    ``flat[p]`` is probe ``p``'s table (copy digit most significant) and
+    ``zd`` the ``_digit_table`` of the outputs. The grid-level test is
+    ``_passes_through`` on all of a probe's idle wires: each entry is the
+    entry at its point's idle digits 0 plus those digits. The factor on
+    (copy, rest) is certified a bijection: the entries at idle digits 0,
+    with their idle digits dropped, are distinct. It does not reuse the
+    per-wire sweep, because its job is to catch a wrong sweep.
+    """
+    n_probes, size = flat.shape
+    d_out = zd.shape[1]
+    off = (idle.astype(float) @ zd).astype(np.int64)  # each point's idle part
+    off2 = np.tile(off, size // d_out)
+    ok = _passes_idle_digits(flat, off2).all()
+    # the factor: each entry at idle digits 0, keyed apart per probe
+    rows, cols = np.nonzero(off2 == 0)
+    v = flat[rows, cols]
+    keys = v - off[rows, v % d_out] + rows * size
+    if not ok or np.bincount(keys, minlength=n_probes * size).max() > 1:
+        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
+
+
+def _passes_idle_digits(flat: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """For each table ``flat[p]``, whether every entry is the entry at its point's
+    idle digits 0 plus those digits, ``off2[p]`` (``_passes_through`` on the idle wires)."""
+    base = np.take_along_axis(flat, np.arange(flat.shape[1]) - off2, axis=1)
+    base += off2
+    return (base == flat).all(axis=1)
+
+
 def _joint_factor(
-    u: Channel, grid: np.ndarray, absx: Optional[np.ndarray], idle: np.ndarray, tol: float
+    u: UnitaryChannel, grid: np.ndarray, absx: np.ndarray, idle: np.ndarray, tol: float
 ) -> np.ndarray:
-    """The factor of one probe (a stack of one) off its ``idle`` outputs, on (copies, rest).
+    """The factor of one quantum probe (a stack of one) off its ``idle`` outputs, on (copies, rest).
 
     The grid-level test of ``factors_as_identity`` runs on all idle wires at
-    once, and the factor, a table or a matrix, is certified: a bijection
-    classically, unitary within ``max(tol, DEFAULT_TOL)`` quantumly. Only
-    ``influence_relation`` needs it, since it builds no probe channel. The
-    quantum test forms the full ``_delta_gap`` of all idle wires from a copy
-    of ``absx``, the probe's modulus (None classically). It does not reuse
-    the per-wire sweep, because its job is to catch a wrong sweep.
+    once, and the factor matrix is certified unitary within ``max(tol,
+    DEFAULT_TOL)``. Only ``influence_relation`` needs it, since it builds no
+    probe channel. The test forms the full ``_delta_gap`` of all idle wires
+    from a copy of ``absx``, the probe's modulus. It does not reuse the
+    per-wire sweep, because its job is to catch a wrong sweep.
     """
-    wires = [int(k) for k in np.flatnonzero(idle)]
     n = len(u.output)
-    if isinstance(u, ClassicalChannel):
-        ok = _passes_through(grid, [k + 1 for k in wires], [u.output.strides[k] for k in wires])[0]
-        # the copy and remaining output digits of the table with the idle inputs at 0
-        rest = [k for k in range(n) if k not in wires]
-        w = _read_digits(
-            _at_zero(grid, [k + 2 for k in wires]).reshape(-1),
-            [u.output.total_dim] + [u.output.strides[k] for k in rest],
-            [grid.shape[1]] + [u.output.dims[k] for k in rest],
-        )
-        ok = ok and _bijective(w)
-    else:
-        pairs = [(k + 2, n + k + 3) for k in wires]
-        gap = _delta_gap(grid, pairs, absx)  # in full: it checks the sweep's verdicts
-        ok, w = _identity_factor(grid, pairs, gap.reshape(1, -1).max(axis=1), tol)
-        ok, w = ok[0], w[0]
-    if not ok:
+    pairs = [(int(k) + 2, n + int(k) + 3) for k in np.flatnonzero(idle)]
+    gap = _delta_gap(grid, pairs, absx)  # in full: it checks the sweep's verdicts
+    ok, w = _identity_factor(grid, pairs, gap.reshape(1, -1).max(axis=1), tol)
+    if not ok[0]:
         raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
-    return w
+    return w[0]
 
 
 def wire_relations(u: Channel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

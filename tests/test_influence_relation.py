@@ -11,12 +11,12 @@ import pytest
 
 from causal_lens import causal, classical, quantum
 from causal_lens.automata import build_ring, neighbourhood_maps
-from causal_lens.causal import influence_relation, iterate, neighbourhood, t_process
-from causal_lens.classical import ClassicalChannel
+from causal_lens.causal import embed_on, influence_relation, iterate, neighbourhood, t_process
+from causal_lens.classical import ClassicalChannel, _at_zero, _bijective, _passes_through
 from causal_lens.cli import load_rule_file, main
 from causal_lens.errors import ConsistencyError, SpecError
 from causal_lens.quantum import UnitaryChannel
-from causal_lens.systems import composite
+from causal_lens.systems import _read_digits, composite
 
 from test_signalling_pass import near_identity_ring
 
@@ -163,13 +163,130 @@ def test_an_over_reported_idle_wire_fails_the_joint_test(monkeypatch, model):
 
 
 def test_the_classical_factor_certificate_backs_the_joint_test(monkeypatch):
-    # with the grid-level test over-reporting too, only the factor's bijection
-    # certificate is left to catch the false idle wires
+    # with the per-wire sweep and the stack's pass-through comparison both
+    # over-reporting, only the factor's bijection certificate is left to
+    # catch the false idle wires
     monkeypatch.setattr(
         causal, "_passes_through", lambda grid, axes, strides: np.ones(len(grid), bool)
     )
+    monkeypatch.setattr(causal, "_passes_idle_digits", lambda flat, off2: np.ones(len(flat), bool))
     with pytest.raises(ConsistencyError, match="did not combine"):
         influence_relation(classical.cnot())
+
+
+def counting(calls, real):
+    """``real``, recording the stack size (its second argument's length) of each call."""
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    return spy
+
+
+def test_a_classical_relation_runs_one_joint_test_per_stack(monkeypatch):
+    stacks, joint, per_probe = [], [], []
+    monkeypatch.setattr(causal, "_probes", counting(stacks, causal._probes))
+    monkeypatch.setattr(
+        causal, "_classical_joint_test", counting(joint, causal._classical_joint_test)
+    )
+    monkeypatch.setattr(causal, "_joint_factor", counting(per_probe, causal._joint_factor))
+    cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
+    influence_relation(iterate(build_ring(layers, 8, cell_dim).step, 2))
+    assert per_probe == [] and joint == stacks == [8]
+    # the spy sees the per-probe calls of a quantum stack
+    influence_relation(quantum.from_classical(classical.cnot()))
+    assert len(per_probe) == 2
+
+
+# -- the stack-wide classical joint test against the per-probe one it replaced -------
+
+
+def reference_joint_factor(u, grid, idle):
+    """The classical joint test and factor certificate of one probe, a stack of one."""
+    wires = [int(k) for k in np.flatnonzero(idle)]
+    n = len(u.output)
+    ok = _passes_through(grid, [k + 1 for k in wires], [u.output.strides[k] for k in wires])[0]
+    # the copy and remaining output digits of the table with the idle inputs at 0
+    rest = [k for k in range(n) if k not in wires]
+    w = _read_digits(
+        _at_zero(grid, [k + 2 for k in wires]).reshape(-1),
+        [u.output.total_dim] + [u.output.strides[k] for k in rest],
+        [grid.shape[1]] + [u.output.dims[k] for k in rest],
+    )
+    ok = ok and _bijective(w)
+    if not ok:
+        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
+    return w
+
+
+def raises(f, *args):
+    try:
+        f(*args)
+    except ConsistencyError:
+        return True
+    return False
+
+
+def local_gates(system, rng):
+    """A product of one to three random gates, each on two random wires."""
+    u = ClassicalChannel.identity(system)
+    for _ in range(int(rng.integers(1, 4))):
+        pair = sorted(rng.choice(len(system), 2, replace=False))
+        gate = classical.random_reversible(system.restrict([system.names[k] for k in pair]), rng)
+        u = embed_on(gate, system).compose(u)
+    return u
+
+
+JOINT_DIMS = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2), (2, 1, 2)]
+JOINT_DIMS.append((2,) * 6)
+JOINT_TEST = causal._classical_joint_test
+
+
+def flip_outcomes(monkeypatch, u, probes_per_chunk):
+    """Per single-entry flip of each stack's swept idle mask: (stack raises, reference raises).
+
+    A chunk holds ``probes_per_chunk`` probes of dim-2 inputs.
+    """
+    monkeypatch.setattr(quantum, "_CHECK_CHUNK_BYTES", probes_per_chunk * 64 * u.output.total_dim)
+    outcomes = []
+
+    def spy(flat, idle, zd):
+        grid = flat.reshape((len(flat), -1) + u.output.dims)
+        for p in range(len(flat)):  # the swept mask itself passes
+            reference_joint_factor(u, grid[p : p + 1], idle[p])
+        for p, k in np.ndindex(idle.shape):
+            flipped = idle.copy()
+            flipped[p, k] = ~flipped[p, k]
+            want = any(
+                raises(reference_joint_factor, u, grid[q : q + 1], flipped[q])
+                for q in range(len(flat))
+            )
+            outcomes.append((raises(JOINT_TEST, flat, flipped, zd), want))
+        return JOINT_TEST(flat, idle, zd)
+
+    monkeypatch.setattr(causal, "_classical_joint_test", spy)
+    assert_matches_per_wire(u)
+    return outcomes
+
+
+@pytest.mark.parametrize("dims", JOINT_DIMS)
+@pytest.mark.parametrize("probes_per_chunk", [1, 2, 1 << 20])
+@pytest.mark.parametrize("certificate_only", [False, True])
+def test_the_stack_joint_test_raises_where_the_per_probe_test_does(
+    monkeypatch, dims, probes_per_chunk, certificate_only
+):
+    if certificate_only:  # both pass-through comparisons accept everything
+        monkeypatch.setitem(globals(), "_passes_through", lambda g, a, s: np.ones(len(g), bool))
+        monkeypatch.setattr(causal, "_passes_idle_digits", lambda f, o: np.ones(len(f), bool))
+    rng = np.random.default_rng([16, *dims, probes_per_chunk])
+    system = composite(*zip("ABCDEF", dims))
+    # the identity's probes reach both outcomes: each passes all wires but its own
+    outcomes = flip_outcomes(monkeypatch, ClassicalChannel.identity(system), probes_per_chunk)
+    for make in (classical.random_reversible, local_gates) * 2:
+        outcomes += flip_outcomes(monkeypatch, make(system, rng), probes_per_chunk)
+    assert all(got == want for got, want in outcomes)
+    assert {want for _, want in outcomes} == {False, True}
 
 
 def test_the_quantum_factor_certificate_rejects_a_non_unitary_block():
