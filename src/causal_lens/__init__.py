@@ -28,7 +28,7 @@ from .causal import (
     replay_witness,
     t_process,
 )
-from .automata import RingAutomaton, build_ring, cone_growth, neighbourhood_map, neighbourhood_maps
+from .automata import RingAutomaton, build_ring, neighbourhood_maps
 from .errors import BudgetError, ConsistencyError, SpecError
 from .oracle import CrossValidationReport, OracleBudget, OracleVerdict, cross_validate, definition_check
 from .quantum import DensityOperator, StateMap, UnitaryChannel
@@ -59,7 +59,6 @@ __all__ = [
     "build_ring",
     "check_interaction_without_disturbance",
     "composite",
-    "cone_growth",
     "cross_validate",
     "definition_check",
     "find_witness",
@@ -69,7 +68,6 @@ __all__ = [
     "inverse_nosignalling_check",
     "memory_decomposition",
     "neighbourhood",
-    "neighbourhood_map",
     "neighbourhood_maps",
     "probe_conjugation_matches_evolution",
     "replay_witness",

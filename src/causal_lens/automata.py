@@ -13,8 +13,11 @@ cell's idle test run once per stack, each probe's joint factorization
 checked, no channel built) and one ``wire_signalling`` pass (quantumly one
 Heisenberg product per output cell, read for every input cell), with the
 signalling set of every cell checked to lie inside its causal
-neighbourhood. A strict gap is the classical phenomenon that disappears
-when the same layout is quantized.
+neighbourhood (quantumly the two passes read one ``δ`` per cell pair and
+must agree as values). A strict gap is the classical phenomenon that
+disappears when the same layout is quantized. Classically, each step
+count's influence relation is checked against the composition law of
+neighbourhoods.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .causal import iterate, wire_relations
+from .causal import wire_relations
 from .classical import ClassicalChannel
-from .errors import BudgetError, SpecError
+from .errors import BudgetError, ConsistencyError, SpecError
 from .quantum import DEFAULT_TOL, UnitaryChannel
 from .systems import CompositeSystem, composite
 
@@ -36,8 +39,6 @@ __all__ = [
     "ConeRow",
     "RingAutomaton",
     "build_ring",
-    "cone_growth",
-    "neighbourhood_map",
     "neighbourhood_maps",
 ]
 
@@ -146,26 +147,17 @@ class CellNeighbourhood:
     signalling: frozenset[str]
 
 
-def neighbourhood_map(
-    a: RingAutomaton, steps: int, tol: float = DEFAULT_TOL
-) -> tuple[CellNeighbourhood, ...]:
-    """Per-cell causal neighbourhood and signalling set of the iterated step."""
-    if steps < 1:
-        raise SpecError("steps must be >= 1")
-    return _cell_neighbourhoods(iterate(a.step, steps), tol)
-
-
 def _cell_neighbourhoods(
-    u: ClassicalChannel | UnitaryChannel, tol: float
+    names: Sequence[str], influence: np.ndarray, signalling: np.ndarray
 ) -> tuple[CellNeighbourhood, ...]:
-    influence, signalling = wire_relations(u, tol)
+    """Each cell's causal neighbourhood and signalling set, off the two relations."""
     return tuple(
         CellNeighbourhood(
             cell=name,
-            causal=frozenset(t for t, hit in zip(u.output.names, causal_row) if hit),
-            signalling=frozenset(t for t, hit in zip(u.output.names, sig_row) if hit),
+            causal=frozenset(t for t, hit in zip(names, causal_row) if hit),
+            signalling=frozenset(t for t, hit in zip(names, sig_row) if hit),
         )
-        for name, causal_row, sig_row in zip(u.input.names, influence, signalling)
+        for name, causal_row, sig_row in zip(names, influence, signalling)
     )
 
 
@@ -191,7 +183,11 @@ def _iterated_maps(
     """Neighbourhood maps for step counts 1..``max_steps``, each computed once.
 
     ``U^t = step . U^(t-1)`` is kept between step counts. The cone budget is
-    checked before the first neighbourhood is computed.
+    checked before the first neighbourhood is computed. The neighbourhood of
+    a composition lies inside the composed neighbourhoods, so the classical
+    influence relation must satisfy ``r_t ⊆ r_(t-1) · r_1`` as a boolean
+    product; a violation is a consistency error. The quantum relations are
+    thresholded ``δ``, for which the boolean law fails inside the band.
     """
     bits = a.cells * math.log2(a.cell_dim)
     limit = int(math.log2(DEFAULT_MAX_DIM[a.model]))
@@ -199,28 +195,25 @@ def _iterated_maps(
         raise BudgetError(
             f"cone growth capped at {limit} cell-bits for the {a.model} model, got {bits:.1f}"
         )
-    maps = []
+    maps, relations = [], []
     u = a.step
+    exact = a.model == "classical"
     for t in range(1, max_steps + 1):
         if t > 1:
             u = a.step.compose(u)
-        maps.append(_cell_neighbourhoods(u, tol))
+        influence, signalling = wire_relations(u, tol)
+        if exact and relations and (influence & (relations[-1] @ relations[0] == 0)).any():
+            raise ConsistencyError(f"the step-{t} neighbourhoods escape the composed neighbourhoods")
+        relations.append(influence.astype(int))
+        maps.append(_cell_neighbourhoods(u.input.names, influence, signalling))
     return maps
 
 
 def neighbourhood_maps(
     a: RingAutomaton, steps: int, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[CellNeighbourhood, ...], ...]:
-    """``neighbourhood_map`` for every step count up to ``steps``, under the cone budget."""
+    """Per-cell causal neighbourhood and signalling set of the iterated step, for every
+    step count up to ``steps``, under the cone budget."""
     if steps < 1:
         raise SpecError("steps must be >= 1")
     return tuple(_iterated_maps(a, steps, tol))
-
-
-def cone_growth(
-    a: RingAutomaton, max_steps: int, tol: float = DEFAULT_TOL
-) -> tuple[ConeRow, ...]:
-    """Sizes of both cones per cell for each step count up to ``max_steps``."""
-    return tuple(
-        ConeRow.from_map(t, nm) for t, nm in enumerate(_iterated_maps(a, max_steps, tol), 1)
-    )

@@ -17,9 +17,11 @@ probe stack in one gather, and of each quantum probe in turn.
 factor is the probe's own ``factors_as_identity``. The memory decompositions
 (the quantum legs are checked against ``U`` by contraction on product
 states), the interaction-without-disturbance premise and witness extraction
-branch on the model too; every quantum verdict, witness and replay reads
-one deviation, in full (``quantum._delta_gap``) or as the row maxima of a
-stack (``quantum._pair_gap_max``). Wiring (``embed_on``, ``reorder_wires``,
+branch on the model too. Quantumly, influence and signalling are one
+commutator: each (input block, output wire) verdict reads one normalised
+residual ``δ``, off the probe process or off the Heisenberg products, and
+the two readings are compared as values; an output block is reached iff
+one of its wires is. Wiring (``embed_on``, ``reorder_wires``,
 ``iterate``) is generic over the shared reversible-channel protocol
 (``compose``, ``tensor``, ``invert``, ``identity``,
 ``from_index_permutation``), with wire reorderings from
@@ -52,12 +54,19 @@ from .quantum import (
     _certify_unitary,
     _delta_gap,
     _dim_chunks,
+    _factor_atol,
+    _factor_channel,
     _grouped,
     _identity_factor,
-    _pair_gap_max,
+    _idle_factor,
+    _normalised,
+    _pair_deltas,
     _partial_trace,
+    _same_reading,
+    _signalling_delta,
+    _signalling_deltas,
     _signalling_terms,
-    _signals,
+    _squares,
 )
 from .systems import CompositeSystem, _read_digits, _write_digits, composite, reorder_permutation
 
@@ -177,9 +186,9 @@ class TProcessResult:
     """Probe process of a channel relative to an input subset.
 
     ``channel`` acts on the probe copies followed by all original outputs; its
-    input and output systems coincide. ``idle_subset`` is the maximal set of
-    output wires on which it factors as an identity, and ``factor`` is the
-    extracted complement factor (the whole probe process when nothing is idle).
+    input and output systems coincide. ``idle_subset`` is the set of output
+    wires on which it acts as an identity (quantumly, each with ``δ <= tol``),
+    and ``factor`` is the extracted complement factor.
     """
 
     channel: Channel
@@ -216,11 +225,11 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     probes = _probes(u, [tuple(u.input.position(n) for n in frm)])
     if isinstance(u, ClassicalChannel):
         tilde = ClassicalChannel(probe_sys, probe_sys, probes.reshape(-1))
+        mask = _idle_outputs(u, probes)[0]
     else:
         d = probe_sys.total_dim
         tilde = UnitaryChannel(probe_sys, probe_sys, probes.reshape(d, d))
-    absx = None if isinstance(u, ClassicalChannel) else np.abs(probes)
-    mask = _idle_outputs(u, probes, absx, tol)[0]
+        mask = _wire_deltas(u, probes)[0] <= tol
     idle = tuple(n for n, hit in zip(u.output.names, mask) if hit)
     factor = tilde.factors_as_identity(idle, tol)
     if factor is None:
@@ -239,19 +248,21 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The single-wire influence relation: ``r[i, t]`` iff input ``i`` influences output ``t``.
 
     Entry ``[i, t]`` is ``t in neighbourhood(u, [input i], tol)``, decided in
-    one pass with every check of ``t_process`` and no channel built. Probes of
-    inputs with equal dims share a stack, taken a chunk at a time: the stack
-    is gathered and certified at once (bijection classically, unitarity within
-    ``DEFAULT_TOL`` quantumly), each output wire's idle test runs once for it,
-    and each probe's joint factorization on its idle set is checked.
-    Classically that joint test runs for the whole stack in one gather
-    (``_classical_joint_test``), off a digit table built once per call;
-    quantumly it runs per probe (``_joint_factor``). A quantum stack's
-    modulus is taken once: the idle sweep reads each wire's deviation off it
-    as a row max, and the joint test copies it into its full gap.
+    one pass with every check of ``t_process`` and no channel built.
+    """
+    return _influence(u, tol)[0]
+
+
+def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """``influence_relation`` and, quantumly, the ``δ[i, t]`` it was decided from.
+
+    Probes of equal-dim inputs share a stack, gathered and certified at once;
+    each output wire's idle test runs once for it, then each probe's joint
+    factorization is checked (``_classical_joint_test``, ``_joint_factor``).
     """
     classical = isinstance(u, ClassicalChannel)
     rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
+    deltas = None if classical else np.zeros(rel.shape)
     d_out = u.output.total_dim
     # working set: about four int64 arrays the size of a classical probe
     # table, four complex arrays the size of a quantum probe matrix
@@ -263,16 +274,17 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
         if classical:
             flat = probes.reshape(len(part), size)
             _certify_bijection(flat)
-            idle = _idle_outputs(u, probes, None, tol)
+            idle = _idle_outputs(u, probes)
             _classical_joint_test(flat, idle, zd)
         else:
             _certify_unitary(probes.reshape(len(part), size, size), DEFAULT_TOL)
-            absx = np.abs(probes)
-            idle = _idle_outputs(u, probes, absx, tol)
+            delta = _wire_deltas(u, probes)
+            idle = delta <= tol
             for p, mask in enumerate(idle):
-                _joint_factor(u, probes[p : p + 1], absx[p : p + 1], mask, tol)
+                _joint_factor(u, probes[p : p + 1], delta[p], mask)
+            deltas[part] = delta
         rel[part] = ~idle
-    return rel
+    return rel, deltas
 
 
 def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -313,27 +325,18 @@ def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
     return np.ascontiguousarray(m.transpose(0, 3, 2, 1, 4)).reshape(grid)
 
 
-def _idle_outputs(
-    u: Channel, grid: np.ndarray, absx: Optional[np.ndarray], tol: float
-) -> np.ndarray:
-    """The per-wire idle test: ``r[p, k]`` iff probe ``p`` acts as identity on output ``k``.
-
-    Each output wire is tested once for the whole stack. Classically the probe
-    table must pass the wire's digit through with no other digit depending on
-    it (``_passes_through``); quantumly the probe must be ``w x 1`` on the
-    wire within ``tol``, with ``w`` unitary within ``max(tol, DEFAULT_TOL)``.
-    The quantum deviation is read as a row max (``_pair_gap_max``) off
-    ``absx``, the stack's modulus ``|grid|``; classically ``absx`` is None.
-    """
-    n = len(u.output)
-    idle = np.zeros((len(grid), n), dtype=bool)
-    for k in range(n):
-        if isinstance(u, ClassicalChannel):
-            idle[:, k] = _passes_through(grid, (k + 1,), (u.output.strides[k],))
-        else:
-            pair = (k + 2, n + k + 3)
-            idle[:, k] = _identity_factor(grid, [pair], _pair_gap_max(grid, absx, *pair), tol)[0]
+def _idle_outputs(u: ClassicalChannel, grid: np.ndarray) -> np.ndarray:
+    """``r[p, k]`` iff classical probe ``p`` passes output ``k``'s digit through (``_passes_through``)."""
+    idle = np.zeros((len(grid), len(u.output)), dtype=bool)
+    for k, stride in enumerate(u.output.strides):
+        idle[:, k] = _passes_through(grid, (k + 1,), (stride,))
     return idle
+
+
+def _wire_deltas(u: UnitaryChannel, grid: np.ndarray) -> np.ndarray:
+    """``δ[p, k]`` of quantum probe ``p`` on output wire ``k``, idle iff ``δ <= tol``."""
+    n = len(u.output)
+    return _pair_deltas(grid, [(k + 2, n + k + 3) for k in range(n)])
 
 
 def _digit_table(system: CompositeSystem) -> np.ndarray:
@@ -380,36 +383,29 @@ def _passes_idle_digits(flat: np.ndarray, off2: np.ndarray) -> np.ndarray:
     return (base == flat).all(axis=1)
 
 
-def _joint_factor(
-    u: UnitaryChannel, grid: np.ndarray, absx: np.ndarray, idle: np.ndarray, tol: float
-) -> np.ndarray:
-    """The factor of one quantum probe (a stack of one) off its ``idle`` outputs, on (copies, rest).
-
-    The grid-level test of ``factors_as_identity`` runs on all idle wires at
-    once, and the factor matrix is certified unitary within ``max(tol,
-    DEFAULT_TOL)``. Only ``influence_relation`` needs it, since it builds no
-    probe channel. The test forms the full ``_delta_gap`` of all idle wires
-    from a copy of ``absx``, the probe's modulus. It does not reuse the
-    per-wire sweep, because its job is to catch a wrong sweep.
-    """
+def _joint_factor(u: UnitaryChannel, grid: np.ndarray, delta: np.ndarray, idle: np.ndarray) -> None:
+    """The joint factorization of one quantum probe (a stack of one) off its ``idle`` outputs
+    (``_idle_factor``), the probe certified within ``DEFAULT_TOL``."""
     n = len(u.output)
-    pairs = [(int(k) + 2, n + int(k) + 3) for k in np.flatnonzero(idle)]
-    gap = _delta_gap(grid, pairs, absx)  # in full: it checks the sweep's verdicts
-    ok, w = _identity_factor(grid, pairs, gap.reshape(1, -1).max(axis=1), tol)
-    if not ok[0]:
-        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
-    return w[0]
+    wires = np.flatnonzero(idle)
+    pairs = [(int(k) + 2, n + int(k) + 3) for k in wires]
+    _idle_factor(grid, pairs, n + 2, delta[wires], DEFAULT_TOL)
 
 
 def wire_relations(u: Channel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The single-wire influence and signalling relations, ``[input, output]`` each.
 
-    One ``influence_relation`` pass and one ``wire_signalling`` pass. No
-    causal influence implies no signalling, so a signalling pair outside the
-    influence relation is a consistency violation.
+    One influence pass and one signalling pass. Classically a signalling
+    pair outside the influence relation is a consistency violation.
+    Quantumly the two passes read the same ``δ``, must agree as values, and
+    the signalling relation is then the influence relation.
     """
-    influence = influence_relation(u, tol)
-    signalling = u.wire_signalling(tol)
+    if isinstance(u, UnitaryChannel):
+        influence, deltas = _influence(u, tol)
+        if not _same_reading(deltas, _signalling_deltas(u)):
+            raise ConsistencyError("the probe and signalling readings of a quantum delta differ")
+        return influence, influence.copy()
+    influence, signalling = influence_relation(u, tol), u.wire_signalling(tol)
     escaped = np.flatnonzero((signalling & ~influence).any(axis=1))
     if escaped.size:
         name = u.input.names[escaped[0]]
@@ -430,9 +426,13 @@ def neighbourhood(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -
 def has_causal_influence(
     u: Channel, from_in: Iterable[str], to_out: Iterable[str], tol: float = DEFAULT_TOL
 ) -> bool:
-    """True iff some wire of ``to_out`` lies in the causal neighbourhood of ``from_in``."""
+    """True iff some wire of ``to_out`` lies in the causal neighbourhood of ``from_in``.
+
+    Quantumly a block is decided by its wires' ``δ``, never by the block's
+    own ``δ``, which may exceed every wire's inside the tolerance band.
+    """
     to = _ordered_subset(u.output, to_out)
-    return bool(set(to) & neighbourhood(u, from_in, tol))
+    return not t_process(u, from_in, tol).idle_subset.issuperset(to)
 
 
 # -- memory decomposition ----------------------------------------------------------
@@ -467,7 +467,9 @@ def memory_decomposition(
         return None
     if isinstance(u, ClassicalChannel):
         return _classical_memory(u, frm, idle)
-    return _quantum_memory(u, frm, idle, tol)
+    tilde = t_process(u, frm, tol).channel
+    _, eps, w = _identity_factor(tilde, idle)
+    return _quantum_memory(u, frm, idle, _factor_channel(tilde, idle, eps, w), eps)
 
 
 def _blocks(u: Channel, frm: tuple[str, ...], idle: tuple[str, ...]):
@@ -514,18 +516,15 @@ def _quantum_memory(
     u: UnitaryChannel,
     frm: tuple[str, ...],
     idle: tuple[str, ...],
-    tol: float,
-    tp: Optional[TProcessResult] = None,
+    t_fac: UnitaryChannel,
+    eps: float,
 ) -> MemoryDecomposition:
     """The memory form of ``u``, which does not signal from ``frm`` to ``idle``.
 
-    ``tp`` is the probe process of ``u`` at ``frm``, built here when not given.
+    ``t_fac`` is the factor of u's probe process at ``frm`` on ``idle``, not
+    tested again, and ``eps`` its residual ``‖tilde − W x 1‖_F``.
     """
     a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _blocks(u, frm, idle)
-    tp = tp or t_process(u, frm, tol)
-    t_fac = tp.channel.factors_as_identity(idle, tol)
-    if t_fac is None:
-        raise ConsistencyError("no signalling but the probe process does not factor")
     taken = set(u.input.names) | set(u.output.names)
     env_names = _fresh_names(taken, ap_names, "_env")
     env_sys = composite(*zip(env_names, ap_sys.dims))
@@ -547,7 +546,7 @@ def _quantum_memory(
 
     w = StateMap(a_sys.concat(env_sys), ap_sys, w_eval)
 
-    _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, tol)
+    _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, _factor_atol(eps, u.atol))
     return MemoryDecomposition(env=env_sys, v=v, w=w)
 
 
@@ -561,14 +560,15 @@ def _spanning_vectors(dim: int) -> np.ndarray:
     return np.concatenate([eye] + [(eye[i] + p * eye[j]) / np.sqrt(2.0) for p in (1.0, 1j)])
 
 
-def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, tol):
+def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_tol):
     """Check that the legs recompose ``u`` on a spanning set of pure product states.
 
     On ``a x b`` the evolution gives ``y y+`` with ``y = U (a x b)``; the legs
     give ``sum_c k_c k_c+``, where ``k_c`` is row ``c`` of (probe factor x
     identity-on-B') applied to ``a x v_iso b`` and ``c`` runs over the
-    discarded copies. Both sides are grouped (A', B') and must agree entrywise
-    within ``max(tol, 1e-9)``; the states are taken a chunk at a time.
+    discarded copies. The legs drop ``R`` from ``tilde = W x 1 + R``, so the
+    sides differ entrywise by at most ``2ε + ε²`` (``ε = ‖R‖_F``) plus u's
+    certificate: ``check_tol``. Both are grouped (A', B'), a chunk at a time.
     """
     d_a = u.input.select(frm).total_dim
     d_out = u.output.total_dim
@@ -577,7 +577,6 @@ def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, tol):
     s_a, s_b = _spanning_vectors(d_a), _spanning_vectors(u.input.total_dim // d_a)
     n_pairs = len(s_a) * len(s_b)
     chunk = max(1, _CHECK_CHUNK_BYTES // (64 * d_out * d_out))
-    check_tol = max(tol, 1e-9)
     for lo in range(0, n_pairs, chunk):
         i_a, i_b = np.divmod(np.arange(lo, min(lo + chunk, n_pairs)), len(s_b))
         a, b = s_a[i_a], s_b[i_b]
@@ -604,8 +603,8 @@ class Witness:
 
     ``kind`` is "intervention" (classical: an intervention and the inputs where
     conjugating it by the evolution breaks the target-local form) or
-    "factorization-defect" (quantum: an entry of the signalling identity or of
-    the idle-pattern check that fails).
+    "factorization-defect" (quantum: the worst entry of the signalling
+    identity).
     """
 
     kind: str
@@ -639,11 +638,12 @@ class HierarchyReport:
 def hierarchy_report(
     u: Channel, from_in: Iterable[str], to_out: Iterable[str], tol: float = DEFAULT_TOL
 ) -> HierarchyReport:
-    """Compute causal influence, memory-decomposability, and signalling independently.
+    """Compute causal influence, memory-decomposability, and signalling.
 
-    One probe process serves the influence verdict, the quantum memory
-    decomposition and the witness; quantumly, one computation of the
-    signalling terms serves the signalling verdict and the witness.
+    One probe process serves all three and the witness. Quantumly they are
+    one decision, on the ``δ`` of each wire of ``to`` (``has_causal_influence``);
+    the block's ``δ``, read off the probe and off the signalling terms, is
+    compared as a value.
     """
     frm = _ordered_subset(u.input, from_in)
     to = _ordered_subset(u.output, to_out)
@@ -657,10 +657,13 @@ def hierarchy_report(
         witness = _classical_witness(u, frm, to) if causal else None
     else:
         m = _signalling_terms(u, frm, to)
-        sig = _signals(m, tol)
+        delta, eps, w = _identity_factor(tp.channel, to)
+        if not _same_reading(delta, _signalling_delta(m)):
+            raise ConsistencyError("the probe and signalling readings of a quantum delta differ")
+        sig = causal
         if not sig:
-            _quantum_memory(u, frm, to, tol, tp)
-        witness = _quantum_witness(tp, to, tol, m) if causal else None
+            _quantum_memory(u, frm, to, _factor_channel(tp.channel, to, eps, w), eps)
+        witness = _quantum_witness(m, frm, to) if causal else None
     return HierarchyReport(
         from_in=frm,
         to_out=to,
@@ -753,7 +756,8 @@ def _discard_leaves_rest_alone(
         * np.eye(d_b).reshape(d_b, 1, 1, d_b, 1, 1)
         * np.eye(d_b).reshape(1, d_b, 1, 1, 1, d_b)
     )
-    return bool(np.max(np.abs(m - req)) <= tol)
+    # on the normalised Frobenius scale of every other quantum verdict
+    return bool(_normalised(np.sum(_squares(m - req)), m.size) <= tol)
 
 
 def inverse_nosignalling_check(
@@ -822,12 +826,11 @@ def find_witness(
     """
     frm = _ordered_subset(u.input, from_in)
     to = _ordered_subset(u.output, to_out)
-    tp = t_process(u, frm, tol)
-    if tp.idle_subset.issuperset(to):
+    if not has_causal_influence(u, frm, to, tol):
         raise SpecError("find_witness requires causal influence from_in -> to_out")
     if isinstance(u, ClassicalChannel):
         return _classical_witness(u, frm, to)
-    return _quantum_witness(tp, to, tol, _signalling_terms(u, frm, to))
+    return _quantum_witness(_signalling_terms(u, frm, to), frm, to)
 
 
 def _conjugated_table(
@@ -922,61 +925,35 @@ def _worst_entry(gap: np.ndarray, mirror: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(np.argmax(sym), sym.shape))
 
 
-def _signalling_defect(
-    m: np.ndarray, frm: tuple[str, ...], to: tuple[str, ...], tol: float
-) -> Optional[dict]:
-    """The worst entry of the signalling identity, or None within ``tol``.
+def _quantum_witness(m: np.ndarray, frm: tuple[str, ...], to: tuple[str, ...]) -> Witness:
+    """The worst entry of the signalling identity: influence and signalling are one ``δ``.
 
     ``m`` is ``_signalling_terms(u, frm, to)``. The expected value, delta_ab
     times the a=b=0 entry, is formed at the worst entry alone.
     """
-    gap = _delta_gap(m, [(2, 4)])
-    if np.max(gap) <= tol:
-        return None
-    entry = _worst_entry(gap, (1, 0, 4, 5, 2, 3))
+    entry = _worst_entry(_delta_gap(m, [(2, 4)]), (1, 0, 4, 5, 2, 3))
     t, s, a, k, b, l = entry
     actual, wanted = m[entry], float(a == b) * m[t, s, 0, k, 0, l]
-    return {
-        "variant": "signalling-identity",
-        "acting_on": list(frm),
-        "target": list(to),
-        "from_unit": [a, b],
-        "complement_unit": [k, l],
-        "marginal_entry": [t, s],
-        "actual": [float(actual.real), float(actual.imag)],
-        "expected": [float(wanted.real), float(wanted.imag)],
-    }
-
-
-def _quantum_witness(tp: TProcessResult, to: tuple[str, ...], tol: float, m: np.ndarray) -> Witness:
-    """Witness of influence from ``tp.probed`` to ``to``.
-
-    ``tp`` is u's probe process there and ``m`` is ``_signalling_terms(u, tp.probed, to)``.
-    """
-    defect = _signalling_defect(m, tp.probed, to, tol)
-    if defect is not None:
-        return Witness(kind="factorization-defect", detail=defect)
-    # causal influence without signalling: exhibit the idle-pattern failure
-    v = _idle_last(tp.channel, to)
-    entry = _worst_entry(_delta_gap(v, [(1, 3)]), (2, 3, 0, 1))
-    i, j, k, l = entry
-    # (w x 1) at the entry, with + 0.0 so that a zero is recorded as +0.0
-    wanted = v[i, 0, k, 0] * float(j == l) + 0.0
     return Witness(
         kind="factorization-defect",
         detail={
-            "variant": "idle-pattern",
-            "acting_on": list(tp.probed),
+            "variant": "signalling-identity",
+            "acting_on": list(frm),
             "target": list(to),
-            "entry": list(entry),
-            "actual": [float(v[entry].real), float(v[entry].imag)],
+            "from_unit": [a, b],
+            "complement_unit": [k, l],
+            "marginal_entry": [t, s],
+            "actual": [float(actual.real), float(actual.imag)],
             "expected": [float(wanted.real), float(wanted.imag)],
         },
     )
 
 
 def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bool:
-    """Re-derive the recorded violation from scratch; True iff it still holds."""
+    """Re-derive the recorded violation from scratch; True iff it still holds.
+
+    Quantumly: the block is signalled (``UnitaryChannel.signals``) and the
+    entry still differs from its expected value."""
     d = witness.detail
     if witness.kind == "intervention":
         frm = tuple(d["acting_on"])
@@ -984,15 +961,9 @@ def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bo
         violation = _local_form_violation(conj, d["env_dim"], u.output, tuple(d["target"]))
         return violation is not None and violation["type"] == d["violation"]["type"]
     frm, to = tuple(d["acting_on"]), tuple(d["target"])
-    if d.get("variant") == "signalling-identity":
-        return _signalling_defect(_signalling_terms(u, frm, to), frm, to, tol) is not None
-    v = _idle_last(t_process(u, frm, tol).channel, to)
-    return bool(_delta_gap(v, [(1, 3)])[tuple(d["entry"])] > tol)
-
-
-def _idle_last(u: UnitaryChannel, idle: tuple[str, ...]) -> np.ndarray:
-    """``u`` as (rest out, idle, rest in, idle), idle wires paired by name: the witness layout."""
-    return _grouped(u.matrix, u.output, u.input, idle, idle).transpose(1, 0, 3, 2)
+    m = _signalling_terms(u, frm, to)
+    (t, s), (a, b), (k, l) = d["marginal_entry"], d["from_unit"], d["complement_unit"]
+    return u.signals(frm, to, tol) and bool(m[t, s, a, k, b, l] != (a == b) * m[t, s, 0, k, 0, l])
 
 
 # -- probe-process identities ---------------------------------------------------------

@@ -2,20 +2,14 @@
 
 Matrices are dense, row-major, and indexed by big-endian joint indices, so
 ``np.kron`` agrees with wire concatenation. Reversibility is unitarity: the
-inverse of a channel is its adjoint. All comparisons are absolute entrywise
-with a configurable tolerance (default 1e-9); the intended scale is joint
-dimension <= 64.
+inverse of a channel is its adjoint. Channel certificates are absolute
+entrywise within ``DEFAULT_TOL``; the intended scale is joint dimension <= 64.
 
-Signalling (``m`` of ``_signalling_terms``) and an identity factor (``w x 1``)
-both ask an array to equal delta on axis pairs times its digit-0 slice. That
-is one deviation with two readings. ``_delta_gap`` is the full entrywise gap:
-it decides one pair or one probe and gives the witnesses and their replay.
-``_pair_gap_max`` is the gap's per-row max on one axis pair, read off the
-modulus ``|x|`` of a whole stack, which is taken once and shared by every
-wire; the relation passes read it. Both compare the same floats, so their
-verdicts agree bit for bit. The single-wire signalling pass forms one
-Heisenberg product per output wire, ``U+ (E_tu x 1) U`` over every input
-digit, and reads each input wire off it as one axis pair.
+Every quantum verdict reads one number per (input block, output wire): the
+normalised residual ``δ`` against ``1 ⊗ M`` on an axis pair (``_residual``);
+a block of wires is reached iff one of its wires is. Its probe and
+signalling readings are one commutator, compared as values
+(``_same_reading``). ``_delta_gap`` only locates a witness entry.
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ import numpy as np
 
 from . import classical
 from .classical import _at_zero
-from .errors import SpecError
+from .errors import ConsistencyError, SpecError
 from .systems import CompositeSystem, _paired_layout, composite
 
 __all__ = [
@@ -49,6 +43,10 @@ DEFAULT_TOL = 1e-9
 # the influence relation, the quantum memory check and the inverse check of
 # ``causal`` (about four arrays the size of one stacked entry each)
 _CHECK_CHUNK_BYTES = 1 << 20
+
+# two readings of one δ agree when they differ by at most _SAME_REL of the
+# larger plus _SAME_FLOOR; rounding puts a zero δ near 1e-15
+_SAME_REL, _SAME_FLOOR = 1e-12, 1e-12
 
 
 def _as_tensor(matrix: np.ndarray, out_dims: Sequence[int], in_dims: Sequence[int]) -> np.ndarray:
@@ -110,26 +108,21 @@ def _wire_products(
 def _signalling_terms(u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]) -> np.ndarray:
     """``_wire_products`` from the named ``frm`` inputs to the ``to`` outputs.
 
-    No-signalling asks it to equal delta_ab times its a=b=0 slice, so its
-    deviation is ``_delta_gap(m, [(2, 4)])``.
+    No-signalling asks it to be ``1 ⊗ M`` on the ``from`` axis pair ``(2,
+    4)``; ``_signalling_delta`` reads its ``δ``.
     """
     tensor = _as_tensor(u.matrix, u.output.dims, u.input.dims)
     return _wire_products(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
 
 
-def _delta_gap(
-    x: np.ndarray, pairs: Sequence[tuple[int, int]], absx: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Entrywise ``|x - delta x0|``, in the layout of ``x``: the one quantum deviation.
+def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Entrywise ``|x - delta x0|``, ``x0`` being ``x`` at digit 0 on every paired axis.
 
-    Each pair names two axes of ``x`` of equal dim; ``x0`` is ``x`` at digit 0
-    on every paired axis. The gap is ``|x|`` off the diagonal of any pair and
-    ``|x - x0|`` on the diagonal of all, written through a view of the gap.
-    This full reading serves the verdicts of one pair or one probe, the
-    witnesses and ``replay_witness``. ``absx``, if given, is ``|x|`` already
-    taken; it is copied, never overwritten, so a stack's passes can share it.
+    ``|x|`` off the diagonal of any pair and ``|x - x0|`` on the diagonal of
+    all, written through a view of the gap. It decides nothing: its largest
+    entry is the quantum witness.
     """
-    gap = np.abs(x) if absx is None else absx.copy()
+    gap = np.abs(x)
     sub = list(range(x.ndim))
     for a, b in pairs:
         sub[b] = sub[a]
@@ -140,31 +133,90 @@ def _delta_gap(
     return gap
 
 
-def _pair_gap_max(x: np.ndarray, absx: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Per row of a stack, the max of ``_delta_gap(x, [(a, b)])``, with no gap formed.
+def _squares(x: np.ndarray) -> np.ndarray:
+    out = np.abs(x)
+    return np.square(out, out=out)  # in place: no second array the size of x
 
-    The row-max reading of the deviation, for the passes that test every wire
-    of a stack: ``absx`` is ``|x|``, taken once per stack and shared by its
-    wires. ``x`` and ``absx`` are C-contiguous with the row axis first, and
-    ``a < b`` are axes of equal dim ``d``. On the view ``(rows, L, d, M, d,
-    R)``, an off-diagonal block ``(i, j)`` reads its max off ``absx`` and a
-    diagonal block ``j >= 1`` is ``|x_jj - x_00|``, the same floats as the
-    full gap; max is exact, so the result equals its row max bit for bit.
+
+def _square_sums(x: np.ndarray) -> np.ndarray:
+    """``sum |x|²`` per row of a C-contiguous complex stack."""
+    flat = x.reshape(len(x), -1).view(float)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _off_diagonal(sqv: np.ndarray) -> np.ndarray:
+    """Per row of ``|x|²`` viewed as ``(rows, L, d, M, d, R)``: the off-diagonal blocks' sum."""
+    rows, _, d, m, _, r = sqv.shape
+    blocks = sqv.reshape(rows, sqv.shape[1], -1).sum(axis=1).reshape(rows, d, m, d, r)
+    blocks = blocks.sum(axis=(2, 4))
+    np.einsum("pii->pi", blocks)[...] = 0.0  # a writeable view of the diagonal
+    return blocks.sum(axis=(1, 2))
+
+
+def _residual(xv: np.ndarray, sqv: np.ndarray) -> np.ndarray:
+    """Per row: ``‖x − 1 ⊗ M‖²_F`` on one axis pair, ``M`` the mean of the diagonal blocks.
+
+    ``xv`` is viewed as ``(rows, L, d, M, d, R)`` and ``sqv`` is ``|xv|²``.
+    Never ``‖x‖² − ‖Tr x‖²/d``, whose cancellation error would swamp a
+    residual at the tolerance: the off-diagonal squares, plus ``sum_j ‖x_jj −
+    M‖² = sum_j ‖y_j‖² − ‖sum_j y_j‖²/d`` for ``y_j = x_jj − x_last``, whose
+    second term is at most ``(d−1)/d`` of its first (Cauchy–Schwarz), so the
+    relative rounding error stays below about ``2d`` machine epsilons.
     """
-    s = x.shape
-    view = (s[0], math.prod(s[1:a]), s[a], math.prod(s[a + 1 : b]), s[b], -1)
-    x, absx = x.reshape(view), absx.reshape(view)
-    out = np.zeros(s[0])
-    for i in range(s[a]):
-        for j in range(s[a]):
-            if i != j:
-                block = absx[:, :, i, :, j, :]
-            elif j:
-                block = np.abs(x[:, :, j, :, j, :] - x[:, :, 0, :, 0, :])
-            else:
-                continue  # the digit-0 block is its own reference: a zero gap
-            np.maximum(out, block.max(axis=(1, 2, 3)), out=out)
+    diag = np.einsum("plimir->pilmr", xv)
+    y = diag[:, :-1] - diag[:, -1:]
+    return _off_diagonal(sqv) + _square_sums(y) - _square_sums(y.sum(axis=1)) / xv.shape[2]
+
+
+def _normalised(r2: np.ndarray, entries: int) -> np.ndarray:
+    """``δ`` in [0, 1): ``‖R‖²/(d_A D)`` on a probe row, ``‖R‖²/(d_t D)`` on signalling terms."""
+    return np.sqrt(r2 / math.sqrt(entries))
+
+
+def _pair_deltas(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """``δ[p, j]`` of row ``p`` of a C-contiguous stack on pair ``j``, off one shared ``|x|²``."""
+    sq, s = _squares(x), x.shape
+    out = np.zeros((len(x), len(pairs)))
+    for j, (a, b) in enumerate(pairs):
+        view = (s[0], math.prod(s[1:a]), s[a], math.prod(s[a + 1 : b]), s[b], -1)
+        out[:, j] = _normalised(_residual(x.reshape(view), sq.reshape(view)), x[0].size)
     return out
+
+
+def _block_residual(
+    x: np.ndarray, pairs: Sequence[tuple[int, int]], split: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a stack: the squared residual on all ``pairs`` at once, and ``M``.
+
+    Axes ``1 .. split-1`` are the row side. The pairs are gathered into one
+    after the unpaired axes of their side, so ``M`` is ``(rows, L, L')``, the
+    factor.
+    """
+    rows_side = [k for k in range(1, split) if k not in {a for a, _ in pairs}]
+    cols_side = [k for k in range(split, x.ndim) if k not in {b for _, b in pairs}]
+    order = [0] + rows_side + [a for a, _ in pairs] + cols_side + [b for _, b in pairs]
+    d = math.prod(x.shape[a] for a, _ in pairs)
+    shape = (len(x), math.prod(x.shape[k] for k in rows_side), d, -1, d, 1)
+    xv = np.ascontiguousarray(x.transpose(order)).reshape(shape)
+    return _residual(xv, _squares(xv)), np.einsum("plimi->plm", xv[..., 0]) / d
+
+
+def _same_reading(x, y) -> bool:
+    """Whether two readings of the same ``δ`` agree up to rounding."""
+    return bool(np.all(np.abs(np.subtract(x, y)) <= _SAME_REL * np.maximum(x, y) + _SAME_FLOOR))
+
+
+def _factor_atol(eps: float, atol: float) -> float:
+    """The unitarity bound of ``W`` for ``U = W ⊗ 1 + R``, ``‖R‖_F = eps``, ``U`` within ``atol``.
+
+    ``(W+W − 1) ⊗ 1 = (U+U − 1) − U+R − R+U + R+R``."""
+    return atol + eps * (2.0 + eps)
+
+
+def _signalling_delta(m: np.ndarray) -> float:
+    """``δ`` of one (from, to) pair, off ``m`` in its C-contiguous layout ``(t, a, k, u, b, l)``."""
+    x = np.ascontiguousarray(m.transpose(0, 2, 3, 1, 4, 5))[None]
+    return float(_pair_deltas(x, [(2, 5)])[0, 0])
 
 
 def _dim_chunks(
@@ -184,14 +236,6 @@ def _dim_chunks(
             yield dim, wires[lo : lo + chunk]
 
 
-def _signals(m: np.ndarray, tol: float) -> bool:
-    """The signalling verdict on ``m``, the ``_wire_products`` of one (from, to) pair.
-
-    A trivial block on either side (``to`` on axis 0, ``from`` on axis 2) never signals.
-    """
-    return m.shape[0] > 1 and m.shape[2] > 1 and bool(_delta_gap(m, [(2, 4)]).max() > tol)
-
-
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:
     """``max |M+ M - 1|`` of one matrix, or of each matrix in a stack: the unitarity certificate."""
     return np.abs(np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1])).max(axis=(-2, -1))
@@ -204,27 +248,46 @@ def _certify_unitary(m: np.ndarray, atol: float) -> None:
             raise SpecError(f"unitarity certificate failed: max |U+U - I| = {defect:.3e}")
 
 
-def _identity_factor(
-    grid: np.ndarray, pairs: Sequence[tuple[int, int]], gap_max: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a stack of matrices: whether it is ``w x 1`` on ``pairs``, and ``w``.
+def _paired_grid(u: "UnitaryChannel", idle: tuple[str, ...]):
+    """``u`` as a stack of one grid, one axis per wire, with its ``idle`` axis pairs (by name)."""
+    in_pos, out_pos = _paired_layout(u.input, u.output, idle)
+    n_out = len(u.output)
+    grid = u.matrix.reshape((1,) + u.output.dims + u.input.dims)
+    return grid, [(1 + o, 1 + n_out + i) for o, i in zip(out_pos, in_pos)], 1 + n_out
 
-    The quantum identity-factor kernel. ``grid[p]`` has one axis per output
-    wire, then one per input wire; each pair is the (output axis, input axis)
-    of one wire, as axes of ``grid``. ``gap_max`` is the per-row max of the
-    pairs' deviation, read in full (``_delta_gap``) for one probe or off the
-    shared modulus (``_pair_gap_max``) for a stack's one-wire sweep. ``w``,
-    the row at digit 0 on every pair, is a stack of square matrices. A row
-    passes when its gap max is within ``tol`` and ``w`` is unitary within
-    ``max(tol, DEFAULT_TOL)``.
+
+def _identity_factor(u: "UnitaryChannel", idle: tuple[str, ...]) -> tuple[float, float, np.ndarray]:
+    """``u`` against ``W x 1`` on the ``idle`` wires, paired by name: ``(δ, ε, W)``.
+
+    ``W = Tr_idle(u) / d_idle`` and ``ε = ‖u − W x 1‖_F``; an exact tensor
+    factor is recovered exactly.
     """
-    ok = gap_max <= tol
-    w = _at_zero(grid, [a for pair in pairs for a in pair])
-    side = math.isqrt(w[0].size)  # a unitary's factor is square
-    w = w.reshape(len(grid), side, side)
-    if ok.any():
-        ok[ok] = _unitarity_defects(w[ok]) <= max(tol, DEFAULT_TOL)
-    return ok, w
+    grid, pairs, split = _paired_grid(u, idle)
+    r2, w = _block_residual(grid, pairs, split)
+    return float(_normalised(r2, grid[0].size)[0]), math.sqrt(r2[0]), w[0]
+
+
+def _idle_factor(grid: np.ndarray, pairs, split: int, deltas: np.ndarray, atol: float):
+    """``(ε, W)`` of a stack of one grid, certified within ``atol``, on its idle axis ``pairs``.
+
+    The joint ``δ`` is at most the root sum of squares of the pairs' own
+    ``deltas`` (``1 − P₁P₂ = (1 − P₁) + P₁(1 − P₂)`` is an orthogonal split)
+    and ``W`` is unitary within ``_factor_atol``: theorems, so a failure is a bug.
+    """
+    r2, w = _block_residual(grid, pairs, split)
+    eps, bound = math.sqrt(r2[0]), math.sqrt(np.sum(np.square(deltas))) * (1 + _SAME_REL)
+    if _normalised(r2, grid[0].size)[0] > bound + _SAME_FLOOR or (
+        _unitarity_defects(w[0]) > _factor_atol(eps, atol)
+    ):
+        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
+    return eps, w[0]
+
+
+def _factor_channel(u: "UnitaryChannel", idle: tuple[str, ...], eps: float, w: np.ndarray):
+    """The factor ``w`` of ``_identity_factor`` as a channel, certified within ``_factor_atol``."""
+    w_in = u.input.restrict(u.input.complement(idle))
+    w_out = u.output.restrict(u.output.complement(idle))
+    return UnitaryChannel(w_in, w_out, w, atol=_factor_atol(eps, u.atol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,64 +375,54 @@ class UnitaryChannel:
     ) -> bool:
         """True iff the ``to_out`` marginal can depend on the ``from_in`` factor.
 
-        No-signalling means the map X -> Tr_rest[U X U+] annihilates the
-        traceless part of the ``from_in`` factor. Concretely, on matrix units
-        E_ab (from factor) and E_kl (its complement), the kept marginal of
-        U (E_ab x E_kl) U+ must equal delta_ab times the a=b=0 reference,
-        entrywise within ``tol``. The names are read once, by ``layout``,
-        which rejects unknown and duplicate names.
+        No-signalling means the kept marginals of U (E_ab x E_kl) U+ are
+        ``1 ⊗ M`` on the (a, b) pair of the ``from_in`` factor. The Heisenberg
+        image of a block's operators is generated by its wires', so a block is
+        signalled iff one of its wires is: it signals iff some ``to_out``
+        wire's ``δ`` exceeds ``tol``. ``layout`` rejects unknown and duplicate names.
         """
-        return _signals(_signalling_terms(self, tuple(from_in), tuple(to_out)), tol)
+        frm, to = tuple(from_in), tuple(to_out)
+        self.input.layout(frm), self.output.layout(to)
+        return any(_signalling_delta(_signalling_terms(self, frm, (t,))) > tol for t in to)
 
     def wire_signalling(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
-
-        Entry ``[i, t]`` is ``signals([input i], [output t], tol)``, decided in
-        one pass. Per output wire ``t``, one ``_wire_products`` with an empty
-        ``from`` block is ``U+ (E_tu x 1) U`` on every input digit; the pair
-        ``(i, t)`` is that array with input ``i`` as its axis pair. Outputs of
-        equal dim share a C-contiguous stack, taken a chunk at a time; its
-        modulus is taken once, and each input's ``_pair_gap_max`` reads its
-        row maxima off it. A dim-1 wire never signals.
-        """
-        tensor = _as_tensor(self.matrix, self.output.dims, self.input.dims)
-        n_in, n_out = len(self.input), len(self.output)
-        rel = np.zeros((n_in, n_out), dtype=bool)
-        live = [i for i, dim in enumerate(self.input.dims) if dim > 1]
-        d_in = self.input.total_dim
-        for dim, part in _dim_chunks(self.output.dims, lambda d: 64 * (d * d_in) ** 2):
-            if dim == 1:
-                continue
-            # stack[p, t, u, x, x'], one axis per input wire in x and in x', C-contiguous
-            stack = np.array([_wire_products(tensor, n_out, (k,), ()) for k in part])
-            stack = stack.reshape((len(part), dim, dim) + self.input.dims * 2)
-            absx = np.abs(stack)
-            for i in live:
-                rel[i, part] = _pair_gap_max(stack, absx, 3 + i, 3 + n_in + i) > tol
-        return rel
+        """``r[i, t]`` iff input ``i`` signals to output ``t``: ``signals([i], [t], tol)``, in one pass."""
+        return _signalling_deltas(self) > tol
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = DEFAULT_TOL
     ) -> Optional["UnitaryChannel"]:
         """Factor ``W`` with the channel equal to ``W`` tensor identity-on-``idle``.
 
-        Wires are paired by name between input and output. The candidate is the
-        idle-index-zero block; it is returned iff the full matrix matches the
-        block-tensor-identity pattern within ``tol`` and the block certifies as
-        unitary. An exact tensor factor is recovered exactly.
+        Wires are paired by name. ``W = Tr_idle / d_idle`` is returned iff
+        each idle wire's ``δ`` against identity is within ``tol``: a channel
+        commuting with each wire's operators commutes with the algebra they
+        generate, so it factors on all of them at once (``_idle_factor``).
         """
         idle = tuple(idle)
-        in_pos, out_pos = _paired_layout(self.input, self.output, idle)
-        n_out = len(self.output)
-        grid = self.matrix.reshape((1,) + self.output.dims + self.input.dims)
-        pairs = [(1 + o, 1 + n_out + i) for o, i in zip(out_pos, in_pos)]
-        gap = _delta_gap(grid, pairs)
-        ok, w = _identity_factor(grid, pairs, gap.reshape(1, -1).max(axis=1), tol)
-        if not ok[0]:
+        grid, pairs, split = _paired_grid(self, idle)
+        deltas = _pair_deltas(grid, pairs)[0]
+        if np.any(deltas > tol):
             return None
-        w_in = self.input.restrict(self.input.complement(idle))
-        w_out = self.output.restrict(self.output.complement(idle))
-        return UnitaryChannel(w_in, w_out, w[0], atol=max(tol, DEFAULT_TOL))
+        return _factor_channel(self, idle, *_idle_factor(grid, pairs, split, deltas, self.atol))
+
+
+def _signalling_deltas(u: UnitaryChannel) -> np.ndarray:
+    """``δ[i, t]`` of every wire pair, off one Heisenberg product ``U+ (E_tu x 1) U`` per
+    output wire ``t`` (``_wire_products``, empty ``from``); equal dims share a stack."""
+    tensor = _as_tensor(u.matrix, u.output.dims, u.input.dims)
+    n_in, n_out = len(u.input), len(u.output)
+    out = np.zeros((n_in, n_out))
+    pairs = [(3 + i, 3 + n_in + i) for i in range(n_in)]
+    d_in = u.input.total_dim
+    for dim, part in _dim_chunks(u.output.dims, lambda d: 64 * (d * d_in) ** 2):
+        if dim == 1:
+            continue
+        # stack[p, t, u, x, x'], one axis per input wire in x and in x', C-contiguous
+        stack = np.array([_wire_products(tensor, n_out, (k,), ()) for k in part])
+        stack = stack.reshape((len(part), dim, dim) + u.input.dims * 2)
+        out[:, part] = _pair_deltas(stack, pairs).T
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from causal_lens import classical, quantum
-from causal_lens.automata import build_ring, cone_growth, neighbourhood_map
+from causal_lens.automata import ConeRow, build_ring, neighbourhood_maps
 from causal_lens.causal import (
     check_interaction_without_disturbance,
     embed_on,
@@ -236,7 +236,8 @@ def test_criterion_8_cellular_automaton_cone_gap():
             [(classical.cnot(), i) for i in range(1, 6, 2)],
         ]
         ring_c = build_ring(layers_c, cells=6, cell_dim=2)
-        rows = cone_growth(ring_c, max_steps=2)
+        maps_c = neighbourhood_maps(ring_c, 2)
+        rows = [ConeRow.from_map(t, nm) for t, nm in enumerate(maps_c, 1)]
         final = rows[-1]
         assert any(
             c > s for c, s in zip(final.causal_sizes, final.signalling_sizes)
@@ -246,6 +247,6 @@ def test_criterion_8_cellular_automaton_cone_gap():
             [(quantum.cnot(), i) for i in range(1, 6, 2)],
         ]
         ring_q = build_ring(layers_q, cells=6, cell_dim=2, model="quantum")
-        classical_map = {e.cell: e for e in neighbourhood_map(ring_c, steps=2)}
-        for e in neighbourhood_map(ring_q, steps=2, tol=TOL):
+        classical_map = {e.cell: e for e in maps_c[-1]}
+        for e in neighbourhood_maps(ring_q, 2, tol=TOL)[-1]:
             assert e.signalling == classical_map[e.cell].causal

@@ -1,10 +1,20 @@
 import pytest
 
 from causal_lens import classical, quantum
-from causal_lens.automata import RingAutomaton, build_ring, cone_growth, neighbourhood_map
+from causal_lens.automata import ConeRow, RingAutomaton, build_ring, neighbourhood_maps
 from causal_lens.classical import ClassicalChannel
 from causal_lens.errors import BudgetError, SpecError
 from causal_lens.systems import composite
+
+
+def last_map(a, steps):
+    """The neighbourhood map of ``steps`` steps."""
+    return neighbourhood_maps(a, steps)[-1]
+
+
+def cones(a, max_steps):
+    """Both cone sizes per cell for each step count up to ``max_steps``."""
+    return [ConeRow.from_map(t, nm) for t, nm in enumerate(neighbourhood_maps(a, max_steps), 1)]
 
 
 def staggered_cnot_layers(cells, model="classical"):
@@ -73,9 +83,9 @@ def test_build_ring_rejects_bad_specs(layers, cells, cell_dim, model, message):
     assert str(exc.value) == message
 
 
-def test_neighbourhood_map_needs_a_step():
+def test_neighbourhood_maps_needs_a_step():
     with pytest.raises(SpecError, match="steps must be >= 1"):
-        neighbourhood_map(build_ring([], cells=2, cell_dim=2), 0)
+        neighbourhood_maps(build_ring([], cells=2, cell_dim=2), 0)
 
 
 def test_wraparound_and_open_boundary():
@@ -93,14 +103,14 @@ def test_budget_cap():
 
 def test_identity_automaton_neighbourhoods():
     a = build_ring([], cells=4, cell_dim=2)
-    for entry in neighbourhood_map(a, steps=2):
+    for entry in last_map(a, 2):
         assert entry.causal == {entry.cell}
         assert entry.signalling == {entry.cell}
 
 
 def test_single_cnot_layer_signalling_strictly_smaller():
     a = build_ring([[(classical.cnot(), 0), (classical.cnot(), 2)]], cells=4, cell_dim=2)
-    nm = {e.cell: e for e in neighbourhood_map(a, steps=1)}
+    nm = {e.cell: e for e in last_map(a, 1)}
     # the target cell influences its control's output without signalling to it
     assert nm["c1"].causal == {"c0", "c1"}
     assert nm["c1"].signalling == {"c1"}
@@ -112,22 +122,22 @@ def test_quantized_layout_closes_the_gap():
     q = build_ring(
         [[(quantum.cnot(), 0), (quantum.cnot(), 2)]], cells=4, cell_dim=2, model="quantum"
     )
-    nm_c = {e.cell: e for e in neighbourhood_map(c, steps=1)}
-    nm_q = {e.cell: e for e in neighbourhood_map(q, steps=1)}
+    nm_c = {e.cell: e for e in last_map(c, 1)}
+    nm_q = {e.cell: e for e in last_map(q, 1)}
     for cell in nm_c:
         assert nm_q[cell].signalling == nm_q[cell].causal == nm_c[cell].causal
 
 
-def test_cone_growth_identity_all_ones():
+def test_cones_identity_all_ones():
     a = build_ring([], cells=4, cell_dim=2)
-    for row in cone_growth(a, max_steps=2):
+    for row in cones(a, 2):
         assert row.causal_sizes == (1, 1, 1, 1)
         assert row.signalling_sizes == (1, 1, 1, 1)
 
 
-def test_cone_growth_staggered_gap():
+def test_cones_staggered_gap():
     a = build_ring(staggered_cnot_layers(6), cells=6, cell_dim=2)
-    rows = cone_growth(a, max_steps=2)
+    rows = cones(a, 2)
     final = rows[-1]
     assert any(c > s for c, s in zip(final.causal_sizes, final.signalling_sizes))
     assert all(c >= s for c, s in zip(final.causal_sizes, final.signalling_sizes))
@@ -136,10 +146,10 @@ def test_cone_growth_staggered_gap():
 def test_swap_chain_shifts_without_growing():
     gate = classical.swap_gate()
     a = build_ring([[(gate, 0), (gate, 2)], [(gate, 1), (gate, 3)]], cells=4, cell_dim=2)
-    for row in cone_growth(a, max_steps=2):
+    for row in cones(a, 2):
         assert row.causal_sizes == (1, 1, 1, 1)
         assert row.signalling_sizes == (1, 1, 1, 1)
-    nm = {e.cell: e for e in neighbourhood_map(a, steps=1)}
+    nm = {e.cell: e for e in last_map(a, 1)}
     assert nm["c0"].causal == {"c2"}  # shifted, not grown
 
 
@@ -148,17 +158,17 @@ def test_light_cone_containment():
     a = build_ring(staggered_cnot_layers(6), cells=6, cell_dim=2)
     support = 2  # one step touches at most the two staggered-gate spans
     for t in (1, 2):
-        for e in neighbourhood_map(a, steps=t):
+        for e in last_map(a, t):
             i = int(e.cell[1:])
             reach = {f"c{(i + d) % 6}" for d in range(-support * t, support * t + 1)}
             assert e.causal <= reach
 
 
-def test_cone_growth_budget():
+def test_cone_budget():
     a = build_ring([], cells=4, cell_dim=2, model="quantum")
-    cone_growth(a, 1)
+    neighbourhood_maps(a, 1)
     big = build_ring([], cells=12, cell_dim=2)
-    cone_growth(big, 1)
+    neighbourhood_maps(big, 1)
     with pytest.raises(BudgetError):
         bigger = build_ring([], cells=8, cell_dim=2)
-        cone_growth(RingAutomaton(8, 2, bigger.step, (), "quantum"), 1)
+        neighbourhood_maps(RingAutomaton(8, 2, bigger.step, (), "quantum"), 1)

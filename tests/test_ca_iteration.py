@@ -3,11 +3,15 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from causal_lens import causal
-from causal_lens.automata import build_ring, cone_growth, neighbourhood_map, neighbourhood_maps
+from causal_lens import automata, causal
+from causal_lens.automata import CellNeighbourhood, ConeRow, build_ring, neighbourhood_maps
+from causal_lens.causal import iterate, wire_relations
 from causal_lens.cli import load_rule_file, main
+from causal_lens.quantum import UnitaryChannel
+from causal_lens.systems import composite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RINGS = {"staggered_cnot_ring.json": 6, "swap_chain_ring.json": 5, "single_cnot_layer_ring.json": 5}
@@ -17,6 +21,20 @@ MAX_STEPS = 3
 def ring(fixture: str, model: str):
     cell_dim, layers = load_rule_file(str(FIXTURES / fixture), model)
     return build_ring(layers, RINGS[fixture], cell_dim, model=model)
+
+
+def per_step_map(a, steps):
+    """The neighbourhood map of ``steps`` steps, from the relations of the iterated step."""
+    influence, signalling = wire_relations(iterate(a.step, steps))
+    names = a.system.names
+    return tuple(
+        CellNeighbourhood(
+            cell=name,
+            causal=frozenset(t for t, hit in zip(names, c) if hit),
+            signalling=frozenset(t for t, hit in zip(names, s) if hit),
+        )
+        for name, c, s in zip(names, influence, signalling)
+    )
 
 
 def as_json(entries) -> dict:
@@ -30,9 +48,10 @@ def as_json(entries) -> dict:
 @pytest.mark.parametrize("fixture", sorted(RINGS))
 def test_incremental_maps_match_per_step_maps(fixture, model, capsys):
     a = ring(fixture, model)
-    direct = [neighbourhood_map(a, t) for t in range(1, MAX_STEPS + 1)]
-    assert list(neighbourhood_maps(a, MAX_STEPS)) == direct
-    rows = cone_growth(a, MAX_STEPS)
+    direct = [per_step_map(a, t) for t in range(1, MAX_STEPS + 1)]
+    maps = neighbourhood_maps(a, MAX_STEPS)
+    assert list(maps) == direct
+    rows = [ConeRow.from_map(t, nm) for t, nm in enumerate(maps, 1)]
     assert [row.step for row in rows] == list(range(1, MAX_STEPS + 1))
     for row, nm in zip(rows, direct):
         assert row.causal_sizes == tuple(len(e.causal) for e in nm)
@@ -67,3 +86,50 @@ def test_ca_over_cone_budget_exits_before_any_probe(capsys, monkeypatch):
     code = main(["ca", str(FIXTURES / "staggered_cnot_ring.json"), "--cells", "13"])
     assert code == 3
     assert "cone growth capped" in capsys.readouterr().err
+
+
+def test_a_relation_that_breaks_the_composition_law_exits_2(capsys, monkeypatch):
+    # the swap chain shifts every cell, so r_1 . r_1 is a permutation: a step-2
+    # relation reporting every cell pair escapes it
+    real, calls = automata.wire_relations, []
+
+    def widened(u, tol):
+        calls.append(u)
+        influence, signalling = real(u, tol)
+        if len(calls) == 2:
+            influence[...] = True
+        return influence, signalling
+
+    monkeypatch.setattr(automata, "wire_relations", widened)
+    argv = ["ca", str(FIXTURES / "swap_chain_ring.json"), "--cells", "4", "--steps", "2"]
+    assert main(argv) == 2
+    assert "escape the composed neighbourhoods" in capsys.readouterr().err
+    assert len(calls) == 2
+
+
+def test_quantum_ca_exits_0_where_the_thresholded_law_fails(tmp_path, capsys):
+    # a near-identity 3-qubit gate on every cell: every off-diagonal delta_1 lies
+    # below tol and every delta_2 above it, so the thresholded relations break
+    # r_2 ⊆ r_1 . r_1 although the channel is valid
+    rng = np.random.default_rng(1)
+    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    w, v = np.linalg.eigh((z + z.conj().T) / 2)
+    gate = (v * np.exp(1e-3j * w)) @ v.conj().T
+    tol = 0.00399
+    system = composite(*((name, 2) for name in "ABC"))
+    u = UnitaryChannel(system, system, gate)
+    off = ~np.eye(3, dtype=bool)
+    assert causal._influence(u, tol)[1][off].max() < tol
+    assert causal._influence(iterate(u, 2), tol)[1][off].min() > tol
+    wires = [{"name": n, "dim": 2} for n in "ABC"]
+    data = [[[x.real, x.imag] for x in row] for row in gate]
+    gate_file = tmp_path / "near_identity.json"
+    gate_file.write_text(
+        json.dumps({"model": "quantum", "inputs": wires, "outputs": wires, "data": data})
+    )
+    rule = tmp_path / "ring.json"
+    rule.write_text(json.dumps({"cell_dim": 2, "layers": [[{"gate": str(gate_file), "at": 0}]]}))
+    argv = ["ca", str(rule), "--cells", "3", "--steps", "2", "--model", "quantum"]
+    assert main(argv + ["--tol", str(tol), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [c["causal_sizes"] for c in payload["cones"]] == [[1, 1, 1], [3, 3, 3]]

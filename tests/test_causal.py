@@ -514,9 +514,9 @@ def test_witness_quantum_cnot_kickback():
     assert replay_witness(u, w)
 
 
-def test_witness_quantum_idle_pattern_inside_the_tolerance_band():
-    # with tol between the signalling defect and the probe's idle-pattern defect,
-    # influence holds without signalling and the witness is the idle-pattern entry
+def test_quantum_influence_and_signalling_agree_inside_the_tolerance_band():
+    # one delta decides both, so no tol separates them, and every witness of
+    # influence is an entry of the signalling identity that replays
     rng = np.random.default_rng(11)
     system = composite(("A", 3), ("B", 2))
     cases = 0
@@ -525,13 +525,14 @@ def test_witness_quantum_idle_pattern_inside_the_tolerance_band():
         w, v = np.linalg.eigh(h + h.conj().T)
         u = UnitaryChannel(system, system, (v * np.exp(0.03j * w)) @ v.conj().T)
         for tol in np.geomspace(1e-2, 0.5, 30):
-            if u.signals(["A"], ["B"], tol) or not has_causal_influence(u, ["A"], ["B"], tol):
+            influence = has_causal_influence(u, ["A"], ["B"], tol)
+            assert u.signals(["A"], ["B"], tol) == influence
+            if not influence:
                 continue
             cases += 1
             wit = find_witness(u, ["A"], ["B"], tol)
-            assert wit.detail["variant"] == "idle-pattern"
-            gap = np.subtract(wit.detail["actual"], wit.detail["expected"])
-            assert np.hypot(*gap) > tol
+            assert wit.detail["variant"] == "signalling-identity"
+            assert wit.detail["actual"] != wit.detail["expected"]
             assert replay_witness(u, wit, tol)
     assert cases > 0
 

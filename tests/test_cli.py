@@ -492,3 +492,22 @@ def test_text_mode_timestamp_opt_in(capsys):
     assert "generated at" not in out
     _, out, _ = run(capsys, "analyze", FIXTURES / "cnot.json", "--timestamps")
     assert "generated at" in out
+
+
+def test_hierarchy_inside_the_tolerance_band_exits_0(capsys, tmp_path):
+    # the 3x2 exp(0.03i H) of numpy seed 11 has delta(A, B) = 0.1367; its old
+    # entrywise readings (0.0986 signalling, 0.1375 probe) put --tol 0.099
+    # between them, and the command exited 2
+    rng = np.random.default_rng(11)
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    u = (v * np.exp(0.03j * w)) @ v.conj().T
+    wires = [{"name": "A", "dim": 3}, {"name": "B", "dim": 2}]
+    data = [[[z.real, z.imag] for z in row] for row in u]
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps({"model": "quantum", "inputs": wires, "outputs": wires, "data": data}))
+    argv = ["hierarchy", path, "--from", "A", "--to", "B", "--tol", "0.099", "--model", "quantum"]
+    code, payload, err = run_json(capsys, *argv)
+    assert code == 0, err
+    assert payload["consistent"] is True
+    assert payload["causal_influence"] is payload["signalling"] is True

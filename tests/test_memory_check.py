@@ -19,7 +19,7 @@ from causal_lens.causal import (
     reorder_wires,
 )
 from causal_lens.errors import ConsistencyError
-from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_terms
+from causal_lens.quantum import UnitaryChannel, _signalling_delta, _signalling_terms
 from causal_lens.systems import composite
 
 
@@ -179,17 +179,13 @@ def test_near_tolerance_sweep_matches_the_per_state_reference(monkeypatch):
 
     monkeypatch.setattr(causal, "_verify_quantum_memory", both)
     seen = collections.Counter()
-    # every 17th seed of 0-799 (all four wire shapes), tol around the signalling defect
+    # every 17th seed of 0-799 (all four wire shapes), tol around the block's delta
     for u in sweep_channels(range(0, 800, 17)):
         to = u.output.names[-1]
-        defect = float(np.max(_delta_gap(_signalling_terms(u, ("A",), (to,)), [(2, 4)])))
+        delta = _signalling_delta(_signalling_terms(u, ("A",), (to,)))
         for factor in (0.5, 1.01, 1.5, 3, 10):
-            got = outcome(u, to, defect * factor)
+            got = outcome(u, to, delta * factor)
             seen["ok" if isinstance(got, tuple) else got] += 1
     assert disagreements == []
-    assert set(seen) == {
-        "ok",
-        "no signalling but the probe process does not factor",
-        "quantum memory decomposition failed to recompose",
-        "per-wire idle factors did not combine into a joint factorization",
-    }
+    # valid input near the tolerance never reads as an internal inconsistency
+    assert set(seen) == {"ok"}

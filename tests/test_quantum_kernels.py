@@ -2,8 +2,10 @@
 
 ``reference_terms`` is the signalling kernel as a plain ``einsum``, kept as the
 reference for the matrix-product form in ``quantum._signalling_terms`` and for
-the deviation ``quantum._delta_gap`` reads off it. The row-max reading of the
-deviation, ``quantum._pair_gap_max``, is checked against the full gap.
+the entrywise gap ``quantum._delta_gap`` reads off it. The residual kernel
+(``quantum._residual`` through ``_pair_deltas`` and ``_block_residual``) is
+checked against the pattern ``1 ⊗ M`` formed in full, and its two readings of
+one pair (probe process and signalling terms) against each other.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from causal_lens import causal, quantum
 from causal_lens.causal import find_witness, has_causal_influence, hierarchy_report, replay_witness
-from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_terms
+from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_delta, _signalling_terms
 from causal_lens.systems import CompositeSystem, composite
 
 
@@ -134,9 +136,8 @@ def pair_stacks():
     """Seeded stacks of 1-3 rows on 1-3 wires of dims 1-3, as (stack, wire axis pairs).
 
     A row is ``(lead axes, wire dims, wire dims)``, with 0-2 lead axes of dims
-    1-3 (the probe copy; the ``t, u`` of the signalling pass). Entries are
-    rounded to one decimal and some are set to their digit-0 reference, so
-    exact ties and zero gaps occur.
+    1-3 (the probe copy; the ``t, u`` of the signalling pass). Some entries
+    are set to their digit-0 reference, so that zero residuals occur.
     """
     rng = np.random.default_rng(1515)
     out = []
@@ -145,8 +146,7 @@ def pair_stacks():
         lead = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(0, 3)))]
         dims = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
         shape = [rows] + lead + dims + dims
-        x = np.round(rng.normal(size=shape), 1) + 1j * np.round(rng.normal(size=shape), 1)
-        x.real[rng.random(shape) < 0.2] = -0.0
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         first = 1 + len(lead)
         pairs = [(first + k, first + len(dims) + k) for k in range(len(dims))]
         for a, b in pairs:
@@ -163,20 +163,61 @@ def test_pair_stacks_cover_the_required_shapes():
     assert {len(pairs) for _, pairs in stacks} == {1, 2, 3}
 
 
-@pytest.mark.parametrize("x,pairs", pair_stacks())
-def test_pair_gap_max_is_bit_identical_to_the_row_max_of_the_gap(x, pairs):
-    absx = np.abs(x)
-    kept = absx.copy()
+def reference_residual(x, pairs):
+    """Per row, ``‖x − 1 ⊗ M‖²_F`` with the pattern formed in full, and ``M``.
+
+    ``M`` is the mean of the diagonal blocks, every pair at digit ``j`` in turn.
+    """
+    paired = [a for pair in pairs for a in pair]
+    d = int(np.prod([x.shape[a] for a, _ in pairs]))
+    mean = 0
+    for digits in np.ndindex(*[x.shape[a] for a, _ in pairs]):
+        block = x
+        for (a, b), j in zip(pairs, digits):
+            index = [slice(None)] * x.ndim
+            index[a] = index[b] = slice(j, j + 1)
+            block = block[tuple(index)]
+        mean = mean + block / d
+    pattern = mean
     for a, b in pairs:
-        ref = _delta_gap(x, [(a, b)]).reshape(len(x), -1).max(axis=1)
-        got = quantum._pair_gap_max(x, absx, a, b)
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    # the modulus is shared by every wire of the stack and by the joint test
-    for some in (pairs[:1], pairs, []):
-        gap, ref = _delta_gap(x, some, absx), _delta_gap(x, some)
-        assert np.array_equal(gap.view(np.uint64), ref.view(np.uint64))
-    assert np.array_equal(absx.view(np.uint64), kept.view(np.uint64))
+        dim = x.shape[a]
+        pattern = pattern * np.eye(dim).reshape([dim if c in (a, b) else 1 for c in range(x.ndim)])
+    r = x - pattern
+    return (np.abs(r) ** 2).reshape(len(x), -1).sum(axis=1), np.squeeze(mean, axis=tuple(paired))
+
+
+@pytest.mark.parametrize("x,pairs", pair_stacks())
+def test_the_residual_kernel_matches_the_formed_pattern(x, pairs):
+    entries = x[0].size
+    deltas = quantum._pair_deltas(x, pairs)
+    for j, pair in enumerate(pairs):
+        want = np.sqrt(reference_residual(x, [pair])[0] / np.sqrt(entries))
+        assert np.allclose(deltas[:, j], want, rtol=1e-12, atol=1e-15)
+    # all pairs at once: the factor comes out as a matrix on the unpaired axes
+    r2, mean = quantum._block_residual(x, pairs, pairs[0][1])
+    want_r2, want_mean = reference_residual(x, pairs)
+    assert np.allclose(r2, want_r2, rtol=1e-12, atol=1e-15)
+    assert np.allclose(mean.reshape(want_mean.shape), want_mean, rtol=1e-12, atol=1e-15)
+
+
+def test_the_residual_is_formed_explicitly_at_the_tolerance():
+    # W x 1 plus a 1e-11 part: ‖x‖² − ‖Tr x‖²/d would lose it to cancellation
+    rng = np.random.default_rng(6)
+    w = quantum.random_unitary(composite(("A", 4), ("B", 4)), rng).matrix
+    tail = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    x = (np.kron(w, np.eye(4)) + 1e-11 * tail).reshape(1, 4, 4, 4, 4, 4, 4)
+    pairs = [(3, 6)]
+    want = np.sqrt(reference_residual(x, pairs)[0] / 64)
+    assert 1e-11 < want[0] < 1e-9
+    assert np.allclose(quantum._pair_deltas(x, pairs)[:, 0], want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("u,frm,to", kernel_cases())
+def test_the_probe_and_the_signalling_terms_read_one_delta(u, frm, to):
+    probe_delta = quantum._identity_factor(causal.t_process(u, frm).channel, to)[0]
+    sig_delta = _signalling_delta(_signalling_terms(u, frm, to))
+    assert quantum._same_reading(probe_delta, sig_delta)
+    assert 0 <= sig_delta < 1
 
 
 def test_the_quantum_probe_stack_is_c_contiguous():
@@ -206,24 +247,22 @@ def test_witness_names_the_smaller_entry_of_its_hermitian_mirror_pair():
                 continue
             wit = find_witness(u, ["A"], ["B"], tol)
             d = wit.detail
-            if d["variant"] == "idle-pattern":
-                entry = tuple(d["entry"])
-                mirror = tuple(entry[i] for i in (2, 3, 0, 1))
-            else:
-                (t, s), (a, b), (k, l) = d["marginal_entry"], d["from_unit"], d["complement_unit"]
-                entry, mirror = (t, s, a, k, b, l), (s, t, b, l, a, k)
-            assert entry <= mirror
+            (t, s), (a, b), (k, l) = d["marginal_entry"], d["from_unit"], d["complement_unit"]
+            assert (t, s, a, k, b, l) <= (s, t, b, l, a, k)
             assert replay_witness(u, wit, tol)
             variants.add(d["variant"])
-    assert variants == {"idle-pattern", "signalling-identity"}
+    assert variants == {"signalling-identity"}
 
 
-def test_idle_pattern_witness_of_a_tied_pair_is_stable():
-    # entries (5,1,7,1) and (7,1,5,1) tie exactly; the smaller one is named
+def test_the_band_channel_witness_is_its_worst_signalling_entry():
+    # inside the band where the entrywise readings used to disagree, the one
+    # delta (0.1367 from both sides) decides, and the witness stays canonical
     u = next(seed_11_channels())
+    assert abs(_signalling_delta(_signalling_terms(u, ["A"], ["B"])) - 0.1367) < 1e-4
     d = find_witness(u, ["A"], ["B"], 0.1).detail
-    assert d["variant"] == "idle-pattern"
-    assert d["entry"] == [5, 1, 7, 1]
+    assert d["variant"] == "signalling-identity"
+    assert (d["marginal_entry"], d["from_unit"], d["complement_unit"]) == ([0, 1], [0, 1], [0, 1])
+    assert not has_causal_influence(u, ["A"], ["B"], 0.14)
 
 
 @pytest.mark.parametrize(
@@ -255,7 +294,7 @@ def test_signalling_kernels_build_no_composite_system(monkeypatch):
         CompositeSystem, "__post_init__", lambda self: built.append(self) or real(self)
     )
     m = quantum._signalling_terms(u, ("C", "A"), ("B",))
-    assert u.signals(["C", "A"], ["B"]) == quantum._signals(m, 1e-9)
+    assert u.signals(["C", "A"], ["B"]) == (_signalling_delta(m) > 1e-9)
     u.wire_signalling()
     quantum._grouped(u.matrix, u.output, u.input, ("B",), ("C", "A"))
     assert built == []

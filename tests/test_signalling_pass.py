@@ -16,7 +16,7 @@ from causal_lens.causal import iterate
 from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file, main
 from causal_lens.errors import ConsistencyError, SpecError
-from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_terms
+from causal_lens.quantum import UnitaryChannel, _signalling_delta, _signalling_terms
 from causal_lens.systems import composite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -128,10 +128,13 @@ def near_identity_ring(seed, cells, eps):
 
 
 def split_tolerance(u):
-    """A ``tol`` halfway between two adjacent pair deviations near their median."""
+    """A ``tol`` halfway between two adjacent pair deltas near their median.
+
+    Deltas equal up to rounding count as one, so ``tol`` lies well clear of each.
+    """
     devs = sorted(
         {
-            float(np.max(_delta_gap(_signalling_terms(u, [i], [t]), [(2, 4)])))
+            round(_signalling_delta(_signalling_terms(u, [i], [t])), 12)
             for i in u.input.names
             for t in u.output.names
         }
@@ -144,16 +147,10 @@ NEAR = [(seed, cells, eps) for seed in range(6) for cells in (2, 3, 4) for eps i
 
 
 @pytest.mark.parametrize("seed,cells,eps", NEAR)
-def test_near_identity_rings_match_pairwise_signals_on_both_sides_of_tol(
-    monkeypatch, seed, cells, eps
-):
+def test_near_identity_rings_match_pairwise_signals_on_both_sides_of_tol(seed, cells, eps):
     a = near_identity_ring(seed, cells, eps)
     tol = split_tolerance(a.step)
-    # the probe process near the tolerance is not under test here: report every
-    # cell as influenced, so that only the signalling sets are compared
-    monkeypatch.setattr(
-        causal, "influence_relation", lambda u, tol: np.ones((len(u.input), len(u.output)), bool)
-    )
+    # quantumly the signalling sets are the influence sets, decided on the one delta
     (entries,) = neighbourhood_maps(a, 1, tol)
     want = pairwise_signalling(a.step, tol)
     assert {e.cell: e.signalling for e in entries} == want
@@ -181,12 +178,20 @@ def test_neighbourhood_maps_makes_no_signals_call(monkeypatch, model):
 
 @pytest.mark.parametrize("model", sorted(MAX_CELLS))
 def test_signalling_outside_the_reported_neighbourhood_still_raises(monkeypatch, model):
+    # an influence pass that forgets every wire: classically signalling escapes
+    # the neighbourhood, quantumly the probe's deltas differ from the signalling ones
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)
     a = build_ring(layers, 6, cell_dim, model=model)
-    monkeypatch.setattr(
-        causal, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
-    )
-    with pytest.raises(ConsistencyError, match="escapes its causal neighbourhood"):
+    def forgetful(u, tol):
+        return np.zeros((len(u.input), len(u.output)), bool)
+
+    if model == "quantum":
+        monkeypatch.setattr(causal, "_influence", lambda u, tol: (forgetful(u, tol), np.zeros(1)))
+        match = "readings of a quantum delta differ"
+    else:
+        monkeypatch.setattr(causal, "influence_relation", forgetful)
+        match = "escapes its causal neighbourhood"
+    with pytest.raises(ConsistencyError, match=match):
         neighbourhood_maps(a, 1)
 
 
