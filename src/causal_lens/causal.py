@@ -12,7 +12,11 @@ closed form, ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])
 with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
 table gathered in one pass, quantumly one matrix product certified once.
 ``influence_relation`` checks the joint factorization of a whole classical
-probe stack in one gather, and of each quantum probe in turn.
+probe stack in one gather, and of each quantum probe in turn through the one
+quantum factor kernel (``quantum._identity_factor``), which also gives the
+factors of ``hierarchy_report`` and ``memory_decomposition``. Classically
+the per-wire idle test and no-signalling are one difference kernel
+(``classical._steps_by``), with the wire's stride or 0 as the step.
 ``t_process`` branches on the model only to build that probe channel; its
 factor is the probe's own ``factors_as_identity``. The memory decompositions
 (the quantum legs are checked against ``U`` by contraction on product
@@ -44,7 +48,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import ClassicalChannel, ClassicalInstrument, _certify_bijection, _passes_through
+from .classical import ClassicalChannel, ClassicalInstrument, _certify_bijection, _steps_by
 from .errors import ConsistencyError, SpecError
 from .quantum import (
     _CHECK_CHUNK_BYTES,
@@ -55,12 +59,11 @@ from .quantum import (
     _delta_gap,
     _dim_chunks,
     _factor_atol,
-    _factor_channel,
     _grouped,
     _identity_factor,
-    _idle_factor,
     _normalised,
     _pair_deltas,
+    _paired_grid,
     _partial_trace,
     _same_reading,
     _signalling_delta,
@@ -258,12 +261,13 @@ def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]
 
     Probes of equal-dim inputs share a stack, gathered and certified at once;
     each output wire's idle test runs once for it, then each probe's joint
-    factorization is checked (``_classical_joint_test``, ``_joint_factor``).
+    factorization is checked (``_classical_joint_test``, ``_identity_factor``
+    against the root sum of squares of its idle wires' ``δ``).
     """
     classical = isinstance(u, ClassicalChannel)
     rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
     deltas = None if classical else np.zeros(rel.shape)
-    d_out = u.output.total_dim
+    n, d_out = len(u.output), u.output.total_dim
     # working set: about four int64 arrays the size of a classical probe
     # table, four complex arrays the size of a quantum probe matrix
     entry_bytes = (lambda d: 32 * d * d_out) if classical else (lambda d: 64 * (d * d_out) ** 2)
@@ -281,7 +285,9 @@ def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]
             delta = _wire_deltas(u, probes)
             idle = delta <= tol
             for p, mask in enumerate(idle):
-                _joint_factor(u, probes[p : p + 1], delta[p], mask)
+                wires = np.flatnonzero(mask)
+                pairs = [(k + 1, n + k + 2) for k in wires.tolist()]
+                _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
             deltas[part] = delta
         rel[part] = ~idle
     return rel, deltas
@@ -326,10 +332,11 @@ def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
 
 
 def _idle_outputs(u: ClassicalChannel, grid: np.ndarray) -> np.ndarray:
-    """``r[p, k]`` iff classical probe ``p`` passes output ``k``'s digit through (``_passes_through``)."""
+    """``r[p, k]`` iff each step of output ``k``'s digit moves classical probe ``p`` by its stride
+    (``_steps_by``)."""
     idle = np.zeros((len(grid), len(u.output)), dtype=bool)
     for k, stride in enumerate(u.output.strides):
-        idle[:, k] = _passes_through(grid, (k + 1,), (stride,))
+        idle[:, k] = _steps_by(grid, (k + 1,), (stride,))
     return idle
 
 
@@ -345,10 +352,9 @@ def _digit_table(system: CompositeSystem) -> np.ndarray:
     Floats, so that a 0/1 mask times the table is one BLAS product; every
     value is an integer below ``total_dim``, so the product is exact.
     """
-    zd = np.empty((len(system), system.total_dim))
-    for k, (dim, stride) in enumerate(zip(system.dims, system.strides)):
-        zd[k].reshape(-1, dim, stride)[...] = (np.arange(dim) * stride)[:, None]
-    return zd
+    z = np.arange(system.total_dim)
+    zd = np.array([system.digits(z, (name,)) for name in system.names], dtype=float)
+    return zd.reshape(len(system), system.total_dim) * np.reshape(system.strides, (-1, 1))
 
 
 def _classical_joint_test(flat: np.ndarray, idle: np.ndarray, zd: np.ndarray) -> None:
@@ -356,7 +362,7 @@ def _classical_joint_test(flat: np.ndarray, idle: np.ndarray, zd: np.ndarray) ->
 
     ``flat[p]`` is probe ``p``'s table (copy digit most significant) and
     ``zd`` the ``_digit_table`` of the outputs. The grid-level test is
-    ``_passes_through`` on all of a probe's idle wires: each entry is the
+    pass-through on all of a probe's idle wires at once: each entry is the
     entry at its point's idle digits 0 plus those digits. The factor on
     (copy, rest) is certified a bijection: the entries at idle digits 0,
     with their idle digits dropped, are distinct. It does not reuse the
@@ -377,19 +383,10 @@ def _classical_joint_test(flat: np.ndarray, idle: np.ndarray, zd: np.ndarray) ->
 
 def _passes_idle_digits(flat: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """For each table ``flat[p]``, whether every entry is the entry at its point's
-    idle digits 0 plus those digits, ``off2[p]`` (``_passes_through`` on the idle wires)."""
+    idle digits 0 plus those digits, ``off2[p]`` (pass-through on the idle wires)."""
     base = np.take_along_axis(flat, np.arange(flat.shape[1]) - off2, axis=1)
     base += off2
     return (base == flat).all(axis=1)
-
-
-def _joint_factor(u: UnitaryChannel, grid: np.ndarray, delta: np.ndarray, idle: np.ndarray) -> None:
-    """The joint factorization of one quantum probe (a stack of one) off its ``idle`` outputs
-    (``_idle_factor``), the probe certified within ``DEFAULT_TOL``."""
-    n = len(u.output)
-    wires = np.flatnonzero(idle)
-    pairs = [(int(k) + 2, n + int(k) + 3) for k in wires]
-    _idle_factor(grid, pairs, n + 2, delta[wires], DEFAULT_TOL)
 
 
 def wire_relations(u: Channel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +465,8 @@ def memory_decomposition(
     if isinstance(u, ClassicalChannel):
         return _classical_memory(u, frm, idle)
     tilde = t_process(u, frm, tol).channel
-    _, eps, w = _identity_factor(tilde, idle)
-    return _quantum_memory(u, frm, idle, _factor_channel(tilde, idle, eps, w), eps)
+    _, eps, w = _identity_factor(*_paired_grid(tilde, idle), tilde.atol)
+    return _quantum_memory(u, frm, idle, tilde, eps, w)
 
 
 def _blocks(u: Channel, frm: tuple[str, ...], idle: tuple[str, ...]):
@@ -516,13 +513,15 @@ def _quantum_memory(
     u: UnitaryChannel,
     frm: tuple[str, ...],
     idle: tuple[str, ...],
-    t_fac: UnitaryChannel,
+    tilde: UnitaryChannel,
     eps: float,
+    t_mat: np.ndarray,
 ) -> MemoryDecomposition:
     """The memory form of ``u``, which does not signal from ``frm`` to ``idle``.
 
-    ``t_fac`` is the factor of u's probe process at ``frm`` on ``idle``, not
-    tested again, and ``eps`` its residual ``‖tilde − W x 1‖_F``.
+    ``t_mat`` is the certified factor ``W`` of u's probe process ``tilde`` at
+    ``frm`` on ``idle`` (``_identity_factor``), not tested again, and ``eps``
+    its residual ``‖tilde − W x 1‖_F``.
     """
     a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _blocks(u, frm, idle)
     taken = set(u.input.names) | set(u.output.names)
@@ -539,10 +538,10 @@ def _quantum_memory(
     v = StateMap(b_sys, env_sys.concat(bp_sys), v_eval)
 
     # w feeds (A, env) through the extracted probe factor and discards the copies
-    t_mat = t_fac.matrix
+    t_out = tilde.output.restrict(tilde.output.complement(idle))
 
     def w_eval(x: np.ndarray) -> np.ndarray:
-        return _partial_trace(t_mat @ x @ t_mat.conj().T, t_fac.output, ap_names)
+        return _partial_trace(t_mat @ x @ t_mat.conj().T, t_out, ap_names)
 
     w = StateMap(a_sys.concat(env_sys), ap_sys, w_eval)
 
@@ -657,12 +656,12 @@ def hierarchy_report(
         witness = _classical_witness(u, frm, to) if causal else None
     else:
         m = _signalling_terms(u, frm, to)
-        delta, eps, w = _identity_factor(tp.channel, to)
+        delta, eps, w = _identity_factor(*_paired_grid(tp.channel, to), tp.channel.atol)
         if not _same_reading(delta, _signalling_delta(m)):
             raise ConsistencyError("the probe and signalling readings of a quantum delta differ")
         sig = causal
         if not sig:
-            _quantum_memory(u, frm, to, _factor_channel(tp.channel, to, eps, w), eps)
+            _quantum_memory(u, frm, to, tp.channel, eps, w)
         witness = _quantum_witness(m, frm, to) if causal else None
     return HierarchyReport(
         from_in=frm,

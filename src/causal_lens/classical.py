@@ -37,29 +37,23 @@ def _at_zero(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return grid[tuple(slice(0, 1) if a in axes else slice(None) for a in range(grid.ndim))]
 
 
-def _varies(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """For each row ``grid[t]``, whether it changes along any of its ``axes``."""
-    moved = grid != _at_zero(grid, [a + 1 for a in axes])
-    return moved.any(axis=tuple(range(1, grid.ndim)))
+def _steps_by(grid: np.ndarray, axes: Sequence[int], steps: Sequence[int]) -> np.ndarray:
+    """For each row ``grid[p]``, whether every step along each of its ``axes``
+    moves the entry by exactly that axis' ``steps``.
 
-
-def _passes_through(grid: np.ndarray, axes: Sequence[int], strides: Sequence[int]) -> np.ndarray:
-    """For each row ``grid[p]`` of joint output indices, whether it is its value
-    with ``axes`` at digit 0 plus each axis' digit times its output ``strides``.
-
-    The grid-level identity-factor test. For a bijection it holds exactly when
-    each axis' digit passes through to the output wire of that stride (of the
-    same dim) and no other output digit depends on it: each line along an axis
-    then maps onto ``dim`` consecutive values of ``index // stride``, and runs
-    of that length tile the index space only when each starts at digit 0.
+    The grid-level identity test. With steps of 0 it says the row does not
+    vary along the axes (no signalling). With the output strides of wires
+    paired to the axes it says each axis' digit passes through: for a
+    bijection that holds exactly when each digit passes through to the
+    output wire of that stride (of the same dim) and no other output digit
+    depends on it, since each line along an axis then maps onto ``dim``
+    consecutive values of ``index // stride``, and runs of that length tile
+    the index space only when each starts at digit 0.
     """
-    offset = 0  # spans the named axes only, until it is added to the full grid
-    for a, stride in zip(axes, strides):
-        dim = grid.shape[a + 1]
-        digit = np.arange(dim).reshape([dim if b == a + 1 else 1 for b in range(grid.ndim)])
-        offset = offset + digit * stride
-    base = _at_zero(grid, [a + 1 for a in axes]) + offset
-    return (grid == base).reshape(len(grid), -1).all(axis=1)
+    ok = np.ones(len(grid), dtype=bool)
+    for a, step in zip(axes, steps):
+        ok &= (np.diff(grid, axis=a + 1) == step).reshape(len(grid), -1).all(axis=1)
+    return ok
 
 
 def _bijective(tables: np.ndarray) -> np.ndarray:
@@ -172,7 +166,7 @@ class ClassicalChannel:
         """
         from_pos = self.input.subset_positions(from_in)
         grid = self.output.digits(self._arr, tuple(to_out)).reshape((1,) + self.input.dims)
-        return bool(_varies(grid, from_pos)[0])
+        return not _steps_by(grid, from_pos, [0] * len(from_pos))[0]
 
     def wire_signalling(self, tol: float = 0.0) -> np.ndarray:
         """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
@@ -180,11 +174,11 @@ class ClassicalChannel:
         Entry ``[i, t]`` is ``signals([input i], [output t])``, decided in one
         pass: the output-digit grid ``g[t, x_0, ..., x_{n-1}]`` is built once,
         and row ``i`` is where ``g`` varies along input axis ``i``, every target
-        at once. ``tol`` is unused.
+        at once (``_steps_by`` with a step of 0). ``tol`` is unused.
         """
         grid = np.array([self.output.digits(self._arr, (t,)) for t in self.output.names])
         grid = grid.reshape((len(self.output),) + self.input.dims)
-        rel = [_varies(grid, (i,)) for i in range(len(self.input))]
+        rel = [~_steps_by(grid, (i,), (0,)) for i in range(len(self.input))]
         return np.array(rel, dtype=bool).reshape(len(self.input), len(self.output))
 
     def factors_as_identity(
@@ -195,13 +189,14 @@ class ClassicalChannel:
         The idle wires must appear by name on both sides with equal dimensions.
         Returns None unless (i) every idle output equals the same-named idle
         input and (ii) the remaining outputs do not depend on the idle inputs;
-        for a bijection that is ``_passes_through`` on the idle input axes.
+        for a bijection that is ``_steps_by`` the paired output strides on the
+        idle input axes.
         """
         idle = tuple(idle)
         in_pos, out_pos = _paired_layout(self.input, self.output, idle)
         grid = self._arr.reshape((1,) + self.input.dims)
         strides = [self.output.strides[k] for k in out_pos]
-        if not _passes_through(grid, in_pos, strides)[0]:
+        if not _steps_by(grid, in_pos, strides)[0]:
             return None
         # the factor is the table of the remaining outputs with the idle inputs at 0
         w_in = self.input.restrict(self.input.complement(idle))

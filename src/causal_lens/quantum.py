@@ -9,7 +9,10 @@ Every quantum verdict reads one number per (input block, output wire): the
 normalised residual ``δ`` against ``1 ⊗ M`` on an axis pair (``_residual``);
 a block of wires is reached iff one of its wires is. Its probe and
 signalling readings are one commutator, compared as values
-(``_same_reading``). ``_delta_gap`` only locates a witness entry.
+(``_same_reading``). ``_delta_gap`` only locates a witness entry. Every
+factor on a block of wires comes from one kernel, ``_identity_factor``:
+``W = Tr_idle / d_idle`` on a grid's own axes, the residual formed in place,
+and ``W`` certified, a failure being a ``ConsistencyError``.
 """
 
 from __future__ import annotations
@@ -183,24 +186,6 @@ def _pair_deltas(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
     return out
 
 
-def _block_residual(
-    x: np.ndarray, pairs: Sequence[tuple[int, int]], split: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a stack: the squared residual on all ``pairs`` at once, and ``M``.
-
-    Axes ``1 .. split-1`` are the row side. The pairs are gathered into one
-    after the unpaired axes of their side, so ``M`` is ``(rows, L, L')``, the
-    factor.
-    """
-    rows_side = [k for k in range(1, split) if k not in {a for a, _ in pairs}]
-    cols_side = [k for k in range(split, x.ndim) if k not in {b for _, b in pairs}]
-    order = [0] + rows_side + [a for a, _ in pairs] + cols_side + [b for _, b in pairs]
-    d = math.prod(x.shape[a] for a, _ in pairs)
-    shape = (len(x), math.prod(x.shape[k] for k in rows_side), d, -1, d, 1)
-    xv = np.ascontiguousarray(x.transpose(order)).reshape(shape)
-    return _residual(xv, _squares(xv)), np.einsum("plimi->plm", xv[..., 0]) / d
-
-
 def _same_reading(x, y) -> bool:
     """Whether two readings of the same ``δ`` agree up to rounding."""
     return bool(np.all(np.abs(np.subtract(x, y)) <= _SAME_REL * np.maximum(x, y) + _SAME_FLOOR))
@@ -243,51 +228,56 @@ def _unitarity_defects(m: np.ndarray) -> np.ndarray:
 
 def _certify_unitary(m: np.ndarray, atol: float) -> None:
     """The channel certificate, on one matrix or on each of a stack."""
-    for defect in np.ravel(_unitarity_defects(m)):
-        if defect > atol:
+    with np.errstate(invalid="ignore"):  # an infinite entry reads as a NaN defect
+        defects = np.ravel(_unitarity_defects(m))
+    for defect in defects:
+        if not defect <= atol:  # NaN too
             raise SpecError(f"unitarity certificate failed: max |U+U - I| = {defect:.3e}")
 
 
 def _paired_grid(u: "UnitaryChannel", idle: tuple[str, ...]):
-    """``u`` as a stack of one grid, one axis per wire, with its ``idle`` axis pairs (by name)."""
+    """``u`` as a grid, one axis per wire (outputs, then inputs), with its ``idle`` axis pairs."""
     in_pos, out_pos = _paired_layout(u.input, u.output, idle)
     n_out = len(u.output)
-    grid = u.matrix.reshape((1,) + u.output.dims + u.input.dims)
-    return grid, [(1 + o, 1 + n_out + i) for o, i in zip(out_pos, in_pos)], 1 + n_out
+    grid = u.matrix.reshape(u.output.dims + u.input.dims)
+    return grid, [(o, n_out + i) for o, i in zip(out_pos, in_pos)]
 
 
-def _identity_factor(u: "UnitaryChannel", idle: tuple[str, ...]) -> tuple[float, float, np.ndarray]:
-    """``u`` against ``W x 1`` on the ``idle`` wires, paired by name: ``(δ, ε, W)``.
+def _identity_factor(
+    x: np.ndarray, pairs: Sequence[tuple[int, int]], atol: float, bound: Optional[float] = None
+) -> tuple[float, float, np.ndarray]:
+    """One grid ``x`` against ``1 ⊗ W`` on its axis ``pairs``: ``(δ, ε, W)``, ``W`` certified.
 
-    ``W = Tr_idle(u) / d_idle`` and ``ε = ‖u − W x 1‖_F``; an exact tensor
-    factor is recovered exactly.
+    ``W = Tr_pairs(x) / d`` is an einsum trace on the grid's own axes, and the
+    residual ``x − 1 ⊗ W`` is written into one copy of ``x`` through a
+    writeable view of its diagonal, so ``ε = ‖x − 1 ⊗ W‖_F`` is never a
+    difference of squares; an exact tensor factor is recovered exactly.
+    ``W`` is returned as a matrix. For ``x`` unitary within ``atol``,
+    ``W`` is unitary within ``_factor_atol``; with ``bound``, the root sum of
+    squares of the pairs' own ``δ``, the joint ``δ`` is at most it (``1 −
+    P₁P₂ = (1 − P₁) + P₁(1 − P₂)`` is an orthogonal split). Both are
+    theorems, so a failure is a bug.
     """
-    grid, pairs, split = _paired_grid(u, idle)
-    r2, w = _block_residual(grid, pairs, split)
-    return float(_normalised(r2, grid[0].size)[0]), math.sqrt(r2[0]), w[0]
-
-
-def _idle_factor(grid: np.ndarray, pairs, split: int, deltas: np.ndarray, atol: float):
-    """``(ε, W)`` of a stack of one grid, certified within ``atol``, on its idle axis ``pairs``.
-
-    The joint ``δ`` is at most the root sum of squares of the pairs' own
-    ``deltas`` (``1 − P₁P₂ = (1 − P₁) + P₁(1 − P₂)`` is an orthogonal split)
-    and ``W`` is unitary within ``_factor_atol``: theorems, so a failure is a bug.
-    """
-    r2, w = _block_residual(grid, pairs, split)
-    eps, bound = math.sqrt(r2[0]), math.sqrt(np.sum(np.square(deltas))) * (1 + _SAME_REL)
-    if _normalised(r2, grid[0].size)[0] > bound + _SAME_FLOOR or (
-        _unitarity_defects(w[0]) > _factor_atol(eps, atol)
+    sub = list(range(x.ndim))
+    for a, b in pairs:
+        sub[b] = a
+    paired = [a for a, _ in pairs]
+    kept = [k for k in sub if sub.count(k) == 1]
+    w = np.einsum(x, sub, kept) / math.prod(x.shape[a] for a in paired)
+    r = x.copy()
+    np.einsum(r, sub, kept + paired)[...] -= w.reshape(w.shape + (1,) * len(pairs))
+    eps = math.sqrt(np.vdot(r, r).real)
+    delta = float(_normalised(eps * eps, x.size))
+    # rows: the unpaired axes of the output side, the leading axes of x whose
+    # dims multiply to sqrt(x.size)
+    n_rows = next(k for k in range(x.ndim + 1) if math.prod(x.shape[:k]) ** 2 >= x.size)
+    w = w.reshape(math.prod(x.shape[k] for k in kept if k < n_rows), -1)
+    if not (
+        (bound is None or delta <= bound * (1 + _SAME_REL) + _SAME_FLOOR)
+        and _unitarity_defects(w) <= _factor_atol(eps, atol)
     ):
         raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
-    return eps, w[0]
-
-
-def _factor_channel(u: "UnitaryChannel", idle: tuple[str, ...], eps: float, w: np.ndarray):
-    """The factor ``w`` of ``_identity_factor`` as a channel, certified within ``_factor_atol``."""
-    w_in = u.input.restrict(u.input.complement(idle))
-    w_out = u.output.restrict(u.output.complement(idle))
-    return UnitaryChannel(w_in, w_out, w, atol=_factor_atol(eps, u.atol))
+    return delta, eps, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,14 +387,17 @@ class UnitaryChannel:
         Wires are paired by name. ``W = Tr_idle / d_idle`` is returned iff
         each idle wire's ``δ`` against identity is within ``tol``: a channel
         commuting with each wire's operators commutes with the algebra they
-        generate, so it factors on all of them at once (``_idle_factor``).
+        generate, so it factors on all of them at once (``_identity_factor``).
         """
         idle = tuple(idle)
-        grid, pairs, split = _paired_grid(self, idle)
-        deltas = _pair_deltas(grid, pairs)[0]
+        grid, pairs = _paired_grid(self, idle)
+        deltas = _pair_deltas(grid[None], [(a + 1, b + 1) for a, b in pairs])[0]
         if np.any(deltas > tol):
             return None
-        return _factor_channel(self, idle, *_idle_factor(grid, pairs, split, deltas, self.atol))
+        _, eps, w = _identity_factor(grid, pairs, self.atol, np.linalg.norm(deltas))
+        w_in = self.input.restrict(self.input.complement(idle))
+        w_out = self.output.restrict(self.output.complement(idle))
+        return UnitaryChannel(w_in, w_out, w, atol=_factor_atol(eps, self.atol))
 
 
 def _signalling_deltas(u: UnitaryChannel) -> np.ndarray:
@@ -440,7 +433,9 @@ class DensityOperator:
         n = self.system.total_dim
         if m.shape != (n, n):
             raise SpecError(f"state shape {m.shape} does not match system dimension {n}")
-        if np.max(np.abs(m - m.conj().T)) > self.atol:
+        with np.errstate(invalid="ignore"):  # any non-finite entry reads as a NaN
+            asymmetry = np.max(np.abs(m - m.conj().T))
+        if not asymmetry <= self.atol:
             raise SpecError("state is not Hermitian within tolerance")
         if abs(np.trace(m) - 1.0) > self.atol:
             raise SpecError(f"state trace {np.trace(m):.6f} is not 1 within tolerance")

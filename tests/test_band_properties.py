@@ -133,7 +133,8 @@ def test_a_block_is_decided_by_its_wires_inside_the_band(tmp_path):
     system = composite(*((name, 2) for name in "ABC"))
     u = UnitaryChannel(system, system, matrix)
     wire = causal._influence(u, 1e-9)[1][0, 1:]
-    block = quantum._identity_factor(causal.t_process(u, ["A"]).channel, ("B", "C"))[0]
+    tilde = causal.t_process(u, ["A"]).channel
+    block = quantum._identity_factor(*quantum._paired_grid(tilde, ("B", "C")), tilde.atol)[0]
     tol = (wire.max() + block) / 2
     assert wire.max() < tol < block
     tp = causal.t_process(u, ["A"], tol)

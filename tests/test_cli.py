@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from causal_lens import quantum
 from causal_lens.cli import load_channel_file, load_rule_file, main
 from causal_lens.classical import ClassicalChannel
 from causal_lens.quantum import UnitaryChannel
@@ -398,6 +399,31 @@ def test_input_channels_are_certified_at_1e_9_whatever_the_tol(capsys, tmp_path,
     assert "unitarity certificate failed: max |U+U - I| = 1.000e-06" in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("analyze", []),
+        ("hierarchy", ["--from", "A", "--to", "B"]),
+        ("niwd", []),
+        ("ca", ["--cells", "2", "--model", "quantum"]),
+    ],
+)
+def test_a_non_finite_matrix_entry_fails_the_certificate(capsys, tmp_path, command, extra, value):
+    # Python's json reads NaN, Infinity and -Infinity; no comparison passes them
+    target = quantum_file(tmp_path / "gate.json", H_ID)
+    doc = json.loads(target.read_text())
+    doc["data"][1][3][0] = float(value)
+    target.write_text(json.dumps(doc))
+    assert value in target.read_text()
+    if command == "ca":
+        target = tmp_path / "rule.json"
+        target.write_text(json.dumps({"cell_dim": 2, "layers": [[{"gate": "gate.json", "at": 0}]]}))
+    code, out, err = run(capsys, command, target, *extra)
+    assert code == 1 and out == ""
+    assert "unitarity certificate failed" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -451,6 +477,27 @@ def test_niwd_on_a_wire_that_changes_dimension_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "niwd", turned)
     assert code == 1 and out == ""
     assert "wire 'A' changes dimension between input and output" in err
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("analyze", []),
+        ("hierarchy", ["--from", "A", "--to", "B"]),
+        ("niwd", []),
+        ("ca", ["--cells", "2", "--model", "quantum"]),
+    ],
+)
+def test_a_failed_factor_certificate_exits_2(capsys, monkeypatch, tmp_path, command, extra):
+    # no factor meets a negative unitarity bound: every caller of the kernel raises
+    monkeypatch.setattr(quantum, "_factor_atol", lambda eps, atol: -1.0)
+    target = quantum_file(tmp_path / "gate.json", H_ID)
+    if command == "ca":
+        target = tmp_path / "rule.json"
+        target.write_text(json.dumps({"cell_dim": 2, "layers": [[{"gate": "gate.json", "at": 0}]]}))
+    code, out, err = run(capsys, command, target, *extra)
+    assert code == 2 and out == ""
+    assert "did not combine into a joint factorization" in err
 
 
 def test_exit_code_budget(capsys, monkeypatch):

@@ -12,12 +12,13 @@ import pytest
 from causal_lens import causal, classical, quantum
 from causal_lens.automata import build_ring, neighbourhood_maps
 from causal_lens.causal import embed_on, influence_relation, iterate, neighbourhood, t_process
-from causal_lens.classical import ClassicalChannel, _at_zero, _bijective, _passes_through
+from causal_lens.classical import ClassicalChannel, _at_zero, _bijective
 from causal_lens.cli import load_rule_file, main
 from causal_lens.errors import ConsistencyError, SpecError
 from causal_lens.quantum import UnitaryChannel
 from causal_lens.systems import _read_digits, composite
 
+from test_identity_kernels import _passes_through
 from test_signalling_pass import near_identity_ring
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -173,9 +174,7 @@ def test_the_classical_factor_certificate_backs_the_joint_test(monkeypatch):
     # with the per-wire sweep and the stack's pass-through comparison both
     # over-reporting, only the factor's bijection certificate is left to
     # catch the false idle wires
-    monkeypatch.setattr(
-        causal, "_passes_through", lambda grid, axes, strides: np.ones(len(grid), bool)
-    )
+    monkeypatch.setattr(causal, "_steps_by", lambda grid, axes, steps: np.ones(len(grid), bool))
     monkeypatch.setattr(causal, "_passes_idle_digits", lambda flat, off2: np.ones(len(flat), bool))
     with pytest.raises(ConsistencyError, match="did not combine"):
         influence_relation(classical.cnot())
@@ -197,7 +196,7 @@ def test_a_classical_relation_runs_one_joint_test_per_stack(monkeypatch):
     monkeypatch.setattr(
         causal, "_classical_joint_test", counting(joint, causal._classical_joint_test)
     )
-    monkeypatch.setattr(causal, "_joint_factor", counting(per_probe, causal._joint_factor))
+    monkeypatch.setattr(causal, "_identity_factor", counting(per_probe, causal._identity_factor))
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
     influence_relation(iterate(build_ring(layers, 8, cell_dim).step, 2))
     assert per_probe == [] and joint == stacks == [8]
@@ -296,13 +295,16 @@ def test_the_stack_joint_test_raises_where_the_per_probe_test_does(
     assert {want for _, want in outcomes} == {False, True}
 
 
-def test_the_quantum_factor_certificate_rejects_a_non_unitary_block():
-    # half of (identity x identity) is exactly its own identity pattern on the
-    # second wire, but its block is not unitary
-    grid = 0.5 * np.eye(4).reshape(1, 2, 2, 2, 2)
-    r2, w = quantum._block_residual(grid, [(2, 4)], 3)
-    assert r2.tolist() == [0.0]
-    assert quantum._unitarity_defects(w[0]) > quantum._factor_atol(0.0, 1e-9)
+@pytest.mark.parametrize("pairs", [[(1, 3)], [(0, 2), (1, 3)], [(1, 3), (0, 2)], []])
+def test_the_quantum_factor_certificate_rejects_a_non_unitary_block(pairs):
+    # half of (identity x identity) is exactly its own identity pattern on any
+    # wires, but its block is not unitary
+    grid = 0.5 * np.eye(4).reshape(2, 2, 2, 2)
+    with pytest.raises(ConsistencyError, match="did not combine"):
+        quantum._identity_factor(grid, pairs, 1e-9)
+    _, eps, w = quantum._identity_factor(grid, pairs, np.inf)  # no certificate
+    assert [eps * eps] == [0.0]
+    assert quantum._unitarity_defects(w) > quantum._factor_atol(0.0, 1e-9)
 
 
 @pytest.mark.parametrize("model", sorted(MAX_CELLS))

@@ -49,6 +49,19 @@ def test_unitarity_certificate_rejects():
         UnitaryChannel(composite(("A", 2)), composite(("A", 2)), np.array([[1, 0], [0, 2.0]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_a_non_finite_entry_fails_both_certificates(value, entry):
+    bit = composite(("A", 2))
+    u, rho = np.eye(2, dtype=complex), np.diag([0.5, 0.5]).astype(complex)
+    for m in (u, rho):
+        m[entry] = m[entry[::-1]] = value  # Hermitian but for the non-finite value
+    with pytest.raises(SpecError, match="unitarity certificate failed"):
+        UnitaryChannel(bit, bit, u)
+    with pytest.raises(SpecError, match="not Hermitian"):
+        DensityOperator(bit, rho)
+
+
 def test_density_operator_certificates_reject():
     bit = composite(("A", 2))
     with pytest.raises(SpecError):

@@ -3,9 +3,10 @@
 ``reference_terms`` is the signalling kernel as a plain ``einsum``, kept as the
 reference for the matrix-product form in ``quantum._signalling_terms`` and for
 the entrywise gap ``quantum._delta_gap`` reads off it. The residual kernel
-(``quantum._residual`` through ``_pair_deltas`` and ``_block_residual``) is
-checked against the pattern ``1 ⊗ M`` formed in full, and its two readings of
-one pair (probe process and signalling terms) against each other.
+(``quantum._residual`` through ``_pair_deltas``) and the factor kernel
+(``quantum._identity_factor``) are checked against the pattern ``1 ⊗ M``
+formed in full, and the two readings of one pair (probe process and
+signalling terms) against each other.
 """
 
 import numpy as np
@@ -193,11 +194,17 @@ def test_the_residual_kernel_matches_the_formed_pattern(x, pairs):
     for j, pair in enumerate(pairs):
         want = np.sqrt(reference_residual(x, [pair])[0] / np.sqrt(entries))
         assert np.allclose(deltas[:, j], want, rtol=1e-12, atol=1e-15)
-    # all pairs at once: the factor comes out as a matrix on the unpaired axes
-    r2, mean = quantum._block_residual(x, pairs, pairs[0][1])
-    want_r2, want_mean = reference_residual(x, pairs)
-    assert np.allclose(r2, want_r2, rtol=1e-12, atol=1e-15)
-    assert np.allclose(mean.reshape(want_mean.shape), want_mean, rtol=1e-12, atol=1e-15)
+    # several pairs at once, row by row, in any order, none and all: the factor
+    # comes out as a matrix on the unpaired axes (uncertified: x is no unitary)
+    for idle in (pairs, pairs[::-1], pairs[1:][::-1], []):
+        unstacked = [(a - 1, b - 1) for a, b in idle]
+        rows = [quantum._identity_factor(row, unstacked, np.inf) for row in x]
+        delta, eps, mean = (np.array(v) for v in zip(*rows))
+        r2 = eps * eps
+        want_r2, want_mean = reference_residual(x, idle)
+        assert np.allclose(r2, want_r2, rtol=1e-12, atol=1e-15)
+        assert np.allclose(mean.reshape(want_mean.shape), want_mean, rtol=1e-12, atol=1e-15)
+        assert np.allclose(delta, np.sqrt(want_r2 / np.sqrt(entries)), rtol=1e-12, atol=1e-15)
 
 
 def test_the_residual_is_formed_explicitly_at_the_tolerance():
@@ -214,7 +221,8 @@ def test_the_residual_is_formed_explicitly_at_the_tolerance():
 
 @pytest.mark.parametrize("u,frm,to", kernel_cases())
 def test_the_probe_and_the_signalling_terms_read_one_delta(u, frm, to):
-    probe_delta = quantum._identity_factor(causal.t_process(u, frm).channel, to)[0]
+    tilde = causal.t_process(u, frm).channel
+    probe_delta = quantum._identity_factor(*quantum._paired_grid(tilde, to), tilde.atol)[0]
     sig_delta = _signalling_delta(_signalling_terms(u, frm, to))
     assert quantum._same_reading(probe_delta, sig_delta)
     assert 0 <= sig_delta < 1

@@ -1,5 +1,7 @@
-"""README's Python quick tour and command-line block run as written."""
+"""README's Python quick tour and command-line block run as written, and every
+``module.name`` it cites resolves in that module."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -37,3 +39,18 @@ def test_readme_lists_commands():
 def test_command_line_example_exits_0(capsys, monkeypatch, argv):
     monkeypatch.chdir(ROOT)
     assert main(argv) == 0, capsys.readouterr().err
+
+
+MODULES = {p.stem for p in (ROOT / "src" / "causal_lens").glob("*.py")} - {"__init__"}
+CITED = sorted(
+    set(re.findall(rf"`(?:causal_lens\.)?({'|'.join(MODULES)})\.(\w+)", README))
+)
+
+
+def test_readme_cites_names():
+    assert ("quantum", "_identity_factor") in CITED
+
+
+@pytest.mark.parametrize("module,name", CITED, ids=[".".join(c) for c in CITED])
+def test_every_cited_module_name_resolves(module, name):
+    assert hasattr(importlib.import_module(f"causal_lens.{module}"), name)
