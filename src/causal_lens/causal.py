@@ -19,10 +19,10 @@ the per-wire idle test and no-signalling are one difference kernel
 (``classical._steps_by``), with the wire's stride or 0 as the step.
 ``t_process`` branches on the model only to build that probe channel; its
 factor is the probe's own ``factors_as_identity``. The memory decompositions
-(the quantum legs are checked against ``U`` by contraction on product
-states), the interaction-without-disturbance premise and witness extraction
-branch on the model too. Quantumly, influence and signalling are one
-commutator: each (input block, output wire) verdict reads one normalised
+(the quantum legs are checked as one operator identity, ``(W x 1)(1 x V) =
+|0> x U``), the interaction-without-disturbance premise and witness
+extraction branch on the model too. Quantumly, influence and signalling are
+one commutator: each (input block, output wire) verdict reads one normalised
 residual ``δ``, off the probe process or off the Heisenberg products, and
 the two readings are compared as values; an output block is reached iff
 one of its wires is. Wiring (``embed_on``, ``reorder_wires``,
@@ -441,8 +441,9 @@ class MemoryDecomposition:
 
     ``v`` maps the non-probed input block B to (env, idle output block B');
     ``w`` maps (probed block A, env) to the remaining outputs A'. Recomposing
-    the two legs reproduces ``u`` exactly (classical) or within tolerance on a
-    spanning set of product states (quantum); this is verified at construction.
+    the two legs reproduces ``u`` exactly (classical) or, quantumly, as the
+    operator identity ``(W x 1_B')(1_A x V) = |0>_C x U`` within tolerance;
+    this is verified at construction.
     """
 
     env: CompositeSystem
@@ -549,43 +550,27 @@ def _quantum_memory(
     return MemoryDecomposition(env=env_sys, v=v, w=w)
 
 
-def _spanning_vectors(dim: int) -> np.ndarray:
-    """Rows: unit vectors whose projectors span the Hermitian operators on ``dim`` levels.
-
-    The basis states, then ``(e_i + e_j)/sqrt2`` and ``(e_i + i e_j)/sqrt2`` for ``i < j``.
-    """
-    eye = np.eye(dim, dtype=complex)
-    i, j = np.triu_indices(dim, 1)
-    return np.concatenate([eye] + [(eye[i] + p * eye[j]) / np.sqrt(2.0) for p in (1.0, 1j)])
-
-
 def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_tol):
-    """Check that the legs recompose ``u`` on a spanning set of pure product states.
+    """Check that the legs recompose ``u``: ``(W x 1_B')(1_A x V) = |0>_C x U``.
 
-    On ``a x b`` the evolution gives ``y y+`` with ``y = U (a x b)``; the legs
-    give ``sum_c k_c k_c+``, where ``k_c`` is row ``c`` of (probe factor x
-    identity-on-B') applied to ``a x v_iso b`` and ``c`` runs over the
-    discarded copies. The legs drop ``R`` from ``tilde = W x 1 + R``, so the
-    sides differ entrywise by at most ``2ε + ε²`` (``ε = ‖R‖_F``) plus u's
-    certificate: ``check_tol``. Both are grouped (A', B'), a chunk at a time.
+    The probe is an involution with ``tilde(|0>_C x U|a,b>) = |a>_C x V|b>``
+    (``V = v_iso``), so the two sides differ by ``-R tilde (|0>_C x U)``,
+    ``R = tilde - W x 1``: every entry is at most ``ε = ‖R‖_F`` plus u's
+    certificate, within ``check_tol``. The legs' Kraus operators are the
+    copy rows ``<c|`` of the left side, so the identity gives ``U rho U+``
+    back on every state. Both sides are grouped (A', B') by (A, B).
     """
     d_a = u.input.select(frm).total_dim
-    d_out = u.output.total_dim
+    d_ap = u.output.select(ap_names).total_dim
     rows, cols = _grounded(u.output, ap_names + idle), _grounded(u.input, frm + b_names)
     u_g = u.matrix[np.ix_(rows, cols)]
-    s_a, s_b = _spanning_vectors(d_a), _spanning_vectors(u.input.total_dim // d_a)
-    n_pairs = len(s_a) * len(s_b)
-    chunk = max(1, _CHECK_CHUNK_BYTES // (64 * d_out * d_out))
-    for lo in range(0, n_pairs, chunk):
-        i_a, i_b = np.divmod(np.arange(lo, min(lo + chunk, n_pairs)), len(s_b))
-        a, b = s_a[i_a], s_b[i_b]
-        n = len(a)
-        y = (a[:, :, None] * b[:, None, :]).reshape(n, -1) @ u_g.T
-        tau = (a[:, :, None] * (b @ v_iso.T)[:, None, :]).reshape(n, t_mat.shape[0], -1)
-        k = (t_mat @ tau).reshape(n, d_a, d_out)
-        gap = y[:, :, None] * y[:, None, :].conj() - k.transpose(0, 2, 1) @ k.conj()
-        if np.max(np.abs(gap)) > check_tol:
-            raise ConsistencyError("quantum memory decomposition failed to recompose")
+    d_bp, d_b = len(rows) // d_ap, len(cols) // d_a
+    # lhs[(c, A'), a, B', b]: the factor's env input contracted with V's A' rows
+    lhs = np.tensordot(t_mat.reshape(-1, d_a, d_ap), v_iso.reshape(d_ap, d_bp, d_b), 1)
+    lhs = lhs.reshape(d_a, d_ap, d_a, d_bp, d_b)
+    lhs[0] -= u_g.reshape(d_ap, d_bp, d_a, d_b).transpose(0, 2, 1, 3)
+    if np.max(np.abs(lhs)) > check_tol:
+        raise ConsistencyError("quantum memory decomposition failed to recompose")
 
 
 # -- hierarchy ---------------------------------------------------------------------

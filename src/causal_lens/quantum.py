@@ -43,8 +43,8 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 # working set of one chunk of a stacked check: the signalling pass here, and
-# the influence relation, the quantum memory check and the inverse check of
-# ``causal`` (about four arrays the size of one stacked entry each)
+# the influence relation and the inverse check of ``causal`` (about four
+# arrays the size of one stacked entry each)
 _CHECK_CHUNK_BYTES = 1 << 20
 
 # two readings of one δ agree when they differ by at most _SAME_REL of the

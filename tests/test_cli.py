@@ -458,6 +458,34 @@ def test_the_certificate_floor_is_a_valid_quantum_tol(capsys, tmp_path):
     assert code == 0, err
 
 
+# Known defects: each matrix passes its own unitarity certificate (1e-9), but a
+# check derived from it holds it to a bound that does not follow from the input's.
+# (a) the identity with entry [0][1] = 1e-10 (defect 1e-10): the probe reads
+#     δ(A→B) = 7.07e-11 and the signalling pass 5.0e-11, further apart than
+#     the 1e-12 floor of their comparison, so both commands exit 2.
+# (b) H ⊗ 1 with entries ±0.707106781 (defect 5.3e-10): the probe's defect is
+#     2η + η² of the input's η, yet it is certified at 1e-9, so both exit 1.
+IDENTITY_WITH_1E_10 = np.eye(4)
+IDENTITY_WITH_1E_10[0, 1] = 1e-10
+H_ID_ROUNDED = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) * 0.707106781, np.eye(2))
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="derived bounds ignore the input's certificate"
+)
+@pytest.mark.parametrize(
+    "matrix", [IDENTITY_WITH_1E_10, H_ID_ROUNDED], ids=["identity-1e-10", "h-rounded"]
+)
+@pytest.mark.parametrize(
+    "command,extra",
+    [("analyze", []), ("hierarchy", ["--from", "A", "--to", "B"])],
+    ids=["analyze", "hierarchy"],
+)
+def test_input_within_its_certificate_exits_0(capsys, tmp_path, matrix, command, extra):
+    code, _, err = run(capsys, command, quantum_file(tmp_path / "gate.json", matrix), *extra)
+    assert code == 0, err
+
+
 def test_niwd_on_a_channel_without_wires_exits_1(capsys, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"model": "classical", "inputs": [], "outputs": [], "data": [0]}))

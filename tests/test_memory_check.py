@@ -1,5 +1,6 @@
-"""The quantum memory check: the two legs against the evolution on product states.
+"""The quantum memory check: the legs against the evolution, as one operator identity.
 
+The library checks ``(W x 1_B')(1_A x V) = |0>_C x U`` entrywise.
 ``reference_verify`` is the per-state form of the check, kept as the
 reference: a loop over the d_a**2 * d_b**2 product density matrices, with
 dense products of the full dimension for each.
@@ -96,6 +97,19 @@ def test_a_perturbed_leg_fails_to_recompose(monkeypatch, leg, verify, eps):
         assert memory_decomposition(u, ["A"], ["B"]) is not None
 
 
+def test_a_global_phase_on_the_factor_recomposes_states_but_fails_the_identity(monkeypatch):
+    # e^{iφ} W gives the same legs on states, not the same operator
+    library = causal._verify_quantum_memory
+    calls = []
+    monkeypatch.setattr(causal, "_verify_quantum_memory", lambda *args: calls.append(args))
+    assert memory_decomposition(no_signalling_channel(), ["A"], ["B"]) is not None
+    ((*head, v_iso, t_mat, tol),) = calls
+    phased = np.exp(0.3j) * t_mat
+    reference_verify(*head, v_iso, phased, tol)
+    with pytest.raises(ConsistencyError, match="failed to recompose"):
+        library(*head, v_iso, phased, tol)
+
+
 def random_state(dim, rng):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
@@ -108,13 +122,14 @@ def random_state(dim, rng):
         ((2, 3, 2), "BC", "AB", "A", "C"),
         ((2, 3, 2), "AB", "BC", "C", "A"),
         ((2, 2, 2, 2), "BCD", "AB", "A", "CD"),
+        ((2,) * 6, "BCDEF", "ABC", "A", "DEF"),
     ],
-    ids=["one-idle-wire", "one-idle-wire-first", "two-idle-wires"],
+    ids=["one-idle-wire", "one-idle-wire-first", "two-idle-wires", "six-qubits"],
 )
 def test_the_legs_recompose_the_evolution_through_apply(dims, first, then, frm, idle):
     # u runs a gate on ``first``, then one on ``then``: ``frm`` reaches no idle output
     rng = np.random.default_rng([49, len(dims), ord(frm)])
-    system = composite(*zip("ABCD", dims))
+    system = composite(*zip("ABCDEF", dims))
     u = embed_on(quantum.random_unitary(system.select(list(then)), rng), system).compose(
         embed_on(quantum.random_unitary(system.select(list(first)), rng), system)
     )
@@ -189,3 +204,39 @@ def test_near_tolerance_sweep_matches_the_per_state_reference(monkeypatch):
     assert disagreements == []
     # valid input near the tolerance never reads as an internal inconsistency
     assert set(seen) == {"ok"}
+
+
+def identity_error(u, frm, b_names, ap_names, idle, v_iso, t_mat):
+    """``max |(W x 1_B')(1_A x V) - |0>_C x U|``, by dense Kronecker products."""
+    d_a = u.input.select(frm).total_dim
+    d_bp = u.output.select(idle).total_dim
+    p = u.input.digits(np.arange(u.input.total_dim), frm + b_names)  # system -> (A, B)
+    q = _grounded(u.output, ap_names + idle)  # (A', B') -> system
+    lhs = np.kron(t_mat, np.eye(d_bp)) @ np.kron(np.eye(d_a), v_iso)
+    rhs = np.zeros_like(lhs)
+    rhs[: len(q)] = u.matrix[q][:, np.argsort(p)]
+    return np.max(np.abs(lhs - rhs))
+
+
+def test_the_identity_error_is_within_the_probe_residual(monkeypatch):
+    # the sides differ by -R tilde (|0> x U), so no entry exceeds ε = ‖R‖_F
+    residuals, checked = [], []
+    quantum_memory = causal._quantum_memory
+
+    def recording(u, frm, idle, tilde, eps, t_mat):
+        residuals.append(eps)
+        return quantum_memory(u, frm, idle, tilde, eps, t_mat)
+
+    def verify(*args):
+        *legs, check_tol = args
+        checked.append((identity_error(*legs), residuals[-1]))
+
+    monkeypatch.setattr(causal, "_quantum_memory", recording)
+    monkeypatch.setattr(causal, "_verify_quantum_memory", verify)
+    for u in sweep_channels(range(0, 800, 17)):
+        to = u.output.names[-1]
+        delta = _signalling_delta(_signalling_terms(u, ("A",), (to,)))
+        assert memory_decomposition(u, ["A"], [to], delta * 1.01) is not None
+    assert len(checked) == 144
+    assert all(err <= eps * (1 + 1e-9) + 1e-12 for err, eps in checked)
+    assert min(eps for _, eps in checked) > 0
