@@ -4,8 +4,10 @@ An automaton is built from layers of identical-dimension gates placed at
 cyclic positions; its step channel is the ordered composition of the layers.
 The step is built by contraction, with no channel per gate: each gate is
 applied to the running step on its own cells (quantumly a ``tensordot`` on the
-cell axes of the step's matrix, classically a lookup on the cell digits of its
-table), and the result is certified once.
+cell axes of the step's matrix; classically the step is kept as digit rows,
+one row per cell, and the gate's table is looked up on its cells' rows folded
+into one index and unfolded back into them), and the result is certified
+once.
 The causal neighbourhoods and signalling sets of all cells come from
 ``causal.wire_relations`` on the iterated step: one ``influence_relation``
 pass (the probe processes of the cells gathered as stacks, each output
@@ -15,8 +17,9 @@ Heisenberg product per output cell, read for every input cell), with the
 signalling set of every cell checked to lie inside its causal
 neighbourhood (quantumly the two passes read one ``δ`` per cell pair and
 must agree as values). A strict gap is the classical phenomenon that
-disappears when the same layout is quantized. Classically, each step
-count's influence relation is checked against the composition law of
+disappears when the same layout is quantized. Classically, the one-step
+influence relation is checked to lie inside the light cone of the layers'
+gate spans, and each step count's relation against the composition law of
 neighbourhoods.
 """
 
@@ -51,7 +54,11 @@ def _cell_name(i: int) -> str:
 
 @dataclass(frozen=True, eq=False)
 class RingAutomaton:
-    """A reversible one-step update on a ring of identical cells."""
+    """A reversible one-step update on a ring of identical cells.
+
+    ``layers`` describes each layer's gates as ``(type, at)`` and ``spans``
+    gives the cells each gate covers, in gate-wire order.
+    """
 
     cells: int
     cell_dim: int
@@ -59,10 +66,26 @@ class RingAutomaton:
     layers: tuple[tuple[tuple[str, int], ...], ...]
     model: str
     boundary: str = "ring"
+    spans: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
     @property
     def system(self) -> CompositeSystem:
         return self.step.input
+
+    def light_cone(self) -> np.ndarray:
+        """``r[i, t]`` iff the layers' gates connect input cell ``i`` to output cell ``t``.
+
+        The boolean product of the layers' block relations, first layer
+        first: within a layer each gate's span maps to itself and a cell no
+        gate covers maps to itself.
+        """
+        cone = np.eye(self.cells, dtype=bool)
+        for layer in self.spans:
+            block = np.arange(self.cells)  # each cell's block, named by one of its cells
+            for span in layer:
+                block[list(span)] = span[0]
+            cone = cone @ (block[:, None] == block)
+        return cone
 
 
 def build_ring(
@@ -76,15 +99,18 @@ def build_ring(
     """Compose gate layers into a one-step automaton.
 
     Each layer is a sequence of ``(gate, at)`` pairs; a gate of arity k covers
-    cells ``at .. at+k-1`` with cyclic indexing (no wrap-around when
-    ``boundary="open"``). Gates within one layer must not overlap.
+    cells ``at .. at+k-1`` with cyclic indexing (with ``boundary="open"`` the
+    span must lie in ``0 .. cells-1``, no wrap-around). Gates within one
+    layer must not overlap.
 
     Each gate acts on the running step, gate wire ``j`` on cell ``at+j``:
     quantumly the step is a tensor with one axis per output cell and one for
     the input index, and the gate is contracted into its cells' axes;
-    classically the gate's table is looked up on its cells' digits of the
-    step's table. The step channel is built and certified once, at the end
-    (the gates were certified when they were built).
+    classically the step is its digit rows ``acc[cell, x]``, the gate's
+    cells' rows are folded big-endian into its input index, looked up in its
+    table and written back by ``divmod``, and the table is
+    ``Σ_k strides[k]·acc[k]``. The step channel is built and certified once,
+    at the end (the gates were certified when they were built).
     """
     if cells < 2 or cell_dim < 2:
         raise SpecError("a ring needs at least 2 cells of dimension >= 2")
@@ -98,12 +124,16 @@ def build_ring(
     ring = composite(*((_cell_name(i), cell_dim) for i in range(cells)))
     cls = ClassicalChannel if model == "classical" else UnitaryChannel
     n = ring.total_dim
-    # the step so far: classically its table, quantumly its matrix [cells..., input]
-    acc = np.arange(n) if model == "classical" else np.eye(n).reshape(ring.dims + (n,))
-    described = []
+    # the step so far: classically its digit rows [cell, input], quantumly its
+    # matrix [cells..., input]
+    if model == "classical":
+        acc = ring.digit_rows(np.arange(n))
+    else:
+        acc = np.eye(n).reshape(ring.dims + (n,))
+    described, spans = [], []
     for layer_no, layer in enumerate(layers):
         occupied: set[int] = set()
-        layer_desc = []
+        layer_desc, layer_spans = [], []
         for gate, at in layer:
             if not isinstance(gate, cls):
                 raise SpecError(f"layer {layer_no}: gate model does not match {model!r}")
@@ -115,21 +145,32 @@ def build_ring(
                     f"layer {layer_no}: gate wires must all have the cell dimension {cell_dim}"
                 )
             span = [(at + k) % cells for k in range(arity)]
-            if boundary == "open" and any((at + k) >= cells for k in range(arity)):
+            if boundary == "open" and (at < 0 or at + arity > cells):
                 raise SpecError(f"layer {layer_no}: gate at {at} spills past the open boundary")
             if occupied & set(span):
                 raise SpecError(f"layer {layer_no}: overlapping gates at cells {sorted(span)}")
             occupied |= set(span)
             if model == "classical":
-                names = [_cell_name(i) for i in span]
-                acc = ring.with_digits(acc, names, gate._arr[ring.digits(acc, names)])
+                # fold the cells' rows into the gate's input index, look it
+                # up, and unfold the gate's output into the same rows
+                idx = acc[span[0]]
+                for c in span[1:]:
+                    idx = idx * cell_dim + acc[c]
+                out = gate._arr[idx]
+                for c in reversed(span):
+                    out, acc[c] = divmod(out, cell_dim)
             else:
                 g = gate.matrix.reshape(gate.input.dims * 2)
                 acc = np.tensordot(g, acc, axes=(range(arity, 2 * arity), span))
                 acc = np.moveaxis(acc, range(arity), span)
             layer_desc.append((type(gate).__name__, at))
+            layer_spans.append(tuple(span))
         described.append(tuple(layer_desc))
-    step = cls(ring, ring, acc if model == "classical" else acc.reshape(n, n))
+        spans.append(tuple(layer_spans))
+    if model == "classical":
+        step = cls(ring, ring, np.array(ring.strides, dtype=np.int64) @ acc)
+    else:
+        step = cls(ring, ring, acc.reshape(n, n))
     return RingAutomaton(
         cells=cells,
         cell_dim=cell_dim,
@@ -137,6 +178,7 @@ def build_ring(
         layers=tuple(described),
         model=model,
         boundary=boundary,
+        spans=tuple(spans),
     )
 
 
@@ -185,9 +227,10 @@ def _iterated_maps(
     ``U^t = step . U^(t-1)`` is kept between step counts. The cone budget is
     checked before the first neighbourhood is computed. The neighbourhood of
     a composition lies inside the composed neighbourhoods, so the classical
-    influence relation must satisfy ``r_t ⊆ r_(t-1) · r_1`` as a boolean
-    product; a violation is a consistency error. The quantum relations are
-    thresholded ``δ``, for which the boolean law fails inside the band.
+    influence relation must satisfy ``r_1 ⊆`` the layers' ``light_cone`` and
+    ``r_t ⊆ r_(t-1) · r_1`` as boolean products; a violation is a
+    consistency error. The quantum relations are thresholded ``δ``, for
+    which the boolean law fails inside the band.
     """
     bits = a.cells * math.log2(a.cell_dim)
     limit = int(math.log2(DEFAULT_MAX_DIM[a.model]))
@@ -202,6 +245,8 @@ def _iterated_maps(
         if t > 1:
             u = a.step.compose(u)
         influence, signalling = wire_relations(u, tol)
+        if exact and not relations and (influence & ~a.light_cone()).any():
+            raise ConsistencyError("the step's neighbourhoods escape the light cone of its layers")
         if exact and relations and (influence & (relations[-1] @ relations[0] == 0)).any():
             raise ConsistencyError(f"the step-{t} neighbourhoods escape the composed neighbourhoods")
         relations.append(influence.astype(int))

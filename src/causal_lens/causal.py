@@ -33,9 +33,11 @@ one of its wires is. Wiring (``embed_on``, ``reorder_wires``,
 
 Every wire name list is read through ``CompositeSystem.subset_positions``,
 which rejects unknown and duplicate names. Every wire digit is read and
-written through the system's codec (``CompositeSystem.digits`` /
-``with_digits``), vectorized over whole tables. ``wire_relations`` is the one
-place that checks signalling against influence, for ``analyze`` and ``ca``.
+written through the system's codec, vectorized over whole tables: the joint
+index of named wires through ``CompositeSystem.digits`` / ``with_digits``,
+every wire's own digit at once through ``CompositeSystem.digit_rows``.
+``wire_relations`` is the one place that checks signalling against
+influence, for ``analyze`` and ``ca``.
 ``hierarchy_report`` builds one probe process and hands it to the memory
 decomposition and the witness search.
 """
@@ -349,12 +351,12 @@ def _wire_deltas(u: UnitaryChannel, grid: np.ndarray) -> np.ndarray:
 def _digit_table(system: CompositeSystem) -> np.ndarray:
     """``zd[k, z]``: wire ``k``'s digit of joint index ``z`` times its stride.
 
-    Floats, so that a 0/1 mask times the table is one BLAS product; every
-    value is an integer below ``total_dim``, so the product is exact.
+    One broadcast, ``arange(D) // strides % dims * strides``. Floats, so
+    that a 0/1 mask times the table is one BLAS product; every value is an
+    integer below ``total_dim``, so the product is exact.
     """
-    z = np.arange(system.total_dim)
-    zd = np.array([system.digits(z, (name,)) for name in system.names], dtype=float)
-    return zd.reshape(len(system), system.total_dim) * np.reshape(system.strides, (-1, 1))
+    zd = system.digit_rows(np.arange(system.total_dim))
+    return (zd * np.array(system.strides, dtype=np.int64).reshape(-1, 1)).astype(float)
 
 
 def _classical_joint_test(flat: np.ndarray, idle: np.ndarray, zd: np.ndarray) -> None:

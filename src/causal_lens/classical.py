@@ -13,6 +13,7 @@ renormalized branches.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -41,8 +42,10 @@ def _steps_by(grid: np.ndarray, axes: Sequence[int], steps: Sequence[int]) -> np
     """For each row ``grid[p]``, whether every step along each of its ``axes``
     moves the entry by exactly that axis' ``steps``.
 
-    The grid-level identity test. With steps of 0 it says the row does not
-    vary along the axes (no signalling). With the output strides of wires
+    The grid-level identity test. Each axis is viewed as ``(rows, L, d, R)``
+    and ``g[:, :, 1:] - g[:, :, :-1]`` is compared with the step; a dim-1
+    axis has no step and reads True. With steps of 0 it says the row does
+    not vary along the axes (no signalling). With the output strides of wires
     paired to the axes it says each axis' digit passes through: for a
     bijection that holds exactly when each digit passes through to the
     output wire of that stride (of the same dim) and no other output digit
@@ -50,9 +53,11 @@ def _steps_by(grid: np.ndarray, axes: Sequence[int], steps: Sequence[int]) -> np
     consecutive values of ``index // stride``, and runs of that length tile
     the index space only when each starts at digit 0.
     """
-    ok = np.ones(len(grid), dtype=bool)
+    rows, shape = len(grid), grid.shape[1:]
+    ok = np.ones(rows, dtype=bool)
     for a, step in zip(axes, steps):
-        ok &= (np.diff(grid, axis=a + 1) == step).reshape(len(grid), -1).all(axis=1)
+        g = grid.reshape(rows, math.prod(shape[:a]), shape[a], math.prod(shape[a + 1 :]))
+        ok &= (g[:, :, 1:] - g[:, :, :-1] == step).all(axis=(1, 2, 3))
     return ok
 
 
@@ -172,12 +177,12 @@ class ClassicalChannel:
         """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
 
         Entry ``[i, t]`` is ``signals([input i], [output t])``, decided in one
-        pass: the output-digit grid ``g[t, x_0, ..., x_{n-1}]`` is built once,
+        pass: the output-digit grid ``g[t, x_0, ..., x_{n-1}]`` is built once
+        (``digit_rows`` of the table, one broadcast against the output strides),
         and row ``i`` is where ``g`` varies along input axis ``i``, every target
         at once (``_steps_by`` with a step of 0). ``tol`` is unused.
         """
-        grid = np.array([self.output.digits(self._arr, (t,)) for t in self.output.names])
-        grid = grid.reshape((len(self.output),) + self.input.dims)
+        grid = self.output.digit_rows(self._arr).reshape((len(self.output),) + self.input.dims)
         rel = [~_steps_by(grid, (i,), (0,)) for i in range(len(self.input))]
         return np.array(rel, dtype=bool).reshape(len(self.input), len(self.output))
 

@@ -9,9 +9,11 @@ Wires are identified by name, not position, so subset queries survive
 reordering.
 
 ``CompositeSystem.digits`` and ``with_digits`` are the one array codec for
-wire digits: they read and write the named wires of whole arrays of joint
-indices by strides (``_read_digits`` / ``_write_digits``, whose strides may
-vary along a stack). ``flatten``/``unflatten`` are the validated scalar forms.
+the joint index of named wires: they read and write the named wires of whole
+arrays of joint indices by strides (``_read_digits`` / ``_write_digits``,
+whose strides may vary along a stack). ``digit_rows`` reads every wire's own
+digit at once, one row per wire, in one broadcast against the strides.
+``flatten``/``unflatten`` are the validated scalar forms.
 """
 
 from __future__ import annotations
@@ -158,6 +160,18 @@ class CompositeSystem:
         for k in range(len(self.parts) - 1, -1, -1):
             index, out[k] = divmod(index, self.parts[k].dim)
         return tuple(out)
+
+    def digit_rows(self, index) -> np.ndarray:
+        """Every wire's digit of each joint ``index``, one row per wire.
+
+        ``out[k]`` is wire ``k``'s digit of ``index``, for an integer array
+        of any shape: the vector form of :meth:`unflatten`, read in one
+        broadcast. The empty system has no rows.
+        """
+        index = np.asarray(index, dtype=np.int64)
+        shape = (len(self),) + (1,) * index.ndim
+        strides = np.array(self._strides, dtype=np.int64).reshape(shape)
+        return index // strides % np.array(self._dims, dtype=np.int64).reshape(shape)
 
     def digits(self, index, names: Sequence[str]) -> np.ndarray:
         """Joint index of ``select(names)`` read off each joint ``index``.

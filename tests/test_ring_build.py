@@ -4,19 +4,20 @@
 ``embed_on`` and composed onto the step, in the channel's own model.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causal_lens import classical, quantum
-from causal_lens.automata import build_ring
-from causal_lens.causal import embed_on
+from causal_lens.automata import RingAutomaton, build_ring, neighbourhood_maps
+from causal_lens.causal import _digit_table, embed_on, influence_relation
 from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file
-from causal_lens.errors import SpecError
+from causal_lens.errors import ConsistencyError, SpecError
 from causal_lens.quantum import UnitaryChannel
-from causal_lens.systems import composite
+from causal_lens.systems import CompositeSystem, composite
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RULES = ("single_cnot_layer_ring.json", "staggered_cnot_ring.json", "swap_chain_ring.json")
@@ -95,6 +96,10 @@ def random_layers(rng, model, cells, cell_dim, boundary):
     return layers
 
 
+# the classical ring sizes ``ca`` runs beyond 6 cells, at cell dim 2
+WIDE_CLASSICAL = (8, 10, 12)
+
+
 def random_cases():
     rng = np.random.default_rng(2015)
     out = []
@@ -107,12 +112,19 @@ def random_cases():
                     boundary = "open" if k == 3 else "ring"
                     layers = random_layers(rng, model, cells, cell_dim, boundary)
                     out.append((model, cells, cell_dim, boundary, layers))
+    for cells in WIDE_CLASSICAL:
+        for k in range(4):
+            boundary = "open" if k == 3 else "ring"
+            layers = random_layers(rng, "classical", cells, 2, boundary)
+            out.append(("classical", cells, 2, boundary, layers))
     return out
 
 
 def test_random_cases_cover_the_required_shapes():
     cases = random_cases()
-    assert {(m, c) for m, c, *_ in cases} == {(m, c) for m in MODELS for c in range(2, 7)}
+    assert {(m, c) for m, c, *_ in cases} == {
+        (m, c) for m in MODELS for c in range(2, 7)
+    } | {("classical", c) for c in WIDE_CLASSICAL}
     arities = {len(g.input) for *_, layers in cases for layer in layers for g, _ in layer}
     assert arities == {1, 2, 3}
     # some gate wraps around the ring
@@ -130,6 +142,53 @@ def test_random_layouts_match_the_composed_step(model, cells, cell_dim, boundary
     a = build_ring(layers, cells, cell_dim, model=model, boundary=boundary)
     assert_same_step(a.step, composed_step(layers, cells, cell_dim, model))
     assert a.layers == tuple(tuple((type(g).__name__, at) for g, at in ls) for ls in layers)
+    assert a.spans == tuple(
+        tuple(tuple((at + k) % cells for k in range(len(g.input))) for g, at in ls)
+        for ls in layers
+    )
+
+
+def reference_light_cone(layers, cells):
+    """Cells reachable from each input cell, layer by layer, through the gates' spans."""
+    reach = [{i} for i in range(cells)]
+    for layer in layers:
+        spans = [{(at + k) % cells for k in range(len(g.input))} for g, at in layer]
+        reach = [set().union(*(next((s for s in spans if c in s), {c}) for c in r)) for r in reach]
+    return np.array([[t in r for t in range(cells)] for r in reach])
+
+
+@pytest.mark.parametrize(
+    "cells,cell_dim,boundary,layers",
+    [case[1:] for case in random_cases() if case[0] == "classical"],
+)
+def test_random_classical_layouts_lie_inside_their_light_cone(cells, cell_dim, boundary, layers):
+    a = build_ring(layers, cells, cell_dim, boundary=boundary)
+    cone = a.light_cone()
+    assert np.array_equal(cone, reference_light_cone(layers, cells))
+    assert not (influence_relation(a.step) & ~cone).any()
+    neighbourhood_maps(a, 1)  # the runtime check passes
+
+
+def test_a_step_that_does_not_match_its_layers_escapes_the_light_cone():
+    a = build_ring([[(classical.cnot(), 0)]], cells=4, cell_dim=2)
+    assert a.light_cone().sum() == 4 + 2  # the identity plus c0 <-> c1
+    moved = build_ring([[(classical.cnot(), 2)]], cells=4, cell_dim=2)
+    with pytest.raises(ConsistencyError, match="escape the light cone of its layers"):
+        neighbourhood_maps(dataclasses.replace(a, step=moved.step), 1)
+    # a hand-built automaton with no layers claims the identity step
+    with pytest.raises(ConsistencyError, match="escape the light cone of its layers"):
+        neighbourhood_maps(RingAutomaton(4, 2, a.step, (), "classical"), 1)
+
+
+def test_a_negative_at_is_cyclic_on_a_ring_and_spills_on_an_open_boundary():
+    a = build_ring([[(classical.cnot(), -1)]], cells=4, cell_dim=2)
+    assert a.spans == (((3, 0),),)
+    assert a.step.table == build_ring([[(classical.cnot(), 3)]], cells=4, cell_dim=2).step.table
+    for at in (-1, -4):
+        with pytest.raises(SpecError) as exc:
+            build_ring([[(classical.cnot(), at)]], cells=4, cell_dim=2, boundary="open")
+        assert str(exc.value) == f"layer 0: gate at {at} spills past the open boundary"
+    build_ring([[(classical.cnot(), 2)]], cells=4, cell_dim=2, boundary="open")
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -143,3 +202,12 @@ def test_build_ring_constructs_only_the_step(monkeypatch, model):
         monkeypatch.setattr(cls, name, lambda *a, name=name: pytest.fail(name))
     a = build_ring(layers, 6, 2, model=model)
     assert built == [a.step]
+
+
+def test_the_classical_ring_and_passes_make_no_per_wire_codec_call(monkeypatch):
+    cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
+    for name in ("digits", "with_digits"):
+        monkeypatch.setattr(CompositeSystem, name, lambda *a, name=name: pytest.fail(name))
+    a = build_ring(layers, 6, cell_dim)
+    _digit_table(a.step.output)
+    a.step.wire_signalling()

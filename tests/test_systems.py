@@ -162,6 +162,47 @@ def test_with_digits_matches_scalar_rewrite(case, data):
         assert np.array_equal(system.with_digits(0, names, system.digits(idx, names)), idx)
 
 
+@settings(max_examples=80, deadline=None)
+@given(systems_and_names(), st.data())
+def test_digit_rows_match_unflatten(case, data):
+    system, _ = case
+    shape = data.draw(st.lists(st.integers(0, 3), max_size=3))
+    idx = np.asarray(
+        data.draw(
+            st.lists(
+                st.integers(0, system.total_dim - 1),
+                min_size=math.prod(shape),
+                max_size=math.prod(shape),
+            )
+        ),
+        dtype=np.int64,
+    ).reshape(shape)
+    got = system.digit_rows(idx)
+    assert got.shape == (len(system),) + idx.shape and got.dtype == np.int64
+    for pos in np.ndindex(*idx.shape):
+        assert tuple(got[(slice(None),) + pos].tolist()) == system.unflatten(int(idx[pos]))
+    # a scalar index and the whole index range
+    x = data.draw(st.integers(0, system.total_dim - 1))
+    assert tuple(system.digit_rows(x).tolist()) == system.unflatten(x)
+    rows = system.digit_rows(np.arange(system.total_dim))
+    assert [tuple(col) for col in rows.T.tolist()] == [
+        system.unflatten(z) for z in range(system.total_dim)
+    ]
+
+
+def test_digit_rows_cover_mixed_radix_dim_1_and_empty_systems():
+    mixed = composite(("A", 2), ("B", 1), ("C", 3))
+    assert mixed.digit_rows(np.arange(6)).tolist() == [
+        [0, 0, 0, 1, 1, 1],
+        [0, 0, 0, 0, 0, 0],
+        [0, 1, 2, 0, 1, 2],
+    ]
+    triv = composite()
+    assert triv.digit_rows(np.arange(1)).shape == (0, 1)
+    assert triv.digit_rows(np.zeros((2, 3), dtype=int)).shape == (0, 2, 3)
+    assert triv.digit_rows(0).dtype == np.int64
+
+
 def test_codec_on_the_empty_system():
     triv = composite()
     assert triv.digits(np.arange(1), []).tolist() == [0]
