@@ -31,7 +31,7 @@ from .causal import (
 from .automata import RingAutomaton, build_ring, neighbourhood_maps
 from .errors import BudgetError, ConsistencyError, SpecError
 from .oracle import CrossValidationReport, OracleBudget, OracleVerdict, cross_validate, definition_check
-from .quantum import DensityOperator, StateMap, UnitaryChannel
+from .quantum import StateMap, UnitaryChannel
 from .systems import CompositeSystem, SubsystemLabel, composite, reorder_permutation
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "CompositeSystem",
     "ConsistencyError",
     "CrossValidationReport",
-    "DensityOperator",
     "DisturbanceClassification",
     "HierarchyReport",
     "MemoryDecomposition",

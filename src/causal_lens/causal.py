@@ -11,14 +11,16 @@ Neither probe process is composed: both are read off the evolution in
 closed form, ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``
 with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
 table gathered in one pass, quantumly one matrix product certified once.
-``influence_relation`` checks the joint factorization of a whole classical
-probe stack in one gather, and of each quantum probe in turn through the one
-quantum factor kernel (``quantum._identity_factor``), which also gives the
-factors of ``hierarchy_report`` and ``memory_decomposition``. Classically
-the per-wire idle test and no-signalling are one difference kernel
-(``classical._steps_by``), with the wire's stride or 0 as the step.
-``t_process`` branches on the model only to build that probe channel; its
-factor is the probe's own ``factors_as_identity``. The memory decompositions
+One probe pass (``_probe_pass``) answers every probe question, on a stack
+for ``influence_relation`` and on a stack of one for ``t_process``, the only
+caller that builds the probe as a channel: the per-wire idle sweep, then the
+joint factorization, of a whole classical stack in one gather and of each
+quantum probe through the one quantum factor kernel
+(``quantum._identity_factor``), which also gives the factors of
+``hierarchy_report`` and ``memory_decomposition``; ``t_process`` takes its
+factor from the pass. Classically the per-wire idle test and no-signalling
+are one difference kernel (``classical._steps_by``), every wire of a stack
+in one call, with the wire's stride or 0 as the step. The memory decompositions
 (the quantum legs are checked as one operator identity, ``(W x 1)(1 x V) =
 |0> x U``), the interaction-without-disturbance premise and witness
 extraction branch on the model too. Quantumly, influence and signalling are
@@ -50,7 +52,13 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import ClassicalChannel, ClassicalInstrument, _certify_bijection, _steps_by
+from .classical import (
+    ClassicalChannel,
+    ClassicalInstrument,
+    _at_zero,
+    _certify_bijection,
+    _steps_by,
+)
 from .errors import ConsistencyError, SpecError
 from .quantum import (
     _CHECK_CHUNK_BYTES,
@@ -215,30 +223,27 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     The probe channel is (copy-padded u) after (swap copies with probed inputs)
     after (copy-padded u inverse), read off ``u`` in closed form: classically
     the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``,
-    quantumly one matrix product on ``U``. It runs the gather and the per-wire
-    idle sweep of ``influence_relation`` on a stack of one probe. Only here is
-    the probe built as a channel, whose constructor certifies it, and its
-    factor on the idle set is the probe's own ``factors_as_identity``.
+    quantumly one matrix product on ``U``. Only here is the probe built as a
+    channel, whose constructor certifies it, then run through the probe pass
+    of ``influence_relation`` as a stack of one. The factor on the idle set
+    is the pass's: the probe's table at idle digits 0, or the certified ``W``.
     """
     frm = _ordered_subset(u.input, probed)
     taken = set(u.input.names) | set(u.output.names)
     copies = _fresh_names(taken, frm, "_1")
-    copy_sys = composite(
-        *((c, u.input.parts[u.input.position(n)].dim) for c, n in zip(copies, frm))
-    )
-    probe_sys = copy_sys.concat(u.output)
+    probe_sys = composite(*zip(copies, u.input.select(frm).dims)).concat(u.output)
     probes = _probes(u, [tuple(u.input.position(n) for n in frm)])
-    if isinstance(u, ClassicalChannel):
-        tilde = ClassicalChannel(probe_sys, probe_sys, probes.reshape(-1))
-        mask = _idle_outputs(u, probes)[0]
+    classical, d = isinstance(u, ClassicalChannel), probe_sys.total_dim
+    tilde = type(u)(probe_sys, probe_sys, probes.reshape((d,) if classical else (d, d)))
+    mask, _, factors = _probe_pass(u, probes, tol, _digit_table(u.output) if classical else None)
+    idle = tuple(n for n, hit in zip(u.output.names, mask[0]) if hit)
+    w_in = w_out = probe_sys.restrict(probe_sys.complement(idle))
+    if classical:
+        at_zero = _at_zero(probes, [k + 2 for k in np.flatnonzero(mask[0]).tolist()])
+        factor = ClassicalChannel(w_in, w_out, probe_sys.digits(at_zero, w_out.names).reshape(-1))
     else:
-        d = probe_sys.total_dim
-        tilde = UnitaryChannel(probe_sys, probe_sys, probes.reshape(d, d))
-        mask = _wire_deltas(u, probes)[0] <= tol
-    idle = tuple(n for n, hit in zip(u.output.names, mask) if hit)
-    factor = tilde.factors_as_identity(idle, tol)
-    if factor is None:
-        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
+        eps, w = factors[0]
+        factor = UnitaryChannel(w_in, w_out, w, atol=_factor_atol(eps, tilde.atol))
     return TProcessResult(
         channel=tilde,
         probed=frm,
@@ -261,38 +266,55 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
 def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """``influence_relation`` and, quantumly, the ``δ[i, t]`` it was decided from.
 
-    Probes of equal-dim inputs share a stack, gathered and certified at once;
-    each output wire's idle test runs once for it, then each probe's joint
-    factorization is checked (``_classical_joint_test``, ``_identity_factor``
-    against the root sum of squares of its idle wires' ``δ``).
+    Probes of equal-dim inputs share a stack, gathered and certified at once,
+    and each stack runs one probe pass (``_probe_pass``).
     """
     classical = isinstance(u, ClassicalChannel)
     rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
     deltas = None if classical else np.zeros(rel.shape)
-    n, d_out = len(u.output), u.output.total_dim
+    d_out = u.output.total_dim
     # working set: about four int64 arrays the size of a classical probe
     # table, four complex arrays the size of a quantum probe matrix
     entry_bytes = (lambda d: 32 * d * d_out) if classical else (lambda d: 64 * (d * d_out) ** 2)
     zd = _digit_table(u.output) if classical else None
     for dim, part in _dim_chunks(u.input.dims, entry_bytes):
-        size = dim * d_out
         probes = _probes(u, [(k,) for k in part])
         if classical:
-            flat = probes.reshape(len(part), size)
-            _certify_bijection(flat)
-            idle = _idle_outputs(u, probes)
-            _classical_joint_test(flat, idle, zd)
+            _certify_bijection(probes.reshape(len(part), -1))
         else:
-            _certify_unitary(probes.reshape(len(part), size, size), DEFAULT_TOL)
-            delta = _wire_deltas(u, probes)
-            idle = delta <= tol
-            for p, mask in enumerate(idle):
-                wires = np.flatnonzero(mask)
-                pairs = [(k + 1, n + k + 2) for k in wires.tolist()]
-                _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
-            deltas[part] = delta
+            _certify_unitary(probes.reshape(len(part), dim * d_out, -1), DEFAULT_TOL)
+        idle, delta, _ = _probe_pass(u, probes, tol, zd)
         rel[part] = ~idle
+        if not classical:
+            deltas[part] = delta
     return rel, deltas
+
+
+def _probe_pass(
+    u: Channel, probes: np.ndarray, tol: float, zd: Optional[np.ndarray]
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[list]]:
+    """The per-wire idle sweep and the joint test of a certified ``_probes`` stack.
+
+    ``(idle, δ, factors)``, ``idle[p, k]`` iff output ``k`` is idle for probe
+    ``p``. Classically one ``_steps_by`` call, then ``_classical_joint_test``
+    off ``zd``; ``δ`` and ``factors`` are None. Quantumly ``δ`` is one
+    ``_pair_deltas``, and ``factors[p]`` is probe ``p``'s ``(ε, W)`` from
+    ``_identity_factor``, bounded by the root sum of squares of its idle ``δ``.
+    """
+    n = len(u.output)
+    if isinstance(u, ClassicalChannel):
+        idle = _steps_by(probes, range(1, n + 1), u.output.strides)
+        _classical_joint_test(probes.reshape(len(probes), -1), idle, zd)
+        return idle, None, None
+    delta = _pair_deltas(probes, [(k + 2, n + k + 3) for k in range(n)])
+    idle = delta <= tol
+    factors = []
+    for p, mask in enumerate(idle):
+        wires = np.flatnonzero(mask)
+        pairs = [(k + 1, n + k + 2) for k in wires.tolist()]
+        _, eps, w = _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
+        factors.append((eps, w))
+    return idle, delta, factors
 
 
 def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -331,21 +353,6 @@ def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
     m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, d_out, d_a, d_out)
     grid = (len(blocks), d_a) + u.output.dims + (d_a,) + u.output.dims
     return np.ascontiguousarray(m.transpose(0, 3, 2, 1, 4)).reshape(grid)
-
-
-def _idle_outputs(u: ClassicalChannel, grid: np.ndarray) -> np.ndarray:
-    """``r[p, k]`` iff each step of output ``k``'s digit moves classical probe ``p`` by its stride
-    (``_steps_by``)."""
-    idle = np.zeros((len(grid), len(u.output)), dtype=bool)
-    for k, stride in enumerate(u.output.strides):
-        idle[:, k] = _steps_by(grid, (k + 1,), (stride,))
-    return idle
-
-
-def _wire_deltas(u: UnitaryChannel, grid: np.ndarray) -> np.ndarray:
-    """``δ[p, k]`` of quantum probe ``p`` on output wire ``k``, idle iff ``δ <= tol``."""
-    n = len(u.output)
-    return _pair_deltas(grid, [(k + 2, n + k + 3) for k in range(n)])
 
 
 def _digit_table(system: CompositeSystem) -> np.ndarray:

@@ -39,25 +39,25 @@ def _at_zero(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
 
 
 def _steps_by(grid: np.ndarray, axes: Sequence[int], steps: Sequence[int]) -> np.ndarray:
-    """For each row ``grid[p]``, whether every step along each of its ``axes``
-    moves the entry by exactly that axis' ``steps``.
+    """``ok[p, j]``: whether every step along axis ``axes[j]`` of row ``grid[p]``
+    moves the entry by exactly ``steps[j]``; ``.all(axis=1)`` asks it of all axes.
 
-    The grid-level identity test. Each axis is viewed as ``(rows, L, d, R)``
-    and ``g[:, :, 1:] - g[:, :, :-1]`` is compared with the step; a dim-1
-    axis has no step and reads True. With steps of 0 it says the row does
-    not vary along the axes (no signalling). With the output strides of wires
-    paired to the axes it says each axis' digit passes through: for a
-    bijection that holds exactly when each digit passes through to the
-    output wire of that stride (of the same dim) and no other output digit
-    depends on it, since each line along an axis then maps onto ``dim``
-    consecutive values of ``index // stride``, and runs of that length tile
-    the index space only when each starts at digit 0.
+    The grid-level identity test, every axis of a stack in one call. Each
+    axis is viewed as ``(rows, L, d, R)`` and ``g[:, :, 1:] - g[:, :, :-1]``
+    is compared with the step; a dim-1 axis has no step and reads True. With
+    steps of 0 it says the row does not vary along the axis (no signalling).
+    With the output strides of wires paired to the axes it says each axis'
+    digit passes through: for a bijection that holds exactly when each digit
+    passes through to the output wire of that stride (of the same dim) and no
+    other output digit depends on it, since each line along an axis then
+    maps onto ``dim`` consecutive values of ``index // stride``, and runs of
+    that length tile the index space only when each starts at digit 0.
     """
     rows, shape = len(grid), grid.shape[1:]
-    ok = np.ones(rows, dtype=bool)
-    for a, step in zip(axes, steps):
+    ok = np.ones((rows, len(axes)), dtype=bool)
+    for j, (a, step) in enumerate(zip(axes, steps)):
         g = grid.reshape(rows, math.prod(shape[:a]), shape[a], math.prod(shape[a + 1 :]))
-        ok &= (g[:, :, 1:] - g[:, :, :-1] == step).all(axis=(1, 2, 3))
+        ok[:, j] = (g[:, :, 1:] - g[:, :, :-1] == step).all(axis=(1, 2, 3))
     return ok
 
 
@@ -171,7 +171,7 @@ class ClassicalChannel:
         """
         from_pos = self.input.subset_positions(from_in)
         grid = self.output.digits(self._arr, tuple(to_out)).reshape((1,) + self.input.dims)
-        return not _steps_by(grid, from_pos, [0] * len(from_pos))[0]
+        return not _steps_by(grid, from_pos, [0] * len(from_pos))[0].all()
 
     def wire_signalling(self, tol: float = 0.0) -> np.ndarray:
         """The single-wire signalling relation: ``r[i, t]`` iff input ``i`` signals to output ``t``.
@@ -179,12 +179,12 @@ class ClassicalChannel:
         Entry ``[i, t]`` is ``signals([input i], [output t])``, decided in one
         pass: the output-digit grid ``g[t, x_0, ..., x_{n-1}]`` is built once
         (``digit_rows`` of the table, one broadcast against the output strides),
-        and row ``i`` is where ``g`` varies along input axis ``i``, every target
-        at once (``_steps_by`` with a step of 0). ``tol`` is unused.
+        and ``r`` is where it varies along each input axis, every target at
+        once: one ``_steps_by`` call with a step of 0, negated and transposed.
+        ``tol`` is unused.
         """
         grid = self.output.digit_rows(self._arr).reshape((len(self.output),) + self.input.dims)
-        rel = [~_steps_by(grid, (i,), (0,)) for i in range(len(self.input))]
-        return np.array(rel, dtype=bool).reshape(len(self.input), len(self.output))
+        return ~_steps_by(grid, range(len(self.input)), [0] * len(self.input)).T
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = 0.0
@@ -201,7 +201,7 @@ class ClassicalChannel:
         in_pos, out_pos = _paired_layout(self.input, self.output, idle)
         grid = self._arr.reshape((1,) + self.input.dims)
         strides = [self.output.strides[k] for k in out_pos]
-        if not _steps_by(grid, in_pos, strides)[0]:
+        if not _steps_by(grid, in_pos, strides)[0].all():
             return None
         # the factor is the table of the remaining outputs with the idle inputs at 0
         w_in = self.input.restrict(self.input.complement(idle))

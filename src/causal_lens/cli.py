@@ -45,12 +45,15 @@ MAX_DIM_ENV = "CAUSAL_LENS_MAX_DIM"
 
 def _max_dim(model: str) -> int:
     raw = os.environ.get(MAX_DIM_ENV)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise SpecError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from None
-    return DEFAULT_MAX_DIM[model]
+    if raw is None:
+        return DEFAULT_MAX_DIM[model]
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:  # a cap of 0 or less is a malformed setting, not a budget every input exceeds
+        raise SpecError(f"{MAX_DIM_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 # -- file loading -----------------------------------------------------------------
@@ -92,6 +95,14 @@ def _integer(path: str, what: str, value) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise SpecError(f"{path}: {what} must be an integer, got {value!r}") from None
+
+
+def _complex(path: str, re, im) -> complex:
+    """A quantum matrix entry ``[re, im]``: each part must be a JSON number, not a boolean."""
+    if type(re) in (int, float) and type(im) in (int, float):  # plain numbers as they are
+        return complex(re, im)
+    bad = im if type(re) in (int, float) else re
+    raise SpecError(f"{path}: matrix entry parts must be numbers, got {bad!r}")
 
 
 def _system_from(path: str, key: str, entries) -> "composite":
@@ -140,7 +151,7 @@ def load_channel_file(
             chan = ClassicalChannel(inputs, outputs, table)
             return qm.from_classical(chan) if model == "quantum" else chan
         matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in data["data"]], dtype=complex
+            [[_complex(path, re, im) for re, im in row] for row in data["data"]], dtype=complex
         )
         chan = UnitaryChannel(inputs, outputs, matrix)
         if model == "classical":
@@ -151,7 +162,7 @@ def load_channel_file(
                 )
             return ClassicalChannel(inputs, outputs, table)
         return chan
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SpecError):
             raise
         raise SpecError(f"{path}: malformed data: {exc}") from None

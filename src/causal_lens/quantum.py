@@ -30,7 +30,6 @@ from .systems import CompositeSystem, _paired_layout, composite
 
 __all__ = [
     "DEFAULT_TOL",
-    "DensityOperator",
     "StateMap",
     "UnitaryChannel",
     "cnot",
@@ -302,13 +301,6 @@ class UnitaryChannel:
             raise SpecError(f"matrix shape {m.shape} does not match joint dimension {n}")
         _certify_unitary(m, self.atol)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def apply(self, rho: "DensityOperator") -> "DensityOperator":
-        if rho.system.dims != self.input.dims:
-            raise SpecError("state system does not match channel input")
-        return DensityOperator(self.output, self.matrix @ rho.matrix @ self.matrix.conj().T)
-
     # -- constructors ----------------------------------------------------------
 
     @classmethod
@@ -416,56 +408,6 @@ def _signalling_deltas(u: UnitaryChannel) -> np.ndarray:
         stack = stack.reshape((len(part), dim, dim) + u.input.dims * 2)
         out[:, part] = _pair_deltas(stack, pairs).T
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """A positive semidefinite unit-trace matrix on a composite system."""
-
-    system: CompositeSystem
-    matrix: np.ndarray
-    atol: float = field(default=DEFAULT_TOL, repr=False)
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        n = self.system.total_dim
-        if m.shape != (n, n):
-            raise SpecError(f"state shape {m.shape} does not match system dimension {n}")
-        with np.errstate(invalid="ignore"):  # any non-finite entry reads as a NaN
-            asymmetry = np.max(np.abs(m - m.conj().T))
-        if not asymmetry <= self.atol:
-            raise SpecError("state is not Hermitian within tolerance")
-        if abs(np.trace(m) - 1.0) > self.atol:
-            raise SpecError(f"state trace {np.trace(m):.6f} is not 1 within tolerance")
-        if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)) < -self.atol:
-            raise SpecError("state has a negative eigenvalue beyond tolerance")
-
-    @classmethod
-    def computational(cls, system: CompositeSystem, values: Sequence[int]) -> "DensityOperator":
-        """The basis state |values><values|."""
-        idx = system.flatten(values)
-        m = np.zeros((system.total_dim, system.total_dim))
-        m[idx, idx] = 1.0
-        return cls(system, m)
-
-    @classmethod
-    def from_vector(cls, system: CompositeSystem, vec: Sequence[complex]) -> "DensityOperator":
-        v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(system, np.outer(v, v.conj()))
-
-    def partial_trace(self, keep: Iterable[str]) -> "DensityOperator":
-        """Trace out every wire not named in ``keep``; kept wires stay in system order."""
-        keep = tuple(keep)
-        self.system.subset_positions(keep)
-        # floor relaxed to 1e-8: repeated arithmetic may nudge eigenvalues
-        return DensityOperator(
-            self.system.restrict(keep),
-            _partial_trace(self.matrix, self.system, keep),
-            atol=max(self.atol, 1e-8),
-        )
 
 
 @dataclass(frozen=True, eq=False)

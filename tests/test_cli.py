@@ -229,6 +229,14 @@ FLIP_WITH_TRIVIAL_WIRE = {
     "data": [1, 0],
 }
 
+# the 1-qubit identity, each entry a JSON [re, im] pair
+QUBIT_IDENTITY = {
+    "model": "quantum",
+    "inputs": [{"name": "A", "dim": 2}],
+    "outputs": [{"name": "A'", "dim": 2}],
+    "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+}
+
 
 def with_entry(doc, path, value):
     """A deep copy of ``doc`` with the entry at the key/index ``path`` set to ``value``."""
@@ -265,6 +273,10 @@ def with_entry(doc, path, value):
         ("analyze", with_entry(CNOT_CHANNEL, ["data", 1], 1.7)),
         ("analyze", with_entry(CNOT_CHANNEL, ["data", 1], "1")),
         ("analyze", with_entry(CNOT_CHANNEL, ["data", 1], True)),
+        ("analyze", with_entry(QUBIT_IDENTITY, ["data", 0, 0, 0], True)),
+        ("analyze", with_entry(QUBIT_IDENTITY, ["data", 1, 1, 1], False)),
+        ("analyze", with_entry(QUBIT_IDENTITY, ["data", 0, 1, 0], 10**400)),
+        ("analyze", with_entry(CNOT_CHANNEL, ["data", 1], 10**400)),
     ],
     ids=[
         "input-dim-word",
@@ -289,6 +301,10 @@ def with_entry(doc, path, value):
         "data-fraction",
         "data-digit-string",
         "data-true",
+        "quantum-entry-true",
+        "quantum-entry-false",
+        "quantum-entry-overflow",
+        "data-overflow",
     ],
 )
 def test_malformed_fields_are_parse_errors(capsys, tmp_path, command, doc):
@@ -532,6 +548,14 @@ def test_exit_code_budget(capsys, monkeypatch):
     monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", "2")
     code, out, err = run(capsys, "analyze", FIXTURES / "cnot.json")
     assert code == 3 and "exceeds" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "abc"])
+def test_a_max_dim_that_is_not_a_positive_integer_is_a_parse_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", raw)
+    code, out, err = run(capsys, "analyze", FIXTURES / "cnot.json")
+    assert code == 1 and out == ""
+    assert f"CAUSAL_LENS_MAX_DIM must be a positive integer, got {raw!r}" in err
 
 
 def test_exit_code_consistency(capsys, monkeypatch):

@@ -2,10 +2,11 @@
 
 ``classical._steps_by`` is checked against ``_varies`` and ``_passes_through``,
 kept here verbatim as references, on probe stacks and output-digit grids of
-mixed-radix channels. ``quantum._identity_factor`` is checked against the
-pattern ``1 ⊗ W`` formed in full on channel grids, every idle set in a random
-order. The digit table of the classical joint test is checked against the
-reshape arithmetic it replaced.
+mixed-radix channels, and each of its columns against its single-axis call.
+``quantum._identity_factor`` is checked against the pattern ``1 ⊗ W`` formed
+in full on channel grids, every idle set in a random order. The digit table
+of the classical joint test is checked against the reshape arithmetic it
+replaced.
 """
 
 import itertools
@@ -94,11 +95,31 @@ def test_the_difference_kernel_equals_the_pass_through_kernel(seed):
                 axes = [first + k for k in idle]
                 # the output wires' own strides, and strides of other wires' dims
                 for steps in ([strides[k] for k in idle], [strides[-1 - k] for k in idle]):
-                    got = _steps_by(grid, axes, steps)
+                    got = _steps_by(grid, axes, steps).all(axis=1)
                     assert got.tolist() == _passes_through(grid, axes, steps).tolist()
                     passed.update(got.tolist())
                     cases += len(grid)
     assert cases > 1000 and passed == {False, True}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_column_of_the_difference_kernel_is_its_single_axis_call(seed):
+    cases, read, dim_1 = 0, set(), 0
+    for u in channels(lambda u: u, seed):
+        strides = list(u.output.strides)
+        grids = [(g, 1) for g in probe_stacks(u)]  # axis 0 of a row is the probe copy
+        grids.append((u.output.digit_rows(u._arr).reshape((len(u.output),) + u.input.dims), 0))
+        for grid, first in grids:
+            axes = list(range(first, grid.ndim - 1))
+            for steps in ([0] * len(axes), strides[: len(axes)], strides[::-1][: len(axes)]):
+                got = _steps_by(grid, axes, steps)
+                assert got.shape == (len(grid), len(axes))
+                for j, (a, step) in enumerate(zip(axes, steps)):
+                    assert got[:, j].tolist() == _steps_by(grid, [a], [step])[:, 0].tolist()
+                    dim_1 += grid.shape[a + 1] == 1
+                read.update(got.reshape(-1).tolist())
+                cases += got.size
+    assert cases > 1000 and dim_1 > 0 and read == {False, True}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -109,7 +130,7 @@ def test_the_difference_kernel_at_step_0_is_no_variation(seed):
         grid = np.array([u.output.digits(u._arr, (t,)) for t in u.output.names])
         grid = grid.reshape((len(u.output),) + u.input.dims)
         for axes in subsets(len(u.input)):
-            got = ~_steps_by(grid, axes, [0] * len(axes))
+            got = ~_steps_by(grid, axes, [0] * len(axes)).all(axis=1)
             assert got.tolist() == _varies(grid, axes).tolist()
             varied.update(got.tolist())
             cases += len(grid)

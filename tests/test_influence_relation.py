@@ -151,17 +151,17 @@ def test_ca_and_analyze_build_no_probe_process(monkeypatch):
 
 @pytest.mark.parametrize("model", sorted(MAX_CELLS))
 def test_an_over_reported_idle_wire_fails_the_joint_test(monkeypatch, model):
-    # the per-wire sweep reports every output idle: classically every wire
-    # passes through, quantumly every wire's delta is 0
+    # the probe pass's per-wire sweep reports every output idle: classically
+    # every wire passes through, quantumly every wire's delta is 0
     u = classical.cnot()
     if model == "quantum":
         u = quantum.from_classical(u)
         monkeypatch.setattr(
-            causal, "_wire_deltas", lambda u, grid: np.zeros((len(grid), len(u.output)))
+            causal, "_pair_deltas", lambda x, pairs: np.zeros((len(x), len(pairs)))
         )
     else:
         monkeypatch.setattr(
-            causal, "_idle_outputs", lambda u, grid: np.ones((len(grid), len(u.output)), bool)
+            causal, "_steps_by", lambda grid, axes, steps: np.ones((len(grid), len(axes)), bool)
         )
     match = "did not combine into a joint factorization"
     with pytest.raises(ConsistencyError, match=match):
@@ -174,10 +174,14 @@ def test_the_classical_factor_certificate_backs_the_joint_test(monkeypatch):
     # with the per-wire sweep and the stack's pass-through comparison both
     # over-reporting, only the factor's bijection certificate is left to
     # catch the false idle wires
-    monkeypatch.setattr(causal, "_steps_by", lambda grid, axes, steps: np.ones(len(grid), bool))
+    monkeypatch.setattr(
+        causal, "_steps_by", lambda grid, axes, steps: np.ones((len(grid), len(axes)), bool)
+    )
     monkeypatch.setattr(causal, "_passes_idle_digits", lambda flat, off2: np.ones(len(flat), bool))
     with pytest.raises(ConsistencyError, match="did not combine"):
         influence_relation(classical.cnot())
+    with pytest.raises(ConsistencyError, match="did not combine"):
+        t_process(classical.cnot(), ["A"])
 
 
 def counting(calls, real):
@@ -203,6 +207,53 @@ def test_a_classical_relation_runs_one_joint_test_per_stack(monkeypatch):
     # the spy sees the per-probe calls of a quantum stack
     influence_relation(quantum.from_classical(classical.cnot()))
     assert len(per_probe) == 2
+
+
+def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeypatch):
+    passes, joint = [], []
+    monkeypatch.setattr(causal, "_probe_pass", counting(passes, causal._probe_pass))
+    monkeypatch.setattr(
+        causal, "_classical_joint_test", counting(joint, causal._classical_joint_test)
+    )
+    for cls in (ClassicalChannel, UnitaryChannel):
+        monkeypatch.setattr(
+            cls, "factors_as_identity", lambda *a, **k: pytest.fail("factors_as_identity called")
+        )
+    # a cnot beside an idle qutrit: probing A leaves C idle, probing C leaves A and B
+    u = classical.cnot().tensor(ClassicalChannel.identity(composite(("C", 3))))
+    tp = t_process(u, ["A"])
+    assert passes == [1] and joint == [1]
+    assert tp.idle_subset == {"C"} and tp.factor.input.names == ("A_1", "A", "B")
+    # u is the identity on C, so the probe's factor there swaps the copy with C
+    swap = classical.swap_gate(3, ("C_1", "C"))
+    tp = t_process(u, ["C"])
+    assert tp.idle_subset == {"A", "B"} and tp.factor == swap
+    influence_relation(u)
+    # one stack of the two bits, one of the qutrit
+    assert passes == [1, 1, 2, 1] and joint == [1, 1, 2, 1]
+    passes.clear()
+    q = quantum.from_classical(u)
+    tp = t_process(q, ["C"])
+    assert tp.idle_subset == {"A", "B"}
+    assert np.allclose(tp.factor.matrix, quantum.from_classical(swap).matrix)
+    influence_relation(q)
+    assert passes == [1, 2, 1] and len(joint) == 4
+
+
+def test_one_difference_kernel_call_per_classical_stack_and_per_wire_signalling(monkeypatch):
+    stacks, kernel = [], []
+    monkeypatch.setattr(causal, "_probes", counting(stacks, causal._probes))
+    monkeypatch.setattr(causal, "_steps_by", counting(kernel, causal._steps_by))
+    cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
+    u = iterate(build_ring(layers, 8, cell_dim).step, 2)
+    influence_relation(u)
+    t_process(u, ["c0", "c3"])
+    assert stacks == [8, 1] and len(kernel) == 2
+    # wire_signalling: one call, every input axis of the output-digit grid at once
+    calls = []
+    monkeypatch.setattr(classical, "_steps_by", counting(calls, classical._steps_by))
+    assert u.wire_signalling().shape == (8, 8)
+    assert calls == [8]
 
 
 # -- the stack-wide classical joint test against the per-probe one it replaced -------

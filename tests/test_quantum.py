@@ -3,8 +3,8 @@ import pytest
 
 from causal_lens.errors import SpecError
 from causal_lens.quantum import (
-    DensityOperator,
     UnitaryChannel,
+    _partial_trace,
     cnot,
     from_classical,
     hadamard,
@@ -51,25 +51,12 @@ def test_unitarity_certificate_rejects():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
-def test_a_non_finite_entry_fails_both_certificates(value, entry):
+def test_a_non_finite_entry_fails_the_unitarity_certificate(value, entry):
     bit = composite(("A", 2))
-    u, rho = np.eye(2, dtype=complex), np.diag([0.5, 0.5]).astype(complex)
-    for m in (u, rho):
-        m[entry] = m[entry[::-1]] = value  # Hermitian but for the non-finite value
+    u = np.eye(2, dtype=complex)
+    u[entry] = u[entry[::-1]] = value  # Hermitian but for the non-finite value
     with pytest.raises(SpecError, match="unitarity certificate failed"):
         UnitaryChannel(bit, bit, u)
-    with pytest.raises(SpecError, match="not Hermitian"):
-        DensityOperator(bit, rho)
-
-
-def test_density_operator_certificates_reject():
-    bit = composite(("A", 2))
-    with pytest.raises(SpecError):
-        DensityOperator(bit, np.array([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
-    with pytest.raises(SpecError):
-        DensityOperator(bit, np.array([[0.9, 0.0], [0.0, 0.5]]))  # trace != 1
-    with pytest.raises(SpecError):
-        DensityOperator(bit, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
 
 
 def test_from_classical_matches_table():
@@ -80,25 +67,30 @@ def test_from_classical_matches_table():
         assert col[k.table[x]] == 1.0 and np.sum(np.abs(col)) == 1.0
 
 
+def pure(vec):
+    """The density matrix of the normalised state vector ``vec``."""
+    v = np.asarray(vec, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
 def test_partial_trace_product_state():
-    rho_a = DensityOperator.from_vector(composite(("A", 2)), [1, 1])
-    rho_b = DensityOperator.from_vector(composite(("B", 2)), [1, 1j])
-    joint = DensityOperator(QUBITS, np.kron(rho_a.matrix, rho_b.matrix))
-    assert np.allclose(joint.partial_trace(["B"]).matrix, rho_b.matrix, atol=1e-12)
-    assert np.allclose(joint.partial_trace(["A"]).matrix, rho_a.matrix, atol=1e-12)
+    rho_a, rho_b = pure([1, 1]), pure([1, 1j])
+    joint = np.kron(rho_a, rho_b)
+    assert np.allclose(_partial_trace(joint, QUBITS, ["B"]), rho_b, atol=1e-12)
+    assert np.allclose(_partial_trace(joint, QUBITS, ["A"]), rho_a, atol=1e-12)
 
 
 def test_partial_trace_bell_state():
-    bell = DensityOperator.from_vector(QUBITS, [1, 0, 0, 1])
-    reduced = bell.partial_trace(["A"])
-    assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
+    reduced = _partial_trace(pure([1, 0, 0, 1]), QUBITS, ["A"])
+    assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_keep_all_is_identity_operation():
-    rho = DensityOperator.from_vector(QUBITS, [1, 2, 3, 4])
-    assert np.allclose(rho.partial_trace(["A", "B"]).matrix, rho.matrix)
+    rho = pure([1, 2, 3, 4])
+    assert np.allclose(_partial_trace(rho, QUBITS, ["A", "B"]), rho)
     with pytest.raises(SpecError):
-        rho.partial_trace(["Z"])
+        _partial_trace(rho, QUBITS, ["Z"])
 
 
 def test_partial_trace_preserves_trace_and_positivity():
@@ -107,10 +99,9 @@ def test_partial_trace_preserves_trace_and_positivity():
     for _ in range(10):
         z = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
         m = z @ z.conj().T
-        rho = DensityOperator(sys3, m / np.trace(m))
-        red = rho.partial_trace(["B"])
-        assert abs(np.trace(red.matrix) - 1) <= 1e-9
-        assert np.min(np.linalg.eigvalsh(red.matrix)) >= -1e-8
+        red = _partial_trace(m / np.trace(m), sys3, ["B"])
+        assert abs(np.trace(red) - 1) <= 1e-9
+        assert np.min(np.linalg.eigvalsh(red)) >= -1e-8
 
 
 def test_signals_cnot_kickback():
@@ -148,23 +139,18 @@ def test_no_signalling_verdict_matches_state_simulation():
     # independent check: when signals() is False, target marginals computed by
     # direct evolution of product states cannot depend on the from-side state
     rng = np.random.default_rng(8)
-    probes = [
-        DensityOperator.computational(composite(("A", 2)), (0,)).matrix,
-        DensityOperator.computational(composite(("A", 2)), (1,)).matrix,
-        DensityOperator.from_vector(composite(("A", 2)), [1, 1]).matrix,
-        DensityOperator.from_vector(composite(("A", 2)), [1, 1j]).matrix,
-    ]
+    probes = [pure([1, 0]), pure([0, 1]), pure([1, 1]), pure([1, 1j])]
     contexts = probes + [np.eye(2) / 2]
     for u in [swap_gate(), cnot(), random_unitary(QUBITS, rng), hadamard().tensor(random_unitary(composite(("B", 2)), rng))]:
         for to in ("A", "B"):
             claims_silent = not u.signals(["A"], [to])
+            gone = 1 if to == "A" else 0
             spread = 0.0
             for sigma_b in contexts:
+                # evolve, then trace out the other qubit of the (A, B) output
+                evolved = [u.matrix @ np.kron(rho_a, sigma_b) @ u.matrix.conj().T for rho_a in probes]
                 marginals = [
-                    u.apply(DensityOperator(QUBITS, np.kron(rho_a, sigma_b)))
-                    .partial_trace([to])
-                    .matrix
-                    for rho_a in probes
+                    np.trace(rho.reshape(2, 2, 2, 2), axis1=gone, axis2=gone + 2) for rho in evolved
                 ]
                 spread = max(
                     spread, max(np.max(np.abs(m - marginals[0])) for m in marginals)
@@ -183,7 +169,7 @@ def test_memory_route_through_swap():
     u = swap_gate()
     dec = memory_decomposition(u, ["A"], ["A"])
     assert dec is not None
-    rho = DensityOperator.from_vector(composite(("B", 2)), [1, -1]).matrix
+    rho = pure([1, -1])
     out = dec.v.apply(rho)  # on (env, idle output block)
     idle_marginal = np.trace(out.reshape(2, 2, 2, 2), axis1=0, axis2=2)
     assert np.max(np.abs(idle_marginal - rho)) <= 1e-9
