@@ -13,12 +13,12 @@ with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
 table gathered in one pass, quantumly one matrix product certified once.
 One probe pass (``_probe_pass``) answers every probe question, on a stack
 for ``influence_relation`` and on a stack of one for ``t_process``, the only
-caller that builds the probe as a channel: the per-wire idle sweep, then the
-joint factorization, of a whole classical stack in one gather and of each
-quantum probe through the one quantum factor kernel
-(``quantum._identity_factor``), which also gives the factors of
-``hierarchy_report`` and ``memory_decomposition``; ``t_process`` takes its
-factor from the pass. Classically the per-wire idle test and no-signalling
+caller that builds the probe as a channel and the one channel it builds:
+the per-wire idle sweep, then the joint factorization, of a whole classical
+stack in one gather and of each quantum probe through the one quantum factor
+kernel (``quantum._identity_factor``), which also gives the factors of
+``hierarchy_report`` and ``memory_decomposition``; the pass returns the idle
+sets and keeps no factor. Classically the per-wire idle test and no-signalling
 are one difference kernel (``classical._steps_by``), every wire of a stack
 in one call, with the wire's stride or 0 as the step. The memory decompositions
 (the quantum legs are checked as one operator identity, ``(W x 1)(1 x V) =
@@ -55,7 +55,6 @@ import numpy as np
 from .classical import (
     ClassicalChannel,
     ClassicalInstrument,
-    _at_zero,
     _certify_bijection,
     _steps_by,
 )
@@ -200,8 +199,7 @@ class TProcessResult:
 
     ``channel`` acts on the probe copies followed by all original outputs; its
     input and output systems coincide. ``idle_subset`` is the set of output
-    wires on which it acts as an identity (quantumly, each with ``δ <= tol``),
-    and ``factor`` is the extracted complement factor.
+    wires on which it acts as an identity (quantumly, each with ``δ <= tol``).
     """
 
     channel: Channel
@@ -209,7 +207,6 @@ class TProcessResult:
     probe_copies: tuple[str, ...]
     outputs: tuple[str, ...]
     idle_subset: frozenset[str]
-    factor: Channel
 
     @property
     def influenced(self) -> tuple[str, ...]:
@@ -218,15 +215,15 @@ class TProcessResult:
 
 
 def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TProcessResult:
-    """Conjugate the copy-swap at ``probed`` by the evolution and factor it.
+    """Conjugate the copy-swap at ``probed`` by the evolution and find its idle outputs.
 
     The probe channel is (copy-padded u) after (swap copies with probed inputs)
     after (copy-padded u inverse), read off ``u`` in closed form: classically
     the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``,
     quantumly one matrix product on ``U``. Only here is the probe built as a
     channel, whose constructor certifies it, then run through the probe pass
-    of ``influence_relation`` as a stack of one. The factor on the idle set
-    is the pass's: the probe's table at idle digits 0, or the certified ``W``.
+    of ``influence_relation`` as a stack of one. It is the one channel built;
+    the factor on the idle set is ``channel.factors_as_identity(idle_subset)``.
     """
     frm = _ordered_subset(u.input, probed)
     taken = set(u.input.names) | set(u.output.names)
@@ -235,22 +232,13 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     probes = _probes(u, [tuple(u.input.position(n) for n in frm)])
     classical, d = isinstance(u, ClassicalChannel), probe_sys.total_dim
     tilde = type(u)(probe_sys, probe_sys, probes.reshape((d,) if classical else (d, d)))
-    mask, _, factors = _probe_pass(u, probes, tol, _digit_table(u.output) if classical else None)
-    idle = tuple(n for n, hit in zip(u.output.names, mask[0]) if hit)
-    w_in = w_out = probe_sys.restrict(probe_sys.complement(idle))
-    if classical:
-        at_zero = _at_zero(probes, [k + 2 for k in np.flatnonzero(mask[0]).tolist()])
-        factor = ClassicalChannel(w_in, w_out, probe_sys.digits(at_zero, w_out.names).reshape(-1))
-    else:
-        eps, w = factors[0]
-        factor = UnitaryChannel(w_in, w_out, w, atol=_factor_atol(eps, tilde.atol))
+    mask, _ = _probe_pass(u, probes, tol, _digit_table(u.output) if classical else None)
     return TProcessResult(
         channel=tilde,
         probed=frm,
         probe_copies=copies,
         outputs=u.output.names,
-        idle_subset=frozenset(idle),
-        factor=factor,
+        idle_subset=frozenset(n for n, hit in zip(u.output.names, mask[0]) if hit),
     )
 
 
@@ -283,7 +271,7 @@ def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]
             _certify_bijection(probes.reshape(len(part), -1))
         else:
             _certify_unitary(probes.reshape(len(part), dim * d_out, -1), DEFAULT_TOL)
-        idle, delta, _ = _probe_pass(u, probes, tol, zd)
+        idle, delta = _probe_pass(u, probes, tol, zd)
         rel[part] = ~idle
         if not classical:
             deltas[part] = delta
@@ -292,29 +280,27 @@ def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]
 
 def _probe_pass(
     u: Channel, probes: np.ndarray, tol: float, zd: Optional[np.ndarray]
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[list]]:
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The per-wire idle sweep and the joint test of a certified ``_probes`` stack.
 
-    ``(idle, δ, factors)``, ``idle[p, k]`` iff output ``k`` is idle for probe
-    ``p``. Classically one ``_steps_by`` call, then ``_classical_joint_test``
-    off ``zd``; ``δ`` and ``factors`` are None. Quantumly ``δ`` is one
-    ``_pair_deltas``, and ``factors[p]`` is probe ``p``'s ``(ε, W)`` from
-    ``_identity_factor``, bounded by the root sum of squares of its idle ``δ``.
+    ``(idle, δ)``, ``idle[p, k]`` iff output ``k`` is idle for probe ``p``.
+    Classically one ``_steps_by`` call, then ``_classical_joint_test`` off
+    ``zd``; ``δ`` is None. Quantumly ``δ`` is one ``_pair_deltas``, and each
+    probe's joint test is ``_identity_factor`` on its idle wires, bounded by
+    the root sum of squares of their ``δ``, with ``W`` certified.
     """
     n = len(u.output)
     if isinstance(u, ClassicalChannel):
         idle = _steps_by(probes, range(1, n + 1), u.output.strides)
         _classical_joint_test(probes.reshape(len(probes), -1), idle, zd)
-        return idle, None, None
+        return idle, None
     delta = _pair_deltas(probes, [(k + 2, n + k + 3) for k in range(n)])
     idle = delta <= tol
-    factors = []
     for p, mask in enumerate(idle):
         wires = np.flatnonzero(mask)
         pairs = [(k + 1, n + k + 2) for k in wires.tolist()]
-        _, eps, w = _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
-        factors.append((eps, w))
-    return idle, delta, factors
+        _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
+    return idle, delta
 
 
 def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -393,7 +379,7 @@ def _classical_joint_test(flat: np.ndarray, idle: np.ndarray, zd: np.ndarray) ->
 def _passes_idle_digits(flat: np.ndarray, off2: np.ndarray) -> np.ndarray:
     """For each table ``flat[p]``, whether every entry is the entry at its point's
     idle digits 0 plus those digits, ``off2[p]`` (pass-through on the idle wires)."""
-    base = np.take_along_axis(flat, np.arange(flat.shape[1]) - off2, axis=1)
+    base = np.take(flat, np.arange(flat.size).reshape(flat.shape) - off2)
     base += off2
     return (base == flat).all(axis=1)
 

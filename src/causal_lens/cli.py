@@ -138,10 +138,12 @@ def load_channel_file(
     _check_tol(model, tol)
     inputs = _system_from(path, "inputs", data["inputs"])
     outputs = _system_from(path, "outputs", data["outputs"])
-    if inputs.total_dim > _max_dim(model):
-        raise BudgetError(
-            f"{path}: joint dimension {inputs.total_dim} exceeds the {model} cap"
-        )
+    # the file is parsed in its declared model, so both caps bound it
+    for cap_model in (model, declared):
+        if inputs.total_dim > _max_dim(cap_model):
+            raise BudgetError(
+                f"{path}: joint dimension {inputs.total_dim} exceeds the {cap_model} cap"
+            )
     try:
         if declared == "classical":
             # a JSON integer as is; every other value through the one rule

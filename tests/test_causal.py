@@ -53,8 +53,8 @@ def test_t_process_identity_is_copy_swap():
             for bp in range(2):
                 got = tp.channel.apply_values((a1, ap, bp))
                 assert got == (ap, a1, bp)
-    # extracted factor is the swap of the copy with A'
-    assert tp.factor.table == (0, 2, 1, 3)
+    # the factor on the idle set is the swap of the copy with A'
+    assert tp.channel.factors_as_identity(tp.idle_subset).table == (0, 2, 1, 3)
 
 
 def test_t_process_cnot_probe_control():
@@ -69,7 +69,7 @@ def test_t_process_cnot_probe_control():
     for vals, want in expected.items():
         assert tp.channel.apply_values(vals) == want
     assert tp.idle_subset == frozenset()
-    assert tp.factor.table == tp.channel.table
+    assert tp.channel.factors_as_identity(tp.idle_subset).table == tp.channel.table
 
 
 def test_t_process_cnot_probe_target():

@@ -550,6 +550,22 @@ def test_exit_code_budget(capsys, monkeypatch):
     assert code == 3 and "exceeds" in err
 
 
+def test_a_quantum_file_over_the_quantum_cap_exits_3_under_any_model(capsys, tmp_path):
+    # a 7-qubit identity (D = 128) is parsed as a quantum matrix whatever --model says
+    qubits = [{"name": f"q{k}", "dim": 2} for k in range(7)]
+    path = tmp_path / "identity7.json"
+    path.write_text(json.dumps({
+        "model": "quantum",
+        "inputs": qubits,
+        "outputs": qubits,
+        "data": [[[float(r == c), 0.0] for c in range(128)] for r in range(128)],
+    }))
+    for model in ([], ["--model", "quantum"], ["--model", "classical"]):
+        code, out, err = run(capsys, "analyze", path, *model)
+        assert code == 3 and out == ""
+        assert "joint dimension 128 exceeds the quantum cap" in err
+
+
 @pytest.mark.parametrize("raw", ["0", "-5", "abc"])
 def test_a_max_dim_that_is_not_a_positive_integer_is_a_parse_error(capsys, monkeypatch, raw):
     monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", raw)

@@ -221,23 +221,28 @@ def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeyp
         )
     # a cnot beside an idle qutrit: probing A leaves C idle, probing C leaves A and B
     u = classical.cnot().tensor(ClassicalChannel.identity(composite(("C", 3))))
-    tp = t_process(u, ["A"])
+    tp_a = t_process(u, ["A"])
     assert passes == [1] and joint == [1]
-    assert tp.idle_subset == {"C"} and tp.factor.input.names == ("A_1", "A", "B")
-    # u is the identity on C, so the probe's factor there swaps the copy with C
-    swap = classical.swap_gate(3, ("C_1", "C"))
-    tp = t_process(u, ["C"])
-    assert tp.idle_subset == {"A", "B"} and tp.factor == swap
+    assert tp_a.idle_subset == {"C"}
+    tp_c = t_process(u, ["C"])
+    assert tp_c.idle_subset == {"A", "B"}
     influence_relation(u)
     # one stack of the two bits, one of the qutrit
     assert passes == [1, 1, 2, 1] and joint == [1, 1, 2, 1]
     passes.clear()
     q = quantum.from_classical(u)
-    tp = t_process(q, ["C"])
-    assert tp.idle_subset == {"A", "B"}
-    assert np.allclose(tp.factor.matrix, quantum.from_classical(swap).matrix)
+    tp_q = t_process(q, ["C"])
+    assert tp_q.idle_subset == {"A", "B"}
     influence_relation(q)
     assert passes == [1, 2, 1] and len(joint) == 4
+    monkeypatch.undo()
+    # the factors, read off each probe outside the spies
+    assert tp_a.channel.factors_as_identity(tp_a.idle_subset).input.names == ("A_1", "A", "B")
+    # u is the identity on C, so the probe's factor there swaps the copy with C
+    swap = classical.swap_gate(3, ("C_1", "C"))
+    assert tp_c.channel.factors_as_identity(tp_c.idle_subset) == swap
+    w = tp_q.channel.factors_as_identity(tp_q.idle_subset)
+    assert np.allclose(w.matrix, quantum.from_classical(swap).matrix)
 
 
 def test_one_difference_kernel_call_per_classical_stack_and_per_wire_signalling(monkeypatch):

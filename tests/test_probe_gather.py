@@ -138,11 +138,8 @@ def test_gathered_probe_matches_composition(u, probe):
     idle = tuple(w for w in u.output.names if w in sweep)
     want = ref.factors_as_identity(idle)
     assert want is not None
-    assert (tp.factor.input, tp.factor.output, tp.factor.table) == (
-        want.input,
-        want.output,
-        want.table,
-    )
+    got = tp.channel.factors_as_identity(tp.idle_subset)
+    assert (got.input, got.output, got.table) == (want.input, want.output, want.table)
 
 
 def test_gathered_probe_on_controlled_shift_beside_idle_wire():
@@ -196,19 +193,25 @@ def test_quantum_probe_matches_composition(u, probe):
     )
     assert tp.idle_subset == sweep
     want = ref.factors_as_identity(tuple(w for w in u.output.names if w in sweep))
-    assert (tp.factor.input, tp.factor.output) == (want.input, want.output)
-    assert np.max(np.abs(tp.factor.matrix - want.matrix)) <= 1e-12
+    got = tp.channel.factors_as_identity(tp.idle_subset)
+    assert (got.input, got.output) == (want.input, want.output)
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
 
 
-def test_quantum_t_process_builds_only_the_probe_and_its_factors(monkeypatch):
-    u = quantum.cnot(("A", "B")).tensor(UnitaryChannel.identity(composite(("C", 3))))
+@pytest.mark.parametrize("cls", [ClassicalChannel, UnitaryChannel])
+def test_t_process_builds_only_the_probe(monkeypatch, cls):
+    u = classical.cnot().tensor(ClassicalChannel.identity(composite(("C", 3))))
+    if cls is UnitaryChannel:
+        u = quantum.from_classical(u)
     built = []
-    real = UnitaryChannel.__post_init__
-    monkeypatch.setattr(UnitaryChannel, "__post_init__", lambda self: built.append(self) or real(self))
-    for name in ("compose", "tensor", "invert"):
-        monkeypatch.setattr(UnitaryChannel, name, lambda *a, name=name: pytest.fail(name))
+    for model in (ClassicalChannel, UnitaryChannel):
+        real = model.__post_init__
+        monkeypatch.setattr(
+            model, "__post_init__", lambda self, real=real: built.append(self) or real(self)
+        )
+        for name in ("compose", "tensor", "invert"):
+            monkeypatch.setattr(model, name, lambda *a, name=name: pytest.fail(name))
     tp = t_process(u, ["A"])
     assert tp.idle_subset == frozenset({"C"})
-    # the probe and the joint factor; the idle sweep builds no channel
-    assert len(built) == 2
-    assert built[0] is tp.channel and built[1] is tp.factor
+    # the idle sweep and the joint test build no channel, and no factor is built
+    assert built == [tp.channel] and type(tp.channel) is cls
