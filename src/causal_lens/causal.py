@@ -262,8 +262,12 @@ def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]
     deltas = None if classical else np.zeros(rel.shape)
     d_out = u.output.total_dim
     # working set: about four int64 arrays the size of a classical probe
-    # table, four complex arrays the size of a quantum probe matrix
-    entry_bytes = (lambda d: 32 * d * d_out) if classical else (lambda d: 64 * (d * d_out) ** 2)
+    # table, four arrays of u's entry type the size of a quantum probe matrix
+    entry_bytes = (
+        (lambda d: 32 * d * d_out)
+        if classical
+        else (lambda d: 4 * u.matrix.itemsize * (d * d_out) ** 2)
+    )
     zd = _digit_table(u.output) if classical else None
     for dim, part in _dim_chunks(u.input.dims, entry_bytes):
         probes = _probes(u, [(k,) for k in part])
@@ -773,7 +777,7 @@ def inverse_nosignalling_check(
     x = p.transpose(0, 1, 3, 2, 4).reshape(d_to * d_r * d_to, d_a * d_r)
     rows = np.arange(len(x))  # (t1, r1, t); the columns alike
     r1, diag = rows // d_to % d_r, rows // (d_r * d_to) == rows % d_to
-    chunk = max(1, _CHECK_CHUNK_BYTES // (16 * len(x)))
+    chunk = max(1, _CHECK_CHUNK_BYTES // (x.itemsize * len(x)))
     for lo in range(0, len(x), chunk):
         part = slice(lo, lo + chunk)
         rhs = diag[part, None] & diag[None, :] & (r1[part, None] == r1[None, :])

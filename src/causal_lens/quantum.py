@@ -13,6 +13,12 @@ signalling readings are one commutator, compared as values
 factor on a block of wires comes from one kernel, ``_identity_factor``:
 ``W = Tr_idle / d_idle`` on a grid's own axes, the residual formed in place,
 and ``W`` certified, a failure being a ``ConsistencyError``.
+
+A matrix with no nonzero imaginary part (a permutation, a Hadamard, any
+real orthogonal matrix) is stored and computed in float64, every other in
+complex128. The code after the constructor is dtype-generic numpy, so a real
+unitary's products, certificates and ``δ`` run in real arithmetic, with no
+second code path; working-set estimates read the entry size off the matrix.
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ def _squares(x: np.ndarray) -> np.ndarray:
 
 
 def _square_sums(x: np.ndarray) -> np.ndarray:
-    """``sum |x|²`` per row of a C-contiguous complex stack."""
+    """``sum |x|²`` per row of a C-contiguous real or complex stack."""
     flat = x.reshape(len(x), -1).view(float)
     return np.einsum("ij,ij->i", flat, flat)
 
@@ -281,7 +287,12 @@ def _identity_factor(
 
 @dataclass(frozen=True, eq=False)
 class UnitaryChannel:
-    """A unitarity-certified complex matrix typed by input/output systems."""
+    """A unitarity-certified matrix typed by input/output systems.
+
+    The matrix is stored as float64 when no entry has a nonzero imaginary
+    part, and as complex128 otherwise; everything after the constructor is
+    dtype-generic, so a real unitary is computed in real arithmetic.
+    """
 
     input: CompositeSystem
     output: CompositeSystem
@@ -290,6 +301,8 @@ class UnitaryChannel:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
+        if not m.imag.any():  # -0.0 is zero; a NaN is not, and fails the certificate
+            m = m.real.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         n = self.input.total_dim
@@ -400,7 +413,9 @@ def _signalling_deltas(u: UnitaryChannel) -> np.ndarray:
     out = np.zeros((n_in, n_out))
     pairs = [(3 + i, 3 + n_in + i) for i in range(n_in)]
     d_in = u.input.total_dim
-    for dim, part in _dim_chunks(u.output.dims, lambda d: 64 * (d * d_in) ** 2):
+    # working set: about four arrays of u's entry type the size of the stack
+    entry = 4 * u.matrix.itemsize
+    for dim, part in _dim_chunks(u.output.dims, lambda d: entry * (d * d_in) ** 2):
         if dim == 1:
             continue
         # stack[p, t, u, x, x'], one axis per input wire in x and in x', C-contiguous

@@ -1,6 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from causal_lens.automata import build_ring
+from causal_lens.cli import load_channel_file, load_rule_file
 from causal_lens.errors import SpecError
 from causal_lens.quantum import (
     UnitaryChannel,
@@ -15,6 +19,7 @@ from causal_lens import classical
 from causal_lens.systems import composite
 
 QUBITS = composite(("A", 2), ("B", 2))
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_cnot_squares_to_identity():
@@ -49,7 +54,9 @@ def test_unitarity_certificate_rejects():
         UnitaryChannel(composite(("A", 2)), composite(("A", 2)), np.array([[1, 0], [0, 2.0]]))
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, pytest.param(complex(0.0, np.nan), id="nanj")]
+)
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
 def test_a_non_finite_entry_fails_the_unitarity_certificate(value, entry):
     bit = composite(("A", 2))
@@ -57,6 +64,68 @@ def test_a_non_finite_entry_fails_the_unitarity_certificate(value, entry):
     u[entry] = u[entry[::-1]] = value  # Hermitian but for the non-finite value
     with pytest.raises(SpecError, match="unitarity certificate failed"):
         UnitaryChannel(bit, bit, u)
+
+
+def signed_zero_imaginary():
+    m = np.eye(2, dtype=complex)
+    m.imag[0, 1] = m.imag[1, 1] = -0.0
+    assert np.signbit(m.imag).any()
+    return m
+
+
+@pytest.mark.parametrize(
+    "matrix,real",
+    [
+        (np.eye(2), True),
+        (np.eye(2, dtype=int), True),
+        (np.eye(2, dtype=complex), True),
+        (signed_zero_imaginary(), True),
+        ([[0, 1], [1, 0]], True),
+        (np.diag([1, 1j]), False),
+        (np.diag([1, 1 + 1e-300j]), False),
+        (np.array([[0, 1j], [1j, 0]]), False),
+        (np.exp(0.3j) * np.eye(2), False),
+    ],
+    ids=["float", "int", "complex-zero", "signed-zero", "list", "phase-gate", "tiny-imag",
+         "imaginary-only", "global-phase"],
+)
+def test_matrix_is_float64_iff_no_entry_has_a_nonzero_imaginary_part(matrix, real):
+    bit = composite(("A", 2))
+    u = UnitaryChannel(bit, bit, matrix)
+    assert u.matrix.dtype == (np.float64 if real else np.complex128)
+    assert np.array_equal(u.matrix, np.asarray(matrix))
+    assert not u.matrix.flags.writeable and u.matrix.flags.c_contiguous
+
+
+def real_channels():
+    cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "quantum")
+    step = build_ring(layers, 6, cell_dim, model="quantum").step
+    h = hadamard()
+    mixed = [[(h, 0), (cnot(), 1)], [(cnot(), 0), (h, 2)]]
+    yield "hadamard", h
+    yield "cnot", cnot()
+    yield "swap", swap_gate(3)
+    yield "identity", UnitaryChannel.identity(QUBITS)
+    yield "classical file as quantum", load_channel_file(str(FIXTURES / "cnot.json"), "quantum")
+    yield "quantum file", load_channel_file(str(FIXTURES / "cnot_quantum.json"))
+    yield "ring step", step
+    yield "composed steps", step.compose(step)
+    yield "hadamard ring step", build_ring(mixed, 3, 2, model="quantum").step
+    hh = h.tensor(hadamard("B"))
+    yield "composed gates", hh.compose(cnot())
+    yield "inverse", hh.compose(cnot()).invert()
+    yield "probe factor", h.tensor(UnitaryChannel.identity(composite(("B", 2)))).factors_as_identity(["B"])
+
+
+@pytest.mark.parametrize("u", [pytest.param(u, id=name) for name, u in real_channels()])
+def test_real_gates_files_ring_steps_and_their_algebra_stay_real(u):
+    assert u.matrix.dtype == np.float64
+
+
+def test_a_complex_gate_keeps_its_compositions_complex():
+    u = random_unitary(QUBITS, np.random.default_rng(5))
+    assert u.matrix.dtype == np.complex128
+    assert u.compose(cnot()).matrix.dtype == cnot().compose(u).matrix.dtype == np.complex128
 
 
 def test_from_classical_matches_table():
