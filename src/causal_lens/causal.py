@@ -10,7 +10,7 @@ complement is the causal neighbourhood of ``A``.
 Neither probe process is composed: both are read off the evolution in
 closed form, ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``
 with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
-table gathered in one pass, quantumly one matrix product certified once.
+table gathered in one pass, quantumly one ``quantum._heisenberg`` product certified once.
 One probe pass (``_probe_pass``) answers every probe question, on a stack
 for ``influence_relation`` and on a stack of one for ``t_process``, the only
 caller that builds the probe as a channel and the one channel it builds:
@@ -25,7 +25,7 @@ in one call, with the wire's stride or 0 as the step. The memory decompositions
 |0> x U``), the interaction-without-disturbance premise and witness
 extraction branch on the model too. Quantumly, influence and signalling are
 one commutator: each (input block, output wire) verdict reads one normalised
-residual ``δ``, off the probe process or off the Heisenberg products, and
+residual ``δ``, off the Gram kernel on ``U`` (probe) or on ``Uᵀ`` (signalling), and
 the two readings are compared as values; an output block is reached iff
 one of its wires is. Wiring (``embed_on``, ``reorder_wires``,
 ``iterate``) is generic over the shared reversible-channel protocol
@@ -69,6 +69,7 @@ from .quantum import (
     _dim_chunks,
     _factor_atol,
     _grouped,
+    _heisenberg,
     _identity_factor,
     _normalised,
     _pair_deltas,
@@ -316,33 +317,20 @@ def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
     c))`` for ``x = u^-1(z)``, every table gathered from one ``argsort``;
     quantumly these axes come twice (output side, then input side) and entry
     ``[p, (c', z'), (c, z)]`` is ``sum_b U[z', (c, b)] conj(U[z, (c', b)])``,
-    with ``c`` the probed inputs and ``b`` the rest, one batched product.
+    with ``c`` the probed inputs and ``b`` the rest (``quantum._heisenberg``).
     """
+    if isinstance(u, UnitaryChannel):
+        return _heisenberg(u.matrix, u.output.dims, u.input.dims, blocks)
     d_out = u.output.total_dim
     dims = [u.input.dims[k] for k in blocks[0]]
     d_a = math.prod(dims)
-    if isinstance(u, ClassicalChannel):
-        x = np.argsort(u._arr)
-        # per probed wire, a (probes, 1, 1) column of its strides
-        strides = np.array(u.input.strides)[np.array(blocks, dtype=int).T][..., None, None]
-        c = np.arange(d_a)[:, None]
-        after = u._arr[_write_digits(x, strides, dims, c)]
-        tables = _read_digits(x, strides, dims) * d_out + after
-        return tables.reshape((len(blocks), d_a) + u.output.dims)
-    n_in = len(u.input)
-    t = u.matrix.reshape((d_out,) + u.input.dims)
-    # rows (c, z), columns b
-    x = np.stack(
-        [
-            t.transpose([1 + k for k in b] + [0] + [1 + k for k in range(n_in) if k not in b])
-            .reshape(d_a * d_out, -1)
-            for b in blocks
-        ]
-    )
-    # one batched product: m[p, c, z', c', z] is the sum over b
-    m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, d_out, d_a, d_out)
-    grid = (len(blocks), d_a) + u.output.dims + (d_a,) + u.output.dims
-    return np.ascontiguousarray(m.transpose(0, 3, 2, 1, 4)).reshape(grid)
+    x = np.argsort(u._arr)
+    # per probed wire, a (probes, 1, 1) column of its strides
+    strides = np.array(u.input.strides)[np.array(blocks, dtype=int).T][..., None, None]
+    c = np.arange(d_a)[:, None]
+    after = u._arr[_write_digits(x, strides, dims, c)]
+    tables = _read_digits(x, strides, dims) * d_out + after
+    return tables.reshape((len(blocks), d_a) + u.output.dims)
 
 
 def _digit_table(system: CompositeSystem) -> np.ndarray:

@@ -194,6 +194,10 @@ def _builtin_gate(name: str, model: str, cell_dim: int):
         if cell_dim != 2:
             raise SpecError("the hadamard builtin needs cell_dim 2")
         return qm.hadamard()
+    # a gate spans at most its ring, so one over the cap is rejected before its table is built
+    width, cap = (1 if name == "identity" else 2), _max_dim(model)
+    if cell_dim**width > cap:
+        raise BudgetError(f"{name} gate dimension {cell_dim}**{width} exceeds the cap of {cap}")
     if name == "cnot":
         gate = cl.cnot(dim=cell_dim)
     elif name == "swap":

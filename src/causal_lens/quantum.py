@@ -9,8 +9,9 @@ Every quantum verdict reads one number per (input block, output wire): the
 normalised residual ``δ`` against ``1 ⊗ M`` on an axis pair (``_residual``);
 a block of wires is reached iff one of its wires is. Its probe and
 signalling readings are one commutator, compared as values
-(``_same_reading``). ``_delta_gap`` only locates a witness entry. Every
-factor on a block of wires comes from one kernel, ``_identity_factor``:
+(``_same_reading``), off one Gram kernel (``_heisenberg``) on ``U`` and on
+``Uᵀ``. ``_delta_gap`` only locates a witness entry. Every factor on a
+block of wires comes from one kernel, ``_identity_factor``:
 ``W = Tr_idle / d_idle`` on a grid's own axes, the residual formed in place,
 and ``W`` certified, a failure being a ``ConsistencyError``.
 
@@ -57,10 +58,6 @@ _CHECK_CHUNK_BYTES = 1 << 20
 _SAME_REL, _SAME_FLOOR = 1e-12, 1e-12
 
 
-def _as_tensor(matrix: np.ndarray, out_dims: Sequence[int], in_dims: Sequence[int]) -> np.ndarray:
-    return matrix.reshape(tuple(out_dims) + tuple(in_dims))
-
-
 def _grouped(
     matrix: np.ndarray,
     out_sys: CompositeSystem,
@@ -74,7 +71,7 @@ def _grouped(
     """
     (o_pos, o_dims), (i_pos, i_dims) = out_sys.layout(out_first), in_sys.layout(in_first)
     axes = _first(o_pos, len(out_sys)) + [len(out_sys) + k for k in _first(i_pos, len(in_sys))]
-    t = _as_tensor(matrix, out_sys.dims, in_sys.dims).transpose(axes)
+    t = matrix.reshape(out_sys.dims + in_sys.dims).transpose(axes)
     d_of, d_if = math.prod(o_dims), math.prod(i_dims)
     return t.reshape(d_of, out_sys.total_dim // d_of, d_if, in_sys.total_dim // d_if)
 
@@ -91,36 +88,43 @@ def _partial_trace(matrix: np.ndarray, system: CompositeSystem, keep: Iterable[s
     return np.trace(g, axis1=1, axis2=3)
 
 
-def _wire_products(
-    tensor: np.ndarray, n_out: int, to: Sequence[int], frm: Sequence[int]
+def _heisenberg(
+    matrix: np.ndarray, out_dims: Sequence[int], in_dims: Sequence[int], blocks: Sequence[tuple]
 ) -> np.ndarray:
-    """The ``to`` marginals of ``U (E_ab x E_kl) U+`` for input wires ``frm``.
+    """``sum_b V[z', (c, b)] conj(V[z, (c', b)])`` at each input block ``c`` of ``V = matrix``.
 
-    ``tensor`` is U with one axis per output wire, then one per input wire;
-    ``to`` and ``frm`` are wire positions. ``m[t, u, a, k, b, l] = sum_s
-    U[(t,s),(a,k)] conj(U[(u,s),(b,l)])`` is one matrix product ``x.T @ conj(x)``
-    of U grouped by an axis transpose as rows ``s``, columns ``(t, a, k)``.
+    Blocks are tuples of input positions, all of the same dims; ``b`` is the
+    rest inputs. One batched product, a C-contiguous stack ``[p, c', z'…, c,
+    z…]``, one axis per output wire in ``z'`` and ``z``. On ``U`` it is the
+    probe process; on ``Uᵀ`` at output blocks, the Heisenberg image ``U+ (E x
+    1) U`` that the signalling terms read.
     """
-    shape = tensor.shape
-    rest_out = [k for k in range(n_out) if k not in to]
-    axes = rest_out + list(to) + [n_out + k for k in _first(frm, len(shape) - n_out)]
-    d_to = math.prod(shape[k] for k in to)
-    d_from = math.prod(shape[n_out + k] for k in frm)
-    x = tensor.transpose(axes).reshape(math.prod(shape[k] for k in rest_out), -1)
-    d_k = x.shape[1] // (d_to * d_from)
-    # one matrix product: m[(t, a, k), (u, b, l)] is the sum over s
-    m = (x.T @ x.conj()).reshape(d_to, d_from, d_k, d_to, d_from, d_k)
-    return m.transpose(0, 3, 1, 2, 4, 5)
+    n_in, d_out = len(in_dims), math.prod(out_dims)
+    d_a = math.prod(in_dims[k] for k in blocks[0])
+    t = np.moveaxis(matrix.reshape((d_out,) + tuple(in_dims)), 0, -1)
+    # rows (c, z), columns b
+    grouped = [t.transpose(_first([*b, n_in], n_in + 1)) for b in blocks]
+    x = np.stack([g.reshape(d_a * d_out, -1) for g in grouped])
+    # one batched product: m[p, c, z', c', z] is the sum over b
+    m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, d_out, d_a, d_out)
+    grid = (len(blocks), d_a) + tuple(out_dims) + (d_a,) + tuple(out_dims)
+    return np.ascontiguousarray(m.transpose(0, 3, 2, 1, 4)).reshape(grid)
 
 
 def _signalling_terms(u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]) -> np.ndarray:
-    """``_wire_products`` from the named ``frm`` inputs to the ``to`` outputs.
+    """``m[t, u, a, k, b, l] = sum_s U[(t,s),(a,k)] conj(U[(u,s),(b,l)])``: ``_heisenberg``
+    on ``Uᵀ`` at the block ``to``, regrouped with the ``frm`` inputs first.
 
     No-signalling asks it to be ``1 ⊗ M`` on the ``from`` axis pair ``(2,
     4)``; ``_signalling_delta`` reads its ``δ``.
     """
-    tensor = _as_tensor(u.matrix, u.output.dims, u.input.dims)
-    return _wire_products(tensor, len(u.output), u.output.layout(to)[0], u.input.layout(frm)[0])
+    (to_pos, _), (frm_pos, frm_dims) = u.output.layout(to), u.input.layout(frm)
+    n_in, d_from = len(u.input), math.prod(frm_dims)
+    g = _heisenberg(u.matrix.T, u.input.dims, u.output.dims, [to_pos])[0]
+    order = [1 + k for k in _first(frm_pos, n_in)]
+    g = g.transpose([n_in + 1, 0] + order + [n_in + 1 + k for k in order])
+    d_to, d_k = len(g), u.input.total_dim // d_from
+    return g.reshape(d_to, d_to, d_from, d_k, d_from, d_k)
 
 
 def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -381,7 +385,8 @@ class UnitaryChannel:
         return any(_signalling_delta(_signalling_terms(self, frm, (t,))) > tol for t in to)
 
     def wire_signalling(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """``r[i, t]`` iff input ``i`` signals to output ``t``: ``signals([i], [t], tol)``, in one pass."""
+        """``r[i, t]`` iff input ``i`` signals to output ``t``: ``signals([i], [t], tol)``, in one
+        pass of the Gram kernel on ``Uᵀ`` (``_signalling_deltas``)."""
         return _signalling_deltas(self) > tol
 
     def factors_as_identity(
@@ -406,21 +411,17 @@ class UnitaryChannel:
 
 
 def _signalling_deltas(u: UnitaryChannel) -> np.ndarray:
-    """``δ[i, t]`` of every wire pair, off one Heisenberg product ``U+ (E_tu x 1) U`` per
-    output wire ``t`` (``_wire_products``, empty ``from``); equal dims share a stack."""
-    tensor = _as_tensor(u.matrix, u.output.dims, u.input.dims)
-    n_in, n_out = len(u.input), len(u.output)
-    out = np.zeros((n_in, n_out))
-    pairs = [(3 + i, 3 + n_in + i) for i in range(n_in)]
-    d_in = u.input.total_dim
+    """``δ[i, t]`` of every wire pair, off ``U+ (E_tu x 1) U``: ``_heisenberg`` on ``Uᵀ``, one
+    block per output wire, equal dims in one stack, read on the probe pass's pairs."""
+    n, d_in = len(u.input), u.input.total_dim
+    out, pairs = np.zeros((n, len(u.output))), [(k + 2, n + k + 3) for k in range(n)]
     # working set: about four arrays of u's entry type the size of the stack
     entry = 4 * u.matrix.itemsize
     for dim, part in _dim_chunks(u.output.dims, lambda d: entry * (d * d_in) ** 2):
         if dim == 1:
             continue
-        # stack[p, t, u, x, x'], one axis per input wire in x and in x', C-contiguous
-        stack = np.array([_wire_products(tensor, n_out, (k,), ()) for k in part])
-        stack = stack.reshape((len(part), dim, dim) + u.input.dims * 2)
+        # stack[p, u, x'…, t, x…], one axis per input wire in x' and in x
+        stack = _heisenberg(u.matrix.T, u.input.dims, u.output.dims, [(k,) for k in part])
         out[:, part] = _pair_deltas(stack, pairs).T
     return out
 
@@ -471,7 +472,7 @@ def hadamard(name: str = "A", out_name: Optional[str] = None) -> UnitaryChannel:
 
 def from_classical(channel) -> UnitaryChannel:
     """Lift a reversible classical channel to the permutation unitary with the same table."""
-    return UnitaryChannel.from_index_permutation(channel.input, channel.output, channel.table)
+    return UnitaryChannel.from_index_permutation(channel.input, channel.output, channel._arr)
 
 
 def random_unitary(

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_lens import quantum
+from causal_lens import classical, cli, quantum
 from causal_lens.cli import load_channel_file, load_rule_file, main
 from causal_lens.classical import ClassicalChannel
 from causal_lens.quantum import UnitaryChannel
@@ -548,6 +548,27 @@ def test_exit_code_budget(capsys, monkeypatch):
     monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", "2")
     code, out, err = run(capsys, "analyze", FIXTURES / "cnot.json")
     assert code == 3 and "exceeds" in err
+
+
+@pytest.mark.parametrize("model", ["classical", "quantum"])
+@pytest.mark.parametrize("gate", ["cnot", "swap"])
+def test_a_builtin_gate_over_the_cap_exits_3_before_its_table_is_built(
+    capsys, monkeypatch, tmp_path, model, gate
+):
+    # 5**2 = 25 entries exceed a cap of 16: the ring would be rejected, so the gate is never built
+    monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", "16")
+    cli._builtin_gate.cache_clear()
+    built = []
+    for name in ("cnot", "swap_gate"):
+        real = getattr(classical, name)
+        spy = lambda *a, _name=name, _real=real, **k: built.append(_name) or _real(*a, **k)
+        monkeypatch.setattr(classical, name, spy)
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({"cell_dim": 5, "layers": [[{"gate": gate, "at": 0}]]}))
+    code, out, err = run(capsys, "ca", path, "--cells", "2", "--model", model)
+    assert built == []
+    assert code == 3 and out == ""
+    assert f"{gate} gate dimension 5**2 exceeds the cap of 16" in err
 
 
 def test_a_quantum_file_over_the_quantum_cap_exits_3_under_any_model(capsys, tmp_path):

@@ -287,3 +287,11 @@ def test_factors_respects_tolerance_bound():
 def test_compose_mismatch():
     with pytest.raises(SpecError):
         cnot().compose(hadamard())
+
+
+def test_lifting_a_classical_gate_reads_its_array_not_its_table_tuple():
+    gate = classical.cnot(dim=3)
+    u = from_classical(gate)
+    assert "table" not in vars(gate)  # the lazy tuple was never built
+    assert np.array_equal(u.matrix[gate.table, np.arange(9)], np.ones(9))
+    assert u.matrix.dtype == np.float64 and np.count_nonzero(u.matrix) == 9

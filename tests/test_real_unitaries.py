@@ -104,3 +104,30 @@ def test_a_real_six_qubit_probe_pass_packs_twice_the_probes_per_chunk(monkeypatc
     assert all(s.dtype == u.matrix.dtype for s in stacks)
     # the working-set estimate, four arrays the size of the stack, fits a chunk
     assert all(4 * s.nbytes <= quantum._CHECK_CHUNK_BYTES for s in stacks)
+
+
+def test_a_real_unitary_keeps_its_probe_and_heisenberg_stacks_in_float64(monkeypatch):
+    system = composite(*zip("ABC", (2, 2, 2)))
+    m = hadamard_on(system.dims, 1) @ permutation(np.random.default_rng(3).permutation(8))
+    u = UnitaryChannel(system, system, m)
+    assert u.matrix.dtype == np.float64
+    stacks = []
+    heisenberg = quantum._heisenberg
+
+    def spy(matrix, out_dims, in_dims, blocks):
+        stack = heisenberg(matrix, out_dims, in_dims, blocks)
+        stacks.append(("probe" if matrix is u.matrix else "heisenberg", stack.dtype))
+        return stack
+
+    # causal binds its own name for the probe side
+    monkeypatch.setattr(quantum, "_heisenberg", spy)
+    monkeypatch.setattr(causal, "_heisenberg", spy)
+    for run, sides in (
+        (lambda: wire_relations(u), {"probe", "heisenberg"}),
+        (lambda: hierarchy_report(u, ["A"], ["B", "C"]), {"probe", "heisenberg"}),
+        (lambda: u.signals(["A", "B"], ["C"]), {"heisenberg"}),
+    ):
+        stacks.clear()
+        run()
+        assert {side for side, _ in stacks} == sides
+        assert {dtype for _, dtype in stacks} == {np.dtype(np.float64)}

@@ -275,17 +275,24 @@ def test_near_identity_rings_split_stacks_match_signals_on_both_sides_of_tol(
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 1, 2), (1, 2, 3, 2)])
-def test_quantum_wire_signalling_forms_one_product_per_output_wire(monkeypatch, dims):
+def test_quantum_wire_signalling_is_one_heisenberg_stack_per_output_dim(monkeypatch, dims):
     calls = []
-    products = quantum._wire_products
+    heisenberg = quantum._heisenberg
 
-    def spy(tensor, n_out, to, frm):
-        calls.append((tuple(to), tuple(frm)))
-        return products(tensor, n_out, to, frm)
+    def spy(matrix, out_dims, in_dims, blocks):
+        calls.append((matrix, tuple(out_dims), tuple(in_dims), list(blocks)))
+        return heisenberg(matrix, out_dims, in_dims, blocks)
 
-    monkeypatch.setattr(quantum, "_wire_products", spy)
+    monkeypatch.setattr(quantum, "_heisenberg", spy)
     system = composite(*zip("ABCD", dims))
     u = quantum.random_unitary(system, np.random.default_rng(len(dims)))
     u.wire_signalling()
-    # n products, not n^2: none for a dim-1 output, which never signals
-    assert sorted(calls) == [((k,), ()) for k, d in enumerate(dims) if d > 1]
+    # one call per equal-dim chunk of output wires (one chunk each here), on U^T
+    assert len(calls) == len({d for d in dims if d > 1})
+    for matrix, out_dims, in_dims, blocks in calls:
+        assert np.shares_memory(matrix, u.matrix) and np.array_equal(matrix, u.matrix.T)
+        assert (out_dims, in_dims) == (u.input.dims, u.output.dims)
+        assert len({dims[k] for (k,) in blocks}) == 1
+    # n blocks, not n^2: each output wire of dim > 1 in exactly one, a dim-1 output in none
+    blocks = sorted(b for *_, bs in calls for b in bs)
+    assert blocks == [(k,) for k, d in enumerate(dims) if d > 1]
