@@ -9,18 +9,16 @@ one row per cell, and the gate's table is looked up on its cells' rows folded
 into one index and unfolded back into them), and the result is certified
 once.
 The causal neighbourhoods and signalling sets of all cells come from
-``causal.wire_relations`` on the iterated step: one ``influence_relation``
-pass (the probe processes of the cells gathered as stacks, each output
-cell's idle test run once per stack, each probe's joint factorization
-checked, no channel built) and one ``wire_signalling`` pass (quantumly one
-Heisenberg product per output cell, read for every input cell), with the
-signalling set of every cell checked to lie inside its causal
-neighbourhood (quantumly the two passes read one ``δ`` per cell pair and
-must agree as values). A strict gap is the classical phenomenon that
-disappears when the same layout is quantized. Classically, the one-step
-influence relation is checked to lie inside the light cone of the layers'
-gate spans, and each step count's relation against the composition law of
-neighbourhoods.
+``causal.wire_relations`` on the iterated step, with no channel built.
+Classically it runs one probe pass per stack of cells and one signalling
+pass, and checks each cell's signalling set to lie inside its causal
+neighbourhood (a strict gap is the classical phenomenon that disappears when
+the same layout is quantized); the one-step relation is then checked against
+the light cone of the layers' gate spans, and each step count's against the
+composition law of neighbourhoods. Quantumly one Gram loop reads both ``δ``
+of every cell pair, a product per chunk of probe and Heisenberg blocks (all
+of them in one for a ring of up to 4 qubits), and the two must agree as
+values.
 """
 
 from __future__ import annotations

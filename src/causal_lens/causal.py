@@ -7,43 +7,32 @@ together with all outputs, and the largest output subset on which it factors
 as an identity is exactly the set of outputs that ``A`` cannot influence. Its
 complement is the causal neighbourhood of ``A``.
 
-Neither probe process is composed: both are read off the evolution in
-closed form, ``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])``
-with the inputs grouped as (probed ``c``, rest ``b``). Classically that is a
-table gathered in one pass, quantumly one ``quantum._heisenberg`` product certified once.
-One probe pass (``_probe_pass``) answers every probe question, on a stack
-for ``influence_relation`` and on a stack of one for ``t_process``, the only
-caller that builds the probe as a channel and the one channel it builds:
-the per-wire idle sweep, then the joint factorization, of a whole classical
-stack in one gather and of each quantum probe through the one quantum factor
-kernel (``quantum._identity_factor``), which also gives the factors of
-``hierarchy_report`` and ``memory_decomposition``; the pass returns the idle
-sets and keeps no factor. Classically the per-wire idle test and no-signalling
-are one difference kernel (``classical._steps_by``), every wire of a stack
-in one call, with the wire's stride or 0 as the step. The memory decompositions
-(the quantum legs are checked as one operator identity, ``(W x 1)(1 x V) =
-|0> x U``), the interaction-without-disturbance premise and witness
-extraction branch on the model too. Quantumly, influence and signalling are
-one commutator: each (input block, output wire) verdict reads one normalised
-residual ``δ``, off the Gram kernel on ``U`` (probe) or on ``Uᵀ`` (signalling), and
-the two readings are compared as values; an output block is reached iff
-one of its wires is. Wiring (``embed_on``, ``reorder_wires``,
-``iterate``) is generic over the shared reversible-channel protocol
-(``compose``, ``tensor``, ``invert``, ``identity``,
-``from_index_permutation``), with wire reorderings from
-``systems.reorder_permutation``.
+No probe process is composed: each is read off the evolution in closed form,
+``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])`` with the
+inputs grouped as (probed ``c``, rest ``b``), classically a table gathered in
+one pass, quantumly a ``quantum._heisenberg`` product, certified once per
+stack. ``t_process`` alone builds the probe as a channel. Every probe runs the
+per-wire idle sweep, then the joint factorization on its idle wires, and no
+factor is kept: classically a whole stack at once (``_probe_pass``; the idle
+test and no-signalling are one difference kernel, ``_steps_by``), quantumly
+through the one factor kernel (``quantum._identity_factor``), which also gives
+the factors of ``hierarchy_report`` and ``memory_decomposition``. Quantumly,
+influence and signalling are one commutator: each (input block, output wire)
+verdict reads one normalised residual ``δ``, and ``influence_relation``,
+``UnitaryChannel.wire_signalling`` and ``wire_relations`` take it off one Gram
+loop (``quantum._gram_deltas``) on ``U`` (probe), on ``Uᵀ`` (signalling) or on
+both in one product per chunk; ``wire_relations``, the one place that checks
+signalling against influence, compares the two readings as values. An output
+block is reached iff one of its wires is.
 
-Every wire name list is read through ``CompositeSystem.subset_positions``,
-which rejects unknown and duplicate names. Every wire digit is read and
-written through the system's codec, vectorized over whole tables: the joint
-index of named wires through ``CompositeSystem.digits`` / ``with_digits``,
-every wire's own digit at once through ``CompositeSystem.digit_rows``.
-``wire_relations`` is the one place that checks signalling against
-influence, for ``analyze`` and ``ca``.
-``hierarchy_report`` builds one probe process and hands it to the memory
-decomposition and the witness search.
+The memory decompositions (the quantum legs checked as one operator identity,
+``(W x 1)(1 x V) = |0> x U``), the interaction-without-disturbance premise
+and the witnesses branch on the model too. Wiring (``embed_on``,
+``reorder_wires``, ``iterate``) is generic over the shared reversible-channel
+protocol. Wire names are read through ``CompositeSystem.subset_positions``,
+which rejects unknown and duplicate names, and wire digits through the
+system's codec, vectorized over whole tables.
 """
-
 from __future__ import annotations
 
 import math
@@ -56,6 +45,7 @@ from .classical import (
     ClassicalChannel,
     ClassicalInstrument,
     _certify_bijection,
+    _event_array,
     _steps_by,
 )
 from .errors import ConsistencyError, SpecError
@@ -64,10 +54,10 @@ from .quantum import (
     DEFAULT_TOL,
     StateMap,
     UnitaryChannel,
-    _certify_unitary,
     _delta_gap,
     _dim_chunks,
     _factor_atol,
+    _gram_deltas,
     _grouped,
     _heisenberg,
     _identity_factor,
@@ -75,9 +65,9 @@ from .quantum import (
     _pair_deltas,
     _paired_grid,
     _partial_trace,
+    _probe_joint_test,
     _same_reading,
     _signalling_delta,
-    _signalling_deltas,
     _signalling_terms,
     _squares,
 )
@@ -223,8 +213,8 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``,
     quantumly one matrix product on ``U``. Only here is the probe built as a
     channel, whose constructor certifies it, then run through the probe pass
-    of ``influence_relation`` as a stack of one. It is the one channel built;
-    the factor on the idle set is ``channel.factors_as_identity(idle_subset)``.
+    (``_probe_pass``) as a stack of one; the factor on the idle set is
+    ``channel.factors_as_identity(idle_subset)``.
     """
     frm = _ordered_subset(u.input, probed)
     taken = set(u.input.names) | set(u.output.names)
@@ -233,7 +223,7 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     probes = _probes(u, [tuple(u.input.position(n) for n in frm)])
     classical, d = isinstance(u, ClassicalChannel), probe_sys.total_dim
     tilde = type(u)(probe_sys, probe_sys, probes.reshape((d,) if classical else (d, d)))
-    mask, _ = _probe_pass(u, probes, tol, _digit_table(u.output) if classical else None)
+    mask = _probe_pass(u, probes, tol, _digit_table(u.output) if classical else None)
     return TProcessResult(
         channel=tilde,
         probed=frm,
@@ -246,66 +236,46 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
 def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The single-wire influence relation: ``r[i, t]`` iff input ``i`` influences output ``t``.
 
-    Entry ``[i, t]`` is ``t in neighbourhood(u, [input i], tol)``, decided in
-    one pass with every check of ``t_process`` and no channel built.
+    Entry ``[i, t]`` is ``t in neighbourhood(u, [input i], tol)``, decided with
+    every check of ``t_process`` and no channel built: quantumly on the probe
+    side of the one Gram loop (``quantum._gram_deltas``), classically by one
+    probe pass (``_probe_pass``) per stack of equal-dim inputs, certified at once.
     """
-    return _influence(u, tol)[0]
-
-
-def _influence(u: Channel, tol: float) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """``influence_relation`` and, quantumly, the ``δ[i, t]`` it was decided from.
-
-    Probes of equal-dim inputs share a stack, gathered and certified at once,
-    and each stack runs one probe pass (``_probe_pass``).
-    """
-    classical = isinstance(u, ClassicalChannel)
+    if isinstance(u, UnitaryChannel):
+        return ~(_gram_deltas(u, (0,), tol)[0] <= tol)
     rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
-    deltas = None if classical else np.zeros(rel.shape)
-    d_out = u.output.total_dim
-    # working set: about four int64 arrays the size of a classical probe
-    # table, four arrays of u's entry type the size of a quantum probe matrix
-    entry_bytes = (
-        (lambda d: 32 * d * d_out)
-        if classical
-        else (lambda d: 4 * u.matrix.itemsize * (d * d_out) ** 2)
-    )
-    zd = _digit_table(u.output) if classical else None
-    for dim, part in _dim_chunks(u.input.dims, entry_bytes):
+    # working set: about four int64 arrays the size of a probe table
+    d_out, zd = u.output.total_dim, _digit_table(u.output)
+    for _, part in _dim_chunks(u.input.dims, lambda d: 32 * d * d_out):
         probes = _probes(u, [(k,) for k in part])
-        if classical:
-            _certify_bijection(probes.reshape(len(part), -1))
-        else:
-            _certify_unitary(probes.reshape(len(part), dim * d_out, -1), DEFAULT_TOL)
-        idle, delta = _probe_pass(u, probes, tol, zd)
-        rel[part] = ~idle
-        if not classical:
-            deltas[part] = delta
-    return rel, deltas
+        _certify_bijection(probes.reshape(len(part), -1))
+        rel[part] = ~_probe_pass(u, probes, tol, zd)
+    return rel
 
 
 def _probe_pass(
     u: Channel, probes: np.ndarray, tol: float, zd: Optional[np.ndarray]
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+) -> np.ndarray:
     """The per-wire idle sweep and the joint test of a certified ``_probes`` stack.
 
-    ``(idle, δ)``, ``idle[p, k]`` iff output ``k`` is idle for probe ``p``.
-    Classically one ``_steps_by`` call, then ``_classical_joint_test`` off
-    ``zd``; ``δ`` is None. Quantumly ``δ`` is one ``_pair_deltas``, and each
-    probe's joint test is ``_identity_factor`` on its idle wires, bounded by
-    the root sum of squares of their ``δ``, with ``W`` certified.
+    ``idle[p, k]`` iff output ``k`` is idle for probe ``p``. Classically one
+    ``_steps_by`` call, then ``_classical_joint_test`` off ``zd``. Quantumly
+    one ``_pair_deltas``, then ``quantum._probe_joint_test``, which the Gram
+    loop of ``influence_relation`` runs on its probe rows too: each probe
+    with an idle wire runs ``_identity_factor`` on them, bounded by the root
+    sum of squares of their ``δ``, with ``W`` certified. A probe with no idle
+    wire skips it, and no check is lost: with no pairs the kernel would set
+    ``W = x`` and ``ε = 0`` and test ``_unitarity_defects(x) <= DEFAULT_TOL``,
+    the stack certificate already run on the same matrix at the same bound
+    (in ``t_process`` by the probe channel's constructor).
     """
-    n = len(u.output)
     if isinstance(u, ClassicalChannel):
-        idle = _steps_by(probes, range(1, n + 1), u.output.strides)
+        idle = _steps_by(probes, range(1, len(u.output) + 1), u.output.strides)
         _classical_joint_test(probes.reshape(len(probes), -1), idle, zd)
-        return idle, None
+        return idle
+    n = len(u.output)
     delta = _pair_deltas(probes, [(k + 2, n + k + 3) for k in range(n)])
-    idle = delta <= tol
-    for p, mask in enumerate(idle):
-        wires = np.flatnonzero(mask)
-        pairs = [(k + 1, n + k + 2) for k in wires.tolist()]
-        _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
-    return idle, delta
+    return _probe_joint_test(probes, delta, tol)
 
 
 def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -320,7 +290,7 @@ def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
     with ``c`` the probed inputs and ``b`` the rest (``quantum._heisenberg``).
     """
     if isinstance(u, UnitaryChannel):
-        return _heisenberg(u.matrix, u.output.dims, u.input.dims, blocks)
+        return _heisenberg(u, [(0, b) for b in blocks])
     d_out = u.output.total_dim
     dims = [u.input.dims[k] for k in blocks[0]]
     d_a = math.prod(dims)
@@ -379,15 +349,16 @@ def _passes_idle_digits(flat: np.ndarray, off2: np.ndarray) -> np.ndarray:
 def wire_relations(u: Channel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The single-wire influence and signalling relations, ``[input, output]`` each.
 
-    One influence pass and one signalling pass. Classically a signalling
-    pair outside the influence relation is a consistency violation.
-    Quantumly the two passes read the same ``δ``, must agree as values, and
-    the signalling relation is then the influence relation.
+    Classically one influence pass and one signalling pass, and a signalling
+    pair outside the influence relation is a consistency violation. Quantumly
+    one Gram loop reads the same ``δ`` off both sides, the two must agree as
+    values, and the signalling relation is then the influence relation.
     """
     if isinstance(u, UnitaryChannel):
-        influence, deltas = _influence(u, tol)
-        if not _same_reading(deltas, _signalling_deltas(u)):
+        probe, signalling = _gram_deltas(u, (0, 1), tol)
+        if not _same_reading(probe, signalling):
             raise ConsistencyError("the probe and signalling readings of a quantum delta differ")
+        influence = ~(probe <= tol)
         return influence, influence.copy()
     influence, signalling = influence_relation(u, tol), u.wire_signalling(tol)
     escaped = np.flatnonzero((signalling & ~influence).any(axis=1))
@@ -805,16 +776,17 @@ def find_witness(
 
 
 def _conjugated_table(
-    u: ClassicalChannel, frm: tuple[str, ...], env_dim: int, table: Sequence[Optional[int]]
+    u: ClassicalChannel, frm: tuple[str, ...], env_dim: int, table
 ) -> tuple[np.ndarray, np.ndarray]:
     """The intervention conjugated by u, as (env', output') arrays over (env, output).
 
+    ``table`` is read as an instrument's (``None`` or -1 the null event).
     Points run in row-major order; env' is -1 where the intervention is undefined.
     """
     d_from = u.input.select(frm).total_dim
     x = np.tile(np.argsort(u._arr), env_dim)  # u^-1 of each output, once per env value
     env = np.repeat(np.arange(env_dim), u.output.total_dim)
-    hits = np.array([-1 if v is None else v for v in table])[env * d_from + u.input.digits(x, frm)]
+    hits = _event_array(table)[env * d_from + u.input.digits(x, frm)]
     e2, a2 = np.divmod(hits, d_from)
     return np.where(hits < 0, -1, e2), u._arr[u.input.with_digits(x, frm, a2)]
 
@@ -957,7 +929,7 @@ def probe_conjugation_matches_evolution(
         raise SpecError("instrument's trailing wires must match the probed block")
     d_env = instrument.input.total_dim // d_from
     d_out = u.output.total_dim
-    inst = np.array([-1 if v is None else v for v in instrument.table])
+    inst = instrument._arr
     # probe, intervene on (env, copy), probe again; rows env, columns (c, z)
     probe = tp.channel._arr
     c1, z1 = np.divmod(probe, d_out)
@@ -967,7 +939,7 @@ def probe_conjugation_matches_evolution(
     # undo, intervene on (env, real input block), evolve; the copy c passes through
     e3, z3 = (
         np.tile(a.reshape(d_env, d_out), d_from)
-        for a in _conjugated_table(u, frm, d_env, instrument.table)
+        for a in _conjugated_table(u, frm, d_env, inst)
     )
     rhs = np.repeat(np.arange(d_from), d_out) * d_out + z3
     defined = hit >= 0

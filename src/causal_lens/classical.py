@@ -72,23 +72,35 @@ def _certify_bijection(tables: np.ndarray) -> None:
         raise SpecError("table is not a bijection on joint indices")
 
 
-@dataclass(frozen=True)
-class ClassicalChannel:
-    """A bijection between the joint indices of two equal-cardinality systems.
+class _ArrayTable:
+    """A table kept as a read-only int64 array ``_arr``; ``table``, the same
+    table as a tuple (-1, the null event, as None), is built on first access."""
 
-    The bijection is kept as a read-only array; ``table``, the same bijection
-    as a tuple, is built from it on first access.
-    """
+    def _keep(self, arr: np.ndarray) -> np.ndarray:
+        arr.flags.writeable = False
+        object.__setattr__(self, "_arr", arr)
+        object.__delattr__(self, "table")  # rebuilt from the array on first access
+        return arr
+
+    def __getattr__(self, name: str):
+        # reached only while the ``table`` tuple is not cached on the instance
+        if name != "table":
+            raise AttributeError(name)
+        table = tuple(None if v < 0 else v for v in self._arr.tolist())
+        object.__setattr__(self, "table", table)
+        return table
+
+
+@dataclass(frozen=True)
+class ClassicalChannel(_ArrayTable):
+    """A bijection between the joint indices of two equal-cardinality systems."""
 
     input: CompositeSystem
     output: CompositeSystem
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        arr = np.array(self.table, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "_arr", arr)
-        object.__delattr__(self, "table")  # rebuilt from the array on first access
+        arr = self._keep(np.array(self.table, dtype=np.int64))
         n = self.input.total_dim
         if self.output.total_dim != n:
             raise SpecError(
@@ -97,14 +109,6 @@ class ClassicalChannel:
         if len(arr) != n:
             raise SpecError(f"table length {len(arr)} != input total_dim {n}")
         _certify_bijection(arr)
-
-    def __getattr__(self, name: str):
-        # reached only while the ``table`` tuple is not cached on the instance
-        if name != "table":
-            raise AttributeError(name)
-        table = tuple(self._arr.tolist())
-        object.__setattr__(self, "table", table)
-        return table
 
     # -- evaluation ----------------------------------------------------------
 
@@ -210,13 +214,21 @@ class ClassicalChannel:
         return ClassicalChannel(w_in, w_out, w_table.reshape(-1))
 
 
+def _event_array(table) -> np.ndarray:
+    """An instrument table as an int64 array, the null event (``None`` or -1) as -1."""
+    arr = np.asarray(table)
+    if arr.dtype == object:
+        arr = np.where(np.equal(arr, None), -1, arr)
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
-class ClassicalInstrument:
+class ClassicalInstrument(_ArrayTable):
     """A sub-normalized partial function: one event of a classical test.
 
-    ``table[x]`` is the prepared joint index, or None for the null event.
-    Deterministic channels are total tables; an atom measures ``i`` and
-    prepares ``j``, undefined elsewhere.
+    ``table[x]`` is the prepared joint index, or None for the null event (-1
+    in an array). Deterministic channels are total tables; an atom measures
+    ``i`` and prepares ``j``, undefined elsewhere.
     """
 
     input: CompositeSystem
@@ -224,16 +236,14 @@ class ClassicalInstrument:
     table: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "table", tuple(None if v is None else int(v) for v in self.table)
-        )
-        if len(self.table) != self.input.total_dim:
+        arr = self._keep(_event_array(self.table))
+        if len(arr) != self.input.total_dim:
             raise SpecError("instrument table length must equal input total_dim")
-        if all(v is None for v in self.table):
+        if (arr == -1).all():
             raise SpecError("instrument must have at least one defined atom")
-        for v in self.table:
-            if v is not None and not 0 <= v < self.output.total_dim:
-                raise SpecError(f"prepared index {v} out of range")
+        bad = np.flatnonzero((arr < -1) | (arr >= self.output.total_dim))
+        if bad.size:
+            raise SpecError(f"prepared index {arr[bad[0]]} out of range")
 
     @classmethod
     def constant(
@@ -255,17 +265,19 @@ class ClassicalInstrument:
 
     @property
     def is_deterministic(self) -> bool:
-        return all(v is not None for v in self.table)
+        return bool((self._arr >= 0).all())
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((i, v) for i, v in enumerate(self.table) if v is not None)
+        (defined,) = np.nonzero(self._arr >= 0)
+        return frozenset(zip(defined.tolist(), self._arr[defined].tolist()))
 
     def apply(self, x: int) -> Optional[int]:
         """Apply one event: the prepared index, or None for the null event."""
         if not 0 <= x < self.input.total_dim:
             raise SpecError(f"input index {x} out of range")
-        return self.table[x]
+        v = int(self._arr[x])
+        return None if v < 0 else v
 
 
 # -- gate constructors ---------------------------------------------------------

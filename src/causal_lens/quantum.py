@@ -8,20 +8,17 @@ entrywise within ``DEFAULT_TOL``; the intended scale is joint dimension <= 64.
 Every quantum verdict reads one number per (input block, output wire): the
 normalised residual ``δ`` against ``1 ⊗ M`` on an axis pair (``_residual``);
 a block of wires is reached iff one of its wires is. Its probe and
-signalling readings are one commutator, compared as values
-(``_same_reading``), off one Gram kernel (``_heisenberg``) on ``U`` and on
-``Uᵀ``. ``_delta_gap`` only locates a witness entry. Every factor on a
-block of wires comes from one kernel, ``_identity_factor``:
-``W = Tr_idle / d_idle`` on a grid's own axes, the residual formed in place,
-and ``W`` certified, a failure being a ``ConsistencyError``.
-
-A matrix with no nonzero imaginary part (a permutation, a Hadamard, any
-real orthogonal matrix) is stored and computed in float64, every other in
-complex128. The code after the constructor is dtype-generic numpy, so a real
-unitary's products, certificates and ``δ`` run in real arithmetic, with no
-second code path; working-set estimates read the entry size off the matrix.
+signalling readings are one commutator, the Gram kernel (``_heisenberg``) on
+``U`` and on ``Uᵀ``; ``_gram_deltas`` forms both for every wire pair in one
+loop, one product and one sweep per chunk, to be compared as values
+(``_same_reading``). ``_delta_gap`` only locates a witness entry. Every
+factor on a block of wires comes from one kernel, ``_identity_factor``: ``W
+= Tr_idle / d_idle`` on a grid's own axes, the residual formed in place, and
+``W`` certified, a failure being a ``ConsistencyError``. A matrix with no
+nonzero imaginary part is stored and computed in float64, every other in
+complex128, by the same dtype-generic code; working-set estimates read the
+entry size off the matrix.
 """
-
 from __future__ import annotations
 
 import math
@@ -88,26 +85,25 @@ def _partial_trace(matrix: np.ndarray, system: CompositeSystem, keep: Iterable[s
     return np.trace(g, axis1=1, axis2=3)
 
 
-def _heisenberg(
-    matrix: np.ndarray, out_dims: Sequence[int], in_dims: Sequence[int], blocks: Sequence[tuple]
-) -> np.ndarray:
-    """``sum_b V[z', (c, b)] conj(V[z, (c', b)])`` at each input block ``c`` of ``V = matrix``.
+def _heisenberg(u: "UnitaryChannel", blocks: Sequence[tuple[int, tuple[int, ...]]]) -> np.ndarray:
+    """``sum_b V[z', (c, b)] conj(V[z, (c', b)])`` at each block ``(side, c)``, all of one shape.
 
-    Blocks are tuples of input positions, all of the same dims; ``b`` is the
-    rest inputs. One batched product, a C-contiguous stack ``[p, c', z'…, c,
-    z…]``, one axis per output wire in ``z'`` and ``z``. On ``U`` it is the
-    probe process; on ``Uᵀ`` at output blocks, the Heisenberg image ``U+ (E x
-    1) U`` that the signalling terms read.
+    Side 0 is the probe process of ``V = U`` at input positions ``c``; side 1
+    that of ``V = Uᵀ`` at output positions ``c``, the Heisenberg image ``U+ (E
+    x 1) U`` the signalling terms read. ``b`` is the rest of ``V``'s inputs.
+    One batched product, a C-contiguous stack ``[p, c', z'…, c, z…]``, one
+    axis per output wire of ``V`` in ``z'`` and ``z``.
     """
-    n_in, d_out = len(in_dims), math.prod(out_dims)
-    d_a = math.prod(in_dims[k] for k in blocks[0])
-    t = np.moveaxis(matrix.reshape((d_out,) + tuple(in_dims)), 0, -1)
+    n, (side, block) = len(u.matrix), blocks[0]
+    # V as a tensor [inputs…, z] on each side, a view of U
+    t = u.matrix.T.reshape(u.input.dims + (n,)), u.matrix.reshape(u.output.dims + (n,))
+    v_out, d_a = t[1 - side].shape[:-1], math.prod(t[side].shape[k] for k in block)
+    grouped = [t[s].transpose(_first([*c, t[s].ndim - 1], t[s].ndim)) for s, c in blocks]
     # rows (c, z), columns b
-    grouped = [t.transpose(_first([*b, n_in], n_in + 1)) for b in blocks]
-    x = np.stack([g.reshape(d_a * d_out, -1) for g in grouped])
+    x = np.stack([g.reshape(d_a * n, -1) for g in grouped])
     # one batched product: m[p, c, z', c', z] is the sum over b
-    m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, d_out, d_a, d_out)
-    grid = (len(blocks), d_a) + tuple(out_dims) + (d_a,) + tuple(out_dims)
+    m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, n, d_a, n)
+    grid = (len(blocks), d_a) + v_out + (d_a,) + v_out
     return np.ascontiguousarray(m.transpose(0, 3, 2, 1, 4)).reshape(grid)
 
 
@@ -120,7 +116,7 @@ def _signalling_terms(u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
     """
     (to_pos, _), (frm_pos, frm_dims) = u.output.layout(to), u.input.layout(frm)
     n_in, d_from = len(u.input), math.prod(frm_dims)
-    g = _heisenberg(u.matrix.T, u.input.dims, u.output.dims, [to_pos])[0]
+    g = _heisenberg(u, [(1, to_pos)])[0]
     order = [1 + k for k in _first(frm_pos, n_in)]
     g = g.transpose([n_in + 1, 0] + order + [n_in + 1 + k for k in order])
     d_to, d_k = len(g), u.input.total_dim // d_from
@@ -213,21 +209,18 @@ def _signalling_delta(m: np.ndarray) -> float:
     return float(_pair_deltas(x, [(2, 5)])[0, 0])
 
 
-def _dim_chunks(
-    dims: Sequence[int], entry_bytes: Callable[[int], int]
-) -> Iterator[tuple[int, list[int]]]:
-    """Positions of ``dims`` grouped by equal dim, a chunk at a time, as ``(dim, positions)``.
-
-    ``entry_bytes(dim)`` is the working set of one position; a chunk holds as
-    many as fit in ``_CHECK_CHUNK_BYTES``, and at least one.
-    """
-    by_dim: dict[int, list[int]] = {}
-    for k, dim in enumerate(dims):
-        by_dim.setdefault(dim, []).append(k)
-    for dim, wires in by_dim.items():
-        chunk = max(1, _CHECK_CHUNK_BYTES // entry_bytes(dim))
+def _dim_chunks(keys: Sequence, entry_bytes: Callable) -> Iterator[tuple[object, list[int]]]:
+    """Positions of ``keys`` grouped by equal key (a dim, or a grid shape), a chunk at a time,
+    as ``(key, positions)``: as few chunks of as equal sizes as fit ``_CHECK_CHUNK_BYTES``
+    (at least one position each), ``entry_bytes(key)`` being the working set of one."""
+    by_key: dict = {}
+    for k, key in enumerate(keys):
+        by_key.setdefault(key, []).append(k)
+    for key, wires in by_key.items():
+        cuts = -(-len(wires) // max(1, _CHECK_CHUNK_BYTES // entry_bytes(key)))
+        chunk = -(-len(wires) // cuts)
         for lo in range(0, len(wires), chunk):
-            yield dim, wires[lo : lo + chunk]
+            yield key, wires[lo : lo + chunk]
 
 
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:
@@ -385,9 +378,9 @@ class UnitaryChannel:
         return any(_signalling_delta(_signalling_terms(self, frm, (t,))) > tol for t in to)
 
     def wire_signalling(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """``r[i, t]`` iff input ``i`` signals to output ``t``: ``signals([i], [t], tol)``, in one
-        pass of the Gram kernel on ``Uᵀ`` (``_signalling_deltas``)."""
-        return _signalling_deltas(self) > tol
+        """``r[i, t]`` iff input ``i`` signals to output ``t``: ``signals([i], [t], tol)``, off
+        the signalling side of the one Gram loop (``_gram_deltas`` on ``Uᵀ``)."""
+        return _gram_deltas(self, (1,), tol)[1] > tol
 
     def factors_as_identity(
         self, idle: Iterable[str], tol: float = DEFAULT_TOL
@@ -410,20 +403,44 @@ class UnitaryChannel:
         return UnitaryChannel(w_in, w_out, w, atol=_factor_atol(eps, self.atol))
 
 
-def _signalling_deltas(u: UnitaryChannel) -> np.ndarray:
-    """``δ[i, t]`` of every wire pair, off ``U+ (E_tu x 1) U``: ``_heisenberg`` on ``Uᵀ``, one
-    block per output wire, equal dims in one stack, read on the probe pass's pairs."""
-    n, d_in = len(u.input), u.input.total_dim
-    out, pairs = np.zeros((n, len(u.output))), [(k + 2, n + k + 3) for k in range(n)]
+def _gram_deltas(u: UnitaryChannel, sides: Sequence[int], tol: float) -> list[np.ndarray]:
+    """``δ[i, t]`` of every wire pair off the probe of ``U`` at input ``i`` (side 0) and off
+    the probe of ``Uᵀ`` at output ``t`` (side 1, signalling); a side not in ``sides`` stays 0.
+
+    One loop over the blocks (side, wire): blocks of one grid shape share a
+    stack, probes first, in chunks by working set, each one ``_heisenberg``
+    product and one ``_pair_deltas`` sweep. The probe rows are certified as
+    a stack and run their joint test (``_probe_joint_test``).
+    """
+    systems = (u.input, u.output), (u.output, u.input)
+    blocks = [(s, (k,)) for s in sorted(sides) for k in range(len(systems[s][0]))]
+    shapes = [(systems[s][0].dims[k], systems[s][1].dims) for s, (k,) in blocks]
+    out = [np.zeros((len(a), len(b))) for a, b in systems]
     # working set: about four arrays of u's entry type the size of the stack
-    entry = 4 * u.matrix.itemsize
-    for dim, part in _dim_chunks(u.output.dims, lambda d: entry * (d * d_in) ** 2):
-        if dim == 1:
-            continue
-        # stack[p, u, x'…, t, x…], one axis per input wire in x' and in x
-        stack = _heisenberg(u.matrix.T, u.input.dims, u.output.dims, [(k,) for k in part])
-        out[:, part] = _pair_deltas(stack, pairs).T
-    return out
+    d_all, entry = u.input.total_dim, 4 * u.matrix.itemsize
+    for (dim, other), part in _dim_chunks(shapes, lambda shape: entry * (shape[0] * d_all) ** 2):
+        chunk = [blocks[j] for j in part]
+        n, probes = len(other), sum(s == 0 for s, _ in chunk)
+        # stack[p, c', z'…, c, z…], one axis per wire of ``other`` in z' and in z
+        stack = _heisenberg(u, chunk)
+        if probes:
+            _certify_unitary(stack[:probes].reshape(probes, dim * d_all, -1), DEFAULT_TOL)
+        delta = _pair_deltas(stack, [(k + 2, n + k + 3) for k in range(n)])
+        _probe_joint_test(stack[:probes], delta[:probes], tol)
+        for (s, (k,)), row in zip(chunk, delta):
+            out[s][k] = row
+    return [out[0], out[1].T]
+
+
+def _probe_joint_test(probes: np.ndarray, delta: np.ndarray, tol: float) -> np.ndarray:
+    """``idle = δ <= tol`` of a certified probe stack, and the joint test of each probe with
+    an idle wire: ``_identity_factor`` on them (``causal._probe_pass`` says why no other)."""
+    idle, n = delta <= tol, delta.shape[1]
+    for p in np.flatnonzero(idle.any(axis=1)).tolist():
+        wires = np.flatnonzero(idle[p])
+        pairs = [(k + 1, n + k + 2) for k in wires.tolist()]
+        _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
+    return idle
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,8 +120,8 @@ def test_the_delta_of_u_is_the_transposed_delta_of_its_inverse(seed, dims, eps):
     # S(A, t) is symmetric under U -> U+, so delta_U(A, t) = delta_U+(t, A)
     system = composite(*zip("ABC", dims))
     u = UnitaryChannel(system, system, perturbed(np.eye(system.total_dim), seed, eps))
-    forward = causal._influence(u, eps)[1]
-    backward = causal._influence(u.invert(), eps)[1].T
+    forward = quantum._gram_deltas(u, (0,), eps)[0]
+    backward = quantum._gram_deltas(u.invert(), (0,), eps)[0].T
     assert np.allclose(forward, backward, rtol=1e-12, atol=0.0)
     assert np.all(forward > 0)
 
@@ -132,7 +132,7 @@ def test_a_block_is_decided_by_its_wires_inside_the_band(tmp_path):
     matrix = perturbed(np.eye(8), 1, 0.01)
     system = composite(*((name, 2) for name in "ABC"))
     u = UnitaryChannel(system, system, matrix)
-    wire = causal._influence(u, 1e-9)[1][0, 1:]
+    wire = quantum._gram_deltas(u, (0,), 1e-9)[0][0, 1:]
     tilde = causal.t_process(u, ["A"]).channel
     block = quantum._identity_factor(*quantum._paired_grid(tilde, ("B", "C")), tilde.atol)[0]
     tol = (wire.max() + block) / 2

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_lens import automata, causal
+from causal_lens import automata, causal, quantum
 from causal_lens.automata import CellNeighbourhood, ConeRow, build_ring, neighbourhood_maps
 from causal_lens.causal import iterate, wire_relations
 from causal_lens.cli import load_rule_file, main
@@ -119,8 +119,8 @@ def test_quantum_ca_exits_0_where_the_thresholded_law_fails(tmp_path, capsys):
     system = composite(*((name, 2) for name in "ABC"))
     u = UnitaryChannel(system, system, gate)
     off = ~np.eye(3, dtype=bool)
-    assert causal._influence(u, tol)[1][off].max() < tol
-    assert causal._influence(iterate(u, 2), tol)[1][off].min() > tol
+    assert quantum._gram_deltas(u, (0,), tol)[0][off].max() < tol
+    assert quantum._gram_deltas(iterate(u, 2), (0,), tol)[0][off].min() > tol
     wires = [{"name": n, "dim": 2} for n in "ABC"]
     data = [[[x.real, x.imag] for x in row] for row in gate]
     gate_file = tmp_path / "near_identity.json"

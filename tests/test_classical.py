@@ -208,6 +208,47 @@ def test_instrument_validation():
     assert not atom.is_deterministic
 
 
+def test_instrument_tuple_and_array_construction_agree():
+    # the null event is None in a tuple and -1 in an int64 array
+    joint = composite(("E", 2), ("A", 3))
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        values = rng.integers(-1, joint.total_dim, joint.total_dim)
+        values[rng.integers(joint.total_dim)] = rng.integers(joint.total_dim)  # one defined atom
+        table = tuple(None if v < 0 else int(v) for v in values)
+        from_tuple = ClassicalInstrument(joint, joint, table)
+        from_array = ClassicalInstrument(joint, joint, values)
+        assert from_tuple == from_array and from_tuple.table == from_array.table == table
+        assert from_array._arr.dtype == np.int64 and not from_array._arr.flags.writeable
+        # pairs, is_deterministic and apply, as read off the tuple
+        want = frozenset((i, v) for i, v in enumerate(table) if v is not None)
+        assert from_tuple.pairs == from_array.pairs == want
+        assert from_array.is_deterministic == all(v is not None for v in table)
+        assert [from_array.apply(x) for x in range(joint.total_dim)] == list(table)
+    values[:] = 0  # the instrument keeps its own copy of the array
+    assert from_array._arr.tolist() == [-1 if v is None else v for v in table]
+
+
+def test_instrument_error_paths_keep_their_messages():
+    bit = composite(("A", 2))
+    cases = [
+        ((0,), "instrument table length must equal input total_dim"),
+        (np.array([0, 1, 0]), "instrument table length must equal input total_dim"),
+        ((None, None), "instrument must have at least one defined atom"),
+        (np.array([-1, -1]), "instrument must have at least one defined atom"),
+        ((0, 5), "prepared index 5 out of range"),
+        (np.array([-2, 0]), "prepared index -2 out of range"),
+    ]
+    for table, message in cases:
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            ClassicalInstrument(bit, bit, table)
+    ident = ClassicalInstrument.identity(bit)
+    for x in (-1, 2):
+        with pytest.raises(SpecError, match=f"^input index {x} out of range$"):
+            ident.apply(x)
+    assert ident.is_deterministic and ident.pairs == {(0, 0), (1, 1)}
+
+
 def test_all_reversible_channels_count():
     assert sum(1 for _ in all_reversible_channels(BITS)) == 24
 

@@ -111,16 +111,18 @@ def test_fixture_rules_match_per_wire_neighbourhoods(model, rule, cells):
 
 @pytest.mark.parametrize("model,cells", [("classical", 12), ("quantum", 6)])
 def test_a_stack_spanning_several_chunks_matches(monkeypatch, model, cells):
+    # classically each stack is one _probes gather, quantumly one Gram product
     stacks = []
-    real = causal._probes
+    module, name = (causal, "_probes") if model == "classical" else (quantum, "_heisenberg")
+    real = getattr(module, name)
     monkeypatch.setattr(
-        causal, "_probes", lambda u, blocks: stacks.append(len(blocks)) or real(u, blocks)
+        module, name, lambda u, blocks: stacks.append(len(blocks)) or real(u, blocks)
     )
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)
     u = iterate(build_ring(layers, cells, cell_dim, model=model).step, 2)
     rel = influence_relation(u)
     assert len(stacks) > 1 and sum(stacks) == cells
-    monkeypatch.setattr(causal, "_probes", real)
+    monkeypatch.setattr(module, name, real)
     assert rel.tolist() == per_wire(u).tolist()
 
 
@@ -152,13 +154,15 @@ def test_ca_and_analyze_build_no_probe_process(monkeypatch):
 @pytest.mark.parametrize("model", sorted(MAX_CELLS))
 def test_an_over_reported_idle_wire_fails_the_joint_test(monkeypatch, model):
     # the probe pass's per-wire sweep reports every output idle: classically
-    # every wire passes through, quantumly every wire's delta is 0
+    # every wire passes through, quantumly every wire's delta is 0 (the sweep
+    # of the Gram loop, and of t_process's probe pass)
     u = classical.cnot()
     if model == "quantum":
         u = quantum.from_classical(u)
-        monkeypatch.setattr(
-            causal, "_pair_deltas", lambda x, pairs: np.zeros((len(x), len(pairs)))
-        )
+        for module in (causal, quantum):
+            monkeypatch.setattr(
+                module, "_pair_deltas", lambda x, pairs: np.zeros((len(x), len(pairs)))
+            )
     else:
         monkeypatch.setattr(
             causal, "_steps_by", lambda grid, axes, steps: np.ones((len(grid), len(axes)), bool)
@@ -200,13 +204,18 @@ def test_a_classical_relation_runs_one_joint_test_per_stack(monkeypatch):
     monkeypatch.setattr(
         causal, "_classical_joint_test", counting(joint, causal._classical_joint_test)
     )
-    monkeypatch.setattr(causal, "_identity_factor", counting(per_probe, causal._identity_factor))
+    monkeypatch.setattr(quantum, "_identity_factor", counting(per_probe, quantum._identity_factor))
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
     influence_relation(iterate(build_ring(layers, 8, cell_dim).step, 2))
     assert per_probe == [] and joint == stacks == [8]
-    # the spy sees the per-probe calls of a quantum stack
+    # the spy sees the per-probe calls of a quantum stack, one per probe with
+    # an idle wire: none on a cnot, whose probes leave no output idle, and
+    # three on a cnot beside an idle bit (the spy records each one's idle wires)
     influence_relation(quantum.from_classical(classical.cnot()))
-    assert len(per_probe) == 2
+    assert per_probe == []
+    beside = classical.cnot().tensor(ClassicalChannel.identity(composite(("C", 2))))
+    influence_relation(quantum.from_classical(beside))
+    assert per_probe == [1, 1, 2]  # the idle wires of the probes at A, B and C
 
 
 def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeypatch):
@@ -230,11 +239,18 @@ def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeyp
     # one stack of the two bits, one of the qutrit
     assert passes == [1, 1, 2, 1] and joint == [1, 1, 2, 1]
     passes.clear()
+    # quantumly influence_relation runs the Gram loop, whose probe rows take
+    # the probe pass's joint test
+    probe_joint = []
+    for module in (causal, quantum):
+        monkeypatch.setattr(
+            module, "_probe_joint_test", counting(probe_joint, quantum._probe_joint_test)
+        )
     q = quantum.from_classical(u)
     tp_q = t_process(q, ["C"])
     assert tp_q.idle_subset == {"A", "B"}
     influence_relation(q)
-    assert passes == [1, 2, 1] and len(joint) == 4
+    assert passes == [1] and probe_joint == [1, 2, 1] and len(joint) == 4
     monkeypatch.undo()
     # the factors, read off each probe outside the spies
     assert tp_a.channel.factors_as_identity(tp_a.idle_subset).input.names == ("A_1", "A", "B")
@@ -367,8 +383,10 @@ def test_the_quantum_factor_certificate_rejects_a_non_unitary_block(pairs):
 def test_a_failed_probe_certificate_is_a_spec_error(monkeypatch, model):
     u = classical.cnot()
     u = quantum.from_classical(u) if model == "quantum" else u
-    real = causal._probes
-    monkeypatch.setattr(causal, "_probes", lambda u, blocks: 2 * real(u, blocks))
+    # classically the probe gather, quantumly the Gram product
+    module, name = (causal, "_probes") if model == "classical" else (quantum, "_heisenberg")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda u, blocks: 2 * real(u, blocks))
     match = "bijection" if model == "classical" else "unitarity certificate failed"
     with pytest.raises(SpecError, match=match):
         influence_relation(u)

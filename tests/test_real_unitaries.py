@@ -68,10 +68,10 @@ def test_the_real_and_the_complex_path_read_the_same_delta(case, theta, data):
     phased = UnitaryChannel(system, system, np.exp(1j * theta) * m)
     assert real.matrix.dtype == np.float64 and phased.matrix.dtype == np.complex128
 
-    rel_r, delta_r = causal._influence(real, quantum.DEFAULT_TOL)
-    rel_c, delta_c = causal._influence(phased, quantum.DEFAULT_TOL)
+    delta_r = quantum._gram_deltas(real, (0,), quantum.DEFAULT_TOL)[0]
+    delta_c = quantum._gram_deltas(phased, (0,), quantum.DEFAULT_TOL)[0]
     assert _same_reading(delta_r, delta_c)
-    assert np.array_equal(rel_r, rel_c)
+    assert np.array_equal(causal.influence_relation(real), causal.influence_relation(phased))
     for a, b in zip(wire_relations(real), wire_relations(phased)):
         assert np.array_equal(a, b)
 
@@ -91,15 +91,16 @@ def test_a_real_six_qubit_probe_pass_packs_twice_the_probes_per_chunk(monkeypatc
     perm = np.random.default_rng(6).permutation(system.total_dim)
     u = UnitaryChannel(system, system, phase * permutation(perm))
     stacks = []
-    probes = causal._probes
+    heisenberg = quantum._heisenberg
 
     def spy(u, blocks):
-        stack = probes(u, blocks)
+        stack = heisenberg(u, blocks)
         stacks.append(stack)
         return stack
 
-    monkeypatch.setattr(causal, "_probes", spy)
-    causal._influence(u, quantum.DEFAULT_TOL)
+    # the probe side of the Gram loop
+    monkeypatch.setattr(quantum, "_heisenberg", spy)
+    causal.influence_relation(u)
     assert len(stacks) == calls
     assert all(s.dtype == u.matrix.dtype for s in stacks)
     # the working-set estimate, four arrays the size of the stack, fits a chunk
@@ -114,12 +115,13 @@ def test_a_real_unitary_keeps_its_probe_and_heisenberg_stacks_in_float64(monkeyp
     stacks = []
     heisenberg = quantum._heisenberg
 
-    def spy(matrix, out_dims, in_dims, blocks):
-        stack = heisenberg(matrix, out_dims, in_dims, blocks)
-        stacks.append(("probe" if matrix is u.matrix else "heisenberg", stack.dtype))
+    def spy(v, blocks):
+        stack = heisenberg(v, blocks)
+        assert v is u
+        stacks.extend((("probe", "heisenberg")[side], stack.dtype) for side, _ in blocks)
         return stack
 
-    # causal binds its own name for the probe side
+    # causal binds its own name for t_process's probe
     monkeypatch.setattr(quantum, "_heisenberg", spy)
     monkeypatch.setattr(causal, "_heisenberg", spy)
     for run, sides in (

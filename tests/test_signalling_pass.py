@@ -186,7 +186,13 @@ def test_signalling_outside_the_reported_neighbourhood_still_raises(monkeypatch,
         return np.zeros((len(u.input), len(u.output)), bool)
 
     if model == "quantum":
-        monkeypatch.setattr(causal, "_influence", lambda u, tol: (forgetful(u, tol), np.zeros(1)))
+        # the probe side of the Gram loop reads every delta as 0
+        real = causal._gram_deltas
+        monkeypatch.setattr(
+            causal,
+            "_gram_deltas",
+            lambda u, sides, tol: [forgetful(u, tol), real(u, sides, tol)[1]],
+        )
         match = "readings of a quantum delta differ"
     else:
         monkeypatch.setattr(causal, "influence_relation", forgetful)
@@ -279,20 +285,20 @@ def test_quantum_wire_signalling_is_one_heisenberg_stack_per_output_dim(monkeypa
     calls = []
     heisenberg = quantum._heisenberg
 
-    def spy(matrix, out_dims, in_dims, blocks):
-        calls.append((matrix, tuple(out_dims), tuple(in_dims), list(blocks)))
-        return heisenberg(matrix, out_dims, in_dims, blocks)
+    def spy(v, blocks):
+        calls.append((v, list(blocks)))
+        return heisenberg(v, blocks)
 
     monkeypatch.setattr(quantum, "_heisenberg", spy)
     system = composite(*zip("ABCD", dims))
     u = quantum.random_unitary(system, np.random.default_rng(len(dims)))
     u.wire_signalling()
-    # one call per equal-dim chunk of output wires (one chunk each here), on U^T
-    assert len(calls) == len({d for d in dims if d > 1})
-    for matrix, out_dims, in_dims, blocks in calls:
-        assert np.shares_memory(matrix, u.matrix) and np.array_equal(matrix, u.matrix.T)
-        assert (out_dims, in_dims) == (u.input.dims, u.output.dims)
-        assert len({dims[k] for (k,) in blocks}) == 1
-    # n blocks, not n^2: each output wire of dim > 1 in exactly one, a dim-1 output in none
-    blocks = sorted(b for *_, bs in calls for b in bs)
-    assert blocks == [(k,) for k, d in enumerate(dims) if d > 1]
+    # one call per equal-dim chunk of output wires (one chunk each here), all
+    # on the signalling side, the Gram kernel on U^T
+    assert len(calls) == len(set(dims))
+    for v, blocks in calls:
+        assert v is u and {side for side, _ in blocks} == {1}
+        assert len({dims[k] for _, (k,) in blocks}) == 1
+    # n blocks, not n^2: each output wire in exactly one
+    blocks = sorted(b for _, bs in calls for b in bs)
+    assert blocks == [(1, (k,)) for k in range(len(dims))]
