@@ -4,10 +4,11 @@ This module re-decides causal influence straight from its definition: quantify
 over interventions on the probed block extended by a bounded environment, and
 for each one decide directly whether a post-evolution intervention reproduces
 its effect locally. ``definition_check`` shares only the channel table and the
-scalar ``flatten``/``unflatten`` codec with the rest of the library, and no
+scalar ``unflatten`` decoder with the rest of the library, and no
 code path with the probe-process criterion, which makes it a usable oracle for
-that faster path on small instances. Each channel entry it reads is evaluated
-once per (from, to) pair, before the search over interventions.
+that faster path on small instances. Per (from, to) pair it decodes each input
+point and each output once, then tabulates the left side's codes per point, so
+the search over interventions only indexes tables.
 
 Soundness direction: whenever the oracle reports influence, the probe process
 must as well. The converse holds at every budget: each one tries the constant
@@ -127,44 +128,53 @@ def definition_check(
     equals evolve then intervene locally" pointwise over all inputs. An
     intervention with no such A' witnesses influence. Unknown and duplicate
     wire names raise ``SpecError``; the named wires are read in system order.
+    Each input point and each output is decoded once; each ``env_dim``'s
+    interventions are checked against one table row per (env, point).
     """
     frm, to = u.input.restrict(from_in).names, u.output.restrict(to_out).names
-
     from_sys = u.input.select(frm)
     d_from = from_sys.total_dim
     in_from_pos = [u.input.position(n) for n in frm]
-    rest_names = u.output.complement(to)
-    rest_sys = u.output.restrict(rest_names)
-    to_sys = u.output.restrict(to)
-    rest_pos = [u.output.position(n) for n in rest_names]
+    rest_pos = [u.output.position(n) for n in u.output.complement(to)]
     to_pos = [u.output.position(n) for n in to]
 
-    def split(y: int) -> tuple[int, int]:
-        """The (non-target, target) output split of output index ``y``."""
+    # decode every input point and every output once; a replaced point is
+    # found by its digits, and each output's non-target and target digits
+    # are numbered by first appearance
+    from_digit = {from_sys.unflatten(a2): a2 for a2 in range(d_from)}
+    subs = [dict(zip(in_from_pos, a2_vals)) for a2_vals in from_digit]
+    inputs = [u.input.unflatten(x) for x in range(u.input.total_dim)]
+    index = {vals: x for x, vals in enumerate(inputs)}
+    rest_code, tgt_code, splits = {}, {}, []
+    for y in u.table:
         z = u.output.unflatten(y)
-        return rest_sys.flatten([z[p] for p in rest_pos]), to_sys.flatten([z[p] for p in to_pos])
-
-    # per input point: its from-digit, the output split of u(x), and per
-    # replacement from-digit a2 the output split of u(x with from := a2),
-    # evaluated once here and read by every intervention
-    from_vals = [from_sys.unflatten(a2) for a2 in range(d_from)]
+        rest = rest_code.setdefault(tuple(z[p] for p in rest_pos), len(rest_code))
+        splits.append((rest, tgt_code.setdefault(tuple(z[p] for p in to_pos), len(tgt_code))))
+    # per input point: its from-digit, its non-target code, and per replacement
+    # from-digit the non-target code of the evolved point, None where the
+    # target does not pass through
     points = []
-    for x in range(u.input.total_dim):
-        vals = u.input.unflatten(x)
-        evolved = []
-        for a2_vals in from_vals:
-            replaced = list(vals)
-            for p, v in zip(in_from_pos, a2_vals):
-                replaced[p] = v
-            evolved.append(split(u.table[u.input.flatten(replaced)]))
-        digit = from_sys.flatten([vals[p] for p in in_from_pos])
-        points.append((digit, split(u.table[x]), evolved))
+    for vals, (rest0, tgt0) in zip(inputs, splits):
+        evolved = [splits[index[tuple(r.get(p, v) for p, v in enumerate(vals))]] for r in subs]
+        passes = [rest2 if tgt2 == tgt0 else None for rest2, tgt2 in evolved]
+        points.append((from_digit[tuple(vals[p] for p in in_from_pos)], rest0, passes))
 
-    checked = 0
+    n_rest, checked = len(rest_code), 0
     for env_dim in range(1, budget.max_env_dim + 1):
+        # one row per (env, point): its table entry, its (env, non-target
+        # output) fibre, and per value of the entry the left side's code
+        codes = [
+            [None if r is None else e2 * n_rest + r for e2 in range(env_dim) for r in passes]
+            for _, _, passes in points
+        ]
+        rows = [
+            (e * d_from + digit, e * n_rest + rest0, c)
+            for e in range(env_dim)
+            for (digit, rest0, _), c in zip(points, codes)
+        ]
         for table in _interventions(budget, env_dim, d_from):
             checked += 1
-            if not _exists_local_match(table, env_dim, d_from, points):
+            if not _exists_local_match(table, rows):
                 return OracleVerdict(
                     influence=True,
                     env_dim=env_dim,
@@ -174,29 +184,28 @@ def definition_check(
     return OracleVerdict(influence=False, interventions_checked=checked)
 
 
-def _exists_local_match(table, env_dim, d_from, points) -> bool:
+def _exists_local_match(table, rows) -> bool:
     """Whether some intervention on (env, non-target outputs) after the evolution,
     with the target passed through, reproduces "apply ``table`` to (env, from
     block), then evolve" at every input point.
 
-    ``points`` holds, per input point, its from-digit, its output split and the
-    output splits with each replacement from-digit. A match exists iff the
-    target passes through wherever ``table`` is defined, and the left side
-    (undefined included) is single-valued on each (env, non-target output)
-    fibre: the local intervention is then read off fibre by fibre.
+    ``rows`` holds, per (env, input point), the entry ``k`` of ``table`` it
+    reads, its (env, non-target output) fibre and, per value of that entry,
+    the left side's code ``e2 * n_rest + rest2`` (None where the target does
+    not pass through). A match exists iff the target passes through wherever
+    ``table`` is defined, and the left side (undefined included) is
+    single-valued on each fibre: the local intervention is then read off
+    fibre by fibre.
     """
-    local: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
-    for e in range(env_dim):
-        for digit, (rest0, tgt0), evolved in points:
-            hit = table[e * d_from + digit]
-            if hit is not None:
-                e2, a2 = divmod(hit, d_from)
-                rest2, tgt2 = evolved[a2]
-                if tgt2 != tgt0:
-                    return False
-                hit = (e2, rest2)
-            if local.setdefault((e, rest0), hit) != hit:
+    local: dict[int, Optional[int]] = {}
+    for k, fibre, codes in rows:
+        hit = table[k]
+        if hit is not None:
+            hit = codes[hit]
+            if hit is None:
                 return False
+        if local.setdefault(fibre, hit) != hit:
+            return False
     return True
 
 
@@ -251,8 +260,8 @@ def cross_validate(u: ClassicalChannel, budget: OracleBudget) -> CrossValidation
 
     The probe side is one ``influence_relation`` pass, which runs every check
     of ``t_process``; the oracle side is one ``definition_check`` per pair,
-    which shares only the channel table and the ``flatten``/``unflatten``
-    codec with the rest of the library. Any disagreement is an implementation
+    which shares only the channel table and the scalar ``unflatten``
+    decoder with the rest of the library. Any disagreement is an implementation
     bug: a soundness violation (oracle influence, probe process none) as much
     as a budget-limited pair (probe influence the oracle missed), since the
     constant preparations every budget tries witness every influence.

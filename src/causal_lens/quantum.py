@@ -204,9 +204,10 @@ def _factor_atol(eps: float, atol: float) -> float:
 
 
 def _signalling_delta(m: np.ndarray) -> float:
-    """``δ`` of one (from, to) pair, off ``m`` in its C-contiguous layout ``(t, a, k, u, b, l)``."""
-    x = np.ascontiguousarray(m.transpose(0, 2, 3, 1, 4, 5))[None]
-    return float(_pair_deltas(x, [(2, 5)])[0, 0])
+    """``δ`` of one (from, to) pair, off ``m`` in the layout ``(t, u, a, k, b, l)`` of
+    ``_signalling_terms``: ``δ`` does not depend on the order of the other axes. ``m`` is
+    copied only where it is a view (a regroup that moves no wire leaves one)."""
+    return float(_pair_deltas(np.ascontiguousarray(m)[None], [(3, 5)])[0, 0])
 
 
 def _dim_chunks(keys: Sequence, entry_bytes: Callable) -> Iterator[tuple[object, list[int]]]:

@@ -1,3 +1,6 @@
+import ast
+import itertools
+from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
@@ -261,6 +264,7 @@ def test_definition_check_matches_the_per_intervention_reference(cls):
                     got = _same_outcome(u, frm, to, budget)
                     outcomes.add(None if got is None else got.influence)
     assert outcomes == ({True, False, None} if cls == "all-functions" else {True, False})
+    outcomes.clear()
 
     rng = np.random.default_rng(10)
     for _ in range(12):
@@ -277,6 +281,24 @@ def test_definition_check_matches_the_per_intervention_reference(cls):
     for frm in system.names:
         for to in system.names:
             _same_outcome(u, [frm], [to], budget)
+
+    # three mixed-radix wires, every block from empty to whole on either side:
+    # the target and non-target codes span several digits
+    for dims in ((2, 3, 2), (3, 2, 2)):
+        system = composite(*zip("ABC", dims))
+        blocks = [list(c) for r in range(4) for c in itertools.combinations("ABC", r)]
+        idle = ClassicalChannel.identity(composite(("C", dims[2])))
+        for u in (
+            ClassicalChannel.identity(system),
+            classical.random_reversible(composite(*zip("AB", dims)), rng).tensor(idle),
+            classical.random_reversible(system, rng),
+        ):
+            for env_dim in (1, 2):
+                for frm in blocks:
+                    for to in blocks:
+                        got = _same_outcome(u, frm, to, OracleBudget(env_dim, cls))
+                        outcomes.add(None if got is None else got.influence)
+    assert outcomes == ({True, False, None} if cls == "all-functions" else {True, False})
 
 
 @pytest.mark.parametrize(
@@ -296,7 +318,7 @@ def test_definition_check_reads_named_wires_in_system_order():
     )
 
 
-def test_definition_check_evaluates_each_channel_entry_once_per_pair(monkeypatch):
+def test_definition_check_decodes_each_point_and_output_once_per_pair(monkeypatch):
     calls = 0
     unflatten = CompositeSystem.unflatten
 
@@ -308,8 +330,9 @@ def test_definition_check_evaluates_each_channel_entry_once_per_pair(monkeypatch
     monkeypatch.setattr(CompositeSystem, "unflatten", counting)
     verdict = definition_check(SWAP, ["A"], ["A"], OracleBudget(2, "all-functions"))
     assert not verdict.influence and verdict.interventions_checked > 256
+    # each input point, each output and each from-digit, once
     n_inputs, d_from = 4, 2
-    assert calls <= n_inputs * (3 * d_from + 2) == 32
+    assert calls == 2 * n_inputs + d_from == 10
 
 
 def test_cross_validate_runs_one_relation_pass_and_no_probe_process(monkeypatch):
@@ -340,3 +363,28 @@ def test_cross_validate_probe_side_matches_has_causal_influence():
         u = classical.random_reversible(composite(("A", 2), ("B", 3), ("C", 2)), rng)
         for p in cross_validate(u, OracleBudget(1, "constants")).pairs:
             assert p.tprocess_influence == has_causal_influence(u, [p.from_wire], [p.to_wire])
+
+
+def test_oracle_imports_only_the_channel_the_relation_and_the_errors():
+    # the oracle stays independent of the probe-process code path: from the
+    # library it takes the channel type, the relation it is compared with and
+    # the errors, and no private name
+    from causal_lens import oracle
+
+    allowed = {"causal": {"influence_relation"}, "classical": {"ClassicalChannel"}, "errors": None}
+    imported = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "causal_lens" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "causal_lens":
+                continue  # the standard library
+            if node.level == 0:
+                module = module.partition(".")[2]
+            assert module in allowed, module
+            for alias in node.names:
+                assert not alias.name.startswith("_"), alias.name
+                assert allowed[module] is None or alias.name in allowed[module], alias.name
+                imported.add(module)
+    assert imported == set(allowed)
