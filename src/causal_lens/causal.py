@@ -7,71 +7,33 @@ together with all outputs, and the largest output subset on which it factors
 as an identity is exactly the set of outputs that ``A`` cannot influence. Its
 complement is the causal neighbourhood of ``A``.
 
-No probe process is composed: each is read off the evolution in closed form,
-``tilde[(c', z'), (c, z)] = sum_b U[z', (c, b)] conj(U[z, (c', b)])`` with the
-inputs grouped as (probed ``c``, rest ``b``), classically a table gathered in
-one pass, quantumly a ``quantum._heisenberg`` product, certified once per
-stack. ``t_process`` alone builds the probe as a channel. Every probe runs the
-per-wire idle sweep, then the joint factorization on its idle wires, and no
-factor is kept: classically a whole stack at once (``_probe_pass``; the idle
-test and no-signalling are one difference kernel, ``_steps_by``), quantumly
-through the one factor kernel (``quantum._identity_factor``), which also gives
-the factors of ``hierarchy_report`` and ``memory_decomposition``. Quantumly,
-influence and signalling are one commutator: each (input block, output wire)
-verdict reads one normalised residual ``δ``, and ``influence_relation``,
-``UnitaryChannel.wire_signalling`` and ``wire_relations`` take it off one Gram
-loop (``quantum._gram_deltas``) on ``U`` (probe), on ``Uᵀ`` (signalling) or on
-both in one product per chunk; ``wire_relations``, the one place that checks
-signalling against influence, compares the two readings as values. An output
-block is reached iff one of its wires is.
-
-The memory decompositions (the quantum legs checked as one operator identity,
-``(W x 1)(1 x V) = |0> x U``), the interaction-without-disturbance premise
-and the witnesses branch on the model too. Wiring (``embed_on``,
-``reorder_wires``, ``iterate``) is generic over the shared reversible-channel
-protocol. Wire names are read through ``CompositeSystem.subset_positions``,
-which rejects unknown and duplicate names, and wire digits through the
-system's codec, vectorized over whole tables.
+This module states each definition once for both models: the probe process,
+the influence and signalling relations (signalling must lie inside
+influence), the hierarchy, memory decomposition, interaction without
+disturbance, witnesses, and the generic wiring (``embed_on``,
+``reorder_wires``, ``iterate``). Every kernel lives in its model's module,
+reached only through the protocol ``ClassicalChannel`` and ``UnitaryChannel``
+share: ``signals``, ``wire_signalling``, ``factors_as_identity``, ``compose``,
+``tensor``, ``invert`` and the package-internal steps ``_probes`` (a stack of
+probe processes in closed form), ``_probe_channel`` (one as a channel),
+``_probe_pass`` (the per-wire idle sweep, then the joint factorization),
+``_influence_relation``, ``_wire_relations``, ``_hierarchy`` (signalling
+and the witness, the memory legs verified where nothing signals),
+``_memory``, ``_discard_leaves_rest_alone``, ``_inverse_nosignalling``,
+``_witness`` and ``_replay``. Wire names are read through
+``CompositeSystem.subset_positions``, which rejects unknown and duplicate names.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import (
-    ClassicalChannel,
-    ClassicalInstrument,
-    _certify_bijection,
-    _event_array,
-    _steps_by,
-)
+from .classical import ClassicalChannel, ClassicalInstrument
 from .errors import ConsistencyError, SpecError
-from .quantum import (
-    _CHECK_CHUNK_BYTES,
-    DEFAULT_TOL,
-    StateMap,
-    UnitaryChannel,
-    _delta_gap,
-    _dim_chunks,
-    _factor_atol,
-    _gram_deltas,
-    _grouped,
-    _heisenberg,
-    _identity_factor,
-    _normalised,
-    _pair_deltas,
-    _paired_grid,
-    _partial_trace,
-    _probe_joint_test,
-    _same_reading,
-    _signalling_delta,
-    _signalling_terms,
-    _squares,
-)
-from .systems import CompositeSystem, _read_digits, _write_digits, composite, reorder_permutation
+from .quantum import DEFAULT_TOL, StateMap, UnitaryChannel
+from .systems import CompositeSystem, reorder_permutation
 
 __all__ = [
     "DisturbanceClassification",
@@ -108,17 +70,6 @@ def _ordered_subset(system: CompositeSystem, names: Iterable[str]) -> tuple[str,
     Unknown and duplicate names raise ``SpecError``.
     """
     return tuple(system.names[k] for k in system.subset_positions(names))
-
-
-def _fresh_names(taken: set[str], bases: Sequence[str], suffix: str) -> tuple[str, ...]:
-    out = []
-    for base in bases:
-        cand = f"{base}{suffix}"
-        while cand in taken:
-            cand += suffix
-        taken.add(cand)
-        out.append(cand)
-    return tuple(out)
 
 
 def _relabelling(cls, system: CompositeSystem, order: Sequence[str]) -> Channel:
@@ -159,14 +110,6 @@ def embed_on(channel: Channel, system: CompositeSystem) -> Channel:
     r = _relabelling(cls, system, list(names) + rest)
     big = channel.tensor(cls.identity(system.restrict(rest)))
     return r.invert().compose(big).compose(r)
-
-
-def _grounded(system: CompositeSystem, names: Sequence[str]) -> np.ndarray:
-    """Joint indices with the ``names`` wires running over ``select(names)``, others at 0.
-
-    With every wire named, this is the inverse of reading the wires in that order.
-    """
-    return system.with_digits(0, names, np.arange(system.select(names).total_dim))
 
 
 def iterate(channel: Channel, steps: int) -> Channel:
@@ -212,22 +155,18 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     after (copy-padded u inverse), read off ``u`` in closed form: classically
     the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``,
     quantumly one matrix product on ``U``. Only here is the probe built as a
-    channel, whose constructor certifies it, then run through the probe pass
-    (``_probe_pass``) as a stack of one; the factor on the idle set is
+    channel, whose constructor certifies it, then run through the model's
+    probe pass as a stack of one; the factor on the idle set is
     ``channel.factors_as_identity(idle_subset)``.
     """
     frm = _ordered_subset(u.input, probed)
-    taken = set(u.input.names) | set(u.output.names)
-    copies = _fresh_names(taken, frm, "_1")
-    probe_sys = composite(*zip(copies, u.input.select(frm).dims)).concat(u.output)
-    probes = _probes(u, [tuple(u.input.position(n) for n in frm)])
-    classical, d = isinstance(u, ClassicalChannel), probe_sys.total_dim
-    tilde = type(u)(probe_sys, probe_sys, probes.reshape((d,) if classical else (d, d)))
-    mask = _probe_pass(u, probes, tol, _digit_table(u.output) if classical else None)
+    probes = u._probes([tuple(u.input.position(n) for n in frm)])
+    tilde = u._probe_channel(frm, probes)
+    mask = u._probe_pass(probes, tol)
     return TProcessResult(
         channel=tilde,
         probed=frm,
-        probe_copies=copies,
+        probe_copies=tilde.input.names[: len(frm)],
         outputs=u.output.names,
         idle_subset=frozenset(n for n, hit in zip(u.output.names, mask[0]) if hit),
     )
@@ -237,130 +176,20 @@ def influence_relation(u: Channel, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The single-wire influence relation: ``r[i, t]`` iff input ``i`` influences output ``t``.
 
     Entry ``[i, t]`` is ``t in neighbourhood(u, [input i], tol)``, decided with
-    every check of ``t_process`` and no channel built: quantumly on the probe
-    side of the one Gram loop (``quantum._gram_deltas``), classically by one
-    probe pass (``_probe_pass``) per stack of equal-dim inputs, certified at once.
+    every check of ``t_process`` and no channel built: each stack of probes,
+    certified at once, runs the model's probe pass (quantumly the probe side
+    of the one Gram loop, ``quantum._gram_deltas``).
     """
-    if isinstance(u, UnitaryChannel):
-        return ~(_gram_deltas(u, (0,), tol)[0] <= tol)
-    rel = np.zeros((len(u.input), len(u.output)), dtype=bool)
-    # working set: about four int64 arrays the size of a probe table
-    d_out, zd = u.output.total_dim, _digit_table(u.output)
-    for _, part in _dim_chunks(u.input.dims, lambda d: 32 * d * d_out):
-        probes = _probes(u, [(k,) for k in part])
-        _certify_bijection(probes.reshape(len(part), -1))
-        rel[part] = ~_probe_pass(u, probes, tol, zd)
-    return rel
-
-
-def _probe_pass(
-    u: Channel, probes: np.ndarray, tol: float, zd: Optional[np.ndarray]
-) -> np.ndarray:
-    """The per-wire idle sweep and the joint test of a certified ``_probes`` stack.
-
-    ``idle[p, k]`` iff output ``k`` is idle for probe ``p``. Classically one
-    ``_steps_by`` call, then ``_classical_joint_test`` off ``zd``. Quantumly
-    one ``_pair_deltas``, then ``quantum._probe_joint_test``, which the Gram
-    loop of ``influence_relation`` runs on its probe rows too: each probe
-    with an idle wire runs ``_identity_factor`` on them, bounded by the root
-    sum of squares of their ``δ``, with ``W`` certified. A probe with no idle
-    wire skips it, and no check is lost: with no pairs the kernel would set
-    ``W = x`` and ``ε = 0`` and test ``_unitarity_defects(x) <= DEFAULT_TOL``,
-    the stack certificate already run on the same matrix at the same bound
-    (in ``t_process`` by the probe channel's constructor).
-    """
-    if isinstance(u, ClassicalChannel):
-        idle = _steps_by(probes, range(1, len(u.output) + 1), u.output.strides)
-        _classical_joint_test(probes.reshape(len(probes), -1), idle, zd)
-        return idle
-    n = len(u.output)
-    delta = _pair_deltas(probes, [(k + 2, n + k + 3) for k in range(n)])
-    return _probe_joint_test(probes, delta, tol)
-
-
-def _probes(u: Channel, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """The probe processes of ``u`` at the input ``blocks``, as one stack of grids.
-
-    Each block is a tuple of input positions, and all blocks have the same
-    dims. A grid has one axis for the probe copies and one per output wire:
-    classically entry ``[p, c, z]`` is the joint index ``(x_A, u(x with A :=
-    c))`` for ``x = u^-1(z)``, every table gathered from one ``argsort``;
-    quantumly these axes come twice (output side, then input side) and entry
-    ``[p, (c', z'), (c, z)]`` is ``sum_b U[z', (c, b)] conj(U[z, (c', b)])``,
-    with ``c`` the probed inputs and ``b`` the rest (``quantum._heisenberg``).
-    """
-    if isinstance(u, UnitaryChannel):
-        return _heisenberg(u, [(0, b) for b in blocks])
-    d_out = u.output.total_dim
-    dims = [u.input.dims[k] for k in blocks[0]]
-    d_a = math.prod(dims)
-    x = np.argsort(u._arr)
-    # per probed wire, a (probes, 1, 1) column of its strides
-    strides = np.array(u.input.strides)[np.array(blocks, dtype=int).T][..., None, None]
-    c = np.arange(d_a)[:, None]
-    after = u._arr[_write_digits(x, strides, dims, c)]
-    tables = _read_digits(x, strides, dims) * d_out + after
-    return tables.reshape((len(blocks), d_a) + u.output.dims)
-
-
-def _digit_table(system: CompositeSystem) -> np.ndarray:
-    """``zd[k, z]``: wire ``k``'s digit of joint index ``z`` times its stride.
-
-    One broadcast, ``arange(D) // strides % dims * strides``. Floats, so
-    that a 0/1 mask times the table is one BLAS product; every value is an
-    integer below ``total_dim``, so the product is exact.
-    """
-    zd = system.digit_rows(np.arange(system.total_dim))
-    return (zd * np.array(system.strides, dtype=np.int64).reshape(-1, 1)).astype(float)
-
-
-def _classical_joint_test(flat: np.ndarray, idle: np.ndarray, zd: np.ndarray) -> None:
-    """The joint factorization of every classical probe off its ``idle`` outputs, in one gather.
-
-    ``flat[p]`` is probe ``p``'s table (copy digit most significant) and
-    ``zd`` the ``_digit_table`` of the outputs. The grid-level test is
-    pass-through on all of a probe's idle wires at once: each entry is the
-    entry at its point's idle digits 0 plus those digits. The factor on
-    (copy, rest) is certified a bijection: the entries at idle digits 0,
-    with their idle digits dropped, are distinct. It does not reuse the
-    per-wire sweep, because its job is to catch a wrong sweep.
-    """
-    n_probes, size = flat.shape
-    d_out = zd.shape[1]
-    off = (idle.astype(float) @ zd).astype(np.int64)  # each point's idle part
-    off2 = np.tile(off, size // d_out)
-    ok = _passes_idle_digits(flat, off2).all()
-    # the factor: each entry at idle digits 0, keyed apart per probe
-    rows, cols = np.nonzero(off2 == 0)
-    v = flat[rows, cols]
-    keys = v - off[rows, v % d_out] + rows * size
-    if not ok or np.bincount(keys, minlength=n_probes * size).max() > 1:
-        raise ConsistencyError("per-wire idle factors did not combine into a joint factorization")
-
-
-def _passes_idle_digits(flat: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """For each table ``flat[p]``, whether every entry is the entry at its point's
-    idle digits 0 plus those digits, ``off2[p]`` (pass-through on the idle wires)."""
-    base = np.take(flat, np.arange(flat.size).reshape(flat.shape) - off2)
-    base += off2
-    return (base == flat).all(axis=1)
+    return u._influence_relation(tol)
 
 
 def wire_relations(u: Channel, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """The single-wire influence and signalling relations, ``[input, output]`` each.
 
-    Classically one influence pass and one signalling pass, and a signalling
-    pair outside the influence relation is a consistency violation. Quantumly
-    one Gram loop reads the same ``δ`` off both sides, the two must agree as
-    values, and the signalling relation is then the influence relation.
+    Signalling implies influence, so a signalling pair outside the influence
+    relation is a consistency violation. Quantumly both come off one Gram loop.
     """
-    if isinstance(u, UnitaryChannel):
-        probe, signalling = _gram_deltas(u, (0, 1), tol)
-        if not _same_reading(probe, signalling):
-            raise ConsistencyError("the probe and signalling readings of a quantum delta differ")
-        influence = ~(probe <= tol)
-        return influence, influence.copy()
-    influence, signalling = influence_relation(u, tol), u.wire_signalling(tol)
+    influence, signalling = u._wire_relations(tol)
     escaped = np.flatnonzero((signalling & ~influence).any(axis=1))
     if escaped.size:
         name = u.input.names[escaped[0]]
@@ -421,114 +250,8 @@ def memory_decomposition(
     idle = _ordered_subset(u.output, idle_out)
     if u.signals(frm, idle, tol):
         return None
-    if isinstance(u, ClassicalChannel):
-        return _classical_memory(u, frm, idle)
-    tilde = t_process(u, frm, tol).channel
-    _, eps, w = _identity_factor(*_paired_grid(tilde, idle), tilde.atol)
-    return _quantum_memory(u, frm, idle, tilde, eps, w)
-
-
-def _blocks(u: Channel, frm: tuple[str, ...], idle: tuple[str, ...]):
-    a_sys = u.input.restrict(frm)
-    b_names = u.input.complement(frm)
-    b_sys = u.input.restrict(b_names)
-    ap_names = u.output.complement(idle)
-    ap_sys = u.output.restrict(ap_names)
-    bp_sys = u.output.restrict(idle)
-    return a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys
-
-
-def _classical_memory(
-    u: ClassicalChannel, frm: tuple[str, ...], idle: tuple[str, ...]
-) -> MemoryDecomposition:
-    """The memory form of ``u``, which does not signal from ``frm`` to ``idle``."""
-    a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _blocks(u, frm, idle)
-    taken = set(u.input.names) | set(u.output.names)
-    env_names = _fresh_names(taken, b_names, "_env")
-    env_sys = composite(*zip(env_names, b_sys.dims))
-    d_a, d_b, d_bp = a_sys.total_dim, b_sys.total_dim, bp_sys.total_dim
-
-    # z[a, b] = u(a, b); the two blocks' digits are disjoint, so their indices add
-    z = u._arr[_grounded(u.input, frm)[:, None] + _grounded(u.input, b_names)]
-    z_ap = u.output.digits(z, ap_names)
-
-    # v copies its input into the memory and emits the idle outputs, which by
-    # no-signalling depend on the B block alone
-    v_table = np.arange(d_b) * d_bp + u.output.digits(z[0], idle)
-    v = ClassicalInstrument(b_sys, env_sys.concat(bp_sys), v_table)
-    w_table = z_ap.reshape(-1)
-    w = ClassicalInstrument(a_sys.concat(env_sys), ap_sys, w_table)
-
-    e, bp = np.divmod(v_table, d_bp)
-    if not (
-        np.array_equal(w_table.reshape(d_a, d_b)[:, e], z_ap)
-        and (u.output.digits(z, idle) == bp).all()
-    ):
-        raise ConsistencyError("memory decomposition failed to recompose")
-    return MemoryDecomposition(env=env_sys, v=v, w=w)
-
-
-def _quantum_memory(
-    u: UnitaryChannel,
-    frm: tuple[str, ...],
-    idle: tuple[str, ...],
-    tilde: UnitaryChannel,
-    eps: float,
-    t_mat: np.ndarray,
-) -> MemoryDecomposition:
-    """The memory form of ``u``, which does not signal from ``frm`` to ``idle``.
-
-    ``t_mat`` is the certified factor ``W`` of u's probe process ``tilde`` at
-    ``frm`` on ``idle`` (``_identity_factor``), not tested again, and ``eps``
-    its residual ``‖tilde − W x 1‖_F``.
-    """
-    a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _blocks(u, frm, idle)
-    taken = set(u.input.names) | set(u.output.names)
-    env_names = _fresh_names(taken, ap_names, "_env")
-    env_sys = composite(*zip(env_names, ap_sys.dims))
-
-    # v = (evolve with the probed block in the ground state), rows grouped (A', B')
-    rows = _grounded(u.output, ap_names + idle)
-    v_iso = u.matrix[np.ix_(rows, _grounded(u.input, b_names))]
-
-    def v_eval(rho: np.ndarray) -> np.ndarray:
-        return v_iso @ rho @ v_iso.conj().T
-
-    v = StateMap(b_sys, env_sys.concat(bp_sys), v_eval)
-
-    # w feeds (A, env) through the extracted probe factor and discards the copies
-    t_out = tilde.output.restrict(tilde.output.complement(idle))
-
-    def w_eval(x: np.ndarray) -> np.ndarray:
-        return _partial_trace(t_mat @ x @ t_mat.conj().T, t_out, ap_names)
-
-    w = StateMap(a_sys.concat(env_sys), ap_sys, w_eval)
-
-    _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, _factor_atol(eps, u.atol))
-    return MemoryDecomposition(env=env_sys, v=v, w=w)
-
-
-def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_tol):
-    """Check that the legs recompose ``u``: ``(W x 1_B')(1_A x V) = |0>_C x U``.
-
-    The probe is an involution with ``tilde(|0>_C x U|a,b>) = |a>_C x V|b>``
-    (``V = v_iso``), so the two sides differ by ``-R tilde (|0>_C x U)``,
-    ``R = tilde - W x 1``: every entry is at most ``ε = ‖R‖_F`` plus u's
-    certificate, within ``check_tol``. The legs' Kraus operators are the
-    copy rows ``<c|`` of the left side, so the identity gives ``U rho U+``
-    back on every state. Both sides are grouped (A', B') by (A, B).
-    """
-    d_a = u.input.select(frm).total_dim
-    d_ap = u.output.select(ap_names).total_dim
-    rows, cols = _grounded(u.output, ap_names + idle), _grounded(u.input, frm + b_names)
-    u_g = u.matrix[np.ix_(rows, cols)]
-    d_bp, d_b = len(rows) // d_ap, len(cols) // d_a
-    # lhs[(c, A'), a, B', b]: the factor's env input contracted with V's A' rows
-    lhs = np.tensordot(t_mat.reshape(-1, d_a, d_ap), v_iso.reshape(d_ap, d_bp, d_b), 1)
-    lhs = lhs.reshape(d_a, d_ap, d_a, d_bp, d_b)
-    lhs[0] -= u_g.reshape(d_ap, d_bp, d_a, d_b).transpose(0, 2, 1, 3)
-    if np.max(np.abs(lhs)) > check_tol:
-        raise ConsistencyError("quantum memory decomposition failed to recompose")
+    # the probe process, built only where the model's legs read it (quantumly)
+    return MemoryDecomposition(*u._memory(frm, idle, lambda: t_process(u, frm, tol).channel))
 
 
 # -- hierarchy ---------------------------------------------------------------------
@@ -592,20 +315,7 @@ def hierarchy_report(
     tp = t_process(u, frm, tol)
     causal = not tp.idle_subset.issuperset(to)
     # a memory form exists iff there is no signalling; building it verifies it
-    if isinstance(u, ClassicalChannel):
-        sig = u.signals(frm, to, tol)
-        if not sig:
-            _classical_memory(u, frm, to)
-        witness = _classical_witness(u, frm, to) if causal else None
-    else:
-        m = _signalling_terms(u, frm, to)
-        delta, eps, w = _identity_factor(*_paired_grid(tp.channel, to), tp.channel.atol)
-        if not _same_reading(delta, _signalling_delta(m)):
-            raise ConsistencyError("the probe and signalling readings of a quantum delta differ")
-        sig = causal
-        if not sig:
-            _quantum_memory(u, frm, to, tp.channel, eps, w)
-        witness = _quantum_witness(m, frm, to) if causal else None
+    sig, witness = u._hierarchy(tp.channel, frm, to, causal, tol)
     return HierarchyReport(
         from_in=frm,
         to_out=to,
@@ -613,7 +323,7 @@ def hierarchy_report(
         memory_decomposable=not sig,
         signalling=sig,
         consistent=causal or not sig,
-        witness=witness,
+        witness=None if witness is None else Witness(*witness),
     )
 
 
@@ -662,7 +372,7 @@ def check_interaction_without_disturbance(
     if not act:
         raise SpecError("the acting block needs at least one wire")
     bystander = u.input.complement(act)
-    premise = _discard_leaves_rest_alone(u, act, bystander, tol)
+    premise = u._discard_leaves_rest_alone(act, bystander, tol)
     factor = u.factors_as_identity(bystander, tol) if premise else None
     if premise and factor is not None:
         verdict = "no-interaction"
@@ -683,25 +393,6 @@ def check_interaction_without_disturbance(
     )
 
 
-def _discard_leaves_rest_alone(
-    u: Channel, act: tuple[str, ...], bystander: tuple[str, ...], tol: float
-) -> bool:
-    """Discarding the acting outputs must give (discard acting) tensor identity."""
-    if isinstance(u, ClassicalChannel):
-        passed = u.input.digits(np.arange(u.input.total_dim), bystander)
-        return np.array_equal(passed, u.output.digits(u._arr, bystander))
-    m = _signalling_terms(u, act, bystander)
-    d_a = u.input.select(act).total_dim
-    d_b = u.input.total_dim // d_a
-    req = (
-        np.eye(d_a).reshape(1, 1, d_a, 1, d_a, 1)
-        * np.eye(d_b).reshape(d_b, 1, 1, d_b, 1, 1)
-        * np.eye(d_b).reshape(1, d_b, 1, 1, 1, d_b)
-    )
-    # on the normalised Frobenius scale of every other quantum verdict
-    return bool(_normalised(np.sum(_squares(m - req)), m.size) <= tol)
-
-
 def inverse_nosignalling_check(
     u: Channel, from_in: Iterable[str], to_out: Iterable[str], tol: float = DEFAULT_TOL
 ) -> bool:
@@ -717,32 +408,7 @@ def inverse_nosignalling_check(
     to = _ordered_subset(u.output, to_out)
     if u.signals(frm, to, tol):
         raise SpecError("precondition failed: the channel signals from_in -> to_out")
-    if isinstance(u, ClassicalChannel):
-        b_names = u.input.complement(frm)
-        grounded = _grounded(u.input, b_names)  # the from block in its ground state
-        c_table = u.output.digits(u._arr[grounded], to)
-        b_of = u.input.digits(np.argsort(u._arr), b_names)  # B digits of u^-1(z)
-        targets = u.output.digits(np.arange(u.output.total_dim), to)
-        return np.array_equal(c_table[b_of], targets)
-    # quantum: both CP maps on every matrix unit E_(z1, z2) of the output space
-    # at once, by contraction. Outputs are grouped (target t, rest r), inputs
-    # (from a, rest b), and C feeds a = 0. With p[z1, a, t, r] = sum_b
-    # conj(U[z1, (a, b)]) U[(t, r), (0, b)], the left side is
-    # lhs[(z1, t), (z2, t')] = sum_(a, r) p[z1, a, t, r] conj(p[z2, a, t', r]),
-    # the right side delta(r1, r2) delta(t1, t) delta(t2, t') for z = (t, r).
-    h = _grouped(u.matrix, u.output, u.input, to, frm)  # [t, r, a, b]
-    d_to, d_r, d_a, _ = h.shape
-    p = np.tensordot(h.conj(), h[:, :, 0, :], axes=(3, 2))  # [t1, r1, a, t, r]
-    x = p.transpose(0, 1, 3, 2, 4).reshape(d_to * d_r * d_to, d_a * d_r)
-    rows = np.arange(len(x))  # (t1, r1, t); the columns alike
-    r1, diag = rows // d_to % d_r, rows // (d_r * d_to) == rows % d_to
-    chunk = max(1, _CHECK_CHUNK_BYTES // (x.itemsize * len(x)))
-    for lo in range(0, len(x), chunk):
-        part = slice(lo, lo + chunk)
-        rhs = diag[part, None] & diag[None, :] & (r1[part, None] == r1[None, :])
-        if np.max(np.abs(x[part] @ x.conj().T - rhs)) > tol:
-            return False
-    return True
+    return u._inverse_nosignalling(frm, to, tol)
 
 
 # -- witnesses ----------------------------------------------------------------------
@@ -770,143 +436,12 @@ def find_witness(
     to = _ordered_subset(u.output, to_out)
     if not has_causal_influence(u, frm, to, tol):
         raise SpecError("find_witness requires causal influence from_in -> to_out")
-    if isinstance(u, ClassicalChannel):
-        return _classical_witness(u, frm, to)
-    return _quantum_witness(_signalling_terms(u, frm, to), frm, to)
-
-
-def _conjugated_table(
-    u: ClassicalChannel, frm: tuple[str, ...], env_dim: int, table
-) -> tuple[np.ndarray, np.ndarray]:
-    """The intervention conjugated by u, as (env', output') arrays over (env, output).
-
-    ``table`` is read as an instrument's (``None`` or -1 the null event).
-    Points run in row-major order; env' is -1 where the intervention is undefined.
-    """
-    d_from = u.input.select(frm).total_dim
-    x = np.tile(np.argsort(u._arr), env_dim)  # u^-1 of each output, once per env value
-    env = np.repeat(np.arange(env_dim), u.output.total_dim)
-    hits = _event_array(table)[env * d_from + u.input.digits(x, frm)]
-    e2, a2 = np.divmod(hits, d_from)
-    return np.where(hits < 0, -1, e2), u._arr[u.input.with_digits(x, frm, a2)]
-
-
-def _local_form_violation(
-    conj: tuple[np.ndarray, np.ndarray],
-    env_dim: int,
-    output: CompositeSystem,
-    to: tuple[str, ...],
-) -> Optional[dict]:
-    """First failure of conj = (map on env and non-target outputs) x identity-on-target.
-
-    Points are scanned in row-major (env, output) order. A point fails if its
-    target digit does not pass through, or if its (env', non-target output')
-    value, undefined included, differs from that of the first point in its
-    (env, non-target output) fibre.
-    """
-    e2, z2 = conj
-    d_out = output.total_dim
-    rest = output.complement(to)
-    d_rest = output.select(rest).total_dim
-    env = np.repeat(np.arange(env_dim), d_out)
-    z = np.tile(np.arange(d_out), env_dim)
-    z_to, z2_to = output.digits(z, to), output.digits(z2, to)
-    defined = e2 >= 0
-    moved = defined & (z2_to != z_to)
-    summary = np.where(defined, e2 * d_rest + output.digits(z2, rest), -1)
-    _, first, fibre = np.unique(
-        env * d_rest + output.digits(z, rest), return_index=True, return_inverse=True
-    )
-    first = first[fibre]
-    bad = np.flatnonzero(moved | (summary != summary[first]))
-    if not bad.size:
-        return None
-    p = bad[0]
-    if moved[p]:
-        return {
-            "type": "pass-through",
-            "points": [[int(env[p]), int(z[p])]],
-            "target_in": int(z_to[p]),
-            "target_out": int(z2_to[p]),
-        }
-    q = first[p]
-    return {
-        "type": "independence",
-        "points": [[int(env[q]), int(z[q])], [int(env[p]), int(z[p])]],
-    }
-
-
-def _classical_witness(u: ClassicalChannel, frm: tuple[str, ...], to: tuple[str, ...]) -> Witness:
-    d_from = u.input.select(frm).total_dim
-    for j in range(d_from):
-        table = (j,) * d_from
-        violation = _local_form_violation(_conjugated_table(u, frm, 1, table), 1, u.output, to)
-        if violation is not None:
-            return Witness(
-                kind="intervention",
-                detail={
-                    "acting_on": list(frm),
-                    "target": list(to),
-                    "env_dim": 1,
-                    "intervention": list(table),
-                    "intervention_class": "constant",
-                    "violation": violation,
-                },
-            )
-    raise ConsistencyError("influence asserted but no constant preparation witnessed it")
-
-
-def _worst_entry(gap: np.ndarray, mirror: Sequence[int]) -> tuple[int, ...]:
-    """Multi-index of a largest entry of ``gap``, the same for any rounding.
-
-    ``gap`` is symmetric under the axis permutation ``mirror`` up to rounding
-    (the Hermitian mirror of its entries), so a tied pair is ranked as one: the
-    first largest entry of ``max(gap, mirrored gap)`` in row-major order, which
-    is the lexicographically smaller entry of its pair.
-    """
-    sym = np.maximum(gap, gap.transpose(mirror))
-    return tuple(int(i) for i in np.unravel_index(np.argmax(sym), sym.shape))
-
-
-def _quantum_witness(m: np.ndarray, frm: tuple[str, ...], to: tuple[str, ...]) -> Witness:
-    """The worst entry of the signalling identity: influence and signalling are one ``δ``.
-
-    ``m`` is ``_signalling_terms(u, frm, to)``. The expected value, delta_ab
-    times the a=b=0 entry, is formed at the worst entry alone.
-    """
-    entry = _worst_entry(_delta_gap(m, [(2, 4)]), (1, 0, 4, 5, 2, 3))
-    t, s, a, k, b, l = entry
-    actual, wanted = m[entry], float(a == b) * m[t, s, 0, k, 0, l]
-    return Witness(
-        kind="factorization-defect",
-        detail={
-            "variant": "signalling-identity",
-            "acting_on": list(frm),
-            "target": list(to),
-            "from_unit": [a, b],
-            "complement_unit": [k, l],
-            "marginal_entry": [t, s],
-            "actual": [float(actual.real), float(actual.imag)],
-            "expected": [float(wanted.real), float(wanted.imag)],
-        },
-    )
+    return Witness(*u._witness(frm, to))
 
 
 def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bool:
-    """Re-derive the recorded violation from scratch; True iff it still holds.
-
-    Quantumly: the block is signalled (``UnitaryChannel.signals``) and the
-    entry still differs from its expected value."""
-    d = witness.detail
-    if witness.kind == "intervention":
-        frm = tuple(d["acting_on"])
-        conj = _conjugated_table(u, frm, d["env_dim"], tuple(d["intervention"]))
-        violation = _local_form_violation(conj, d["env_dim"], u.output, tuple(d["target"]))
-        return violation is not None and violation["type"] == d["violation"]["type"]
-    frm, to = tuple(d["acting_on"]), tuple(d["target"])
-    m = _signalling_terms(u, frm, to)
-    (t, s), (a, b), (k, l) = d["marginal_entry"], d["from_unit"], d["complement_unit"]
-    return u.signals(frm, to, tol) and bool(m[t, s, a, k, b, l] != (a == b) * m[t, s, 0, k, 0, l])
+    """Re-derive the recorded violation from scratch; True iff it still holds."""
+    return u._replay(witness.detail, tol)
 
 
 # -- probe-process identities ---------------------------------------------------------
@@ -922,29 +457,4 @@ def probe_conjugation_matches_evolution(
     dimensions must match the probed block.
     """
     tp = t_process(u, probed)
-    frm = tp.probed
-    from_sys = u.input.select(frm)
-    d_from = from_sys.total_dim
-    if frm and tuple(instrument.input.dims[-len(frm):]) != from_sys.dims:
-        raise SpecError("instrument's trailing wires must match the probed block")
-    d_env = instrument.input.total_dim // d_from
-    d_out = u.output.total_dim
-    inst = instrument._arr
-    # probe, intervene on (env, copy), probe again; rows env, columns (c, z)
-    probe = tp.channel._arr
-    c1, z1 = np.divmod(probe, d_out)
-    hit = inst[np.arange(d_env)[:, None] * d_from + c1]
-    e2, c2 = np.divmod(hit, d_from)
-    lhs = probe[c2 * d_out + z1]
-    # undo, intervene on (env, real input block), evolve; the copy c passes through
-    e3, z3 = (
-        np.tile(a.reshape(d_env, d_out), d_from)
-        for a in _conjugated_table(u, frm, d_env, inst)
-    )
-    rhs = np.repeat(np.arange(d_from), d_out) * d_out + z3
-    defined = hit >= 0
-    return (
-        np.array_equal(defined, e3 >= 0)
-        and bool((e2 == e3)[defined].all())
-        and bool((lhs == rhs)[defined].all())
-    )
+    return u._conjugation_matches(tp.channel, tp.probed, instrument)

@@ -131,12 +131,10 @@ def definition_check(
     Each input point and each output is decoded once; each ``env_dim``'s
     interventions are checked against one table row per (env, point).
     """
-    frm, to = u.input.restrict(from_in).names, u.output.restrict(to_out).names
-    from_sys = u.input.select(frm)
+    in_from_pos, to_pos = u.input.subset_positions(from_in), u.output.subset_positions(to_out)
+    from_sys = u.input.select([u.input.names[k] for k in in_from_pos])
     d_from = from_sys.total_dim
-    in_from_pos = [u.input.position(n) for n in frm]
-    rest_pos = [u.output.position(n) for n in u.output.complement(to)]
-    to_pos = [u.output.position(n) for n in to]
+    rest_pos = [k for k in range(len(u.output)) if k not in to_pos]
 
     # decode every input point and every output once; a replaced point is
     # found by its digits, and each output's non-target and target digits

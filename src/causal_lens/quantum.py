@@ -17,20 +17,23 @@ factor on a block of wires comes from one kernel, ``_identity_factor``: ``W
 ``W`` certified, a failure being a ``ConsistencyError``. A matrix with no
 nonzero imaginary part is stored and computed in float64, every other in
 complex128, by the same dtype-generic code; working-set estimates read the
-entry size off the matrix.
+entry size off the matrix. ``UnitaryChannel`` owns the quantum kernels of
+``causal``'s definitions, as the protocol steps listed there: the probe pass
+on the Gram kernel, the memory legs checked as one operator identity, ``(W x
+1)(1 x V) = |0> x U``, the premise, the inverse check and the witness.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import classical
-from .classical import _at_zero
+from .classical import _at_zero, _dim_chunks, _fresh_copies, _memory_blocks
 from .errors import ConsistencyError, SpecError
-from .systems import CompositeSystem, _paired_layout, composite
+from .systems import CompositeSystem, _grounded, _paired_layout, composite
 
 __all__ = [
     "DEFAULT_TOL",
@@ -44,11 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-
-# working set of one chunk of a stacked check: the signalling pass here, and
-# the influence relation and the inverse check of ``causal`` (about four
-# arrays the size of one stacked entry each)
-_CHECK_CHUNK_BYTES = 1 << 20
 
 # two readings of one δ agree when they differ by at most _SAME_REL of the
 # larger plus _SAME_FLOOR; rounding puts a zero δ near 1e-15
@@ -196,6 +194,19 @@ def _same_reading(x, y) -> bool:
     return bool(np.all(np.abs(np.subtract(x, y)) <= _SAME_REL * np.maximum(x, y) + _SAME_FLOOR))
 
 
+def _one_reading(probe, signalling) -> None:
+    """The probe and signalling readings of the same ``δ`` must agree (``_same_reading``)."""
+    if not _same_reading(probe, signalling):
+        raise ConsistencyError("the probe and signalling readings of a quantum delta differ")
+
+
+def _wire_deltas(stack: np.ndarray) -> np.ndarray:
+    """``δ[p, k]`` of each output wire ``k`` of ``V`` on each row of a ``_heisenberg``
+    stack ``[p, c', z'…, c, z…]``: the axis pair of ``z'_k`` and ``z_k``."""
+    n = (stack.ndim - 3) // 2
+    return _pair_deltas(stack, [(k + 2, n + k + 3) for k in range(n)])
+
+
 def _factor_atol(eps: float, atol: float) -> float:
     """The unitarity bound of ``W`` for ``U = W ⊗ 1 + R``, ``‖R‖_F = eps``, ``U`` within ``atol``.
 
@@ -208,20 +219,6 @@ def _signalling_delta(m: np.ndarray) -> float:
     ``_signalling_terms``: ``δ`` does not depend on the order of the other axes. ``m`` is
     copied only where it is a view (a regroup that moves no wire leaves one)."""
     return float(_pair_deltas(np.ascontiguousarray(m)[None], [(3, 5)])[0, 0])
-
-
-def _dim_chunks(keys: Sequence, entry_bytes: Callable) -> Iterator[tuple[object, list[int]]]:
-    """Positions of ``keys`` grouped by equal key (a dim, or a grid shape), a chunk at a time,
-    as ``(key, positions)``: as few chunks of as equal sizes as fit ``_CHECK_CHUNK_BYTES``
-    (at least one position each), ``entry_bytes(key)`` being the working set of one."""
-    by_key: dict = {}
-    for k, key in enumerate(keys):
-        by_key.setdefault(key, []).append(k)
-    for key, wires in by_key.items():
-        cuts = -(-len(wires) // max(1, _CHECK_CHUNK_BYTES // entry_bytes(key)))
-        chunk = -(-len(wires) // cuts)
-        for lo in range(0, len(wires), chunk):
-            yield key, wires[lo : lo + chunk]
 
 
 def _unitarity_defects(m: np.ndarray) -> np.ndarray:
@@ -403,6 +400,112 @@ class UnitaryChannel:
         w_out = self.output.restrict(self.output.complement(idle))
         return UnitaryChannel(w_in, w_out, w, atol=_factor_atol(eps, self.atol))
 
+    # -- the protocol steps of ``causal`` ------------------------------------
+
+    def _probes(self, blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """The probes at the input ``blocks``, one stack: ``_heisenberg`` on side 0."""
+        return _heisenberg(self, [(0, b) for b in blocks])
+
+    def _probe_channel(self, frm: tuple[str, ...], probes: np.ndarray) -> "UnitaryChannel":
+        """The probe of a stack of one as a channel on (copies of ``frm``, outputs)."""
+        system = _fresh_copies(self, self.input, frm, "_1").concat(self.output)
+        return UnitaryChannel(system, system, probes.reshape(system.total_dim, -1))
+
+    def _probe_pass(self, probes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """``idle[p, k]`` of a certified stack, as the Gram loop reads its probe rows."""
+        return _probe_joint_test(probes, _wire_deltas(probes), tol)
+
+    def _influence_relation(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """The probe side of the one Gram loop, ``_gram_deltas``."""
+        return ~(_gram_deltas(self, (0,), tol)[0] <= tol)
+
+    def _wire_relations(self, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Both sides of one Gram loop, whose ``δ`` agree: signalling is then influence."""
+        probe, signalling = _gram_deltas(self, (0, 1), tol)
+        _one_reading(probe, signalling)
+        influence = ~(probe <= tol)
+        return influence, influence.copy()
+
+    def _hierarchy(self, probe: "UnitaryChannel", frm, to, causal: bool, tol: float = DEFAULT_TOL):
+        """``(signalling, witness)``: signalling is ``causal``, once the block's ``δ`` off the
+        probe and off the signalling terms ``m`` agree; the legs are built off its factor."""
+        m = _signalling_terms(self, frm, to)
+        delta, eps, w = _identity_factor(*_paired_grid(probe, to), probe.atol)
+        _one_reading(delta, _signalling_delta(m))
+        if not causal:
+            _quantum_memory(self, frm, to, probe, eps, w)
+        return causal, (self._witness(frm, to, m) if causal else None)
+
+    def _memory(self, frm: tuple[str, ...], idle: tuple[str, ...], probe: Callable):
+        """The memory form ``(env, v, w)`` off the factor on ``idle`` of ``probe()``."""
+        tilde = probe()
+        _, eps, w = _identity_factor(*_paired_grid(tilde, idle), tilde.atol)
+        return _quantum_memory(self, frm, idle, tilde, eps, w)
+
+    def _discard_leaves_rest_alone(self, act, bystander, tol: float = DEFAULT_TOL) -> bool:
+        """The signalling terms of ``act`` on ``bystander`` are the identity's within ``tol``."""
+        m = _signalling_terms(self, act, bystander)
+        d_a = self.input.select(act).total_dim
+        d_b = self.input.total_dim // d_a
+        req = (
+            np.eye(d_a).reshape(1, 1, d_a, 1, d_a, 1)
+            * np.eye(d_b).reshape(d_b, 1, 1, d_b, 1, 1)
+            * np.eye(d_b).reshape(1, d_b, 1, 1, 1, d_b)
+        )
+        # on the normalised Frobenius scale of every other quantum verdict
+        return bool(_normalised(np.sum(_squares(m - req)), m.size) <= tol)
+
+    def _inverse_nosignalling(self, frm, to, tol: float = DEFAULT_TOL) -> bool:
+        """Both CP maps on every matrix unit E_(z1, z2) of the output space at once.
+
+        Outputs are grouped (target t, rest r), inputs (from a, rest b), and
+        C feeds a = 0. With p[z1, a, t, r] = sum_b conj(U[z1, (a, b)]) U[(t,
+        r), (0, b)], the left side is lhs[(z1, t), (z2, t')] = sum_(a, r) p[z1,
+        a, t, r] conj(p[z2, a, t', r]), the right side delta(r1, r2) delta(t1,
+        t) delta(t2, t') for z = (t, r). Rows are taken a chunk at a time.
+        """
+        h = _grouped(self.matrix, self.output, self.input, to, frm)  # [t, r, a, b]
+        d_to, d_r, d_a, _ = h.shape
+        p = np.tensordot(h.conj(), h[:, :, 0, :], axes=(3, 2))  # [t1, r1, a, t, r]
+        x = p.transpose(0, 1, 3, 2, 4).reshape(d_to * d_r * d_to, d_a * d_r)
+        rows = np.arange(len(x))  # (t1, r1, t); the columns alike
+        r1, diag = rows // d_to % d_r, rows // (d_r * d_to) == rows % d_to
+        chunk = max(1, classical._CHECK_CHUNK_BYTES // (x.itemsize * len(x)))
+        for lo in range(0, len(x), chunk):
+            part = slice(lo, lo + chunk)
+            rhs = diag[part, None] & diag[None, :] & (r1[part, None] == r1[None, :])
+            if np.max(np.abs(x[part] @ x.conj().T - rhs)) > tol:
+                return False
+        return True
+
+    def _witness(self, frm: tuple[str, ...], to: tuple[str, ...], m=None) -> tuple[str, dict]:
+        """The worst entry of the signalling identity ``m`` (``_signalling_terms``, formed if
+        None), as ``(kind, detail)``: influence and signalling are one ``δ``. The expected
+        value, delta_ab times the a=b=0 entry, is formed at the worst entry alone."""
+        m = _signalling_terms(self, frm, to) if m is None else m
+        entry = _worst_entry(_delta_gap(m, [(2, 4)]), (1, 0, 4, 5, 2, 3))
+        t, s, a, k, b, l = entry
+        actual, wanted = m[entry], float(a == b) * m[t, s, 0, k, 0, l]
+        return "factorization-defect", {
+            "variant": "signalling-identity",
+            "acting_on": list(frm),
+            "target": list(to),
+            "from_unit": [a, b],
+            "complement_unit": [k, l],
+            "marginal_entry": [t, s],
+            "actual": [float(actual.real), float(actual.imag)],
+            "expected": [float(wanted.real), float(wanted.imag)],
+        }
+
+    def _replay(self, detail: dict, tol: float = DEFAULT_TOL) -> bool:
+        """The block is signalled and the entry still differs from its expected value."""
+        frm, to = tuple(detail["acting_on"]), tuple(detail["target"])
+        m = _signalling_terms(self, frm, to)
+        (t, s), (a, b) = detail["marginal_entry"], detail["from_unit"]
+        k, l = detail["complement_unit"]
+        wanted = (a == b) * m[t, s, 0, k, 0, l]
+        return self.signals(frm, to, tol) and bool(m[t, s, a, k, b, l] != wanted)
+
 
 def _gram_deltas(u: UnitaryChannel, sides: Sequence[int], tol: float) -> list[np.ndarray]:
     """``δ[i, t]`` of every wire pair off the probe of ``U`` at input ``i`` (side 0) and off
@@ -419,14 +522,14 @@ def _gram_deltas(u: UnitaryChannel, sides: Sequence[int], tol: float) -> list[np
     out = [np.zeros((len(a), len(b))) for a, b in systems]
     # working set: about four arrays of u's entry type the size of the stack
     d_all, entry = u.input.total_dim, 4 * u.matrix.itemsize
-    for (dim, other), part in _dim_chunks(shapes, lambda shape: entry * (shape[0] * d_all) ** 2):
+    for (dim, _), part in _dim_chunks(shapes, lambda shape: entry * (shape[0] * d_all) ** 2):
         chunk = [blocks[j] for j in part]
-        n, probes = len(other), sum(s == 0 for s, _ in chunk)
+        probes = sum(s == 0 for s, _ in chunk)
         # stack[p, c', z'…, c, z…], one axis per wire of ``other`` in z' and in z
         stack = _heisenberg(u, chunk)
         if probes:
             _certify_unitary(stack[:probes].reshape(probes, dim * d_all, -1), DEFAULT_TOL)
-        delta = _pair_deltas(stack, [(k + 2, n + k + 3) for k in range(n)])
+        delta = _wire_deltas(stack)
         _probe_joint_test(stack[:probes], delta[:probes], tol)
         for (s, (k,)), row in zip(chunk, delta):
             out[s][k] = row
@@ -435,13 +538,94 @@ def _gram_deltas(u: UnitaryChannel, sides: Sequence[int], tol: float) -> list[np
 
 def _probe_joint_test(probes: np.ndarray, delta: np.ndarray, tol: float) -> np.ndarray:
     """``idle = δ <= tol`` of a certified probe stack, and the joint test of each probe with
-    an idle wire: ``_identity_factor`` on them (``causal._probe_pass`` says why no other)."""
+    an idle wire: ``_identity_factor`` on them, bounded by the root sum of squares of their
+    ``δ``, with ``W`` certified.
+
+    A probe with no idle wire skips it, and no check is lost: with no pairs
+    the kernel would set ``W = x`` and ``ε = 0`` and test
+    ``_unitarity_defects(x) <= DEFAULT_TOL``, the stack certificate already
+    run on the same matrix at the same bound (in ``t_process`` by the probe
+    channel's constructor).
+    """
     idle, n = delta <= tol, delta.shape[1]
     for p in np.flatnonzero(idle.any(axis=1)).tolist():
         wires = np.flatnonzero(idle[p])
         pairs = [(k + 1, n + k + 2) for k in wires.tolist()]
         _identity_factor(probes[p], pairs, DEFAULT_TOL, np.linalg.norm(delta[p, wires]))
     return idle
+
+
+def _quantum_memory(
+    u: UnitaryChannel,
+    frm: tuple[str, ...],
+    idle: tuple[str, ...],
+    tilde: UnitaryChannel,
+    eps: float,
+    t_mat: np.ndarray,
+):
+    """The memory form ``(env, v, w)`` of ``u``, which does not signal from ``frm`` to ``idle``.
+
+    ``t_mat`` is the certified factor ``W`` of u's probe process ``tilde`` at
+    ``frm`` on ``idle`` (``_identity_factor``), not tested again, and ``eps``
+    its residual ``‖tilde − W x 1‖_F``.
+    """
+    a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _memory_blocks(u, frm, idle)
+    env_sys = _fresh_copies(u, u.output, ap_names, "_env")
+
+    # v = (evolve with the probed block in the ground state), rows grouped (A', B')
+    rows = _grounded(u.output, ap_names + idle)
+    v_iso = u.matrix[np.ix_(rows, _grounded(u.input, b_names))]
+
+    def v_eval(rho: np.ndarray) -> np.ndarray:
+        return v_iso @ rho @ v_iso.conj().T
+
+    v = StateMap(b_sys, env_sys.concat(bp_sys), v_eval)
+
+    # w feeds (A, env) through the extracted probe factor and discards the copies
+    t_out = tilde.output.restrict(tilde.output.complement(idle))
+
+    def w_eval(x: np.ndarray) -> np.ndarray:
+        return _partial_trace(t_mat @ x @ t_mat.conj().T, t_out, ap_names)
+
+    w = StateMap(a_sys.concat(env_sys), ap_sys, w_eval)
+
+    _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, _factor_atol(eps, u.atol))
+    return env_sys, v, w
+
+
+def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_tol):
+    """Check that the legs recompose ``u``: ``(W x 1_B')(1_A x V) = |0>_C x U``.
+
+    The probe is an involution with ``tilde(|0>_C x U|a,b>) = |a>_C x V|b>``
+    (``V = v_iso``), so the two sides differ by ``-R tilde (|0>_C x U)``,
+    ``R = tilde - W x 1``: every entry is at most ``ε = ‖R‖_F`` plus u's
+    certificate, within ``check_tol``. The legs' Kraus operators are the
+    copy rows ``<c|`` of the left side, so the identity gives ``U rho U+``
+    back on every state. Both sides are grouped (A', B') by (A, B).
+    """
+    d_a = u.input.select(frm).total_dim
+    d_ap = u.output.select(ap_names).total_dim
+    rows, cols = _grounded(u.output, ap_names + idle), _grounded(u.input, frm + b_names)
+    u_g = u.matrix[np.ix_(rows, cols)]
+    d_bp, d_b = len(rows) // d_ap, len(cols) // d_a
+    # lhs[(c, A'), a, B', b]: the factor's env input contracted with V's A' rows
+    lhs = np.tensordot(t_mat.reshape(-1, d_a, d_ap), v_iso.reshape(d_ap, d_bp, d_b), 1)
+    lhs = lhs.reshape(d_a, d_ap, d_a, d_bp, d_b)
+    lhs[0] -= u_g.reshape(d_ap, d_bp, d_a, d_b).transpose(0, 2, 1, 3)
+    if np.max(np.abs(lhs)) > check_tol:
+        raise ConsistencyError("quantum memory decomposition failed to recompose")
+
+
+def _worst_entry(gap: np.ndarray, mirror: Sequence[int]) -> tuple[int, ...]:
+    """Multi-index of a largest entry of ``gap``, the same for any rounding.
+
+    ``gap`` is symmetric under the axis permutation ``mirror`` up to rounding
+    (the Hermitian mirror of its entries), so a tied pair is ranked as one: the
+    first largest entry of ``max(gap, mirrored gap)`` in row-major order, which
+    is the lexicographically smaller entry of its pair.
+    """
+    sym = np.maximum(gap, gap.transpose(mirror))
+    return tuple(int(i) for i in np.unravel_index(np.argmax(sym), sym.shape))
 
 
 @dataclass(frozen=True, eq=False)

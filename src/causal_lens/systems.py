@@ -210,6 +210,14 @@ def _paired_layout(
     return in_pos, out_pos
 
 
+def _grounded(system: CompositeSystem, names: Sequence[str]) -> np.ndarray:
+    """Joint indices with the ``names`` wires running over ``select(names)``, others at 0.
+
+    With every wire named, this is the inverse of reading the wires in that order.
+    """
+    return system.with_digits(0, names, np.arange(system.select(names).total_dim))
+
+
 def _read_digits(index: np.ndarray, strides, dims: Sequence[int]) -> np.ndarray:
     """Joint index (radices ``dims``) of the digits of ``index`` at ``strides``.
 

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_lens import automata, causal, quantum
+from causal_lens import automata, quantum
 from causal_lens.automata import CellNeighbourhood, ConeRow, build_ring, neighbourhood_maps
 from causal_lens.causal import iterate, wire_relations
+from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file, main
 from causal_lens.quantum import UnitaryChannel
 from causal_lens.systems import composite
@@ -82,7 +83,7 @@ def test_ca_over_cone_budget_exits_before_any_probe(capsys, monkeypatch):
     def no_probe(*args, **kwargs):
         raise AssertionError("a probe was built although the cone budget is exceeded")
 
-    monkeypatch.setattr(causal, "_probes", no_probe)
+    monkeypatch.setattr(ClassicalChannel, "_probes", no_probe)
     code = main(["ca", str(FIXTURES / "staggered_cnot_ring.json"), "--cells", "13"])
     assert code == 3
     assert "cone growth capped" in capsys.readouterr().err

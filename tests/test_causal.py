@@ -1,5 +1,7 @@
+import ast
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,11 +554,12 @@ def test_a_constant_preparation_witnesses_every_classical_influence():
             tp = t_process(u, frm)
             for to in blocks:
                 if not tp.idle_subset.issuperset(to):
-                    wit = causal._classical_witness(u, tp.probed, to)
-                    classes.add(wit.detail["intervention_class"])
+                    kind, detail = u._witness(tp.probed, to)
+                    classes.add(detail["intervention_class"])
                     verdict = definition_check(u, frm, to, OracleBudget(1, "constants"))
-                    assert tuple(wit.detail["intervention"]) == verdict.witness_table
-                    assert wit.detail["env_dim"] == verdict.env_dim == 1
+                    assert kind == "intervention"
+                    assert tuple(detail["intervention"]) == verdict.witness_table
+                    assert detail["env_dim"] == verdict.env_dim == 1
     assert classes == {"constant"}
 
 
@@ -660,8 +663,8 @@ def test_mixed_radix_memory_and_witness_match_per_point_reference(seed):
                 assert find_witness(u, frm, to).detail == _reference_witness(u, frm, to)
             if len(frm) == 1:  # every candidate, not only the first that witnesses
                 for env_dim, table, _ in _candidates(u.input.select(frm).total_dim):
-                    conj = causal._conjugated_table(u, frm, env_dim, table)
-                    assert causal._local_form_violation(
+                    conj = classical._conjugated_table(u, frm, env_dim, table)
+                    assert classical._local_form_violation(
                         conj, env_dim, u.output, to
                     ) == _reference_violation(u, frm, to, env_dim, table)
             dec = memory_decomposition(u, frm, to)
@@ -684,3 +687,29 @@ def test_mixed_radix_memory_and_witness_match_per_point_reference(seed):
                     w_ref.append(_pick(u.output, _evolve(u, parts), ap_names))
             assert dec.v.table == tuple(v_ref)
             assert dec.w.table == tuple(w_ref)
+
+
+# -- the model seam ---------------------------------------------------------------------
+
+
+def test_causal_imports_no_private_name_and_never_branches_on_the_model():
+    # causal states each definition once and reaches a model only through the
+    # protocol its channel type implements: no private name from the models'
+    # modules or from systems, and no isinstance on a channel class
+    seams = {"classical", "quantum", "systems"}
+    channels = {"ClassicalChannel", "UnitaryChannel", "Channel"}
+    imported = set()
+    for node in ast.walk(ast.parse(Path(causal.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.partition("causal_lens.")[2] in seams for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("causal_lens.")
+            assert module or not {a.name for a in node.names} & seams, "a module import"
+            if module in seams:
+                for alias in node.names:
+                    assert not alias.name.startswith("_"), f"{module}.{alias.name}"
+                imported.add(module)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = {n.id for arg in node.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Name)}
+            assert not named & channels, ast.unparse(node)
+    assert imported == seams

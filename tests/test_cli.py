@@ -597,10 +597,10 @@ def test_a_max_dim_that_is_not_a_positive_integer_is_a_parse_error(capsys, monke
 
 def test_exit_code_consistency(capsys, monkeypatch):
     # an influence relation that forgets wires would make signalling escape causal
-    import causal_lens.causal as causal_mod
-
     monkeypatch.setattr(
-        causal_mod, "influence_relation", lambda u, tol: np.zeros((len(u.input), len(u.output)), bool)
+        ClassicalChannel,
+        "_influence_relation",
+        lambda u, tol: np.zeros((len(u.input), len(u.output)), bool),
     )
     code, out, err = run(capsys, "analyze", FIXTURES / "cnot.json")
     assert code == 2 and "consistency" in err

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_lens import causal, classical, quantum
+from causal_lens import classical, quantum
 from causal_lens.automata import build_ring
 from causal_lens.causal import influence_relation, iterate, t_process, wire_relations
 from causal_lens.classical import ClassicalChannel
@@ -163,8 +163,7 @@ def test_a_probe_with_no_idle_wire_is_still_certified(monkeypatch):
     t_process(u, ["A"])
     assert calls == []
     real = quantum._heisenberg
-    for module in (causal, quantum):
-        monkeypatch.setattr(module, "_heisenberg", lambda v, blocks: 2 * real(v, blocks))
+    monkeypatch.setattr(quantum, "_heisenberg", lambda v, blocks: 2 * real(v, blocks))
     with pytest.raises(SpecError, match="unitarity certificate failed"):
         influence_relation(u)
     with pytest.raises(SpecError, match="unitarity certificate failed"):

@@ -74,7 +74,7 @@ def probe_stacks(u):
     by_dim = {}
     for k, dim in enumerate(u.input.dims):
         by_dim.setdefault(dim, []).append((k,))
-    return [causal._probes(u, blocks) for blocks in by_dim.values()]
+    return [u._probes(blocks) for blocks in by_dim.values()]
 
 
 def test_the_fixture_dims_give_stacks_of_one_to_three():
@@ -153,7 +153,7 @@ def test_the_digit_table_is_the_reshape_arithmetic():
         zd = np.empty((len(system), system.total_dim))
         for k, (dim, stride) in enumerate(zip(system.dims, system.strides)):
             zd[k].reshape(-1, dim, stride)[...] = (np.arange(dim) * stride)[:, None]
-        got = causal._digit_table(system)
+        got = classical._digit_table(system)
         assert got.dtype == zd.dtype and np.array_equal(got, zd)
 
 

@@ -113,15 +113,19 @@ def test_fixture_rules_match_per_wire_neighbourhoods(model, rule, cells):
 def test_a_stack_spanning_several_chunks_matches(monkeypatch, model, cells):
     # classically each stack is one _probes gather, quantumly one Gram product
     stacks = []
-    module, name = (causal, "_probes") if model == "classical" else (quantum, "_heisenberg")
+    module, name = (ClassicalChannel, "_probes") if model == "classical" else (quantum, "_heisenberg")
     real = getattr(module, name)
     monkeypatch.setattr(
         module, name, lambda u, blocks: stacks.append(len(blocks)) or real(u, blocks)
     )
+    # one digit table per call, however many chunks
+    tables, real_table = [], classical._digit_table
+    monkeypatch.setattr(classical, "_digit_table", lambda s: tables.append(s) or real_table(s))
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)
     u = iterate(build_ring(layers, cells, cell_dim, model=model).step, 2)
     rel = influence_relation(u)
     assert len(stacks) > 1 and sum(stacks) == cells
+    assert len(tables) == (1 if model == "classical" else 0)
     monkeypatch.setattr(module, name, real)
     assert rel.tolist() == per_wire(u).tolist()
 
@@ -159,13 +163,12 @@ def test_an_over_reported_idle_wire_fails_the_joint_test(monkeypatch, model):
     u = classical.cnot()
     if model == "quantum":
         u = quantum.from_classical(u)
-        for module in (causal, quantum):
-            monkeypatch.setattr(
-                module, "_pair_deltas", lambda x, pairs: np.zeros((len(x), len(pairs)))
-            )
+        monkeypatch.setattr(
+            quantum, "_pair_deltas", lambda x, pairs: np.zeros((len(x), len(pairs)))
+        )
     else:
         monkeypatch.setattr(
-            causal, "_steps_by", lambda grid, axes, steps: np.ones((len(grid), len(axes)), bool)
+            classical, "_steps_by", lambda grid, axes, steps: np.ones((len(grid), len(axes)), bool)
         )
     match = "did not combine into a joint factorization"
     with pytest.raises(ConsistencyError, match=match):
@@ -179,9 +182,11 @@ def test_the_classical_factor_certificate_backs_the_joint_test(monkeypatch):
     # over-reporting, only the factor's bijection certificate is left to
     # catch the false idle wires
     monkeypatch.setattr(
-        causal, "_steps_by", lambda grid, axes, steps: np.ones((len(grid), len(axes)), bool)
+        classical, "_steps_by", lambda grid, axes, steps: np.ones((len(grid), len(axes)), bool)
     )
-    monkeypatch.setattr(causal, "_passes_idle_digits", lambda flat, off2: np.ones(len(flat), bool))
+    monkeypatch.setattr(
+        classical, "_passes_idle_digits", lambda flat, off2: np.ones(len(flat), bool)
+    )
     with pytest.raises(ConsistencyError, match="did not combine"):
         influence_relation(classical.cnot())
     with pytest.raises(ConsistencyError, match="did not combine"):
@@ -200,9 +205,9 @@ def counting(calls, real):
 
 def test_a_classical_relation_runs_one_joint_test_per_stack(monkeypatch):
     stacks, joint, per_probe = [], [], []
-    monkeypatch.setattr(causal, "_probes", counting(stacks, causal._probes))
+    monkeypatch.setattr(ClassicalChannel, "_probes", counting(stacks, ClassicalChannel._probes))
     monkeypatch.setattr(
-        causal, "_classical_joint_test", counting(joint, causal._classical_joint_test)
+        classical, "_classical_joint_test", counting(joint, classical._classical_joint_test)
     )
     monkeypatch.setattr(quantum, "_identity_factor", counting(per_probe, quantum._identity_factor))
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
@@ -220,9 +225,14 @@ def test_a_classical_relation_runs_one_joint_test_per_stack(monkeypatch):
 
 def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeypatch):
     passes, joint = [], []
-    monkeypatch.setattr(causal, "_probe_pass", counting(passes, causal._probe_pass))
     monkeypatch.setattr(
-        causal, "_classical_joint_test", counting(joint, causal._classical_joint_test)
+        ClassicalChannel, "_probe_pass", counting(passes, ClassicalChannel._probe_pass)
+    )
+    monkeypatch.setattr(
+        UnitaryChannel, "_probe_pass", counting(passes, UnitaryChannel._probe_pass)
+    )
+    monkeypatch.setattr(
+        classical, "_classical_joint_test", counting(joint, classical._classical_joint_test)
     )
     for cls in (ClassicalChannel, UnitaryChannel):
         monkeypatch.setattr(
@@ -242,10 +252,9 @@ def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeyp
     # quantumly influence_relation runs the Gram loop, whose probe rows take
     # the probe pass's joint test
     probe_joint = []
-    for module in (causal, quantum):
-        monkeypatch.setattr(
-            module, "_probe_joint_test", counting(probe_joint, quantum._probe_joint_test)
-        )
+    monkeypatch.setattr(
+        quantum, "_probe_joint_test", counting(probe_joint, quantum._probe_joint_test)
+    )
     q = quantum.from_classical(u)
     tp_q = t_process(q, ["C"])
     assert tp_q.idle_subset == {"A", "B"}
@@ -263,10 +272,10 @@ def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeyp
 
 def test_one_difference_kernel_call_per_classical_stack_and_per_wire_signalling(monkeypatch):
     stacks, kernel = [], []
-    monkeypatch.setattr(causal, "_probes", counting(stacks, causal._probes))
-    monkeypatch.setattr(causal, "_steps_by", counting(kernel, causal._steps_by))
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
     u = iterate(build_ring(layers, 8, cell_dim).step, 2)
+    monkeypatch.setattr(ClassicalChannel, "_probes", counting(stacks, ClassicalChannel._probes))
+    monkeypatch.setattr(classical, "_steps_by", counting(kernel, classical._steps_by))
     influence_relation(u)
     t_process(u, ["c0", "c3"])
     assert stacks == [8, 1] and len(kernel) == 2
@@ -318,7 +327,7 @@ def local_gates(system, rng):
 
 JOINT_DIMS = [(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2), (2, 1, 2)]
 JOINT_DIMS.append((2,) * 6)
-JOINT_TEST = causal._classical_joint_test
+JOINT_TEST = classical._classical_joint_test
 
 
 def flip_outcomes(monkeypatch, u, probes_per_chunk):
@@ -326,7 +335,7 @@ def flip_outcomes(monkeypatch, u, probes_per_chunk):
 
     A chunk holds ``probes_per_chunk`` probes of dim-2 inputs.
     """
-    monkeypatch.setattr(quantum, "_CHECK_CHUNK_BYTES", probes_per_chunk * 64 * u.output.total_dim)
+    monkeypatch.setattr(classical, "_CHECK_CHUNK_BYTES", probes_per_chunk * 64 * u.output.total_dim)
     outcomes = []
 
     def spy(flat, idle, zd):
@@ -343,7 +352,7 @@ def flip_outcomes(monkeypatch, u, probes_per_chunk):
             outcomes.append((raises(JOINT_TEST, flat, flipped, zd), want))
         return JOINT_TEST(flat, idle, zd)
 
-    monkeypatch.setattr(causal, "_classical_joint_test", spy)
+    monkeypatch.setattr(classical, "_classical_joint_test", spy)
     assert_matches_per_wire(u)
     return outcomes
 
@@ -356,7 +365,7 @@ def test_the_stack_joint_test_raises_where_the_per_probe_test_does(
 ):
     if certificate_only:  # both pass-through comparisons accept everything
         monkeypatch.setitem(globals(), "_passes_through", lambda g, a, s: np.ones(len(g), bool))
-        monkeypatch.setattr(causal, "_passes_idle_digits", lambda f, o: np.ones(len(f), bool))
+        monkeypatch.setattr(classical, "_passes_idle_digits", lambda f, o: np.ones(len(f), bool))
     rng = np.random.default_rng([16, *dims, probes_per_chunk])
     system = composite(*zip("ABCDEF", dims))
     # the identity's probes reach both outcomes: each passes all wires but its own
@@ -384,7 +393,7 @@ def test_a_failed_probe_certificate_is_a_spec_error(monkeypatch, model):
     u = classical.cnot()
     u = quantum.from_classical(u) if model == "quantum" else u
     # classically the probe gather, quantumly the Gram product
-    module, name = (causal, "_probes") if model == "classical" else (quantum, "_heisenberg")
+    module, name = (ClassicalChannel, "_probes") if model == "classical" else (quantum, "_heisenberg")
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda u, blocks: 2 * real(u, blocks))
     match = "bijection" if model == "classical" else "unitarity certificate failed"

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from causal_lens import classical, quantum
-from causal_lens.causal import _grounded, inverse_nosignalling_check
+from causal_lens.causal import inverse_nosignalling_check
 from causal_lens.errors import SpecError
 from causal_lens.quantum import UnitaryChannel, _delta_gap, _partial_trace, _signalling_terms
-from causal_lens.systems import composite
+from causal_lens.systems import _grounded, composite
 
 BITS = composite(("A", 2), ("B", 2))
 

@@ -11,9 +11,8 @@ import collections
 import numpy as np
 import pytest
 
-from causal_lens import causal, quantum
+from causal_lens import quantum
 from causal_lens.causal import (
-    _grounded,
     embed_on,
     hierarchy_report,
     memory_decomposition,
@@ -21,7 +20,7 @@ from causal_lens.causal import (
 )
 from causal_lens.errors import ConsistencyError
 from causal_lens.quantum import UnitaryChannel, _signalling_delta, _signalling_terms
-from causal_lens.systems import composite
+from causal_lens.systems import _grounded, composite
 
 
 def reference_states(dim: int) -> list[np.ndarray]:
@@ -76,7 +75,7 @@ def no_signalling_channel() -> UnitaryChannel:
 @pytest.mark.parametrize("verify", ["library", "reference"])
 @pytest.mark.parametrize("eps", [0.0, 1e-6])
 def test_a_perturbed_leg_fails_to_recompose(monkeypatch, leg, verify, eps):
-    check = causal._verify_quantum_memory if verify == "library" else reference_verify
+    check = quantum._verify_quantum_memory if verify == "library" else reference_verify
 
     def perturbed(*args):
         *head, v_iso, t_mat, tol = args
@@ -88,7 +87,7 @@ def test_a_perturbed_leg_fails_to_recompose(monkeypatch, leg, verify, eps):
             t_mat = t_mat + bump
         check(*head, v_iso, t_mat, tol)
 
-    monkeypatch.setattr(causal, "_verify_quantum_memory", perturbed)
+    monkeypatch.setattr(quantum, "_verify_quantum_memory", perturbed)
     u = no_signalling_channel()
     if eps:
         with pytest.raises(ConsistencyError, match="failed to recompose"):
@@ -99,9 +98,9 @@ def test_a_perturbed_leg_fails_to_recompose(monkeypatch, leg, verify, eps):
 
 def test_a_global_phase_on_the_factor_recomposes_states_but_fails_the_identity(monkeypatch):
     # e^{iφ} W gives the same legs on states, not the same operator
-    library = causal._verify_quantum_memory
+    library = quantum._verify_quantum_memory
     calls = []
-    monkeypatch.setattr(causal, "_verify_quantum_memory", lambda *args: calls.append(args))
+    monkeypatch.setattr(quantum, "_verify_quantum_memory", lambda *args: calls.append(args))
     assert memory_decomposition(no_signalling_channel(), ["A"], ["B"]) is not None
     ((*head, v_iso, t_mat, tol),) = calls
     phased = np.exp(0.3j) * t_mat
@@ -177,7 +176,7 @@ def test_near_tolerance_sweep_matches_the_per_state_reference(monkeypatch):
     # Both checks run on the same legs at every call. The check is the last step
     # of a memory decomposition, so the reports agree iff every call agrees.
     disagreements = []
-    library = causal._verify_quantum_memory
+    library = quantum._verify_quantum_memory
 
     def both(*args):
         verdicts = []
@@ -192,7 +191,7 @@ def test_near_tolerance_sweep_matches_the_per_state_reference(monkeypatch):
         if verdicts[1] is not None:
             raise ConsistencyError(verdicts[1])
 
-    monkeypatch.setattr(causal, "_verify_quantum_memory", both)
+    monkeypatch.setattr(quantum, "_verify_quantum_memory", both)
     seen = collections.Counter()
     # every 17th seed of 0-799 (all four wire shapes), tol around the block's delta
     for u in sweep_channels(range(0, 800, 17)):
@@ -221,7 +220,7 @@ def identity_error(u, frm, b_names, ap_names, idle, v_iso, t_mat):
 def test_the_identity_error_is_within_the_probe_residual(monkeypatch):
     # the sides differ by -R tilde (|0> x U), so no entry exceeds ε = ‖R‖_F
     residuals, checked = [], []
-    quantum_memory = causal._quantum_memory
+    quantum_memory = quantum._quantum_memory
 
     def recording(u, frm, idle, tilde, eps, t_mat):
         residuals.append(eps)
@@ -231,8 +230,8 @@ def test_the_identity_error_is_within_the_probe_residual(monkeypatch):
         *legs, check_tol = args
         checked.append((identity_error(*legs), residuals[-1]))
 
-    monkeypatch.setattr(causal, "_quantum_memory", recording)
-    monkeypatch.setattr(causal, "_verify_quantum_memory", verify)
+    monkeypatch.setattr(quantum, "_quantum_memory", recording)
+    monkeypatch.setattr(quantum, "_verify_quantum_memory", verify)
     for u in sweep_channels(range(0, 800, 17)):
         to = u.output.names[-1]
         delta = _signalling_delta(_signalling_terms(u, ("A",), (to,)))

@@ -231,7 +231,7 @@ def test_the_probe_and_the_signalling_terms_read_one_delta(u, frm, to):
 def test_the_quantum_probe_stack_is_c_contiguous():
     u = quantum.random_unitary(composite(("A", 2), ("B", 3), ("C", 2)), np.random.default_rng(5))
     for blocks in ([(0,), (2,)], [(1,)], [(0, 2)]):
-        assert causal._probes(u, blocks).flags.c_contiguous
+        assert u._probes(blocks).flags.c_contiguous
 
 
 # -- canonical witness entries ----------------------------------------------------------
@@ -287,7 +287,6 @@ def test_hierarchy_report_computes_the_signalling_terms_once(monkeypatch, u, sig
         return real(*args)
 
     monkeypatch.setattr(quantum, "_signalling_terms", counted)
-    monkeypatch.setattr(causal, "_signalling_terms", counted)
     report = hierarchy_report(u, ["A"], ["B"])
     assert report.signalling == report.causal_influence == signals
     assert report.memory_decomposable != signals

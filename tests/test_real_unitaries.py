@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_lens import causal, quantum
+from causal_lens import causal, classical, quantum
 from causal_lens.causal import (
     check_interaction_without_disturbance,
     hierarchy_report,
@@ -104,7 +104,7 @@ def test_a_real_six_qubit_probe_pass_packs_twice_the_probes_per_chunk(monkeypatc
     assert len(stacks) == calls
     assert all(s.dtype == u.matrix.dtype for s in stacks)
     # the working-set estimate, four arrays the size of the stack, fits a chunk
-    assert all(4 * s.nbytes <= quantum._CHECK_CHUNK_BYTES for s in stacks)
+    assert all(4 * s.nbytes <= classical._CHECK_CHUNK_BYTES for s in stacks)
 
 
 def test_a_real_unitary_keeps_its_probe_and_heisenberg_stacks_in_float64(monkeypatch):
@@ -121,9 +121,7 @@ def test_a_real_unitary_keeps_its_probe_and_heisenberg_stacks_in_float64(monkeyp
         stacks.extend((("probe", "heisenberg")[side], stack.dtype) for side, _ in blocks)
         return stack
 
-    # causal binds its own name for t_process's probe
     monkeypatch.setattr(quantum, "_heisenberg", spy)
-    monkeypatch.setattr(causal, "_heisenberg", spy)
     for run, sides in (
         (lambda: wire_relations(u), {"probe", "heisenberg"}),
         (lambda: hierarchy_report(u, ["A"], ["B", "C"]), {"probe", "heisenberg"}),

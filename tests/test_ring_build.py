@@ -12,7 +12,8 @@ import pytest
 
 from causal_lens import classical, quantum
 from causal_lens.automata import RingAutomaton, build_ring, neighbourhood_maps
-from causal_lens.causal import _digit_table, embed_on, influence_relation
+from causal_lens.causal import embed_on, influence_relation
+from causal_lens.classical import _digit_table
 from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file
 from causal_lens.errors import ConsistencyError, SpecError

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_lens import causal, classical, quantum
+from causal_lens import classical, quantum
 from causal_lens.automata import RingAutomaton, build_ring, neighbourhood_maps
 from causal_lens.causal import iterate
 from causal_lens.classical import ClassicalChannel
@@ -187,15 +187,15 @@ def test_signalling_outside_the_reported_neighbourhood_still_raises(monkeypatch,
 
     if model == "quantum":
         # the probe side of the Gram loop reads every delta as 0
-        real = causal._gram_deltas
+        real = quantum._gram_deltas
         monkeypatch.setattr(
-            causal,
+            quantum,
             "_gram_deltas",
             lambda u, sides, tol: [forgetful(u, tol), real(u, sides, tol)[1]],
         )
         match = "readings of a quantum delta differ"
     else:
-        monkeypatch.setattr(causal, "influence_relation", forgetful)
+        monkeypatch.setattr(ClassicalChannel, "_influence_relation", forgetful)
         match = "escapes its causal neighbourhood"
     with pytest.raises(ConsistencyError, match=match):
         neighbourhood_maps(a, 1)
@@ -254,7 +254,7 @@ def test_quantum_wire_signalling_matches_signals_when_stacks_split(monkeypatch, 
     sizes = stack_sizes(monkeypatch)
     whole = [u.wire_signalling().tolist() for u in channels]
     assert max(sizes) == (2 if dims is REPEATED else 1)
-    monkeypatch.setattr(quantum, "_CHECK_CHUNK_BYTES", 1)
+    monkeypatch.setattr(classical, "_CHECK_CHUNK_BYTES", 1)
     sizes.clear()
     for u, want, w in zip(channels, wants, whole):
         assert u.wire_signalling().tolist() == want == w
@@ -271,7 +271,7 @@ def test_near_identity_rings_split_stacks_match_signals_on_both_sides_of_tol(
     sizes = stack_sizes(monkeypatch)
     whole = u.wire_signalling(tol)
     assert max(sizes) == cells  # under the default budget every output shares one stack
-    monkeypatch.setattr(quantum, "_CHECK_CHUNK_BYTES", 1)
+    monkeypatch.setattr(classical, "_CHECK_CHUNK_BYTES", 1)
     sizes.clear()
     split = u.wire_signalling(tol)
     assert set(sizes) == {1}
