@@ -31,7 +31,7 @@ from .causal import (
 from .automata import RingAutomaton, build_ring, neighbourhood_maps
 from .errors import BudgetError, ConsistencyError, SpecError
 from .oracle import CrossValidationReport, OracleBudget, OracleVerdict, cross_validate, definition_check
-from .quantum import StateMap, UnitaryChannel
+from .quantum import UnitaryChannel
 from .systems import CompositeSystem, SubsystemLabel, composite, reorder_permutation
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "OracleVerdict",
     "RingAutomaton",
     "SpecError",
-    "StateMap",
     "SubsystemLabel",
     "TProcessResult",
     "UnitaryChannel",

@@ -19,9 +19,10 @@ probe processes in closed form), ``_probe_channel`` (one as a channel),
 ``_probe_pass`` (the per-wire idle sweep, then the joint factorization),
 ``_influence_relation``, ``_wire_relations``, ``_hierarchy`` (signalling
 and the witness, the memory legs verified where nothing signals),
-``_memory``, ``_discard_leaves_rest_alone``, ``_inverse_nosignalling``,
-``_witness`` and ``_replay``. Wire names are read through
-``CompositeSystem.subset_positions``, which rejects unknown and duplicate names.
+``_memory`` (the legs as data), ``_discard_leaves_rest_alone``,
+``_inverse_nosignalling``, ``_witness``, ``_replay`` and
+``_conjugation_matches``; a model refuses another model's witness or
+instrument. Wire names are read through ``CompositeSystem.subset_positions``.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .classical import ClassicalChannel, ClassicalInstrument
 from .errors import ConsistencyError, SpecError
-from .quantum import DEFAULT_TOL, StateMap, UnitaryChannel
+from .quantum import DEFAULT_TOL, UnitaryChannel
 from .systems import CompositeSystem, reorder_permutation
 
 __all__ = [
@@ -227,15 +228,20 @@ class MemoryDecomposition:
     """Factorization of ``u`` through a memory wire: first ``v``, then ``w``.
 
     ``v`` maps the non-probed input block B to (env, idle output block B');
-    ``w`` maps (probed block A, env) to the remaining outputs A'. Recomposing
-    the two legs reproduces ``u`` exactly (classical) or, quantumly, as the
-    operator identity ``(W x 1_B')(1_A x V) = |0>_C x U`` within tolerance;
-    this is verified at construction.
+    ``w`` maps (probed block A, env) to (``discarded``, remaining outputs
+    A'), and ``discarded`` is traced out. Classically the legs are
+    instruments and ``discarded`` is empty. Quantumly they are read-only
+    matrices, ``v`` the isometry ``V = U(|0>_A x .)`` and ``w`` the probe's
+    certified factor ``W``, which keeps the probe copies of A as ``discarded``.
+    Recomposing the legs reproduces ``u`` exactly (classical) or, quantumly,
+    as ``(W x 1_B')(1_A x V) = |0>_C x U`` within tolerance; this is
+    verified at construction.
     """
 
     env: CompositeSystem
-    v: Union[ClassicalInstrument, StateMap]
-    w: Union[ClassicalInstrument, StateMap]
+    v: Union[ClassicalInstrument, np.ndarray]
+    w: Union[ClassicalInstrument, np.ndarray]
+    discarded: CompositeSystem
 
 
 def memory_decomposition(
@@ -441,7 +447,7 @@ def find_witness(
 
 def replay_witness(u: Channel, witness: Witness, tol: float = DEFAULT_TOL) -> bool:
     """Re-derive the recorded violation from scratch; True iff it still holds."""
-    return u._replay(witness.detail, tol)
+    return u._replay(witness.kind, witness.detail, tol)
 
 
 # -- probe-process identities ---------------------------------------------------------

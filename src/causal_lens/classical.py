@@ -359,7 +359,8 @@ class ClassicalChannel(_ArrayTable):
         return sig, (self._witness(frm, to) if causal else None)
 
     def _memory(self, frm: tuple[str, ...], idle: tuple[str, ...], probe):
-        """The memory form ``(env, v, w)``, with no signalling ``frm -> idle``; ``probe`` unread."""
+        """The memory form ``(env, v, w, discarded)``, with no signalling ``frm -> idle``: ``w``
+        discards no wire, and ``probe`` is unread."""
         a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _memory_blocks(self, frm, idle)
         env_sys = _fresh_copies(self, self.input, b_names, "_env")
         d_a, d_b, d_bp = a_sys.total_dim, b_sys.total_dim, bp_sys.total_dim
@@ -381,7 +382,7 @@ class ClassicalChannel(_ArrayTable):
             and (self.output.digits(z, idle) == bp).all()
         ):
             raise ConsistencyError("memory decomposition failed to recompose")
-        return env_sys, v, w
+        return env_sys, v, w, composite()
 
     def _discard_leaves_rest_alone(self, act, bystander, tol: float = 0.0) -> bool:
         """Discarding the acting outputs leaves the ``bystander`` digits passing through."""
@@ -415,8 +416,10 @@ class ClassicalChannel(_ArrayTable):
                 }
         raise ConsistencyError("influence asserted but no constant preparation witnessed it")
 
-    def _replay(self, detail: dict, tol: float = 0.0) -> bool:
+    def _replay(self, kind: str, detail: dict, tol: float = 0.0) -> bool:
         """The recorded intervention still breaks the target-local form the same way."""
+        if kind != "intervention":
+            raise SpecError(f"a classical channel cannot replay a witness of kind {kind!r}")
         frm, env_dim = tuple(detail["acting_on"]), detail["env_dim"]
         conj = _conjugated_table(self, frm, env_dim, tuple(detail["intervention"]))
         violation = _local_form_violation(conj, env_dim, self.output, tuple(detail["target"]))

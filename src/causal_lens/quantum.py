@@ -19,8 +19,10 @@ nonzero imaginary part is stored and computed in float64, every other in
 complex128, by the same dtype-generic code; working-set estimates read the
 entry size off the matrix. ``UnitaryChannel`` owns the quantum kernels of
 ``causal``'s definitions, as the protocol steps listed there: the probe pass
-on the Gram kernel, the memory legs checked as one operator identity, ``(W x
-1)(1 x V) = |0> x U``, the premise, the inverse check and the witness.
+on the Gram kernel, the memory legs (the isometry ``V`` and the probe's
+factor ``W``, returned as the matrices checked as one operator identity,
+``(W x 1)(1 x V) = |0> x U``), the premise, the inverse check and the
+witness. ``_identity_factor`` is the one partial trace.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ from .systems import CompositeSystem, _grounded, _paired_layout, composite
 
 __all__ = [
     "DEFAULT_TOL",
-    "StateMap",
     "UnitaryChannel",
     "cnot",
     "from_classical",
@@ -74,13 +75,6 @@ def _grouped(
 def _first(pos: Sequence[int], n: int) -> list[int]:
     """Axes ``0..n-1`` with ``pos`` first, in the order given, then the rest in order."""
     return list(pos) + [k for k in range(n) if k not in pos]
-
-
-def _partial_trace(matrix: np.ndarray, system: CompositeSystem, keep: Iterable[str]) -> np.ndarray:
-    """Partial trace of any square matrix on ``system``; kept wires stay in system order."""
-    kept = system.restrict(keep)
-    g = _grouped(matrix, system, system, kept.names, kept.names)
-    return np.trace(g, axis1=1, axis2=3)
 
 
 def _heisenberg(u: "UnitaryChannel", blocks: Sequence[tuple[int, tuple[int, ...]]]) -> np.ndarray:
@@ -356,7 +350,7 @@ class UnitaryChannel:
             inp = composite(*zip(input_names, inp.dims))
         if output_names is not None:
             out = composite(*zip(output_names, out.dims))
-        return UnitaryChannel(inp, out, self.matrix)
+        return UnitaryChannel(inp, out, self.matrix, atol=self.atol)
 
     # -- causal-structure primitives -----------------------------------------
 
@@ -437,7 +431,7 @@ class UnitaryChannel:
         return causal, (self._witness(frm, to, m) if causal else None)
 
     def _memory(self, frm: tuple[str, ...], idle: tuple[str, ...], probe: Callable):
-        """The memory form ``(env, v, w)`` off the factor on ``idle`` of ``probe()``."""
+        """The memory form ``(env, v, w, discarded)`` off the factor on ``idle`` of ``probe()``."""
         tilde = probe()
         _, eps, w = _identity_factor(*_paired_grid(tilde, idle), tilde.atol)
         return _quantum_memory(self, frm, idle, tilde, eps, w)
@@ -497,14 +491,20 @@ class UnitaryChannel:
             "expected": [float(wanted.real), float(wanted.imag)],
         }
 
-    def _replay(self, detail: dict, tol: float = DEFAULT_TOL) -> bool:
+    def _replay(self, kind: str, detail: dict, tol: float = DEFAULT_TOL) -> bool:
         """The block is signalled and the entry still differs from its expected value."""
+        if kind != "factorization-defect":
+            raise SpecError(f"a quantum channel cannot replay a witness of kind {kind!r}")
         frm, to = tuple(detail["acting_on"]), tuple(detail["target"])
         m = _signalling_terms(self, frm, to)
         (t, s), (a, b) = detail["marginal_entry"], detail["from_unit"]
         k, l = detail["complement_unit"]
         wanted = (a == b) * m[t, s, 0, k, 0, l]
         return self.signals(frm, to, tol) and bool(m[t, s, a, k, b, l] != wanted)
+
+    def _conjugation_matches(self, probe, frm, instrument) -> bool:
+        """Instruments are classical tables, so the identity has no quantum form here."""
+        raise SpecError("probe_conjugation_matches_evolution covers the classical model only")
 
 
 def _gram_deltas(u: UnitaryChannel, sides: Sequence[int], tol: float) -> list[np.ndarray]:
@@ -563,34 +563,20 @@ def _quantum_memory(
     eps: float,
     t_mat: np.ndarray,
 ):
-    """The memory form ``(env, v, w)`` of ``u``, which does not signal from ``frm`` to ``idle``.
-
-    ``t_mat`` is the certified factor ``W`` of u's probe process ``tilde`` at
-    ``frm`` on ``idle`` (``_identity_factor``), not tested again, and ``eps``
-    its residual ``‖tilde − W x 1‖_F``.
+    """The memory form ``(env, v, w, discarded)`` of ``u``, which does not signal from
+    ``frm`` to ``idle``, as the read-only matrices the check verified: ``V = U(|0>_A x
+    .)``, rows ``(env, B')``, and ``t_mat``, the certified factor ``W`` of u's probe
+    ``tilde`` on ``idle`` (``_identity_factor``), not tested again, columns ``(A, env)``
+    and rows ``(discarded, A')``, the copies first; ``eps`` is ``‖tilde − W x 1‖_F``.
     """
-    a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _memory_blocks(u, frm, idle)
+    _, b_names, _, ap_names, _, _ = _memory_blocks(u, frm, idle)
     env_sys = _fresh_copies(u, u.output, ap_names, "_env")
-
-    # v = (evolve with the probed block in the ground state), rows grouped (A', B')
+    # V: evolve with the probed block in the ground state, rows grouped (A', B')
     rows = _grounded(u.output, ap_names + idle)
     v_iso = u.matrix[np.ix_(rows, _grounded(u.input, b_names))]
-
-    def v_eval(rho: np.ndarray) -> np.ndarray:
-        return v_iso @ rho @ v_iso.conj().T
-
-    v = StateMap(b_sys, env_sys.concat(bp_sys), v_eval)
-
-    # w feeds (A, env) through the extracted probe factor and discards the copies
-    t_out = tilde.output.restrict(tilde.output.complement(idle))
-
-    def w_eval(x: np.ndarray) -> np.ndarray:
-        return _partial_trace(t_mat @ x @ t_mat.conj().T, t_out, ap_names)
-
-    w = StateMap(a_sys.concat(env_sys), ap_sys, w_eval)
-
     _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, _factor_atol(eps, u.atol))
-    return env_sys, v, w
+    v_iso.flags.writeable = t_mat.flags.writeable = False
+    return env_sys, v_iso, t_mat, tilde.output.select(tilde.output.names[: len(frm)])
 
 
 def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_tol):
@@ -626,25 +612,6 @@ def _worst_entry(gap: np.ndarray, mirror: Sequence[int]) -> tuple[int, ...]:
     """
     sym = np.maximum(gap, gap.transpose(mirror))
     return tuple(int(i) for i in np.unravel_index(np.argmax(sym), sym.shape))
-
-
-@dataclass(frozen=True, eq=False)
-class StateMap:
-    """A channel in evaluator form: a closure acting on density matrices.
-
-    Used for the non-reversible legs of a memory decomposition, where a
-    unitary representation does not exist.
-    """
-
-    input: CompositeSystem
-    output: CompositeSystem
-    evaluate: Callable[[np.ndarray], np.ndarray]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.input.total_dim,) * 2:
-            raise SpecError("state shape does not match the map's input system")
-        return self.evaluate(rho)
 
 
 # -- gate constructors ---------------------------------------------------------

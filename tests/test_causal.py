@@ -255,6 +255,7 @@ def test_memory_cnot_from_target_exists():
     # v copies its input: x -> (x, x); w xors: (y, e) -> y ^ e
     assert dec.v.table == (0, 3)
     assert dec.w.table == (0, 1, 1, 0)
+    assert dec.discarded.dims == ()  # w discards no wire
 
 
 def test_memory_cnot_from_control_missing():
@@ -284,7 +285,7 @@ def test_memory_quantum_cnot():
     dec = memory_decomposition(quantum.UnitaryChannel.identity(BITS), ["A"], ["B"])
     assert dec is not None
     rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    out = dec.v.apply(rho)
+    out = dec.v @ rho @ dec.v.conj().T
     assert out.shape == (4, 4)
     assert abs(np.trace(out) - 1) <= 1e-9
 
@@ -296,7 +297,7 @@ def test_memory_quantum_product_channel():
     u = va.tensor(vb)
     dec = memory_decomposition(u, ["A"], ["B"])
     assert dec is not None
-    sigma = dec.v.apply(np.eye(2, dtype=complex) / 2)
+    sigma = dec.v @ (np.eye(2, dtype=complex) / 2) @ dec.v.conj().T
     kept = sigma.reshape(2, 2, 2, 2)
     target_marginal = np.trace(kept, axis1=0, axis2=2)
     assert np.max(np.abs(target_marginal - vb.matrix @ (np.eye(2) / 2) @ vb.matrix.conj().T)) <= 1e-9
@@ -566,6 +567,20 @@ def test_a_constant_preparation_witnesses_every_classical_influence():
 def test_witness_requires_influence():
     with pytest.raises(SpecError):
         find_witness(IDENT, ["A"], ["B"])
+
+
+def test_a_witness_of_the_other_model_does_not_replay():
+    lift = quantum.from_classical(classical.cnot())
+    with pytest.raises(SpecError, match="quantum channel cannot replay a witness of kind 'intervention'"):
+        replay_witness(lift, find_witness(classical.cnot(), ["A"], ["B"]))
+    with pytest.raises(SpecError, match="classical channel cannot replay .* 'factorization-defect'"):
+        replay_witness(classical.cnot(), find_witness(lift, ["A"], ["B"]))
+
+
+def test_probe_conjugation_covers_the_classical_model_only():
+    identity = ClassicalInstrument.identity(composite(("A", 2)))
+    with pytest.raises(SpecError, match="covers the classical model only"):
+        probe_conjugation_matches_evolution(quantum.cnot(), ["A"], identity)
 
 
 # -- mixed-radix tables against a per-point reference -----------------------------------

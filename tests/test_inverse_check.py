@@ -13,10 +13,21 @@ import pytest
 from causal_lens import classical, quantum
 from causal_lens.causal import inverse_nosignalling_check
 from causal_lens.errors import SpecError
-from causal_lens.quantum import UnitaryChannel, _delta_gap, _partial_trace, _signalling_terms
+from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_terms
 from causal_lens.systems import _grounded, composite
 
 BITS = composite(("A", 2), ("B", 2))
+
+
+def partial_trace(matrix, system, keep):
+    """Partial trace of a square matrix on ``system``; kept wires stay in system order."""
+    n = len(system)
+    kept = [k for k, name in enumerate(system.names) if name in set(keep)]
+    # a traced wire shares its row and column label, so einsum sums its diagonal
+    cols = [n + k if k in kept else k for k in range(n)]
+    out = np.einsum(matrix.reshape(system.dims * 2), list(range(n)) + cols, kept + [n + k for k in kept])
+    d_kept = int(np.prod([system.dims[k] for k in kept]))
+    return out.reshape(d_kept, d_kept)
 
 
 def loop_deviation(u, frm, to):
@@ -32,9 +43,9 @@ def loop_deviation(u, frm, to):
         for z2 in range(d):
             e = np.zeros((d, d), dtype=complex)
             e[z1, z2] = 1.0
-            sigma = _partial_trace(udag @ e @ u.matrix, u.input, b_names)
-            lhs = _partial_trace(c_iso @ sigma @ c_iso.conj().T, u.output, to)
-            rhs = _partial_trace(e, u.output, to)
+            sigma = partial_trace(udag @ e @ u.matrix, u.input, b_names)
+            lhs = partial_trace(c_iso @ sigma @ c_iso.conj().T, u.output, to)
+            rhs = partial_trace(e, u.output, to)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 

@@ -96,17 +96,17 @@ def test_a_perturbed_leg_fails_to_recompose(monkeypatch, leg, verify, eps):
         assert memory_decomposition(u, ["A"], ["B"]) is not None
 
 
-def test_a_global_phase_on_the_factor_recomposes_states_but_fails_the_identity(monkeypatch):
+def test_a_global_phase_on_the_factor_recomposes_states_but_fails_the_identity():
     # e^{iφ} W gives the same legs on states, not the same operator
-    library = quantum._verify_quantum_memory
-    calls = []
-    monkeypatch.setattr(quantum, "_verify_quantum_memory", lambda *args: calls.append(args))
-    assert memory_decomposition(no_signalling_channel(), ["A"], ["B"]) is not None
-    ((*head, v_iso, t_mat, tol),) = calls
-    phased = np.exp(0.3j) * t_mat
-    reference_verify(*head, v_iso, phased, tol)
+    u = no_signalling_channel()
+    dec = memory_decomposition(u, ["A"], ["B"])
+    head = (u, ("A",), u.input.complement(["A"]), u.output.complement(["B"]), ("B",))
+    tol = quantum.DEFAULT_TOL
+    quantum._verify_quantum_memory(*head, dec.v, dec.w, tol)
+    phased = np.exp(0.3j) * dec.w
+    reference_verify(*head, dec.v, phased, tol)
     with pytest.raises(ConsistencyError, match="failed to recompose"):
-        library(*head, v_iso, phased, tol)
+        quantum._verify_quantum_memory(*head, dec.v, phased, tol)
 
 
 def random_state(dim, rng):
@@ -125,7 +125,7 @@ def random_state(dim, rng):
     ],
     ids=["one-idle-wire", "one-idle-wire-first", "two-idle-wires", "six-qubits"],
 )
-def test_the_legs_recompose_the_evolution_through_apply(dims, first, then, frm, idle):
+def test_the_leg_matrices_recompose_the_evolution_on_states(dims, first, then, frm, idle):
     # u runs a gate on ``first``, then one on ``then``: ``frm`` reaches no idle output
     rng = np.random.default_rng([49, len(dims), ord(frm)])
     system = composite(*zip("ABCDEF", dims))
@@ -138,15 +138,15 @@ def test_the_legs_recompose_the_evolution_through_apply(dims, first, then, frm, 
     d_ap, d_bp = u.output.select(ap_names).total_dim, u.output.select(idle).total_dim
     assert dec.env.total_dim == d_ap
     grouped = reorder_wires(u, list(frm) + list(b_names), list(ap_names) + list(idle)).matrix
+    # W on (A, env) beside B', then the discarded copies traced out
+    big_w, d_c = np.kron(dec.w, np.eye(d_bp)), dec.discarded.total_dim
     for _ in range(3):
         rho_a, rho_b = random_state(d_a, rng), random_state(d_b, rng)
         want = grouped @ np.kron(rho_a, rho_b) @ grouped.conj().T
-        sigma = dec.v.apply(rho_b).reshape(d_ap, d_bp, d_ap, d_bp)  # on (env, B')
-        got = np.zeros((d_ap, d_bp, d_ap, d_bp), dtype=complex)
-        for k in range(d_bp):
-            for l in range(d_bp):
-                got[:, k, :, l] = dec.w.apply(np.kron(rho_a, sigma[:, k, :, l]))
-        assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-12
+        sigma = dec.v @ rho_b @ dec.v.conj().T  # on (env, B')
+        moved = big_w @ np.kron(rho_a, sigma) @ big_w.conj().T  # on (discarded, A', B')
+        got = np.trace(moved.reshape(d_c, len(want), d_c, len(want)), axis1=0, axis2=2)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def sweep_channels(seeds):
@@ -239,3 +239,52 @@ def test_the_identity_error_is_within_the_probe_residual(monkeypatch):
     assert len(checked) == 144
     assert all(err <= eps * (1 + 1e-9) + 1e-12 for err, eps in checked)
     assert min(eps for _, eps in checked) > 0
+
+
+def test_the_returned_legs_are_the_verified_legs(monkeypatch):
+    checked = []
+    library = quantum._verify_quantum_memory
+
+    def spy(*args):
+        checked.append(args)
+        library(*args)
+
+    monkeypatch.setattr(quantum, "_verify_quantum_memory", spy)
+    for u in sweep_channels(range(0, 800, 17)):
+        to = u.output.names[-1]
+        delta = _signalling_delta(_signalling_terms(u, ("A",), (to,)))
+        before = len(checked)
+        dec = memory_decomposition(u, ["A"], [to], delta * 1.01)
+        assert len(checked) == before + 1
+        *_, v_iso, t_mat, _ = checked[-1]
+        assert np.array_equal(dec.v, v_iso) and np.array_equal(dec.w, t_mat)
+    assert len(checked) == 144
+
+
+def exact_case(name):
+    """``(u, from, idle)`` of an exact input without signalling."""
+    rng = np.random.default_rng(53)
+    a, b = composite(("A", 2)), composite(("B", 3))
+    if name == "swap":  # the memory wire carries B, so neither leg is trivial
+        return quantum.swap_gate(), ("A",), ("A",)
+    if name == "identity":
+        return UnitaryChannel.identity(a.concat(b)), ("A",), ("B",)
+    return quantum.random_unitary(a, rng).tensor(quantum.random_unitary(b, rng)), ("A",), ("B",)
+
+
+@pytest.mark.parametrize("name", ["swap", "identity", "product"])
+def test_the_fields_alone_recompose_an_exact_evolution(name):
+    u, frm, idle = exact_case(name)
+    dec = memory_decomposition(u, frm, idle)
+    b_names, ap_names = u.input.complement(frm), u.output.complement(idle)
+    assert identity_error(u, frm, b_names, ap_names, idle, dec.v, dec.w) <= 1e-12
+    # the legs are data: read-only, shaped (env, B') by B and (discarded, A') by (A, env)
+    for leg in (dec.v, dec.w):
+        assert not leg.flags.writeable
+        with pytest.raises(ValueError):
+            leg[0, 0] = 0.0
+    d_b, d_bp = u.input.select(b_names).total_dim, u.output.select(idle).total_dim
+    d_a, d_ap = u.input.select(frm).total_dim, u.output.select(ap_names).total_dim
+    assert dec.v.shape == (dec.env.total_dim * d_bp, d_b)
+    assert dec.w.shape == (dec.discarded.total_dim * d_ap, d_a * dec.env.total_dim)
+    assert dec.discarded.dims == u.input.select(frm).dims

@@ -8,14 +8,13 @@ from causal_lens.cli import load_channel_file, load_rule_file
 from causal_lens.errors import SpecError
 from causal_lens.quantum import (
     UnitaryChannel,
-    _partial_trace,
     cnot,
     from_classical,
     hadamard,
     random_unitary,
     swap_gate,
 )
-from causal_lens import classical
+from causal_lens import classical, quantum
 from causal_lens.systems import composite
 
 QUBITS = composite(("A", 2), ("B", 2))
@@ -143,36 +142,6 @@ def pure(vec):
     return np.outer(v, v.conj())
 
 
-def test_partial_trace_product_state():
-    rho_a, rho_b = pure([1, 1]), pure([1, 1j])
-    joint = np.kron(rho_a, rho_b)
-    assert np.allclose(_partial_trace(joint, QUBITS, ["B"]), rho_b, atol=1e-12)
-    assert np.allclose(_partial_trace(joint, QUBITS, ["A"]), rho_a, atol=1e-12)
-
-
-def test_partial_trace_bell_state():
-    reduced = _partial_trace(pure([1, 0, 0, 1]), QUBITS, ["A"])
-    assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_keep_all_is_identity_operation():
-    rho = pure([1, 2, 3, 4])
-    assert np.allclose(_partial_trace(rho, QUBITS, ["A", "B"]), rho)
-    with pytest.raises(SpecError):
-        _partial_trace(rho, QUBITS, ["Z"])
-
-
-def test_partial_trace_preserves_trace_and_positivity():
-    rng = np.random.default_rng(1)
-    sys3 = composite(("A", 2), ("B", 3), ("C", 2))
-    for _ in range(10):
-        z = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        m = z @ z.conj().T
-        red = _partial_trace(m / np.trace(m), sys3, ["B"])
-        assert abs(np.trace(red) - 1) <= 1e-9
-        assert np.min(np.linalg.eigvalsh(red)) >= -1e-8
-
-
 def test_signals_cnot_kickback():
     u = cnot(out_names=("A'", "B'"))
     assert u.signals(["B"], ["A'"])  # the quantum target kicks back on the control
@@ -239,7 +208,7 @@ def test_memory_route_through_swap():
     dec = memory_decomposition(u, ["A"], ["A"])
     assert dec is not None
     rho = pure([1, -1])
-    out = dec.v.apply(rho)  # on (env, idle output block)
+    out = dec.v @ rho @ dec.v.conj().T  # on (env, idle output block)
     idle_marginal = np.trace(out.reshape(2, 2, 2, 2), axis1=0, axis2=2)
     assert np.max(np.abs(idle_marginal - rho)) <= 1e-9
 
@@ -249,6 +218,23 @@ def test_factors_hadamard_tensor_identity():
     w = u.factors_as_identity(["B"])
     assert w is not None
     assert np.allclose(w.matrix, hadamard().matrix, atol=1e-12)
+
+
+def test_with_names_keeps_a_factor_s_certificate():
+    # a near-identity factor is certified at its derived bound; renaming its
+    # wires changes no entry, so the same bound must still hold
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    w, v = np.linalg.eigh((z + z.conj().T) / 2)
+    u = UnitaryChannel(QUBITS, QUBITS, (v * np.exp(1e-4j * w)) @ v.conj().T)
+    factor = u.factors_as_identity(["B"], tol=1e-3)
+    # the factor's defect is above DEFAULT_TOL, inside its own bound
+    assert quantum.DEFAULT_TOL < np.max(np.abs(factor.matrix.conj().T @ factor.matrix - np.eye(2)))
+    assert factor.atol > 1e-4
+    renamed = factor.with_names(["X"], ["X"])
+    assert renamed.atol == factor.atol
+    assert renamed.input.names == renamed.output.names == ("X",)
+    assert np.array_equal(renamed.matrix, factor.matrix)
 
 
 def test_factors_cnot_idle_b_fails():
