@@ -15,14 +15,15 @@ disturbance, witnesses, and the generic wiring (``embed_on``,
 reached only through the protocol ``ClassicalChannel`` and ``UnitaryChannel``
 share: ``signals``, ``wire_signalling``, ``factors_as_identity``, ``compose``,
 ``tensor``, ``invert`` and the package-internal steps ``_probes`` (a stack of
-probe processes in closed form), ``_probe_channel`` (one as a channel),
-``_probe_pass`` (the per-wire idle sweep, then the joint factorization),
-``_influence_relation``, ``_wire_relations``, ``_hierarchy`` (signalling
-and the witness, the memory legs verified where nothing signals),
-``_memory`` (the legs as data), ``_discard_leaves_rest_alone``,
-``_inverse_nosignalling``, ``_witness``, ``_replay`` and
-``_conjugation_matches``; a model refuses another model's witness or
-instrument. Wire names are read through ``CompositeSystem.subset_positions``.
+probe processes in closed form), ``_probe`` (the bare probe at one block,
+as a stack of one and as a certified channel), ``_probe_pass`` (the
+per-wire idle sweep, then the joint factorization), ``_influence_relation``,
+``_wire_relations``, ``_hierarchy`` (signalling and the witness, the memory
+legs verified where nothing signals), ``_memory`` (the legs as data),
+``_discard_leaves_rest_alone``, ``_inverse_nosignalling``, ``_witness``,
+``_replay`` and ``_conjugation_matches``; a model refuses another model's
+witness or instrument. Only a question that reads an idle set runs the
+probe pass. Wire names are read through ``CompositeSystem.subset_positions``.
 """
 from __future__ import annotations
 
@@ -155,14 +156,13 @@ def t_process(u: Channel, probed: Iterable[str], tol: float = DEFAULT_TOL) -> TP
     The probe channel is (copy-padded u) after (swap copies with probed inputs)
     after (copy-padded u inverse), read off ``u`` in closed form: classically
     the table ``(c, z) -> (x_A, u(x with A := c))`` for ``x = u^-1(z)``,
-    quantumly one matrix product on ``U``. Only here is the probe built as a
-    channel, whose constructor certifies it, then run through the model's
-    probe pass as a stack of one; the factor on the idle set is
+    quantumly one matrix product on ``U``. The model's bare probe (``_probe``)
+    is a stack of one and a channel, whose constructor certifies it; the
+    stack runs the model's probe pass. The factor on the idle set is
     ``channel.factors_as_identity(idle_subset)``.
     """
     frm = _ordered_subset(u.input, probed)
-    probes = u._probes([tuple(u.input.position(n) for n in frm)])
-    tilde = u._probe_channel(frm, probes)
+    probes, tilde = u._probe(frm)
     mask = u._probe_pass(probes, tol)
     return TProcessResult(
         channel=tilde,
@@ -250,14 +250,14 @@ def memory_decomposition(
     """Memory-channel form of ``u`` for the bipartition (from_in | rest).
 
     Exists iff ``from_in`` cannot signal to ``idle_out``; returns None when
-    signalling holds.
+    signalling holds. No probe pass runs: the idle set is given, and only
+    the quantum legs build the bare probe, whose factor on it is ``W``.
     """
     frm = _ordered_subset(u.input, from_in)
     idle = _ordered_subset(u.output, idle_out)
     if u.signals(frm, idle, tol):
         return None
-    # the probe process, built only where the model's legs read it (quantumly)
-    return MemoryDecomposition(*u._memory(frm, idle, lambda: t_process(u, frm, tol).channel))
+    return MemoryDecomposition(*u._memory(frm, idle))
 
 
 # -- hierarchy ---------------------------------------------------------------------
@@ -460,7 +460,7 @@ def probe_conjugation_matches_evolution(
     equals conjugating it by the evolution, with the probe copy passing through.
 
     The instrument acts on (environment wires, probe block); its trailing wire
-    dimensions must match the probed block.
+    dimensions must match the probed block. The identity reads the bare
+    probe, which the classical step builds; the quantum step refuses first.
     """
-    tp = t_process(u, probed)
-    return u._conjugation_matches(tp.channel, tp.probed, instrument)
+    return u._conjugation_matches(_ordered_subset(u.input, probed), instrument)

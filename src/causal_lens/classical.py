@@ -10,10 +10,12 @@ a single point, and undefined points are explicit null events rather than
 renormalized branches.
 
 ``ClassicalChannel`` owns the classical kernels of ``causal``'s definitions,
-as the protocol steps listed there: the probe stack from one ``argsort``, its
-pass (``_steps_by``, then ``_classical_joint_test``), the memory legs, the
-witness and its replay. The helpers both models need (``_dim_chunks``,
-``_fresh_copies``, ``_memory_blocks``) live here; ``quantum`` imports them.
+as the protocol steps listed there: the probe stack from one ``argsort``, the
+bare probe (``_probe``), its pass (``_steps_by``, then
+``_classical_joint_test``), the memory legs read off the table with no
+probe, the witness and its replay. The helpers both models need
+(``_dim_chunks``, ``_fresh_copies``, ``_at_zero``) live here; ``quantum``
+imports them.
 """
 
 from __future__ import annotations
@@ -76,14 +78,6 @@ def _fresh_copies(u, system: CompositeSystem, names: Sequence[str], suffix: str)
         taken.add(cand)
         parts.append((cand, dim))
     return composite(*parts)
-
-
-def _memory_blocks(u, frm: tuple[str, ...], idle: tuple[str, ...]):
-    """The blocks of a memory form: ``A``, ``B``'s names, ``B``, ``A'``'s names, ``A'``, ``B'``."""
-    b_names, ap_names = u.input.complement(frm), u.output.complement(idle)
-    a_sys, b_sys = u.input.restrict(frm), u.input.restrict(b_names)
-    ap_sys, bp_sys = u.output.restrict(ap_names), u.output.restrict(idle)
-    return a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys
 
 
 def _at_zero(grid: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -323,10 +317,11 @@ class ClassicalChannel(_ArrayTable):
         tables = _read_digits(x, strides, dims) * self.output.total_dim + after
         return tables.reshape((len(blocks), d_a) + self.output.dims)
 
-    def _probe_channel(self, frm: tuple[str, ...], probes: np.ndarray) -> "ClassicalChannel":
-        """The probe of a stack of one as a channel on (copies of ``frm``, outputs)."""
+    def _probe(self, frm: tuple[str, ...]) -> tuple[np.ndarray, "ClassicalChannel"]:
+        """The probe at ``frm`` as ``(stack of one, channel on (copies of frm, outputs))``."""
+        probes = self._probes([self.input.layout(frm)[0]])
         system = _fresh_copies(self, self.input, frm, "_1").concat(self.output)
-        return ClassicalChannel(system, system, probes.reshape(-1))
+        return probes, ClassicalChannel(system, system, probes.reshape(-1))
 
     def _probe_pass(self, probes: np.ndarray, tol: float = 0.0, zd=None) -> np.ndarray:
         """``idle[p, k]`` of a certified ``_probes`` stack: one ``_steps_by`` call, then
@@ -355,13 +350,15 @@ class ClassicalChannel(_ArrayTable):
         """``(signalling, witness)``; with no signalling the memory form is built and verified."""
         sig = self.signals(frm, to, tol)
         if not sig:
-            self._memory(frm, to, None)
+            self._memory(frm, to)
         return sig, (self._witness(frm, to) if causal else None)
 
-    def _memory(self, frm: tuple[str, ...], idle: tuple[str, ...], probe):
-        """The memory form ``(env, v, w, discarded)``, with no signalling ``frm -> idle``: ``w``
-        discards no wire, and ``probe`` is unread."""
-        a_sys, b_names, b_sys, ap_names, ap_sys, bp_sys = _memory_blocks(self, frm, idle)
+    def _memory(self, frm: tuple[str, ...], idle: tuple[str, ...]):
+        """The memory form ``(env, v, w, discarded)``, with no signalling ``frm -> idle``, read
+        off the table with no probe: ``w`` discards no wire."""
+        b_names, ap_names = self.input.complement(frm), self.output.complement(idle)
+        a_sys, b_sys = self.input.restrict(frm), self.input.restrict(b_names)
+        ap_sys, bp_sys = self.output.restrict(ap_names), self.output.restrict(idle)
         env_sys = _fresh_copies(self, self.input, b_names, "_env")
         d_a, d_b, d_bp = a_sys.total_dim, b_sys.total_dim, bp_sys.total_dim
 
@@ -425,8 +422,9 @@ class ClassicalChannel(_ArrayTable):
         violation = _local_form_violation(conj, env_dim, self.output, tuple(detail["target"]))
         return violation is not None and violation["type"] == detail["violation"]["type"]
 
-    def _conjugation_matches(self, probe: "ClassicalChannel", frm, instrument) -> bool:
-        """``causal.probe_conjugation_matches_evolution`` off ``probe``, the probe at ``frm``."""
+    def _conjugation_matches(self, frm: tuple[str, ...], instrument) -> bool:
+        """``causal.probe_conjugation_matches_evolution`` off the bare probe at ``frm``."""
+        _, probe = self._probe(frm)
         from_sys = self.input.select(frm)
         d_from = from_sys.total_dim
         if frm and tuple(instrument.input.dims[-len(frm):]) != from_sys.dims:

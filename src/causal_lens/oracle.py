@@ -81,10 +81,6 @@ class OracleVerdict:
     witness_table: Optional[tuple[Optional[int], ...]] = None
     interventions_checked: int = 0
 
-    @property
-    def summary(self) -> str:
-        return "influence" if self.influence else "no-influence-up-to-budget"
-
 
 def _tables(m: int) -> Iterator[tuple[int, ...]]:
     if m**m > MAX_FUNCTION_TABLES:

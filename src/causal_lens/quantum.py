@@ -18,24 +18,24 @@ factor on a block of wires comes from one kernel, ``_identity_factor``: ``W
 nonzero imaginary part is stored and computed in float64, every other in
 complex128, by the same dtype-generic code; working-set estimates read the
 entry size off the matrix. ``UnitaryChannel`` owns the quantum kernels of
-``causal``'s definitions, as the protocol steps listed there: the probe pass
-on the Gram kernel, the memory legs (the isometry ``V`` and the probe's
-factor ``W``, returned as the matrices checked as one operator identity,
-``(W x 1)(1 x V) = |0> x U``), the premise, the inverse check and the
-witness. ``_identity_factor`` is the one partial trace.
+``causal``'s definitions, as the protocol steps listed there: the probe and
+its pass on the Gram kernel, the memory legs (``V``, off one regroup of
+``U``, and the probe's factor ``W``, returned as the matrices checked as one
+operator identity, ``(W x 1)(1 x V) = |0> x U``), the premise, the inverse
+check and the witness. ``_identity_factor`` is the one partial trace.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import classical
-from .classical import _at_zero, _dim_chunks, _fresh_copies, _memory_blocks
+from .classical import _at_zero, _dim_chunks, _fresh_copies
 from .errors import ConsistencyError, SpecError
-from .systems import CompositeSystem, _grounded, _paired_layout, composite
+from .systems import CompositeSystem, _paired_layout, composite
 
 __all__ = [
     "DEFAULT_TOL",
@@ -400,10 +400,11 @@ class UnitaryChannel:
         """The probes at the input ``blocks``, one stack: ``_heisenberg`` on side 0."""
         return _heisenberg(self, [(0, b) for b in blocks])
 
-    def _probe_channel(self, frm: tuple[str, ...], probes: np.ndarray) -> "UnitaryChannel":
-        """The probe of a stack of one as a channel on (copies of ``frm``, outputs)."""
+    def _probe(self, frm: tuple[str, ...]) -> tuple[np.ndarray, "UnitaryChannel"]:
+        """The probe at ``frm`` as ``(stack of one, channel on (copies of frm, outputs))``."""
+        probes = self._probes([self.input.layout(frm)[0]])
         system = _fresh_copies(self, self.input, frm, "_1").concat(self.output)
-        return UnitaryChannel(system, system, probes.reshape(system.total_dim, -1))
+        return probes, UnitaryChannel(system, system, probes.reshape(system.total_dim, -1))
 
     def _probe_pass(self, probes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """``idle[p, k]`` of a certified stack, as the Gram loop reads its probe rows."""
@@ -430,9 +431,10 @@ class UnitaryChannel:
             _quantum_memory(self, frm, to, probe, eps, w)
         return causal, (self._witness(frm, to, m) if causal else None)
 
-    def _memory(self, frm: tuple[str, ...], idle: tuple[str, ...], probe: Callable):
-        """The memory form ``(env, v, w, discarded)`` off the factor on ``idle`` of ``probe()``."""
-        tilde = probe()
+    def _memory(self, frm: tuple[str, ...], idle: tuple[str, ...]):
+        """The memory form ``(env, v, w, discarded)`` off the factor on ``idle`` of the bare
+        probe at ``frm``: no probe pass, since the idle set is given."""
+        _, tilde = self._probe(frm)
         _, eps, w = _identity_factor(*_paired_grid(tilde, idle), tilde.atol)
         return _quantum_memory(self, frm, idle, tilde, eps, w)
 
@@ -502,8 +504,9 @@ class UnitaryChannel:
         wanted = (a == b) * m[t, s, 0, k, 0, l]
         return self.signals(frm, to, tol) and bool(m[t, s, a, k, b, l] != wanted)
 
-    def _conjugation_matches(self, probe, frm, instrument) -> bool:
-        """Instruments are classical tables, so the identity has no quantum form here."""
+    def _conjugation_matches(self, frm, instrument) -> bool:
+        """Instruments are classical tables, so the identity has no quantum form here: the
+        refusal comes before any probe is formed."""
         raise SpecError("probe_conjugation_matches_evolution covers the classical model only")
 
 
@@ -569,11 +572,11 @@ def _quantum_memory(
     ``tilde`` on ``idle`` (``_identity_factor``), not tested again, columns ``(A, env)``
     and rows ``(discarded, A')``, the copies first; ``eps`` is ``‖tilde − W x 1‖_F``.
     """
-    _, b_names, _, ap_names, _, _ = _memory_blocks(u, frm, idle)
+    b_names, ap_names = u.input.complement(frm), u.output.complement(idle)
     env_sys = _fresh_copies(u, u.output, ap_names, "_env")
-    # V: evolve with the probed block in the ground state, rows grouped (A', B')
-    rows = _grounded(u.output, ap_names + idle)
-    v_iso = u.matrix[np.ix_(rows, _grounded(u.input, b_names))]
+    # V: evolve with the probed block in the ground state, off U grouped [A', B', A, B]
+    g = _grouped(u.matrix, u.output, u.input, ap_names, frm)
+    v_iso = np.ascontiguousarray(g[:, :, 0]).reshape(-1, g.shape[3])
     _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, _factor_atol(eps, u.atol))
     v_iso.flags.writeable = t_mat.flags.writeable = False
     return env_sys, v_iso, t_mat, tilde.output.select(tilde.output.names[: len(frm)])
@@ -587,17 +590,15 @@ def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_
     ``R = tilde - W x 1``: every entry is at most ``ε = ‖R‖_F`` plus u's
     certificate, within ``check_tol``. The legs' Kraus operators are the
     copy rows ``<c|`` of the left side, so the identity gives ``U rho U+``
-    back on every state. Both sides are grouped (A', B') by (A, B).
+    back on every state. Both sides are grouped (A', B') by (A, B), with B'
+    (``idle``) and B (``b_names``) in system order, as ``_grouped`` leaves them.
     """
-    d_a = u.input.select(frm).total_dim
-    d_ap = u.output.select(ap_names).total_dim
-    rows, cols = _grounded(u.output, ap_names + idle), _grounded(u.input, frm + b_names)
-    u_g = u.matrix[np.ix_(rows, cols)]
-    d_bp, d_b = len(rows) // d_ap, len(cols) // d_a
+    u_g = _grouped(u.matrix, u.output, u.input, ap_names, frm)  # [A', B', A, B]
+    d_ap, d_bp, d_a, d_b = u_g.shape
     # lhs[(c, A'), a, B', b]: the factor's env input contracted with V's A' rows
     lhs = np.tensordot(t_mat.reshape(-1, d_a, d_ap), v_iso.reshape(d_ap, d_bp, d_b), 1)
     lhs = lhs.reshape(d_a, d_ap, d_a, d_bp, d_b)
-    lhs[0] -= u_g.reshape(d_ap, d_bp, d_a, d_b).transpose(0, 2, 1, 3)
+    lhs[0] -= u_g.transpose(0, 2, 1, 3)
     if np.max(np.abs(lhs)) > check_tol:
         raise ConsistencyError("quantum memory decomposition failed to recompose")
 

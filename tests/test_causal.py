@@ -324,6 +324,54 @@ def test_hierarchy_report_builds_one_probe_process(monkeypatch, case):
     assert len(built) == 1
 
 
+def spy_on(monkeypatch, targets):
+    """Record the name of each call to the ``(owner, name)`` targets, in call order."""
+    calls = []
+    for owner, name in targets:
+        def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+PROBE_PASSES = [
+    (causal, "t_process"),
+    (ClassicalChannel, "_probe_pass"),
+    (UnitaryChannel, "_probe_pass"),
+]
+
+
+def spectator_beside_a_gate():
+    """A seed-5 random unitary on (A, C) beside an idle B, wires listed (A, C, B)."""
+    ac = quantum.random_unitary(composite(("A", 2), ("C", 2)), np.random.default_rng(5))
+    return ac.tensor(UnitaryChannel.identity(composite(("B", 2))))
+
+
+@pytest.mark.parametrize(
+    "u,frm,idle,factors",
+    [
+        (K, ["B"], ["A"], 0),
+        (spectator_beside_a_gate(), ["A"], ["B"], 1),
+        (quantum.swap_gate(), ["A"], ["A"], 1),
+    ],
+    ids=["classical-cnot", "quantum-spectator", "quantum-swap"],
+)
+def test_memory_decomposition_runs_no_probe_pass(monkeypatch, u, frm, idle, factors):
+    # the idle set is given: the classical legs read the table, the quantum legs
+    # one factor of the bare probe
+    calls = spy_on(monkeypatch, PROBE_PASSES + [(quantum, "_identity_factor")])
+    assert memory_decomposition(u, frm, idle) is not None
+    assert calls == ["_identity_factor"] * factors
+
+
+def test_probe_conjugation_runs_no_probe_pass(monkeypatch):
+    calls = spy_on(monkeypatch, PROBE_PASSES)
+    assert probe_conjugation_matches_evolution(K, ["A"], ClassicalInstrument.identity(composite(("A", 2))))
+    assert calls == []
+
+
 def test_hierarchy_cnot_target_to_control():
     rep = hierarchy_report(K, ["B"], ["A"])
     assert (rep.causal_influence, rep.memory_decomposable, rep.signalling) == (True, True, False)
@@ -577,10 +625,15 @@ def test_a_witness_of_the_other_model_does_not_replay():
         replay_witness(classical.cnot(), find_witness(lift, ["A"], ["B"]))
 
 
-def test_probe_conjugation_covers_the_classical_model_only():
-    identity = ClassicalInstrument.identity(composite(("A", 2)))
+def test_probe_conjugation_covers_the_classical_model_only(monkeypatch):
+    u, identity = quantum.cnot(), ClassicalInstrument.identity(composite(("A", 2)))
+    # the refusal comes before any probe is formed or certified
+    calls = spy_on(
+        monkeypatch, PROBE_PASSES + [(UnitaryChannel, "_probes"), (quantum, "_certify_unitary")]
+    )
     with pytest.raises(SpecError, match="covers the classical model only"):
-        probe_conjugation_matches_evolution(quantum.cnot(), ["A"], identity)
+        probe_conjugation_matches_evolution(u, ["A"], identity)
+    assert calls == []
 
 
 # -- mixed-radix tables against a per-point reference -----------------------------------

@@ -380,9 +380,14 @@ def test_oracle_on_a_quantum_file_exits_1_naming_the_classical_model(capsys):
     assert code == 1 and out == "" and "classical model" in err
 
 
+def qubit_names(matrix):
+    """A, B for a 4 x 4 matrix; A, B, C for an 8 x 8 one."""
+    return "ABC"[: round(np.log2(len(matrix)))]
+
+
 def quantum_file(path, matrix):
-    """Write ``matrix`` as a quantum channel file on qubits A, B."""
-    qubits = [{"name": "A", "dim": 2}, {"name": "B", "dim": 2}]
+    """Write ``matrix`` as a quantum channel file on the qubits ``qubit_names(matrix)``."""
+    qubits = [{"name": name, "dim": 2} for name in qubit_names(matrix)]
     path.write_text(json.dumps({
         "model": "quantum",
         "inputs": qubits,
@@ -481,25 +486,72 @@ def test_the_certificate_floor_is_a_valid_quantum_tol(capsys, tmp_path):
 #     the 1e-12 floor of their comparison, so both commands exit 2.
 # (b) H ⊗ 1 with entries ±0.707106781 (defect 5.3e-10): the probe's defect is
 #     2η + η² of the input's η, yet it is certified at 1e-9, so both exit 1.
+# (c) a spectator beside a gate, (cnot + 1e-12·G) ⊗ 1_C (defect 1.59e-12): the
+#     probe reads δ(A→C) = 0 exactly, the signalling pass about 0.8 of the
+#     defect, above the 1e-12 floor, so both exit 2. At 1e-13·G both exit 0.
 IDENTITY_WITH_1E_10 = np.eye(4)
 IDENTITY_WITH_1E_10[0, 1] = 1e-10
 H_ID_ROUNDED = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) * 0.707106781, np.eye(2))
-
-
-@pytest.mark.xfail(
+CNOT = quantum.cnot().matrix
+G = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 4))
+DERIVED_BOUNDS = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="derived bounds ignore the input's certificate"
 )
+
+
 @pytest.mark.parametrize(
-    "matrix", [IDENTITY_WITH_1E_10, H_ID_ROUNDED], ids=["identity-1e-10", "h-rounded"]
+    "matrix",
+    [
+        pytest.param(IDENTITY_WITH_1E_10, id="identity-1e-10", marks=DERIVED_BOUNDS),
+        pytest.param(H_ID_ROUNDED, id="h-rounded", marks=DERIVED_BOUNDS),
+        pytest.param(np.kron(CNOT + 1e-12 * G, np.eye(2)), id="spectator-1e-12", marks=DERIVED_BOUNDS),
+        pytest.param(np.kron(CNOT + 1e-13 * G, np.eye(2)), id="spectator-1e-13"),
+    ],
 )
-@pytest.mark.parametrize(
-    "command,extra",
-    [("analyze", []), ("hierarchy", ["--from", "A", "--to", "B"])],
-    ids=["analyze", "hierarchy"],
-)
-def test_input_within_its_certificate_exits_0(capsys, tmp_path, matrix, command, extra):
+@pytest.mark.parametrize("command", ["analyze", "hierarchy"])
+def test_input_within_its_certificate_exits_0(capsys, tmp_path, matrix, command):
+    # from A to the last qubit: the spectator C of a three-qubit input
+    extra = [] if command == "analyze" else ["--from", "A", "--to", qubit_names(matrix)[-1]]
     code, _, err = run(capsys, command, quantum_file(tmp_path / "gate.json", matrix), *extra)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("eta,defect", [(1e-12, 1.59e-12), (1e-13, 1.59e-13)])
+def test_the_spectator_inputs_pass_their_certificate(eta, defect):
+    m = np.kron(CNOT + eta * G, np.eye(2))
+    assert quantum._unitarity_defects(m) == pytest.approx(defect, rel=1e-2)
+
+
+# Known defects of derived channels: each gate file cnot + η'·G passes its own
+# certificate, but the ring step and its probes are certified at the input bound.
+# One gate at cell 0 (η' = 1e-11) is the spectator case above on 3 and more cells,
+# exit 2; on the 4-cell brickwork (η' = 1e-10) the second step's probe stack fails
+# its certificate (1.952e-09), exit 1. A verdict the budget cannot support may exit
+# 1 naming the step, never 2 and never on a failed certificate.
+DERIVED_CERTIFICATES = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="derived channels are certified at the input bound"
+)
+
+
+@pytest.mark.parametrize(
+    "eta,layers,cells,steps",
+    [
+        pytest.param(1e-11, [[0]], 2, 1, id="one-gate-2-cells"),
+        pytest.param(1e-11, [[0]], 3, 1, id="one-gate-3-cells", marks=DERIVED_CERTIFICATES),
+        pytest.param(1e-11, [[0]], 6, 1, id="one-gate-6-cells", marks=DERIVED_CERTIFICATES),
+        pytest.param(1e-10, [[0, 2], [1, 3]], 4, 1, id="brickwork-1-step"),
+        pytest.param(1e-10, [[0, 2], [1, 3]], 4, 2, id="brickwork-2-steps", marks=DERIVED_CERTIFICATES),
+    ],
+)
+def test_ca_on_gate_files_within_their_certificate(capsys, tmp_path, eta, layers, cells, steps):
+    quantum_file(tmp_path / "gate.json", CNOT + eta * G)
+    rule = tmp_path / "rule.json"
+    placed = [[{"gate": "gate.json", "at": at} for at in layer] for layer in layers]
+    rule.write_text(json.dumps({"cell_dim": 2, "layers": placed}))
+    code, _, err = run(
+        capsys, "ca", rule, "--cells", str(cells), "--steps", str(steps), "--model", "quantum"
+    )
+    assert code != 2 and "unitarity certificate failed" not in err, err
 
 
 def test_niwd_on_a_channel_without_wires_exits_1(capsys, tmp_path):
