@@ -1,9 +1,10 @@
-"""Byte-identical ``--format json`` output of every command on every fixture.
+"""Byte-identical output of every command on every fixture, in both formats.
 
-The goldens in ``data/cli_golden.json`` hold the exit code, standard output
-and standard error of each command below, with the fixture's path replaced
-by its file name. A change that alters any of them changes what the tool
-reports, and must say so. To record an intended change, run
+The goldens in ``data/cli_golden.json`` (``--format json``) and
+``data/cli_golden_text.json`` (the default text format) hold the exit code,
+standard output and standard error of each command below, with the fixture's
+path replaced by its file name. A change that alters any of them changes what
+the tool reports, and must say so. To record an intended change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
 
@@ -17,7 +18,10 @@ import pytest
 from causal_lens.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+GOLDENS = {
+    fmt: Path(__file__).resolve().parent / "data" / f"cli_golden{suffix}.json"
+    for fmt, suffix in (("json", ""), ("text", "_text"))
+}
 
 CHANNELS = ("cnot", "cnot_quantum", "identity", "swap", "xorback")
 RINGS = ("single_cnot_layer_ring", "staggered_cnot_ring", "swap_chain_ring")
@@ -25,7 +29,7 @@ MODELS = ("classical", "quantum")
 
 
 def commands():
-    """(fixture name, argv without ``--format json``) for each command, in a fixed order."""
+    """(fixture name, argv without ``--format``) for each command, in a fixed order."""
     for name in CHANNELS:
         path = FIXTURES / f"{name}.json"
         spec = json.loads(path.read_text())
@@ -52,11 +56,11 @@ def key(argv) -> str:
     return " ".join(Path(a).name if isinstance(a, Path) else a for a in argv)
 
 
-def run(name: str, argv) -> list:
+def run(name: str, argv, fmt: str = "json") -> list:
     """[exit code, stdout, stderr] of one command, the fixture path normalised."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([str(a) for a in argv] + ["--format", "json"])
+        code = main([str(a) for a in argv] + ["--format", fmt])
     path = str(FIXTURES / f"{name}.json")
     normal = f"{name}.json"
     return [
@@ -71,21 +75,28 @@ CASES = list(commands())
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return {fmt: json.loads(path.read_text()) for fmt, path in GOLDENS.items()}
 
 
-def test_goldens_cover_every_command(golden):
-    assert sorted(golden) == sorted(key(argv) for _, argv in CASES)
+@pytest.mark.parametrize("fmt", GOLDENS)
+def test_goldens_cover_every_command(golden, fmt):
+    assert sorted(golden[fmt]) == sorted(key(argv) for _, argv in CASES)
     assert {argv[0] for _, argv in CASES} == {"analyze", "hierarchy", "niwd", "oracle", "ca"}
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[key(a) for _, a in CASES])
 def test_json_output_matches_golden(golden, name, argv):
-    assert run(name, argv) == golden[key(argv)]
+    assert run(name, argv) == golden["json"][key(argv)]
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[key(a) for _, a in CASES])
+def test_text_output_matches_golden(golden, name, argv):
+    assert run(name, argv, "text") == golden["text"][key(argv)]
 
 
 if __name__ == "__main__":
-    result = {key(argv): run(name, argv) for name, argv in CASES}
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(result)} goldens to {GOLDEN}")
+    for fmt, path in GOLDENS.items():
+        result = {key(argv): run(name, argv, fmt) for name, argv in CASES}
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(result)} {fmt} goldens to {path}")
