@@ -8,17 +8,18 @@ cell axes of the step's matrix; classically the step is kept as digit rows,
 one row per cell, and the gate's table is looked up on its cells' rows folded
 into one index and unfolded back into them), and the result is certified
 once.
-The causal neighbourhoods and signalling sets of all cells come from
-``causal.wire_relations`` on the iterated step, with no channel built.
-Classically it runs one probe pass per stack of cells and one signalling
-pass, and checks each cell's signalling set to lie inside its causal
-neighbourhood (a strict gap is the classical phenomenon that disappears when
-the same layout is quantized); the one-step relation is then checked against
-the light cone of the layers' gate spans, and each step count's against the
-composition law of neighbourhoods. Quantumly one Gram loop reads both ``δ``
-of every cell pair, a product per chunk of probe and Heisenberg blocks (all
-of them in one for a ring of up to 4 qubits), and the two must agree as
-values.
+The causal neighbourhoods and signalling sets of all cells are the two bool
+arrays ``causal.wire_relations`` returns for the iterated step, indexed
+``[input cell, output cell]``, with no channel built. Classically it runs
+one probe pass per stack of cells and one signalling pass, and checks each
+cell's signalling row to lie inside its influence row (a strict gap is the
+classical phenomenon that disappears when the same layout is quantized); the
+one-step relation is then checked against the light cone of the layers' gate
+spans, and each step count's against the composition law of neighbourhoods,
+as boolean products of the influence arrays. Quantumly one Gram loop reads
+both ``δ`` of every cell pair, a product per chunk of probe and Heisenberg
+blocks (all of them in one for a ring of up to 4 qubits), and the two must
+agree as values.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .quantum import DEFAULT_TOL, UnitaryChannel
 from .systems import CompositeSystem, composite
 
 __all__ = [
-    "CellNeighbourhood",
-    "ConeRow",
     "RingAutomaton",
     "build_ring",
     "neighbourhood_maps",
@@ -54,14 +53,13 @@ def _cell_name(i: int) -> str:
 class RingAutomaton:
     """A reversible one-step update on a ring of identical cells.
 
-    ``layers`` describes each layer's gates as ``(type, at)`` and ``spans``
-    gives the cells each gate covers, in gate-wire order.
+    ``spans`` gives, layer by layer, the cells each gate covers, in gate-wire
+    order.
     """
 
     cells: int
     cell_dim: int
     step: ClassicalChannel | UnitaryChannel
-    layers: tuple[tuple[tuple[str, int], ...], ...]
     model: str
     boundary: str = "ring"
     spans: tuple[tuple[tuple[int, ...], ...], ...] = ()
@@ -128,10 +126,10 @@ def build_ring(
         acc = ring.digit_rows(np.arange(n))
     else:
         acc = np.eye(n).reshape(ring.dims + (n,))
-    described, spans = [], []
+    spans = []
     for layer_no, layer in enumerate(layers):
         occupied: set[int] = set()
-        layer_desc, layer_spans = [], []
+        layer_spans = []
         for gate, at in layer:
             if not isinstance(gate, cls):
                 raise SpecError(f"layer {layer_no}: gate model does not match {model!r}")
@@ -161,9 +159,7 @@ def build_ring(
                 g = gate.matrix.reshape(gate.input.dims * 2)
                 acc = np.tensordot(g, acc, axes=(range(arity, 2 * arity), span))
                 acc = np.moveaxis(acc, range(arity), span)
-            layer_desc.append((type(gate).__name__, at))
             layer_spans.append(tuple(span))
-        described.append(tuple(layer_desc))
         spans.append(tuple(layer_spans))
     if model == "classical":
         step = cls(ring, ring, np.array(ring.strides, dtype=np.int64) @ acc)
@@ -173,54 +169,16 @@ def build_ring(
         cells=cells,
         cell_dim=cell_dim,
         step=step,
-        layers=tuple(described),
         model=model,
         boundary=boundary,
         spans=tuple(spans),
     )
 
 
-@dataclass(frozen=True)
-class CellNeighbourhood:
-    cell: str
-    causal: frozenset[str]
-    signalling: frozenset[str]
-
-
-def _cell_neighbourhoods(
-    names: Sequence[str], influence: np.ndarray, signalling: np.ndarray
-) -> tuple[CellNeighbourhood, ...]:
-    """Each cell's causal neighbourhood and signalling set, off the two relations."""
-    return tuple(
-        CellNeighbourhood(
-            cell=name,
-            causal=frozenset(t for t, hit in zip(names, causal_row) if hit),
-            signalling=frozenset(t for t, hit in zip(names, sig_row) if hit),
-        )
-        for name, causal_row, sig_row in zip(names, influence, signalling)
-    )
-
-
-@dataclass(frozen=True)
-class ConeRow:
-    step: int
-    causal_sizes: tuple[int, ...]
-    signalling_sizes: tuple[int, ...]
-
-    @classmethod
-    def from_map(cls, step: int, entries: Sequence[CellNeighbourhood]) -> "ConeRow":
-        """Both cone sizes per cell of one step count's neighbourhood map."""
-        return cls(
-            step=step,
-            causal_sizes=tuple(len(e.causal) for e in entries),
-            signalling_sizes=tuple(len(e.signalling) for e in entries),
-        )
-
-
 def _iterated_maps(
     a: RingAutomaton, max_steps: int, tol: float
-) -> list[tuple[CellNeighbourhood, ...]]:
-    """Neighbourhood maps for step counts 1..``max_steps``, each computed once.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``wire_relations`` of ``U^t`` for step counts 1..``max_steps``, each computed once.
 
     ``U^t = step . U^(t-1)`` is kept between step counts. The cone budget is
     checked before the first neighbourhood is computed. The neighbourhood of
@@ -236,27 +194,28 @@ def _iterated_maps(
         raise BudgetError(
             f"cone growth capped at {limit} cell-bits for the {a.model} model, got {bits:.1f}"
         )
-    maps, relations = [], []
+    maps = []
     u = a.step
     exact = a.model == "classical"
     for t in range(1, max_steps + 1):
         if t > 1:
             u = a.step.compose(u)
         influence, signalling = wire_relations(u, tol)
-        if exact and not relations and (influence & ~a.light_cone()).any():
+        if exact and not maps and (influence & ~a.light_cone()).any():
             raise ConsistencyError("the step's neighbourhoods escape the light cone of its layers")
-        if exact and relations and (influence & (relations[-1] @ relations[0] == 0)).any():
+        if exact and maps and (influence & ~(maps[-1][0] @ maps[0][0])).any():
             raise ConsistencyError(f"the step-{t} neighbourhoods escape the composed neighbourhoods")
-        relations.append(influence.astype(int))
-        maps.append(_cell_neighbourhoods(u.input.names, influence, signalling))
+        maps.append((influence, signalling))
     return maps
 
 
 def neighbourhood_maps(
     a: RingAutomaton, steps: int, tol: float = DEFAULT_TOL
-) -> tuple[tuple[CellNeighbourhood, ...], ...]:
-    """Per-cell causal neighbourhood and signalling set of the iterated step, for every
-    step count up to ``steps``, under the cone budget."""
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """``(influence, signalling)`` of ``U^t`` for every step count ``t`` up to ``steps``,
+    under the cone budget: the bool arrays ``wire_relations`` returns, indexed
+    ``[input cell, output cell]``, so row ``i`` is cell ``i``'s causal
+    neighbourhood and signalling set after ``t`` steps."""
     if steps < 1:
         raise SpecError("steps must be >= 1")
     return tuple(_iterated_maps(a, steps, tol))

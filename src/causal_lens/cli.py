@@ -32,7 +32,7 @@ import numpy as np
 
 from . import classical as cl
 from . import quantum as qm
-from .automata import DEFAULT_MAX_DIM, ConeRow, build_ring, neighbourhood_maps
+from .automata import DEFAULT_MAX_DIM, build_ring, neighbourhood_maps
 from .causal import check_interaction_without_disturbance, hierarchy_report, wire_relations
 from .classical import ClassicalChannel
 from .errors import BudgetError, ConsistencyError, SpecError
@@ -365,38 +365,36 @@ def cmd_ca(args) -> int:
         layers, args.cells, cell_dim, model=args.model, max_dim=_max_dim(args.model)
     )
     maps = neighbourhood_maps(auto, args.steps, args.tol)
-    entries = maps[-1]
-    cones = [ConeRow.from_map(t, nm) for t, nm in enumerate(maps, 1)]
+    names = auto.system.names
+    hoods = {
+        cell: {
+            "causal": sorted(t for t, hit in zip(names, r) if hit),
+            "signalling": sorted(t for t, hit in zip(names, s) if hit),
+        }
+        for cell, r, s in zip(names, *maps[-1])
+    }
+    cones = [
+        {"step": t, "causal_sizes": r.sum(1).tolist(), "signalling_sizes": s.sum(1).tolist()}
+        for t, (r, s) in enumerate(maps, 1)
+    ]
     payload = {
         "file": args.rulefile,
         "model": args.model,
         "cells": args.cells,
         "cell_dim": cell_dim,
         "steps": args.steps,
-        "neighbourhoods": {
-            e.cell: {"causal": sorted(e.causal), "signalling": sorted(e.signalling)}
-            for e in entries
-        },
-        "cones": [
-            {
-                "step": row.step,
-                "causal_sizes": list(row.causal_sizes),
-                "signalling_sizes": list(row.signalling_sizes),
-            }
-            for row in cones
-        ],
+        "neighbourhoods": hoods,
+        "cones": cones,
     }
     lines = [f"{args.model} ring, {args.cells} cells of dim {cell_dim}, {args.steps} step(s)"]
-    for e in entries:
+    for cell, hood in hoods.items():
         lines.append(
-            f"  {e.cell}: causal {{{','.join(sorted(e.causal))}}} "
-            f"signalling {{{','.join(sorted(e.signalling))}}}"
+            f"  {cell}: causal {{{','.join(hood['causal'])}}} "
+            f"signalling {{{','.join(hood['signalling'])}}}"
         )
     lines.append("cone sizes per step (causal | signalling)")
     for row in cones:
-        lines.append(
-            f"  step {row.step}: {list(row.causal_sizes)} | {list(row.signalling_sizes)}"
-        )
+        lines.append(f"  step {row['step']}: {row['causal_sizes']} | {row['signalling_sizes']}")
     _emit(args, payload, lines)
     return 0
 

@@ -572,17 +572,17 @@ def _quantum_memory(
     ``tilde`` on ``idle`` (``_identity_factor``), not tested again, columns ``(A, env)``
     and rows ``(discarded, A')``, the copies first; ``eps`` is ``‖tilde − W x 1‖_F``.
     """
-    b_names, ap_names = u.input.complement(frm), u.output.complement(idle)
+    ap_names = u.output.complement(idle)
     env_sys = _fresh_copies(u, u.output, ap_names, "_env")
     # V: evolve with the probed block in the ground state, off U grouped [A', B', A, B]
     g = _grouped(u.matrix, u.output, u.input, ap_names, frm)
     v_iso = np.ascontiguousarray(g[:, :, 0]).reshape(-1, g.shape[3])
-    _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, _factor_atol(eps, u.atol))
+    _verify_quantum_memory(g, v_iso, t_mat, _factor_atol(eps, u.atol))
     v_iso.flags.writeable = t_mat.flags.writeable = False
     return env_sys, v_iso, t_mat, tilde.output.select(tilde.output.names[: len(frm)])
 
 
-def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_tol):
+def _verify_quantum_memory(u_g, v_iso, t_mat, check_tol):
     """Check that the legs recompose ``u``: ``(W x 1_B')(1_A x V) = |0>_C x U``.
 
     The probe is an involution with ``tilde(|0>_C x U|a,b>) = |a>_C x V|b>``
@@ -591,9 +591,9 @@ def _verify_quantum_memory(u, frm, b_names, ap_names, idle, v_iso, t_mat, check_
     certificate, within ``check_tol``. The legs' Kraus operators are the
     copy rows ``<c|`` of the left side, so the identity gives ``U rho U+``
     back on every state. Both sides are grouped (A', B') by (A, B), with B'
-    (``idle``) and B (``b_names``) in system order, as ``_grouped`` leaves them.
+    and B in system order, as ``_grouped`` leaves them: ``u_g`` is U grouped
+    ``[A', B', A, B]``, the array ``V`` was read off.
     """
-    u_g = _grouped(u.matrix, u.output, u.input, ap_names, frm)  # [A', B', A, B]
     d_ap, d_bp, d_a, d_b = u_g.shape
     # lhs[(c, A'), a, B', b]: the factor's env input contracted with V's A' rows
     lhs = np.tensordot(t_mat.reshape(-1, d_a, d_ap), v_iso.reshape(d_ap, d_bp, d_b), 1)

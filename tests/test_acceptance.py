@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from causal_lens import classical, quantum
-from causal_lens.automata import ConeRow, build_ring, neighbourhood_maps
+from causal_lens.automata import build_ring, neighbourhood_maps
 from causal_lens.causal import (
     check_interaction_without_disturbance,
     embed_on,
@@ -236,17 +236,14 @@ def test_criterion_8_cellular_automaton_cone_gap():
             [(classical.cnot(), i) for i in range(1, 6, 2)],
         ]
         ring_c = build_ring(layers_c, cells=6, cell_dim=2)
-        maps_c = neighbourhood_maps(ring_c, 2)
-        rows = [ConeRow.from_map(t, nm) for t, nm in enumerate(maps_c, 1)]
-        final = rows[-1]
-        assert any(
-            c > s for c, s in zip(final.causal_sizes, final.signalling_sizes)
-        ), "expected a strict classical cone gap"
+        influence_c, signalling_c = neighbourhood_maps(ring_c, 2)[-1]
+        assert (
+            influence_c.sum(1) > signalling_c.sum(1)
+        ).any(), "expected a strict classical cone gap"
         layers_q = [
             [(quantum.cnot(), i) for i in range(0, 6, 2)],
             [(quantum.cnot(), i) for i in range(1, 6, 2)],
         ]
         ring_q = build_ring(layers_q, cells=6, cell_dim=2, model="quantum")
-        classical_map = {e.cell: e for e in maps_c[-1]}
-        for e in neighbourhood_maps(ring_q, 2, tol=TOL)[-1]:
-            assert e.signalling == classical_map[e.cell].causal
+        _, signalling_q = neighbourhood_maps(ring_q, 2, tol=TOL)[-1]
+        assert np.array_equal(signalling_q, influence_c)

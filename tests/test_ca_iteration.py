@@ -1,4 +1,4 @@
-"""`ca` computes each step count's neighbourhood map once, incrementally."""
+"""`ca` computes each step count's relations once, incrementally."""
 
 import json
 from pathlib import Path
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from causal_lens import automata, quantum
-from causal_lens.automata import CellNeighbourhood, ConeRow, build_ring, neighbourhood_maps
+from causal_lens.automata import build_ring, neighbourhood_maps
 from causal_lens.causal import iterate, wire_relations
 from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file, main
@@ -24,39 +24,33 @@ def ring(fixture: str, model: str):
     return build_ring(layers, RINGS[fixture], cell_dim, model=model)
 
 
-def per_step_map(a, steps):
-    """The neighbourhood map of ``steps`` steps, from the relations of the iterated step."""
-    influence, signalling = wire_relations(iterate(a.step, steps))
-    names = a.system.names
-    return tuple(
-        CellNeighbourhood(
-            cell=name,
-            causal=frozenset(t for t, hit in zip(names, c) if hit),
-            signalling=frozenset(t for t, hit in zip(names, s) if hit),
-        )
-        for name, c, s in zip(names, influence, signalling)
-    )
+def per_step_map(a, steps, tol):
+    """``(influence, signalling)`` of ``steps`` steps, off the iterated step."""
+    return wire_relations(iterate(a.step, steps), tol)
 
 
-def as_json(entries) -> dict:
+def as_json(names, relations) -> dict:
+    """The ``neighbourhoods`` payload of one map: each cell's sorted lists of names."""
+    influence, signalling = relations
     return {
-        e.cell: {"causal": sorted(e.causal), "signalling": sorted(e.signalling)}
-        for e in entries
+        cell: {
+            "causal": sorted(t for t, hit in zip(names, r) if hit),
+            "signalling": sorted(t for t, hit in zip(names, s) if hit),
+        }
+        for cell, r, s in zip(names, influence, signalling)
     }
 
 
 @pytest.mark.parametrize("model", ["classical", "quantum"])
 @pytest.mark.parametrize("fixture", sorted(RINGS))
 def test_incremental_maps_match_per_step_maps(fixture, model, capsys):
-    a = ring(fixture, model)
-    direct = [per_step_map(a, t) for t in range(1, MAX_STEPS + 1)]
-    maps = neighbourhood_maps(a, MAX_STEPS)
-    assert list(maps) == direct
-    rows = [ConeRow.from_map(t, nm) for t, nm in enumerate(maps, 1)]
-    assert [row.step for row in rows] == list(range(1, MAX_STEPS + 1))
-    for row, nm in zip(rows, direct):
-        assert row.causal_sizes == tuple(len(e.causal) for e in nm)
-        assert row.signalling_sizes == tuple(len(e.signalling) for e in nm)
+    a, tol = ring(fixture, model), 1e-9
+    direct = [per_step_map(a, t, tol) for t in range(1, MAX_STEPS + 1)]
+    maps = neighbourhood_maps(a, MAX_STEPS, tol)
+    assert len(maps) == len(direct)
+    for (influence, signalling), (want_r, want_s) in zip(maps, direct):
+        assert influence.dtype == signalling.dtype == bool
+        assert np.array_equal(influence, want_r) and np.array_equal(signalling, want_s)
     for steps in range(1, MAX_STEPS + 1):
         argv = [
             "ca", str(FIXTURES / fixture), "--cells", str(RINGS[fixture]),
@@ -64,9 +58,13 @@ def test_incremental_maps_match_per_step_maps(fixture, model, capsys):
         ]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["neighbourhoods"] == as_json(direct[steps - 1])
+        assert payload["neighbourhoods"] == as_json(a.system.names, direct[steps - 1])
+        assert [c["step"] for c in payload["cones"]] == list(range(1, steps + 1))
         assert [c["causal_sizes"] for c in payload["cones"]] == [
-            list(row.causal_sizes) for row in rows[:steps]
+            r.sum(1).tolist() for r, _ in direct[:steps]
+        ]
+        assert [c["signalling_sizes"] for c in payload["cones"]] == [
+            s.sum(1).tolist() for _, s in direct[:steps]
         ]
 
 

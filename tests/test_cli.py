@@ -526,8 +526,11 @@ def test_the_spectator_inputs_pass_their_certificate(eta, defect):
 # certificate, but the ring step and its probes are certified at the input bound.
 # One gate at cell 0 (η' = 1e-11) is the spectator case above on 3 and more cells,
 # exit 2; on the 4-cell brickwork (η' = 1e-10) the second step's probe stack fails
-# its certificate (1.952e-09), exit 1. A verdict the budget cannot support may exit
-# 1 naming the step, never 2 and never on a failed certificate.
+# its certificate (1.952e-09), exit 1. On the 6-cell brickwork one step is enough:
+# at η' = 1e-11 the probe and signalling readings of a δ differ, exit 2; at
+# η' = 1e-10 the probe stack fails its certificate (1.464e-09), exit 1. A verdict
+# the budget cannot support may exit 1 naming the step, never 2 and never on a
+# failed certificate.
 DERIVED_CERTIFICATES = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="derived channels are certified at the input bound"
 )
@@ -541,6 +544,12 @@ DERIVED_CERTIFICATES = pytest.mark.xfail(
         pytest.param(1e-11, [[0]], 6, 1, id="one-gate-6-cells", marks=DERIVED_CERTIFICATES),
         pytest.param(1e-10, [[0, 2], [1, 3]], 4, 1, id="brickwork-1-step"),
         pytest.param(1e-10, [[0, 2], [1, 3]], 4, 2, id="brickwork-2-steps", marks=DERIVED_CERTIFICATES),
+        pytest.param(
+            1e-11, [[0, 2, 4], [1, 3, 5]], 6, 1, id="brickwork-6-cells-1e-11", marks=DERIVED_CERTIFICATES
+        ),
+        pytest.param(
+            1e-10, [[0, 2, 4], [1, 3, 5]], 6, 1, id="brickwork-6-cells-1e-10", marks=DERIVED_CERTIFICATES
+        ),
     ],
 )
 def test_ca_on_gate_files_within_their_certificate(capsys, tmp_path, eta, layers, cells, steps):

@@ -440,8 +440,10 @@ def test_near_identity_cases_never_raise():
 
 def test_neighbourhood_maps_match_the_relation_near_the_tolerance():
     a = near_identity_ring(3, 4, 3e-10)
-    (entries,) = neighbourhood_maps(a, 1, 1e-9)
-    assert [e.causal for e in entries] == per_cell_outcomes(a.step, 1e-9)
+    ((influence, _),) = neighbourhood_maps(a, 1, 1e-9)
+    names = a.step.output.names
+    got = [frozenset(t for t, hit in zip(names, row) if hit) for row in influence]
+    assert got == per_cell_outcomes(a.step, 1e-9)
 
 
 def cnot_id_probes():

@@ -1,9 +1,10 @@
 """The quantum memory check: the legs against the evolution, as one operator identity.
 
-The library checks ``(W x 1_B')(1_A x V) = |0>_C x U`` entrywise.
-``reference_verify`` is the per-state form of the check, kept as the
-reference: a loop over the d_a**2 * d_b**2 product density matrices, with
-dense products of the full dimension for each.
+The library checks ``(W x 1_B')(1_A x V) = |0>_C x U`` entrywise, on the
+grouped ``U`` that ``V`` was read off. ``reference_verify`` is the per-state
+form of the check, kept as the reference: a loop over the d_a**2 * d_b**2
+product density matrices, with dense products of the full dimension for each,
+off ``U`` and the wire names alone.
 """
 
 import collections
@@ -63,6 +64,16 @@ def reference_verify(u, frm, b_names, ap_names, idle, v_iso, t_mat, tol):
                 raise ConsistencyError("quantum memory decomposition failed to recompose")
 
 
+def reference_head(u, frm, idle):
+    """The arguments of ``reference_verify`` before the legs: ``u`` and its wire groups."""
+    return u, frm, u.input.complement(frm), u.output.complement(idle), idle
+
+
+def grouped(u, frm, b_names, ap_names, idle):
+    """The one argument of the library check before the legs: ``U`` grouped [A', B', A, B]."""
+    return quantum._grouped(u.matrix, u.output, u.input, ap_names, frm)
+
+
 def no_signalling_channel() -> UnitaryChannel:
     """A unitary on (A, C) beside one on B, wires listed (A, B, C): A cannot signal to B."""
     rng = np.random.default_rng(5)
@@ -75,20 +86,22 @@ def no_signalling_channel() -> UnitaryChannel:
 @pytest.mark.parametrize("verify", ["library", "reference"])
 @pytest.mark.parametrize("eps", [0.0, 1e-6])
 def test_a_perturbed_leg_fails_to_recompose(monkeypatch, leg, verify, eps):
-    check = quantum._verify_quantum_memory if verify == "library" else reference_verify
+    u = no_signalling_channel()
+    library, head = quantum._verify_quantum_memory, reference_head(u, ("A",), ("B",))
 
-    def perturbed(*args):
-        *head, v_iso, t_mat, tol = args
+    def perturbed(u_g, v_iso, t_mat, tol):
         bump = np.zeros_like(v_iso if leg == "v_iso" else t_mat)
         bump[0, 0] = eps
         if leg == "v_iso":
             v_iso = v_iso + bump
         else:
             t_mat = t_mat + bump
-        check(*head, v_iso, t_mat, tol)
+        if verify == "library":
+            library(u_g, v_iso, t_mat, tol)
+        else:
+            reference_verify(*head, v_iso, t_mat, tol)
 
     monkeypatch.setattr(quantum, "_verify_quantum_memory", perturbed)
-    u = no_signalling_channel()
     if eps:
         with pytest.raises(ConsistencyError, match="failed to recompose"):
             memory_decomposition(u, ["A"], ["B"])
@@ -100,13 +113,13 @@ def test_a_global_phase_on_the_factor_recomposes_states_but_fails_the_identity()
     # e^{iφ} W gives the same legs on states, not the same operator
     u = no_signalling_channel()
     dec = memory_decomposition(u, ["A"], ["B"])
-    head = (u, ("A",), u.input.complement(["A"]), u.output.complement(["B"]), ("B",))
+    head = reference_head(u, ("A",), ("B",))
     tol = quantum.DEFAULT_TOL
-    quantum._verify_quantum_memory(*head, dec.v, dec.w, tol)
+    quantum._verify_quantum_memory(grouped(*head), dec.v, dec.w, tol)
     phased = np.exp(0.3j) * dec.w
     reference_verify(*head, dec.v, phased, tol)
     with pytest.raises(ConsistencyError, match="failed to recompose"):
-        quantum._verify_quantum_memory(*head, dec.v, phased, tol)
+        quantum._verify_quantum_memory(grouped(*head), dec.v, phased, tol)
 
 
 def random_state(dim, rng):
@@ -175,14 +188,18 @@ def outcome(u, to, tol):
 def test_near_tolerance_sweep_matches_the_per_state_reference(monkeypatch):
     # Both checks run on the same legs at every call. The check is the last step
     # of a memory decomposition, so the reports agree iff every call agrees.
-    disagreements = []
-    library = quantum._verify_quantum_memory
+    disagreements, heads = [], []
+    library, quantum_memory = quantum._verify_quantum_memory, quantum._quantum_memory
 
-    def both(*args):
+    def recording(u, frm, idle, tilde, eps, t_mat):
+        heads.append(reference_head(u, frm, idle))
+        return quantum_memory(u, frm, idle, tilde, eps, t_mat)
+
+    def both(u_g, *legs):
         verdicts = []
-        for check in (reference_verify, library):
+        for check, head in ((reference_verify, heads[-1]), (library, (u_g,))):
             try:
-                check(*args)
+                check(*head, *legs)
                 verdicts.append(None)
             except ConsistencyError as exc:
                 verdicts.append(str(exc))
@@ -191,6 +208,7 @@ def test_near_tolerance_sweep_matches_the_per_state_reference(monkeypatch):
         if verdicts[1] is not None:
             raise ConsistencyError(verdicts[1])
 
+    monkeypatch.setattr(quantum, "_quantum_memory", recording)
     monkeypatch.setattr(quantum, "_verify_quantum_memory", both)
     seen = collections.Counter()
     # every 17th seed of 0-799 (all four wire shapes), tol around the block's delta
@@ -219,16 +237,16 @@ def identity_error(u, frm, b_names, ap_names, idle, v_iso, t_mat):
 
 def test_the_identity_error_is_within_the_probe_residual(monkeypatch):
     # the sides differ by -R tilde (|0> x U), so no entry exceeds ε = ‖R‖_F
-    residuals, checked = [], []
+    residuals, heads, checked = [], [], []
     quantum_memory = quantum._quantum_memory
 
     def recording(u, frm, idle, tilde, eps, t_mat):
         residuals.append(eps)
+        heads.append(reference_head(u, frm, idle))
         return quantum_memory(u, frm, idle, tilde, eps, t_mat)
 
-    def verify(*args):
-        *legs, check_tol = args
-        checked.append((identity_error(*legs), residuals[-1]))
+    def verify(u_g, v_iso, t_mat, check_tol):
+        checked.append((identity_error(*heads[-1], v_iso, t_mat), residuals[-1]))
 
     monkeypatch.setattr(quantum, "_quantum_memory", recording)
     monkeypatch.setattr(quantum, "_verify_quantum_memory", verify)
@@ -288,3 +306,19 @@ def test_the_fields_alone_recompose_an_exact_evolution(name):
     assert dec.v.shape == (dec.env.total_dim * d_bp, d_b)
     assert dec.w.shape == (dec.discarded.total_dim * d_ap, d_a * dec.env.total_dim)
     assert dec.discarded.dims == u.input.select(frm).dims
+
+
+@pytest.mark.parametrize("report", [memory_decomposition, hierarchy_report])
+def test_the_memory_check_reuses_the_regroup_v_is_read_off(monkeypatch, report):
+    # U grouped [A', B', A, B] is formed once: V is read off it, and the check reads it
+    calls = []
+    regroup = quantum._grouped
+
+    def spy(*args):
+        calls.append(args)
+        return regroup(*args)
+
+    monkeypatch.setattr(quantum, "_grouped", spy)
+    u = no_signalling_channel()
+    report(u, ["A"], ["B"])
+    assert len(calls) == 1

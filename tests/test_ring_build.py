@@ -142,7 +142,6 @@ def test_random_cases_cover_the_required_shapes():
 def test_random_layouts_match_the_composed_step(model, cells, cell_dim, boundary, layers):
     a = build_ring(layers, cells, cell_dim, model=model, boundary=boundary)
     assert_same_step(a.step, composed_step(layers, cells, cell_dim, model))
-    assert a.layers == tuple(tuple((type(g).__name__, at) for g, at in ls) for ls in layers)
     assert a.spans == tuple(
         tuple(tuple((at + k) % cells for k in range(len(g.input))) for g, at in ls)
         for ls in layers
@@ -178,7 +177,7 @@ def test_a_step_that_does_not_match_its_layers_escapes_the_light_cone():
         neighbourhood_maps(dataclasses.replace(a, step=moved.step), 1)
     # a hand-built automaton with no layers claims the identity step
     with pytest.raises(ConsistencyError, match="escape the light cone of its layers"):
-        neighbourhood_maps(RingAutomaton(4, 2, a.step, (), "classical"), 1)
+        neighbourhood_maps(RingAutomaton(4, 2, a.step, "classical"), 1)
 
 
 def test_a_negative_at_is_cyclic_on_a_ring_and_spills_on_an_open_boundary():

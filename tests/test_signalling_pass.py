@@ -1,7 +1,7 @@
 """``ca`` decides each step's whole signalling relation in one pass.
 
 The reference is built here, one ``u.signals([i], [t], tol)`` call per cell
-pair of the iterated step; the library's ``_cell_neighbourhoods`` makes no
+pair of the iterated step; the library's ``neighbourhood_maps`` makes no
 ``signals`` call at all (``wire_signalling`` decides every pair at once).
 """
 
@@ -26,18 +26,14 @@ MAX_STEPS = 3
 
 
 def pairwise_signalling(u, tol):
-    """Signalling set of every input cell, one ``signals`` call per pair."""
-    return {
-        i: frozenset(t for t in u.output.names if u.signals([i], [t], tol))
-        for i in u.input.names
-    }
+    """The signalling relation ``[input cell, output cell]``, one ``signals`` call per pair."""
+    return np.array([[u.signals([i], [t], tol) for t in u.output.names] for i in u.input.names])
 
 
 def assert_one_pass_matches_pairwise(a, steps, tol=quantum.DEFAULT_TOL):
     maps = neighbourhood_maps(a, steps, tol)
-    for t, entries in enumerate(maps, 1):
-        want = pairwise_signalling(iterate(a.step, t), tol)
-        assert {e.cell: e.signalling for e in entries} == want
+    for t, (_, signalling) in enumerate(maps, 1):
+        assert np.array_equal(signalling, pairwise_signalling(iterate(a.step, t), tol))
 
 
 def fixture_cases():
@@ -124,7 +120,7 @@ def near_identity_ring(seed, cells, eps):
     step = UnitaryChannel(
         base.system, base.system, base.step.matrix @ (v * np.exp(1j * eps * w)) @ v.conj().T
     )
-    return RingAutomaton(cells=cells, cell_dim=cell_dim, step=step, layers=(), model="quantum")
+    return RingAutomaton(cells=cells, cell_dim=cell_dim, step=step, model="quantum")
 
 
 def split_tolerance(u):
@@ -151,15 +147,11 @@ def test_near_identity_rings_match_pairwise_signals_on_both_sides_of_tol(seed, c
     a = near_identity_ring(seed, cells, eps)
     tol = split_tolerance(a.step)
     # quantumly the signalling sets are the influence sets, decided on the one delta
-    (entries,) = neighbourhood_maps(a, 1, tol)
+    ((_, signalling),) = neighbourhood_maps(a, 1, tol)
     want = pairwise_signalling(a.step, tol)
-    assert {e.cell: e.signalling for e in entries} == want
-    hits = [t in sig for sig in want.values() for t in a.system.names]
-    assert any(hits) and not all(hits)
-    assert np.array_equal(
-        a.step.wire_signalling(tol),
-        [[t in want[i] for t in a.system.names] for i in a.system.names],
-    )
+    assert np.array_equal(signalling, want)
+    assert want.any() and not want.all()
+    assert np.array_equal(a.step.wire_signalling(tol), want)
 
 
 # -- what the pass replaces and what it keeps -----------------------------------------
@@ -276,7 +268,7 @@ def test_near_identity_rings_split_stacks_match_signals_on_both_sides_of_tol(
     split = u.wire_signalling(tol)
     assert set(sizes) == {1}
     assert np.array_equal(whole, split)
-    assert np.array_equal(split, [[t in want[i] for t in u.output.names] for i in u.input.names])
+    assert np.array_equal(split, want)
     assert split.any() and not split.all()
 
 
