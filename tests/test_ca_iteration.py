@@ -24,11 +24,6 @@ def ring(fixture: str, model: str):
     return build_ring(layers, RINGS[fixture], cell_dim, model=model)
 
 
-def per_step_map(a, steps, tol):
-    """``(influence, signalling)`` of ``steps`` steps, off the iterated step."""
-    return wire_relations(iterate(a.step, steps), tol)
-
-
 def as_json(names, relations) -> dict:
     """The ``neighbourhoods`` payload of one map: each cell's sorted lists of names."""
     influence, signalling = relations
@@ -45,7 +40,7 @@ def as_json(names, relations) -> dict:
 @pytest.mark.parametrize("fixture", sorted(RINGS))
 def test_incremental_maps_match_per_step_maps(fixture, model, capsys):
     a, tol = ring(fixture, model), 1e-9
-    direct = [per_step_map(a, t, tol) for t in range(1, MAX_STEPS + 1)]
+    direct = [wire_relations(iterate(a.step, t), tol) for t in range(1, MAX_STEPS + 1)]
     maps = neighbourhood_maps(a, MAX_STEPS, tol)
     assert len(maps) == len(direct)
     for (influence, signalling), (want_r, want_s) in zip(maps, direct):
