@@ -32,7 +32,7 @@ from .automata import RingAutomaton, build_ring, neighbourhood_maps
 from .errors import BudgetError, ConsistencyError, SpecError
 from .oracle import CrossValidationReport, OracleBudget, OracleVerdict, cross_validate, definition_check
 from .quantum import UnitaryChannel
-from .systems import CompositeSystem, SubsystemLabel, composite, reorder_permutation
+from .systems import CompositeSystem, SubsystemLabel, composite
 
 __version__ = "0.1.0"
 
@@ -69,6 +69,5 @@ __all__ = [
     "neighbourhood_maps",
     "probe_conjugation_matches_evolution",
     "replay_witness",
-    "reorder_permutation",
     "t_process",
 ]

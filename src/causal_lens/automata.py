@@ -112,6 +112,8 @@ def build_ring(
         raise SpecError("a ring needs at least 2 cells of dimension >= 2")
     if model not in DEFAULT_MAX_DIM:
         raise SpecError(f"model must be one of {sorted(DEFAULT_MAX_DIM)}")
+    if boundary not in ("open", "ring"):
+        raise SpecError("boundary must be one of ['open', 'ring']")
     cap = max_dim if max_dim is not None else DEFAULT_MAX_DIM[model]
     if cell_dim**cells > cap:
         raise BudgetError(

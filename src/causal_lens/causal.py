@@ -10,8 +10,8 @@ complement is the causal neighbourhood of ``A``.
 This module states each definition once for both models: the probe process,
 the influence and signalling relations (signalling must lie inside
 influence), the hierarchy, memory decomposition, interaction without
-disturbance, witnesses, and the generic wiring (``embed_on``,
-``reorder_wires``, ``iterate``). Every kernel lives in its model's module,
+disturbance and witnesses. It has no wiring combinators; channels are wired
+with ``compose`` and ``tensor``. Every kernel lives in its model's module,
 reached only through the protocol ``ClassicalChannel`` and ``UnitaryChannel``
 share: ``signals``, ``wire_signalling``, ``factors_as_identity``, ``compose``,
 ``tensor``, ``invert`` and the package-internal steps ``_probes`` (a stack of
@@ -28,14 +28,14 @@ probe pass. Wire names are read through ``CompositeSystem.subset_positions``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from .classical import ClassicalChannel, ClassicalInstrument
 from .errors import ConsistencyError, SpecError
 from .quantum import DEFAULT_TOL, UnitaryChannel
-from .systems import CompositeSystem, reorder_permutation
+from .systems import CompositeSystem
 
 __all__ = [
     "DisturbanceClassification",
@@ -44,18 +44,15 @@ __all__ = [
     "TProcessResult",
     "Witness",
     "check_interaction_without_disturbance",
-    "embed_on",
     "find_witness",
     "has_causal_influence",
     "hierarchy_report",
     "influence_relation",
     "inverse_nosignalling_check",
-    "iterate",
     "memory_decomposition",
     "neighbourhood",
     "probe_conjugation_matches_evolution",
     "replay_witness",
-    "reorder_wires",
     "t_process",
     "wire_relations",
 ]
@@ -63,7 +60,7 @@ __all__ = [
 Channel = Union[ClassicalChannel, UnitaryChannel]
 
 
-# -- generic wiring combinators --------------------------------------------------
+# -- wire names ------------------------------------------------------------------
 
 
 def _ordered_subset(system: CompositeSystem, names: Iterable[str]) -> tuple[str, ...]:
@@ -72,58 +69,6 @@ def _ordered_subset(system: CompositeSystem, names: Iterable[str]) -> tuple[str,
     Unknown and duplicate names raise ``SpecError``.
     """
     return tuple(system.names[k] for k in system.subset_positions(names))
-
-
-def _relabelling(cls, system: CompositeSystem, order: Sequence[str]) -> Channel:
-    """The channel from ``system`` to ``system.select(order)``: its wires relisted."""
-    perm = reorder_permutation(system, order)
-    return cls.from_index_permutation(system, system.select(order), perm)
-
-
-def reorder_wires(
-    channel: Channel,
-    input_order: Optional[Sequence[str]] = None,
-    output_order: Optional[Sequence[str]] = None,
-) -> Channel:
-    """The same channel with its wires listed in a different order."""
-    cls = type(channel)
-    out = channel
-    if input_order is not None:
-        out = out.compose(_relabelling(cls, channel.input, input_order).invert())
-    if output_order is not None:
-        out = _relabelling(cls, channel.output, output_order).compose(out)
-    return out
-
-
-def embed_on(channel: Channel, system: CompositeSystem) -> Channel:
-    """Extend a channel to act on ``system``, identity on the untouched wires.
-
-    The channel must have identical input and output wire names, all present
-    in ``system`` with matching dimensions.
-    """
-    names = channel.input.names
-    if channel.output.names != names or channel.output.dims != channel.input.dims:
-        raise SpecError("embed_on needs a channel with identical input/output wires")
-    for part in channel.input.parts:
-        if part.dim != system.parts[system.position(part.name)].dim:
-            raise SpecError(f"wire {part.name!r} has a different dimension in the host system")
-    rest = [n for n in system.names if n not in set(names)]
-    cls = type(channel)
-    r = _relabelling(cls, system, list(names) + rest)
-    big = channel.tensor(cls.identity(system.restrict(rest)))
-    return r.invert().compose(big).compose(r)
-
-
-def iterate(channel: Channel, steps: int) -> Channel:
-    """``steps``-fold self-composition; the channel must map a system to itself."""
-    if steps < 1:
-        raise SpecError("steps must be >= 1")
-    if channel.input.dims != channel.output.dims:
-        raise SpecError("iterate needs matching input/output dimensions")
-    out = channel
-    for _ in range(steps - 1):
-        out = channel.compose(out)
-    return out
 
 
 # -- the probe process ------------------------------------------------------------

@@ -172,6 +172,13 @@ class _ArrayTable:
         object.__delattr__(self, "table")  # rebuilt from the array on first access
         return arr
 
+    def apply(self, x: int) -> Optional[int]:
+        """The output index at input index ``x``; None for an instrument's null event."""
+        if not 0 <= x < len(self._arr):
+            raise SpecError(f"input index {x} out of range")
+        v = int(self._arr[x])
+        return None if v < 0 else v
+
     def __getattr__(self, name: str):
         # reached only while the ``table`` tuple is not cached on the instance
         if name != "table":
@@ -202,9 +209,6 @@ class ClassicalChannel(_ArrayTable):
 
     # -- evaluation ----------------------------------------------------------
 
-    def apply(self, x: int) -> int:
-        return self.table[x]
-
     def apply_values(self, values: Sequence[int]) -> tuple[int, ...]:
         return self.output.unflatten(self.table[self.input.flatten(values)])
 
@@ -213,13 +217,6 @@ class ClassicalChannel(_ArrayTable):
     @classmethod
     def identity(cls, system: CompositeSystem) -> "ClassicalChannel":
         return cls(system, system, np.arange(system.total_dim))
-
-    @classmethod
-    def from_index_permutation(
-        cls, input: CompositeSystem, output: CompositeSystem, table: Sequence[int]
-    ) -> "ClassicalChannel":
-        """A channel given directly by its joint-index bijection."""
-        return cls(input, output, table)
 
     # -- algebra -------------------------------------------------------------
 
@@ -569,13 +566,6 @@ class ClassicalInstrument(_ArrayTable):
     def pairs(self) -> frozenset[tuple[int, int]]:
         (defined,) = np.nonzero(self._arr >= 0)
         return frozenset(zip(defined.tolist(), self._arr[defined].tolist()))
-
-    def apply(self, x: int) -> Optional[int]:
-        """Apply one event: the prepared index, or None for the null event."""
-        if not 0 <= x < self.input.total_dim:
-            raise SpecError(f"input index {x} out of range")
-        v = int(self._arr[x])
-        return None if v < 0 else v
 
 
 # -- gate constructors ---------------------------------------------------------

@@ -23,6 +23,8 @@ its pass on the Gram kernel, the memory legs (``V``, off one regroup of
 ``U``, and the probe's factor ``W``, returned as the matrices checked as one
 operator identity, ``(W x 1)(1 x V) = |0> x U``), the premise, the inverse
 check and the witness. ``_identity_factor`` is the one partial trace.
+``from_classical`` is the one lift of a classical channel: the permutation
+unitary with its table.
 """
 from __future__ import annotations
 
@@ -308,16 +310,6 @@ class UnitaryChannel:
     @classmethod
     def identity(cls, system: CompositeSystem) -> "UnitaryChannel":
         return cls(system, system, np.eye(system.total_dim))
-
-    @classmethod
-    def from_index_permutation(
-        cls, input: CompositeSystem, output: CompositeSystem, table: Sequence[int]
-    ) -> "UnitaryChannel":
-        """The unitary sending basis state ``x`` to basis state ``table[x]``."""
-        n = input.total_dim
-        m = np.zeros((n, n))
-        m[table, np.arange(n)] = 1.0
-        return cls(input, output, m)
 
     # -- algebra -------------------------------------------------------------
 
@@ -641,8 +633,12 @@ def hadamard(name: str = "A", out_name: Optional[str] = None) -> UnitaryChannel:
 
 
 def from_classical(channel) -> UnitaryChannel:
-    """Lift a reversible classical channel to the permutation unitary with the same table."""
-    return UnitaryChannel.from_index_permutation(channel.input, channel.output, channel._arr)
+    """Lift a reversible classical channel to the permutation unitary with the same
+    table: basis state ``x`` goes to basis state ``table[x]``."""
+    n = channel.input.total_dim
+    m = np.zeros((n, n))
+    m[channel._arr, np.arange(n)] = 1.0
+    return UnitaryChannel(channel.input, channel.output, m)
 
 
 def random_unitary(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SpecError
 
-__all__ = ["SubsystemLabel", "CompositeSystem", "composite", "reorder_permutation"]
+__all__ = ["SubsystemLabel", "CompositeSystem", "composite"]
 
 
 def _strides(dims: Sequence[int]) -> tuple[int, ...]:
@@ -248,17 +248,3 @@ def composite(*parts: tuple[str, int] | SubsystemLabel) -> CompositeSystem:
         p if isinstance(p, SubsystemLabel) else SubsystemLabel(p[0], p[1]) for p in parts
     )
     return CompositeSystem(labels)
-
-
-def reorder_permutation(system: CompositeSystem, new_order: Sequence[str]) -> tuple[int, ...]:
-    """Joint-index bijection induced by reading the wires in ``new_order``.
-
-    Returns ``p`` with ``p[old_index] = new_index``. Composing with the
-    permutation for the inverse order yields the identity.
-    """
-    order = list(new_order)
-    if sorted(order) != sorted(system.names):
-        raise SpecError(
-            f"new order {order} is not a permutation of wire names {list(system.names)}"
-        )
-    return tuple(system.digits(np.arange(system.total_dim), order).tolist())

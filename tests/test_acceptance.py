@@ -16,7 +16,6 @@ from causal_lens import classical, quantum
 from causal_lens.automata import build_ring, neighbourhood_maps
 from causal_lens.causal import (
     check_interaction_without_disturbance,
-    embed_on,
     has_causal_influence,
     memory_decomposition,
     neighbourhood,
@@ -27,6 +26,8 @@ from causal_lens.classical import ClassicalChannel, ClassicalInstrument, all_rev
 from causal_lens.cli import main
 from causal_lens.oracle import OracleBudget, cross_validate
 from causal_lens.systems import composite
+
+from wiring import embed_on
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TOL = 1e-9

@@ -71,26 +71,45 @@ THREE_BIT_IDENTITY = ClassicalChannel.identity(composite(("A", 2), ("B", 2), ("C
 
 
 @pytest.mark.parametrize(
-    "layers,cells,cell_dim,model,message",
+    "layers,cells,cell_dim,model,boundary,message",
     [
-        ([], 1, 2, "classical", "a ring needs at least 2 cells of dimension >= 2"),
-        ([], 3, 1, "classical", "a ring needs at least 2 cells of dimension >= 2"),
-        ([], 3, 2, "stochastic", "model must be one of ['classical', 'quantum']"),
-        ([[(quantum.cnot(), 0)]], 3, 2, "classical", "layer 0: gate model does not match 'classical'"),
-        ([[(THREE_BIT_IDENTITY, 0)]], 2, 2, "classical", "layer 0: gate arity 3 exceeds ring size"),
+        ([], 1, 2, "classical", "ring", "a ring needs at least 2 cells of dimension >= 2"),
+        ([], 3, 1, "classical", "ring", "a ring needs at least 2 cells of dimension >= 2"),
+        ([], 3, 2, "stochastic", "ring", "model must be one of ['classical', 'quantum']"),
+        ([], 3, 2, "classical", "opne", "boundary must be one of ['open', 'ring']"),
+        (
+            [[(quantum.cnot(), 0)]],
+            3,
+            2,
+            "classical",
+            "ring",
+            "layer 0: gate model does not match 'classical'",
+        ),
+        (
+            [[(THREE_BIT_IDENTITY, 0)]],
+            2,
+            2,
+            "classical",
+            "ring",
+            "layer 0: gate arity 3 exceeds ring size",
+        ),
         (
             [[], [(classical.cnot(dim=3), 0)]],
             3,
             2,
             "classical",
+            "ring",
             "layer 1: gate wires must all have the cell dimension 2",
         ),
     ],
-    ids=["one-cell", "dim-1-cells", "unknown-model", "model-mismatch", "arity", "cell-dim"],
+    ids=[
+        "one-cell", "dim-1-cells", "unknown-model", "unknown-boundary", "model-mismatch", "arity",
+        "cell-dim",
+    ],
 )
-def test_build_ring_rejects_bad_specs(layers, cells, cell_dim, model, message):
+def test_build_ring_rejects_bad_specs(layers, cells, cell_dim, model, boundary, message):
     with pytest.raises(SpecError) as exc:
-        build_ring(layers, cells=cells, cell_dim=cell_dim, model=model)
+        build_ring(layers, cells=cells, cell_dim=cell_dim, model=model, boundary=boundary)
     assert str(exc.value) == message
 
 

@@ -9,7 +9,6 @@ import pytest
 from causal_lens import causal, classical, quantum
 from causal_lens.causal import (
     check_interaction_without_disturbance,
-    embed_on,
     find_witness,
     has_causal_influence,
     hierarchy_report,
@@ -25,6 +24,8 @@ from causal_lens.errors import SpecError
 from causal_lens.oracle import OracleBudget, definition_check
 from causal_lens.quantum import UnitaryChannel
 from causal_lens.systems import composite
+
+from wiring import embed_on, reorder_wires
 
 BITS = composite(("A", 2), ("B", 2))
 
@@ -111,22 +112,6 @@ def test_a_name_given_twice_is_rejected(call, model):
     u = K if model == "classical" else quantum.from_classical(K)
     with pytest.raises(SpecError, match="duplicate names"):
         DUPLICATE_NAME_CALLS[call](u)
-
-
-def test_embed_on_rejects_a_channel_it_cannot_place():
-    with pytest.raises(SpecError, match="embed_on needs a channel with identical input/output wires"):
-        embed_on(classical.cnot(out_names=("A'", "B'")), BITS)
-    with pytest.raises(SpecError, match="wire 'A' has a different dimension in the host system"):
-        embed_on(ClassicalChannel.identity(composite(("A", 3))), BITS)
-
-
-def test_iterate_rejects_a_bad_step_count_or_a_dimension_change():
-    with pytest.raises(SpecError, match="steps must be >= 1"):
-        causal.iterate(K, 0)
-    inp, out = composite(("A", 2), ("B", 3)), composite(("A", 3), ("B", 2))
-    turned = ClassicalChannel(inp, out, tuple(range(6)))
-    with pytest.raises(SpecError, match="iterate needs matching input/output dimensions"):
-        causal.iterate(turned, 2)
 
 
 def test_t_process_idle_subset_is_maximal():
@@ -480,7 +465,7 @@ def test_niwd_quantum():
 @pytest.mark.parametrize("cls", [ClassicalChannel, UnitaryChannel])
 def test_idle_wires_pair_by_name_when_outputs_are_listed_in_another_order(cls):
     system = composite(("A", 2), ("B", 2), ("C", 3))
-    u = causal.reorder_wires(cls.identity(system), output_order=["A", "C", "B"])
+    u = reorder_wires(cls.identity(system), output_order=["A", "C", "B"])
     for idle in [("B", "C"), ("C", "B")]:
         w = u.factors_as_identity(idle)
         assert w is not None and w.input.names == w.output.names == ("A",)

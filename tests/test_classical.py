@@ -14,6 +14,8 @@ from causal_lens.classical import (
 from causal_lens.errors import SpecError
 from causal_lens.systems import composite
 
+from wiring import reorder_wires
+
 BITS = composite(("A", 2), ("B", 2))
 
 
@@ -159,8 +161,6 @@ def test_factor_reassembles_exactly():
 
 def test_factor_reassembles_with_interleaved_idle_wire():
     # idle wire sitting first, not last: reassembly needs a wire reorder
-    from causal_lens.causal import reorder_wires
-
     rng = np.random.default_rng(6)
     for _ in range(10):
         v = random_reversible(composite(("X", 2), ("Y", 2)), rng)
@@ -242,10 +242,13 @@ def test_instrument_error_paths_keep_their_messages():
     for table, message in cases:
         with pytest.raises(SpecError, match=f"^{message}$"):
             ClassicalInstrument(bit, bit, table)
-    ident = ClassicalInstrument.identity(bit)
-    for x in (-1, 2):
-        with pytest.raises(SpecError, match=f"^input index {x} out of range$"):
-            ident.apply(x)
+    ident, gate = ClassicalInstrument.identity(bit), cnot()
+    for ch in (ident, gate):
+        for x in (-1, ch.input.total_dim):
+            with pytest.raises(SpecError, match=f"^input index {x} out of range$"):
+                ch.apply(x)
+    # a channel applies off its array: the table tuple stays unbuilt
+    assert [gate.apply(x) for x in range(4)] == [0, 1, 3, 2] and "table" not in vars(gate)
     assert ident.is_deterministic and ident.pairs == {(0, 0), (1, 1)}
 
 

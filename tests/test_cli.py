@@ -466,12 +466,15 @@ def test_a_quantum_tol_below_the_certificate_floor_exits_1(capsys, tmp_path, arg
 
 
 def test_a_matrix_reads_as_a_permutation_at_1e_9_whatever_the_tol(capsys, tmp_path):
-    # a rotation by 1e-4 on A: inside --tol 1e-3 of the identity, not a permutation
-    rotation = np.array([[np.cos(1e-4), -np.sin(1e-4)], [np.sin(1e-4), np.cos(1e-4)]])
-    path = quantum_file(tmp_path / "rotation.json", np.kron(rotation, np.eye(2)))
-    code, out, err = run(capsys, "analyze", path, "--model", "classical", "--tol", "1e-3")
-    assert code == 1 and out == ""
-    assert "matrix is not a permutation; cannot force --model classical" in err
+    # a rotation on A: inside --tol 1e-3 of the identity, not a permutation. By
+    # 1e-4 its diagonal is 5e-9 off 1; by 3e-5 only 4.5e-10, so the entry 3e-5
+    # off the diagonal is what refuses it
+    for angle in (1e-4, 3e-5):
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        path = quantum_file(tmp_path / "rotation.json", np.kron(rotation, np.eye(2)))
+        code, out, err = run(capsys, "analyze", path, "--model", "classical", "--tol", "1e-3")
+        assert code == 1 and out == ""
+        assert "matrix is not a permutation; cannot force --model classical" in err
 
 
 def test_the_certificate_floor_is_a_valid_quantum_tol(capsys, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from causal_lens import classical, quantum
 from causal_lens.automata import build_ring
-from causal_lens.causal import influence_relation, iterate, t_process, wire_relations
+from causal_lens.causal import influence_relation, t_process, wire_relations
 from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file
 from causal_lens.errors import SpecError
@@ -130,7 +130,7 @@ def quantum_cases():
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "quantum")
     a = build_ring(layers, 6, cell_dim, model="quantum")
     yield a.step
-    yield iterate(a.step, 2)
+    yield a.step.compose(a.step)
     yield quantum.random_unitary(composite(("A", 2), ("B", 2)), np.random.default_rng(5)).tensor(
         UnitaryChannel.identity(composite(("C", 3)))
     )

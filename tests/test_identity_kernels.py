@@ -14,12 +14,12 @@ import itertools
 import numpy as np
 import pytest
 
-from causal_lens import causal, classical, quantum
-from causal_lens.causal import reorder_wires
+from causal_lens import classical, quantum
 from causal_lens.classical import _at_zero, _steps_by
 from causal_lens.systems import composite
 
 from test_quantum_kernels import reference_residual
+from wiring import embed_on, reorder_wires
 
 DIMS = [(2,), (3,), (2, 3), (3, 1, 2), (1, 2, 2), (2, 1, 3, 2), (2, 2, 2), (3, 2, 1, 2)]
 
@@ -62,7 +62,7 @@ def channels(make, seed):
         yield make(classical.ClassicalChannel.identity(system))
         if len(dims) > 1:
             gate = classical.random_reversible(system.restrict(system.names[:2]), rng)
-            yield make(causal.embed_on(gate, system))
+            yield make(embed_on(gate, system))
         for _ in range(2):
             u = classical.random_reversible(system, rng)
             yield make(u)
@@ -167,7 +167,7 @@ def test_the_factor_kernel_matches_the_formed_pattern_on_channels(seed):
         system = u.output
         # a random unitary on the first wire, tensor the permutation
         first = composite((system.names[0], system.dims[0]))
-        local = causal.embed_on(quantum.random_unitary(first, rng), system)
+        local = embed_on(quantum.random_unitary(first, rng), system)
         for w in (u, local.compose(u), quantum.random_unitary(u.input, rng, u.output)):
             for idle in subsets(len(system)):
                 names = [system.names[k] for k in rng.permutation(idle)]

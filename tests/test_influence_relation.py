@@ -11,7 +11,7 @@ import pytest
 
 from causal_lens import causal, classical, quantum
 from causal_lens.automata import build_ring, neighbourhood_maps
-from causal_lens.causal import embed_on, influence_relation, iterate, neighbourhood, t_process
+from causal_lens.causal import influence_relation, neighbourhood, t_process
 from causal_lens.classical import ClassicalChannel, _at_zero, _bijective
 from causal_lens.cli import load_rule_file, main
 from causal_lens.errors import ConsistencyError, SpecError
@@ -20,6 +20,7 @@ from causal_lens.systems import _read_digits, composite
 
 from test_identity_kernels import _passes_through
 from test_signalling_pass import near_identity_ring
+from wiring import embed_on
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RULES = ("single_cnot_layer_ring.json", "staggered_cnot_ring.json", "swap_chain_ring.json")
@@ -105,8 +106,10 @@ def test_fixture_rules_match_per_wire_neighbourhoods(model, rule, cells):
         a = build_ring(layers, cells, cell_dim, model=model)
     except SpecError:  # the rule's gates overlap on so few cells
         return
-    for steps in range(1, MAX_STEPS + 1):
-        assert_matches_per_wire(iterate(a.step, steps))
+    u = a.step
+    for _ in range(MAX_STEPS):
+        assert_matches_per_wire(u)
+        u = a.step.compose(u)
 
 
 @pytest.mark.parametrize("model,cells", [("classical", 12), ("quantum", 6)])
@@ -122,7 +125,8 @@ def test_a_stack_spanning_several_chunks_matches(monkeypatch, model, cells):
     tables, real_table = [], classical._digit_table
     monkeypatch.setattr(classical, "_digit_table", lambda s: tables.append(s) or real_table(s))
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), model)
-    u = iterate(build_ring(layers, cells, cell_dim, model=model).step, 2)
+    step = build_ring(layers, cells, cell_dim, model=model).step
+    u = step.compose(step)
     rel = influence_relation(u)
     assert len(stacks) > 1 and sum(stacks) == cells
     assert len(tables) == (1 if model == "classical" else 0)
@@ -211,7 +215,8 @@ def test_a_classical_relation_runs_one_joint_test_per_stack(monkeypatch):
     )
     monkeypatch.setattr(quantum, "_identity_factor", counting(per_probe, quantum._identity_factor))
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
-    influence_relation(iterate(build_ring(layers, 8, cell_dim).step, 2))
+    step = build_ring(layers, 8, cell_dim).step
+    influence_relation(step.compose(step))
     assert per_probe == [] and joint == stacks == [8]
     # the spy sees the per-probe calls of a quantum stack, one per probe with
     # an idle wire: none on a cnot, whose probes leave no output idle, and
@@ -273,7 +278,8 @@ def test_both_entry_points_run_one_probe_pass_and_no_factors_as_identity(monkeyp
 def test_one_difference_kernel_call_per_classical_stack_and_per_wire_signalling(monkeypatch):
     stacks, kernel = [], []
     cell_dim, layers = load_rule_file(str(FIXTURES / "staggered_cnot_ring.json"), "classical")
-    u = iterate(build_ring(layers, 8, cell_dim).step, 2)
+    step = build_ring(layers, 8, cell_dim).step
+    u = step.compose(step)
     monkeypatch.setattr(ClassicalChannel, "_probes", counting(stacks, ClassicalChannel._probes))
     monkeypatch.setattr(classical, "_steps_by", counting(kernel, classical._steps_by))
     influence_relation(u)
@@ -513,8 +519,10 @@ def test_fixture_ring_signalling_is_inverse_influence(rule):
             a = build_ring(layers, cells, cell_dim, model="quantum")
         except SpecError:  # the rule's gates overlap on so few cells
             continue
-        for steps in range(1, MAX_STEPS + 1):
-            assert_signalling_is_inverse_influence(iterate(a.step, steps))
+        u = a.step
+        for _ in range(MAX_STEPS):
+            assert_signalling_is_inverse_influence(u)
+            u = a.step.compose(u)
 
 
 # -- the lift identity: classical influence is quantum influence is quantum signalling -

@@ -13,15 +13,12 @@ import numpy as np
 import pytest
 
 from causal_lens import quantum
-from causal_lens.causal import (
-    embed_on,
-    hierarchy_report,
-    memory_decomposition,
-    reorder_wires,
-)
+from causal_lens.causal import hierarchy_report, memory_decomposition
 from causal_lens.errors import ConsistencyError
 from causal_lens.quantum import UnitaryChannel, _signalling_delta, _signalling_terms
 from causal_lens.systems import _grounded, composite
+
+from wiring import embed_on, reorder_wires
 
 
 def reference_states(dim: int) -> list[np.ndarray]:

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from causal_lens import classical, quantum
-from causal_lens.causal import reorder_wires, t_process
+from causal_lens.causal import t_process
 from causal_lens.classical import ClassicalChannel
 from causal_lens.quantum import UnitaryChannel
 from causal_lens.systems import composite
+
+from wiring import reorder_wires
 
 
 def composed_probe(u, probed, copies):
@@ -34,7 +36,7 @@ def composed_probe(u, probed, copies):
     for x in range(padded.total_dim):
         digits = padded.unflatten(x)
         swap_table.append(padded.flatten([digits[s] for s in source]))
-    swap = cls.from_index_permutation(padded, padded, swap_table)
+    swap = in_model(cls, ClassicalChannel(padded, padded, tuple(swap_table)))
     back = cls.identity(copy_sys).tensor(u.invert())
     fwd = cls.identity(copy_sys).tensor(u)
     return fwd.compose(swap).compose(back)

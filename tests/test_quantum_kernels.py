@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_lens import causal, quantum
+from causal_lens.classical import ClassicalChannel
 from causal_lens.causal import find_witness, has_causal_influence, hierarchy_report, replay_witness
 from causal_lens.quantum import UnitaryChannel, _delta_gap, _signalling_delta, _signalling_terms
 from causal_lens.systems import CompositeSystem, composite
@@ -55,7 +56,7 @@ def kernel_cases():
         system = composite(*zip("ABCD", dims))
         if rng.random() < 0.3:
             perm = rng.permutation(system.total_dim)
-            u = UnitaryChannel.from_index_permutation(system, system, perm)
+            u = quantum.from_classical(ClassicalChannel(system, system, perm))
         else:
             u = quantum.random_unitary(system, rng)
         if k % 2:

@@ -1,7 +1,7 @@
 """``build_ring`` by contraction against the step composed gate by gate.
 
 ``composed_step`` is the reference: each gate embedded on the ring with
-``embed_on`` and composed onto the step, in the channel's own model.
+``wiring.embed_on`` and composed onto the step, in the channel's own model.
 """
 
 import dataclasses
@@ -12,13 +12,15 @@ import pytest
 
 from causal_lens import classical, quantum
 from causal_lens.automata import RingAutomaton, build_ring, neighbourhood_maps
-from causal_lens.causal import embed_on, influence_relation
+from causal_lens.causal import influence_relation
 from causal_lens.classical import _digit_table
 from causal_lens.classical import ClassicalChannel
 from causal_lens.cli import load_rule_file
 from causal_lens.errors import ConsistencyError, SpecError
 from causal_lens.quantum import UnitaryChannel
 from causal_lens.systems import CompositeSystem, composite
+
+from wiring import embed_on
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 RULES = ("single_cnot_layer_ring.json", "staggered_cnot_ring.json", "swap_chain_ring.json")
