@@ -210,7 +210,7 @@ class ClassicalChannel(_ArrayTable):
     # -- evaluation ----------------------------------------------------------
 
     def apply_values(self, values: Sequence[int]) -> tuple[int, ...]:
-        return self.output.unflatten(self.table[self.input.flatten(values)])
+        return self.output.unflatten(self.apply(self.input.flatten(values)))
 
     # -- constructors ----------------------------------------------------------
 

@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -60,10 +59,16 @@ def _max_dim(model: str) -> int:
 
 
 def _load_json(path: str) -> dict:
-    """The JSON object in the UTF-8 file at ``path``; any failure to read one is a SpecError."""
+    """The JSON object in the UTF-8 file at ``path``; any failure to read one is a SpecError.
+
+    The file is read as bytes in one call and decoded strictly; ``\\r\\n`` and a
+    lone ``\\r`` read as ``\\n``, as in a text-mode read, so an invalid file's
+    ``line:col`` is the same whatever its line ends.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        data = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except FileNotFoundError:
         raise SpecError(f"{path}: file not found") from None
     except OSError as exc:
@@ -232,7 +237,8 @@ def load_rule_file(path: str, model: str, tol: float = DEFAULT_TOL):
             if gate_ref in _BUILTINS:
                 gate = _builtin_gate(gate_ref, model, cell_dim)
             else:
-                gate_path = str(Path(path).parent / gate_ref) if not os.path.isabs(gate_ref) else gate_ref
+                # joined as written; an absolute entry replaces the directory
+                gate_path = os.path.join(os.path.dirname(path), gate_ref)
                 if not os.path.isfile(gate_path):
                     raise SpecError(
                         f"{path}: gate {gate_ref!r} is neither a builtin {list(_BUILTINS)} nor a file"

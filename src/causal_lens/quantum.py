@@ -206,7 +206,18 @@ def _wire_deltas(stack: np.ndarray) -> np.ndarray:
 def _factor_atol(eps: float, atol: float) -> float:
     """The unitarity bound of ``W`` for ``U = W ⊗ 1 + R``, ``‖R‖_F = eps``, ``U`` within ``atol``.
 
-    ``(W+W − 1) ⊗ 1 = (U+U − 1) − U+R − R+U + R+R``."""
+    ``(W+W − 1) ⊗ 1 = (U+U − 1) − U+R − R+U + R+R``. Dropping the ``eps²``
+    term would change no check, since ``atol + 2·eps`` also holds. With
+    ``W = Tr_idle(U) / d``, ``d`` the idle dimension, ``Tr_idle R = 0``, so
+    ``W+W − 1 = Tr_idle(U+U − 1) / d − Tr_idle(R+R) / d``. The first term is
+    an average of entries of ``U+U − 1``; the second is positive with trace
+    ``eps²``, so no entry exceeds that. Hence ``max |W+W − 1| ≤ atol + eps²/d``,
+    at most ``atol + 2·eps`` while ``eps ≤ 2d``. Past that, ``2·eps > 4``,
+    while ``W`` is an average of blocks of ``U``, so ``‖W‖² ≤ ‖U‖² ≤ 1 + D·atol``
+    (``D`` the dim of ``U``; ``D·atol < 4`` at any dim a dense matrix reaches)
+    and ``max |W+W − 1| ≤ max(1, D·atol)``. The memory check needs only
+    ``eps`` plus the certificate (``_verify_quantum_memory``).
+    """
     return atol + eps * (2.0 + eps)
 
 

@@ -247,8 +247,9 @@ def test_instrument_error_paths_keep_their_messages():
         for x in (-1, ch.input.total_dim):
             with pytest.raises(SpecError, match=f"^input index {x} out of range$"):
                 ch.apply(x)
-    # a channel applies off its array: the table tuple stays unbuilt
+    # a channel applies off its array, by index or by values: the table tuple stays unbuilt
     assert [gate.apply(x) for x in range(4)] == [0, 1, 3, 2] and "table" not in vars(gate)
+    assert gate.apply_values((1, 0)) == (1, 1) and "table" not in vars(gate)
     assert ident.is_deterministic and ident.pairs == {(0, 0), (1, 1)}
 
 

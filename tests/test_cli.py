@@ -333,18 +333,28 @@ def test_tol_must_be_finite_and_non_negative(capsys, argv, tol):
     assert f"error: argument --tol: invalid tolerance value: '{tol}'" in out.err
 
 
+# an invalid rule file whose third line is " x}": its position is 3:2 whatever
+# the line ends, as a text-mode read counts lines
+BROKEN_LINES = [b'{"cell_dim": 2,', b' "layers": [[{"gate": "cnot", "at": 0}]', b" x}"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "ca"])
 @pytest.mark.parametrize(
     "content,message",
     [
-        (None, "cannot read: Is a directory"),
-        (b"\xff\xfe{}", "not UTF-8 text"),
-        (b"5", "the top level must be a JSON object"),
-        (b'["model", "inputs", "outputs", "data", "cell_dim", "layers"]', "the top level must be a JSON object"),
-        (b'{"cell_dim": ' + b"9" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
-        (b"[" * 100000 + b"]" * 100000, "invalid JSON: nested too deeply"),
+        (None, ": cannot read: Is a directory"),
+        (b"\xff\xfe{}", ": not UTF-8 text"),
+        (b"5", ": the top level must be a JSON object"),
+        (b'["model", "inputs", "outputs", "data", "cell_dim", "layers"]', ": the top level must be a JSON object"),
+        (b'{"cell_dim": ' + b"9" * 5000 + b"}", ": invalid JSON: Exceeds the limit"),
+        (b"[" * 100000 + b"]" * 100000, ": invalid JSON: nested too deeply"),
+        (b"\r\n".join(BROKEN_LINES), ":3:2: invalid JSON: Expecting ',' delimiter"),
+        (b"\r".join(BROKEN_LINES), ":3:2: invalid JSON: Expecting ',' delimiter"),
     ],
-    ids=["directory", "utf-16-bom", "number", "list-of-keys", "long-integer", "deep-nesting"],
+    ids=[
+        "directory", "utf-16-bom", "number", "list-of-keys", "long-integer", "deep-nesting",
+        "crlf-line-ends", "cr-line-ends",
+    ],
 )
 def test_an_unreadable_file_is_a_parse_error(capsys, tmp_path, command, content, message):
     path = tmp_path
@@ -354,7 +364,45 @@ def test_an_unreadable_file_is_a_parse_error(capsys, tmp_path, command, content,
     extra = ["--cells", "4"] if command == "ca" else []
     code, out, err = run(capsys, command, path, *extra)
     assert code == 1 and out == ""
-    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}{message}") and err.count("\n") == 1
+
+
+def ring_with_gate(path, gate):
+    """The staggered CNOT ring fixture with every ``cnot`` entry naming ``gate``."""
+    rule = json.loads((FIXTURES / "staggered_cnot_ring.json").read_text())
+    for layer in rule["layers"]:
+        for entry in layer:
+            entry["gate"] = gate
+    path.write_text(json.dumps(rule))
+    return path
+
+
+@pytest.mark.parametrize("model", ["classical", "quantum"])
+def test_a_gate_path_is_joined_to_the_rule_files_directory(capsys, monkeypatch, tmp_path, model):
+    def payload(rule):
+        code, out, err = run_json(capsys, "ca", rule, "--cells", "6", "--model", model)
+        assert code == 0 and err == ""
+        return {k: v for k, v in out.items() if k != "file"}
+
+    builtin = payload(FIXTURES / "staggered_cnot_ring.json")
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "gate.json").write_text((FIXTURES / "cnot.json").read_text())
+    ring_with_gate(sub / "bare.json", "gate.json")
+    nested = ring_with_gate(tmp_path / "nested.json", "sub/gate.json")
+    absolute = ring_with_gate(tmp_path / "absolute.json", str(sub / "gate.json"))
+    monkeypatch.chdir(sub)
+    for rule in ("bare.json", nested, absolute):
+        assert payload(rule) == builtin
+
+
+def test_a_gate_path_in_a_message_is_the_directory_joined_as_written(capsys, monkeypatch, tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "bad.json").write_text(json.dumps({"model": "classical"}))
+    one_gate_rule(tmp_path, "sub//bad.json")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "ca", "./rule.json", "--cells", "2")
+    assert (code, out, err) == (1, "", "error: ./sub//bad.json: missing key 'inputs'\n")
 
 
 def test_rule_entries_naming_one_builtin_share_one_gate():

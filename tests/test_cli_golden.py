@@ -45,6 +45,12 @@ def commands():
                 yield name, ["niwd", path, "--from", frm, *m]
         for cls in ("constants", "atoms", "all-functions"):
             yield name, ["oracle", path, "--model", "classical", "--class", cls]
+    # influence that neither U nor its inverse signals classically; its lift signals
+    path = FIXTURES / "hidden_influence.json"
+    yield "hidden_influence", ["analyze", path, "--model", "classical"]
+    pairs = (("B", "B'", "classical"), ("A", "C'", "classical"), ("B", "B'", "quantum"))
+    for frm, to, model in pairs:
+        yield "hidden_influence", ["hierarchy", path, "--from", frm, "--to", to, "--model", model]
     for name in RINGS:
         path = FIXTURES / f"{name}.json"
         for model in MODELS:

@@ -4,9 +4,10 @@
 kept here verbatim as references, on probe stacks and output-digit grids of
 mixed-radix channels, and each of its columns against its single-axis call.
 ``quantum._identity_factor`` is checked against the pattern ``1 ⊗ W`` formed
-in full on channel grids, every idle set in a random order. The digit table
-of the classical joint test is checked against the reshape arithmetic it
-replaced.
+in full on channel grids, every idle set in a random order, and its factor
+against the bound of ``quantum._factor_atol``'s proof on near-factor grids.
+The digit table of the classical joint test is checked against the reshape
+arithmetic it replaced.
 """
 
 import itertools
@@ -180,3 +181,30 @@ def test_the_factor_kernel_matches_the_formed_pattern_on_channels(seed):
                 assert np.isclose(delta, np.sqrt(want_r2[0] / np.sqrt(grid.size)), atol=1e-15)
                 d_rest = w.output.total_dim // w.output.select(names).total_dim
                 assert factor.shape == (d_rest, d_rest)
+
+
+# the rounding of W+W − 1 on grids of dim at most 9, far below every bound it is added to
+FACTOR_ROUNDING = 1e-13
+
+
+@pytest.mark.parametrize("d_a,d_idle", itertools.product((2, 3), repeat=2))
+def test_a_near_factor_is_unitary_within_atol_plus_eps_squared_over_d(d_a, d_idle):
+    # U = (V ⊗ 1)·exp(i·s·H) on (A, I): s from 1e-6 to 3 moves U from a factor
+    # to a random unitary, eps from ~1e-5 to ~sqrt(dim U)
+    rng = np.random.default_rng([32, d_a, d_idle])
+    system = composite(("A", d_a), ("I", d_idle))
+    n, epsilons = system.total_dim, []
+    for s in np.geomspace(1e-6, 3.0, 100):
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        lam, vec = np.linalg.eigh(h + h.conj().T)
+        local = quantum.random_unitary(composite(("A", d_a)), rng).matrix
+        matrix = np.kron(local, np.eye(d_idle)) @ (vec * np.exp(1j * s * lam)) @ vec.conj().T
+        u = quantum.UnitaryChannel(system, system, matrix)
+        atol = float(quantum._unitarity_defects(u.matrix))
+        grid, pairs = quantum._paired_grid(u, ("I",))
+        _, eps, w = quantum._identity_factor(grid, pairs, np.inf)
+        defect = quantum._unitarity_defects(w)
+        assert defect <= atol + eps**2 / d_idle + FACTOR_ROUNDING
+        assert defect <= atol + 2 * eps + FACTOR_ROUNDING  # the bound without eps²
+        epsilons.append(eps)
+    assert min(epsilons) < 1e-4 and max(epsilons) > 1.5

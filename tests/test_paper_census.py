@@ -12,12 +12,19 @@ these shapes, not a proof; the counts are exact.
   ``influence == wire_signalling(u) | wire_signalling(u.invert()).T`` on
   every channel. So signalling implies influence here, as the paper proves
   in general.
+
+It takes a third wire to hide influence from both directions: on the fixture
+``hidden_influence.json`` neither the evolution nor its inverse signals
+B → B' or A → C', yet B influences B' and A influences C'.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causal_lens.causal import influence_relation
+from causal_lens.cli import load_channel_file
 from causal_lens.classical import all_reversible_channels
 from causal_lens.systems import composite
 
@@ -43,3 +50,14 @@ def test_the_census_of_every_two_wire_channel(dims):
             np.array_equal(influence, signalling | back),
         ]
     assert tuple(counts.tolist()) == CENSUS[dims]
+
+
+def test_influence_that_neither_direction_signals():
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "hidden_influence.json"
+    u = load_channel_file(str(fixture))
+    influence, signalling = influence_relation(u), u.wire_signalling()
+    back = u.invert().wire_signalling().T
+    hidden = influence & ~(signalling | back)
+    # rows A, B, C; columns A', B', C': exactly A -> C' and B -> B'
+    assert influence.all()
+    assert np.argwhere(hidden).tolist() == [[0, 2], [1, 1]]
