@@ -3,11 +3,11 @@
 An automaton is built from layers of identical-dimension gates placed at
 cyclic positions; its step channel is the ordered composition of the layers.
 The step is built by contraction, with no channel per gate: each gate is
-applied to the running step on its own cells (quantumly a ``tensordot`` on the
-cell axes of the step's matrix; classically the step is kept as digit rows,
-one row per cell, and the gate's table is looked up on its cells' rows folded
-into one index and unfolded back into them), and the result is certified
-once.
+applied to the running step on its own cells (quantumly one matrix product,
+the step's axes of the gate's cells moved to the front and flattened into the
+gate's input index; classically the step is kept as digit rows, one row per
+cell, and the gate's table is looked up on its cells' rows folded into one
+index and unfolded back into them), and the result is certified once.
 The causal neighbourhoods and signalling sets of all cells are the two bool
 arrays ``causal.wire_relations`` returns for the iterated step, indexed
 ``[input cell, output cell]``, with no channel built. Classically it runs
@@ -101,7 +101,9 @@ def build_ring(
 
     Each gate acts on the running step, gate wire ``j`` on cell ``at+j``:
     quantumly the step is a tensor with one axis per output cell and one for
-    the input index, and the gate is contracted into its cells' axes;
+    the input index; the gate's cells' axes are moved to the front (a view)
+    and flattened into its input index (one copy), multiplied by the gate's
+    matrix, and moved back;
     classically the step is its digit rows ``acc[cell, x]``, the gate's
     cells' rows are folded big-endian into its input index, looked up in its
     table and written back by ``divmod``, and the table is
@@ -158,9 +160,11 @@ def build_ring(
                 for c in reversed(span):
                     out, acc[c] = divmod(out, cell_dim)
             else:
-                g = gate.matrix.reshape(gate.input.dims * 2)
-                acc = np.tensordot(g, acc, axes=(range(arity, 2 * arity), span))
-                acc = np.moveaxis(acc, range(arity), span)
+                order = span + [k for k in range(acc.ndim) if k not in span]
+                back = sorted(range(acc.ndim), key=order.__getitem__)  # the inverse order
+                moved = acc.transpose(order)
+                out = gate.matrix @ moved.reshape(gate.input.total_dim, -1)
+                acc = out.reshape(moved.shape).transpose(back)
             layer_spans.append(tuple(span))
         spans.append(tuple(layer_spans))
     if model == "classical":

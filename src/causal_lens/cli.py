@@ -192,17 +192,13 @@ _BUILTINS = ("cnot", "hadamard", "identity", "swap")
 
 @functools.cache  # gates are immutable: every entry naming a builtin shares one
 def _builtin_gate(name: str, model: str, cell_dim: int):
-    """The builtin gate ``name``, one of ``_BUILTINS``."""
+    """The builtin gate ``name``, one of ``_BUILTINS``; its caller checks the cap first."""
     if name == "hadamard":
         if model != "quantum":
             raise SpecError("the hadamard builtin needs --model quantum")
         if cell_dim != 2:
             raise SpecError("the hadamard builtin needs cell_dim 2")
         return qm.hadamard()
-    # a gate spans at most its ring, so one over the cap is rejected before its table is built
-    width, cap = (1 if name == "identity" else 2), _max_dim(model)
-    if cell_dim**width > cap:
-        raise BudgetError(f"{name} gate dimension {cell_dim}**{width} exceeds the cap of {cap}")
     if name == "cnot":
         gate = cl.cnot(dim=cell_dim)
     elif name == "swap":
@@ -223,7 +219,7 @@ def load_rule_file(path: str, model: str, tol: float = DEFAULT_TOL):
     rows = data["layers"]
     if not isinstance(rows, list) or not all(isinstance(layer, list) for layer in rows):
         raise SpecError(f"{path}: layers must be a list of lists of gate entries")
-    layers = []
+    layers, cap = [], None  # the cap is read once, at the first builtin it bounds
     for layer in rows:
         built = []
         for entry in layer:
@@ -235,6 +231,14 @@ def load_rule_file(path: str, model: str, tol: float = DEFAULT_TOL):
             if not isinstance(gate_ref, str):
                 raise SpecError(f"{path}: gate must be a builtin name or a file path")
             if gate_ref in _BUILTINS:
+                if gate_ref != "hadamard":
+                    # a gate spans at most its ring, so one over the cap is rejected before its
+                    # table is built; checked outside the gate cache, which outlives a change of cap
+                    width, cap = (1 if gate_ref == "identity" else 2), cap or _max_dim(model)
+                    if cell_dim**width > cap:
+                        raise BudgetError(
+                            f"{gate_ref} gate dimension {cell_dim}**{width} exceeds the cap of {cap}"
+                        )
                 gate = _builtin_gate(gate_ref, model, cell_dim)
             else:
                 # joined as written; an absolute entry replaces the directory

@@ -92,9 +92,11 @@ def _heisenberg(u: "UnitaryChannel", blocks: Sequence[tuple[int, tuple[int, ...]
     # V as a tensor [inputs…, z] on each side, a view of U
     t = u.matrix.T.reshape(u.input.dims + (n,)), u.matrix.reshape(u.output.dims + (n,))
     v_out, d_a = t[1 - side].shape[:-1], math.prod(t[side].shape[k] for k in block)
-    grouped = [t[s].transpose(_first([*c, t[s].ndim - 1], t[s].ndim)) for s, c in blocks]
-    # rows (c, z), columns b
-    x = np.stack([g.reshape(d_a * n, -1) for g in grouped])
+    # rows (c, z), columns b: each block's transposed view copied once into its row
+    x = np.empty((len(blocks), d_a * n, n // d_a), dtype=u.matrix.dtype)
+    for row, (s, c) in zip(x, blocks):
+        g = t[s].transpose(_first([*c, t[s].ndim - 1], t[s].ndim))
+        row.reshape(g.shape)[...] = g
     # one batched product: m[p, c, z', c', z] is the sum over b
     m = (x @ x.conj().transpose(0, 2, 1)).reshape(len(blocks), d_a, n, d_a, n)
     grid = (len(blocks), d_a) + v_out + (d_a,) + v_out
@@ -302,9 +304,13 @@ class UnitaryChannel:
     atol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        if not m.imag.any():  # -0.0 is zero; a NaN is not, and fails the certificate
-            m = m.real.copy()
+        m = np.asarray(self.matrix)
+        if m.dtype.kind in "biuf":  # real: one copy, straight to float64
+            m = np.array(m, dtype=float, order="C")
+        else:
+            m = np.array(m, dtype=complex)
+            if not m.imag.any():  # -0.0 is zero; a NaN is not, and fails the certificate
+                m = m.real.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         n = self.input.total_dim

@@ -683,6 +683,22 @@ def test_a_builtin_gate_over_the_cap_exits_3_before_its_table_is_built(
     assert f"{gate} gate dimension 5**2 exceeds the cap of 16" in err
 
 
+@pytest.mark.parametrize("model", ["classical", "quantum"])
+def test_a_builtin_gate_cached_under_the_default_cap_is_checked_against_a_lower_one(
+    capsys, monkeypatch, model
+):
+    # the gate is built and cached under the default cap; the lower cap must
+    # still reject it at the gate, not only later at the ring
+    ring = FIXTURES / "staggered_cnot_ring.json"
+    monkeypatch.delenv("CAUSAL_LENS_MAX_DIM", raising=False)
+    assert run(capsys, "ca", ring, "--cells", "6", "--model", model)[0] == 0
+    assert cli._builtin_gate.cache_info().currsize > 0
+    monkeypatch.setenv("CAUSAL_LENS_MAX_DIM", "3")
+    code, out, err = run(capsys, "ca", ring, "--cells", "2", "--model", model)
+    assert code == 3 and out == ""
+    assert "cnot gate dimension 2**2 exceeds the cap of 3" in err
+
+
 def test_a_quantum_file_over_the_quantum_cap_exits_3_under_any_model(capsys, tmp_path):
     # a 7-qubit identity (D = 128) is parsed as a quantum matrix whatever --model says
     qubits = [{"name": f"q{k}", "dim": 2} for k in range(7)]

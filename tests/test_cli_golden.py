@@ -24,7 +24,7 @@ GOLDENS = {
 }
 
 CHANNELS = ("cnot", "cnot_quantum", "identity", "swap", "xorback")
-RINGS = ("single_cnot_layer_ring", "staggered_cnot_ring", "swap_chain_ring")
+RINGS = ("hadamard_cnot_ring", "single_cnot_layer_ring", "staggered_cnot_ring", "swap_chain_ring")
 MODELS = ("classical", "quantum")
 
 

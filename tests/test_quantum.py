@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,16 +54,53 @@ def test_unitarity_certificate_rejects():
         UnitaryChannel(composite(("A", 2)), composite(("A", 2)), np.array([[1, 0], [0, 2.0]]))
 
 
+def certificate_failure(u):
+    """The certificate's message on ``u``, which must fail it without a warning."""
+    bit = composite(("A", 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecError, match="unitarity certificate failed") as failed:
+            UnitaryChannel(bit, bit, u)
+    return str(failed.value)
+
+
 @pytest.mark.parametrize(
-    "value", [np.nan, np.inf, -np.inf, pytest.param(complex(0.0, np.nan), id="nanj")]
+    "value,dtype",
+    [pytest.param(v, complex, id=str(v)) for v in (np.nan, np.inf, -np.inf)]
+    + [pytest.param(complex(0.0, np.nan), complex, id="nanj")]
+    + [pytest.param(v, float, id=f"{v}-float64") for v in (np.nan, np.inf, -np.inf)],
 )
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
-def test_a_non_finite_entry_fails_the_unitarity_certificate(value, entry):
-    bit = composite(("A", 2))
-    u = np.eye(2, dtype=complex)
+def test_a_non_finite_entry_fails_the_unitarity_certificate(value, dtype, entry):
+    u = np.eye(2, dtype=dtype)
     u[entry] = u[entry[::-1]] = value  # Hermitian but for the non-finite value
-    with pytest.raises(SpecError, match="unitarity certificate failed"):
-        UnitaryChannel(bit, bit, u)
+    message = certificate_failure(u)
+    if dtype is float:  # the real path reports what the complex one does
+        assert message == certificate_failure(u.astype(complex))
+
+
+@pytest.mark.parametrize("second", [1, 1j], ids=["float", "complex"])
+def test_the_certificate_fails_at_a_defect_of_2e_9_and_holds_at_5e_10(second):
+    # |U+U - I| is (1 + e)**2 - 1 on the first entry, against DEFAULT_TOL = 1e-9
+    message = certificate_failure(np.diag([1 + 1e-9, second]))
+    assert message == "unitarity certificate failed: max |U+U - I| = 2.000e-09"
+    bit = composite(("A", 2))
+    u = UnitaryChannel(bit, bit, np.diag([1 + 2.5e-10, second]))
+    assert u.matrix.dtype == (np.float64 if second == 1 else np.complex128)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.eye(2), np.eye(2, dtype=int), np.eye(2, dtype=complex), np.diag([1, 1j])],
+    ids=["float", "int", "complex", "phase-gate"],
+)
+def test_the_callers_matrix_stays_writeable_unchanged_and_unshared(matrix):
+    bit = composite(("A", 2))
+    before = matrix.copy()
+    u = UnitaryChannel(bit, bit, matrix)
+    assert matrix.flags.writeable
+    assert matrix.dtype == before.dtype and np.array_equal(matrix, before)
+    assert not np.shares_memory(matrix, u.matrix)
 
 
 def signed_zero_imaginary():
