@@ -51,6 +51,9 @@ def commands():
     pairs = (("B", "B'", "classical"), ("A", "C'", "classical"), ("B", "B'", "quantum"))
     for frm, to, model in pairs:
         yield "hidden_influence", ["hierarchy", path, "--from", frm, "--to", to, "--model", model]
+    # the oracle's only run on a three-wire table
+    for cls in ("constants", "atoms", "all-functions"):
+        yield "hidden_influence", ["oracle", path, "--model", "classical", "--class", cls]
     for name in RINGS:
         path = FIXTURES / f"{name}.json"
         for model in MODELS:
