@@ -117,7 +117,8 @@ def build_ring(
     if boundary not in ("open", "ring"):
         raise SpecError("boundary must be one of ['open', 'ring']")
     cap = max_dim if max_dim is not None else DEFAULT_MAX_DIM[model]
-    if cell_dim**cells > cap:
+    # cell_dim >= 2, so past cap's bit length the power exceeds cap without computing it
+    if cells >= cap.bit_length() or cell_dim**cells > cap:
         raise BudgetError(
             f"ring dimension {cell_dim}**{cells} exceeds the cap of {cap}"
         )
@@ -156,7 +157,7 @@ def build_ring(
                 idx = acc[span[0]]
                 for c in span[1:]:
                     idx = idx * cell_dim + acc[c]
-                out = gate._arr[idx]
+                out = gate.table[idx]
                 for c in reversed(span):
                     out, acc[c] = divmod(out, cell_dim)
             else:

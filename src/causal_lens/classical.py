@@ -3,11 +3,13 @@
 A reversible channel on finite alphabets is a bijective lookup table between
 joint indices; everything here is exact integer arithmetic, so the ``tol``
 parameters accepted for interface parity with the quantum model are unused.
+A channel or instrument keeps its table as ``table``, one read-only int64
+array that its constructor copies, and compares by identity.
 
 Instruments (interventions) are sub-normalized partial functions: a
 deterministic table is total, a measure-``i``/prepare-``j`` atom is defined at
-a single point, and undefined points are explicit null events rather than
-renormalized branches.
+a single point, and undefined points are explicit null events (-1 in the
+table) rather than renormalized branches.
 
 ``ClassicalChannel`` owns the classical kernels of ``causal``'s definitions,
 as the protocol steps listed there: the probe stack from one ``argsort``, the
@@ -33,6 +35,7 @@ from .systems import (
     _grounded,
     _paired_layout,
     _read_digits,
+    _renamed,
     _write_digits,
     composite,
 )
@@ -162,39 +165,29 @@ def _passes_idle_digits(flat: np.ndarray, off2: np.ndarray) -> np.ndarray:
     return (base == flat).all(axis=1)
 
 
-class _ArrayTable:
-    """A table kept as a read-only int64 array ``_arr``; ``table``, the same
-    table as a tuple (-1, the null event, as None), is built on first access."""
+class _Table:
+    """A table kept as ``table``, a read-only int64 copy of the one given (-1 the null event)."""
 
     def _keep(self, arr: np.ndarray) -> np.ndarray:
         arr.flags.writeable = False
-        object.__setattr__(self, "_arr", arr)
-        object.__delattr__(self, "table")  # rebuilt from the array on first access
+        object.__setattr__(self, "table", arr)
         return arr
 
     def apply(self, x: int) -> Optional[int]:
         """The output index at input index ``x``; None for an instrument's null event."""
-        if not 0 <= x < len(self._arr):
+        if not 0 <= x < len(self.table):
             raise SpecError(f"input index {x} out of range")
-        v = int(self._arr[x])
+        v = int(self.table[x])
         return None if v < 0 else v
 
-    def __getattr__(self, name: str):
-        # reached only while the ``table`` tuple is not cached on the instance
-        if name != "table":
-            raise AttributeError(name)
-        table = tuple(None if v < 0 else v for v in self._arr.tolist())
-        object.__setattr__(self, "table", table)
-        return table
 
-
-@dataclass(frozen=True)
-class ClassicalChannel(_ArrayTable):
+@dataclass(frozen=True, eq=False)
+class ClassicalChannel(_Table):
     """A bijection between the joint indices of two equal-cardinality systems."""
 
     input: CompositeSystem
     output: CompositeSystem
-    table: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self) -> None:
         arr = self._keep(np.array(self.table, dtype=np.int64))
@@ -226,17 +219,17 @@ class ClassicalChannel(_ArrayTable):
             raise SpecError(
                 f"cannot compose: inner output dims {first.output.dims} != outer input dims {self.input.dims}"
             )
-        return ClassicalChannel(first.input, self.output, self._arr[first._arr])
+        return ClassicalChannel(first.input, self.output, self.table[first.table])
 
     def tensor(self, other: "ClassicalChannel") -> "ClassicalChannel":
         inp = self.input.concat(other.input)
         out = self.output.concat(other.output)
         m_out = other.output.total_dim
-        table = (self._arr[:, None] * m_out + other._arr[None, :]).reshape(-1)
+        table = (self.table[:, None] * m_out + other.table[None, :]).reshape(-1)
         return ClassicalChannel(inp, out, table)
 
     def invert(self) -> "ClassicalChannel":
-        return ClassicalChannel(self.output, self.input, np.argsort(self._arr))
+        return ClassicalChannel(self.output, self.input, np.argsort(self.table))
 
     def with_names(
         self,
@@ -244,12 +237,7 @@ class ClassicalChannel(_ArrayTable):
         output_names: Optional[Sequence[str]] = None,
     ) -> "ClassicalChannel":
         """Same table with renamed wires."""
-        inp, out = self.input, self.output
-        if input_names is not None:
-            inp = composite(*zip(input_names, inp.dims))
-        if output_names is not None:
-            out = composite(*zip(output_names, out.dims))
-        return ClassicalChannel(inp, out, self._arr)
+        return _renamed(self, input_names, output_names)
 
     # -- causal-structure primitives -----------------------------------------
 
@@ -261,7 +249,7 @@ class ClassicalChannel(_ArrayTable):
         of the remaining inputs. ``tol`` is unused.
         """
         from_pos = self.input.subset_positions(from_in)
-        grid = self.output.digits(self._arr, tuple(to_out)).reshape((1,) + self.input.dims)
+        grid = self.output.digits(self.table, tuple(to_out)).reshape((1,) + self.input.dims)
         return not _steps_by(grid, from_pos, [0] * len(from_pos))[0].all()
 
     def wire_signalling(self, tol: float = 0.0) -> np.ndarray:
@@ -274,7 +262,7 @@ class ClassicalChannel(_ArrayTable):
         once: one ``_steps_by`` call with a step of 0, negated and transposed.
         ``tol`` is unused.
         """
-        grid = self.output.digit_rows(self._arr).reshape((len(self.output),) + self.input.dims)
+        grid = self.output.digit_rows(self.table).reshape((len(self.output),) + self.input.dims)
         return ~_steps_by(grid, range(len(self.input)), [0] * len(self.input)).T
 
     def factors_as_identity(
@@ -290,7 +278,7 @@ class ClassicalChannel(_ArrayTable):
         """
         idle = tuple(idle)
         in_pos, out_pos = _paired_layout(self.input, self.output, idle)
-        grid = self._arr.reshape((1,) + self.input.dims)
+        grid = self.table.reshape((1,) + self.input.dims)
         strides = [self.output.strides[k] for k in out_pos]
         if not _steps_by(grid, in_pos, strides)[0].all():
             return None
@@ -307,10 +295,10 @@ class ClassicalChannel(_ArrayTable):
         joint indices ``(x_A, u(x with A := c))`` for ``x = u^-1(z)``, from one ``argsort``."""
         dims = [self.input.dims[k] for k in blocks[0]]
         d_a = math.prod(dims)
-        x = np.argsort(self._arr)
+        x = np.argsort(self.table)
         # per probed wire, a (probes, 1, 1) column of its strides
         strides = np.array(self.input.strides)[np.array(blocks, dtype=int).T][..., None, None]
-        after = self._arr[_write_digits(x, strides, dims, np.arange(d_a)[:, None])]
+        after = self.table[_write_digits(x, strides, dims, np.arange(d_a)[:, None])]
         tables = _read_digits(x, strides, dims) * self.output.total_dim + after
         return tables.reshape((len(blocks), d_a) + self.output.dims)
 
@@ -360,7 +348,7 @@ class ClassicalChannel(_ArrayTable):
         d_a, d_b, d_bp = a_sys.total_dim, b_sys.total_dim, bp_sys.total_dim
 
         # z[a, b] = u(a, b); the two blocks' digits are disjoint, so their indices add
-        z = self._arr[_grounded(self.input, frm)[:, None] + _grounded(self.input, b_names)]
+        z = self.table[_grounded(self.input, frm)[:, None] + _grounded(self.input, b_names)]
         z_ap = self.output.digits(z, ap_names)
 
         # v copies its input into the memory and emits the idle outputs, which by
@@ -381,14 +369,14 @@ class ClassicalChannel(_ArrayTable):
     def _discard_leaves_rest_alone(self, act, bystander, tol: float = 0.0) -> bool:
         """Discarding the acting outputs leaves the ``bystander`` digits passing through."""
         passed = self.input.digits(np.arange(self.input.total_dim), bystander)
-        return np.array_equal(passed, self.output.digits(self._arr, bystander))
+        return np.array_equal(passed, self.output.digits(self.table, bystander))
 
     def _inverse_nosignalling(self, frm, to, tol: float = 0.0) -> bool:
         """Exactly: ``u``'s target digits, ``frm`` grounded, at ``u^-1(z)``'s rest are ``z``'s."""
         b_names = self.input.complement(frm)
         grounded = _grounded(self.input, b_names)  # the from block in its ground state
-        c_table = self.output.digits(self._arr[grounded], to)
-        b_of = self.input.digits(np.argsort(self._arr), b_names)  # B digits of u^-1(z)
+        c_table = self.output.digits(self.table[grounded], to)
+        b_of = self.input.digits(np.argsort(self.table), b_names)  # B digits of u^-1(z)
         targets = self.output.digits(np.arange(self.output.total_dim), to)
         return np.array_equal(c_table[b_of], targets)
 
@@ -428,12 +416,12 @@ class ClassicalChannel(_ArrayTable):
             raise SpecError("instrument's trailing wires must match the probed block")
         d_env = instrument.input.total_dim // d_from
         d_out = self.output.total_dim
-        inst = instrument._arr
+        inst = instrument.table
         # probe, intervene on (env, copy), probe again; rows env, columns (c, z)
-        c1, z1 = np.divmod(probe._arr, d_out)
+        c1, z1 = np.divmod(probe.table, d_out)
         hit = inst[np.arange(d_env)[:, None] * d_from + c1]
         e2, c2 = np.divmod(hit, d_from)
-        lhs = probe._arr[c2 * d_out + z1]
+        lhs = probe.table[c2 * d_out + z1]
         # undo, intervene on (env, real input block), evolve; the copy c passes through
         e3, z3 = (
             np.tile(a.reshape(d_env, d_out), d_from)
@@ -465,11 +453,11 @@ def _conjugated_table(
     Points run in row-major order; env' is -1 where the intervention is undefined.
     """
     d_from = u.input.select(frm).total_dim
-    x = np.tile(np.argsort(u._arr), env_dim)  # u^-1 of each output, once per env value
+    x = np.tile(np.argsort(u.table), env_dim)  # u^-1 of each output, once per env value
     env = np.repeat(np.arange(env_dim), u.output.total_dim)
     hits = _event_array(table)[env * d_from + u.input.digits(x, frm)]
     e2, a2 = np.divmod(hits, d_from)
-    return np.where(hits < 0, -1, e2), u._arr[u.input.with_digits(x, frm, a2)]
+    return np.where(hits < 0, -1, e2), u.table[u.input.with_digits(x, frm, a2)]
 
 
 def _local_form_violation(
@@ -517,18 +505,18 @@ def _local_form_violation(
     }
 
 
-@dataclass(frozen=True)
-class ClassicalInstrument(_ArrayTable):
+@dataclass(frozen=True, eq=False)
+class ClassicalInstrument(_Table):
     """A sub-normalized partial function: one event of a classical test.
 
-    ``table[x]`` is the prepared joint index, or None for the null event (-1
-    in an array). Deterministic channels are total tables; an atom measures
+    ``table[x]`` is the prepared joint index, or -1 for the null event (given
+    as -1 or None). Deterministic channels are total tables; an atom measures
     ``i`` and prepares ``j``, undefined elsewhere.
     """
 
     input: CompositeSystem
     output: CompositeSystem
-    table: tuple[Optional[int], ...]
+    table: np.ndarray
 
     def __post_init__(self) -> None:
         arr = self._keep(_event_array(self.table))
@@ -560,12 +548,12 @@ class ClassicalInstrument(_ArrayTable):
 
     @property
     def is_deterministic(self) -> bool:
-        return bool((self._arr >= 0).all())
+        return bool((self.table >= 0).all())
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
-        (defined,) = np.nonzero(self._arr >= 0)
-        return frozenset(zip(defined.tolist(), self._arr[defined].tolist()))
+        (defined,) = np.nonzero(self.table >= 0)
+        return frozenset(zip(defined.tolist(), self.table[defined].tolist()))
 
 
 # -- gate constructors ---------------------------------------------------------

@@ -140,7 +140,7 @@ def definition_check(
     inputs = [u.input.unflatten(x) for x in range(u.input.total_dim)]
     index = {vals: x for x, vals in enumerate(inputs)}
     rest_code, tgt_code, splits = {}, {}, []
-    for y in u.table:
+    for y in u.table.tolist():
         z = u.output.unflatten(y)
         rest = rest_code.setdefault(tuple(z[p] for p in rest_pos), len(rest_code))
         splits.append((rest, tgt_code.setdefault(tuple(z[p] for p in to_pos), len(tgt_code))))

@@ -37,7 +37,7 @@ import numpy as np
 from . import classical
 from .classical import _at_zero, _dim_chunks, _fresh_copies
 from .errors import ConsistencyError, SpecError
-from .systems import CompositeSystem, _paired_layout, composite
+from .systems import CompositeSystem, _paired_layout, _renamed, composite
 
 __all__ = [
     "DEFAULT_TOL",
@@ -308,7 +308,7 @@ class UnitaryChannel:
         if m.dtype.kind in "biuf":  # real: one copy, straight to float64
             m = np.array(m, dtype=float, order="C")
         else:
-            m = np.array(m, dtype=complex)
+            m = np.array(m, dtype=complex, order="C")
             if not m.imag.any():  # -0.0 is zero; a NaN is not, and fails the certificate
                 m = m.real.copy()
         m.flags.writeable = False
@@ -354,12 +354,7 @@ class UnitaryChannel:
         input_names: Optional[Sequence[str]] = None,
         output_names: Optional[Sequence[str]] = None,
     ) -> "UnitaryChannel":
-        inp, out = self.input, self.output
-        if input_names is not None:
-            inp = composite(*zip(input_names, inp.dims))
-        if output_names is not None:
-            out = composite(*zip(output_names, out.dims))
-        return UnitaryChannel(inp, out, self.matrix, atol=self.atol)
+        return _renamed(self, input_names, output_names)
 
     # -- causal-structure primitives -----------------------------------------
 
@@ -654,7 +649,7 @@ def from_classical(channel) -> UnitaryChannel:
     table: basis state ``x`` goes to basis state ``table[x]``."""
     n = channel.input.total_dim
     m = np.zeros((n, n))
-    m[channel._arr, np.arange(n)] = 1.0
+    m[channel.table, np.arange(n)] = 1.0
     return UnitaryChannel(channel.input, channel.output, m)
 
 

@@ -19,7 +19,7 @@ digit at once, one row per wire, in one broadcast against the strides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -208,6 +208,19 @@ def _paired_layout(
         if din != dout:
             raise SpecError(f"idle wire {name!r} has input dim {din} != output dim {dout}")
     return in_pos, out_pos
+
+
+def _renamed(channel, input_names, output_names):
+    """``channel`` with its wires renamed, one name per wire on each side given (None
+    keeps a side's names), through ``dataclasses.replace``."""
+    sides = {}
+    for side, names in (("input", input_names), ("output", output_names)):
+        if names is not None:
+            system, names = getattr(channel, side), list(names)
+            if len(names) != len(system):
+                raise SpecError(f"{side} has {len(system)} wires, got {len(names)} names")
+            sides[side] = composite(*zip(names, system.dims))
+    return replace(channel, **sides)
 
 
 def _grounded(system: CompositeSystem, names: Sequence[str]) -> np.ndarray:

@@ -186,7 +186,7 @@ def test_criterion_6_neighbourhood_laws():
                 tj = t_process(u, [j]).channel
                 common = composite((f"{i}_1", dims[int(i[1:])]), (f"{j}_1", dims[int(j[1:])])).concat(u.output)
                 ei, ej = embed_on(ti, common), embed_on(tj, common)
-                assert ei.compose(ej).table == ej.compose(ei).table
+                assert ei.compose(ej).table.tolist() == ej.compose(ei).table.tolist()
         qsys = composite(("a", 2), ("b", 2), ("c", 2))
         for _ in range(20):
             u = quantum.random_unitary(qsys, rng)

@@ -47,7 +47,7 @@ def test_build_single_cnot_layer_is_16_element_permutation():
 
 def test_empty_layers_identity_step():
     a = build_ring([], cells=3, cell_dim=2)
-    assert a.step.table == tuple(range(8))
+    assert a.step.table.tolist() == list(range(8))
 
 
 def test_two_staggered_layers_compose():
@@ -129,6 +129,19 @@ def test_budget_cap():
         build_ring([], cells=7, cell_dim=2, model="quantum")
     with pytest.raises(BudgetError):
         build_ring([], cells=13, cell_dim=2, model="classical")
+
+
+def test_a_huge_ring_is_refused_without_computing_its_dimension():
+    # 3**(10**8) has some 48 million digits; past the cap's bit length no power is formed
+    message = r"^ring dimension 3\*\*100000000 exceeds the cap of 4096$"
+    with pytest.raises(BudgetError, match=message):
+        build_ring([], cells=10**8, cell_dim=3)
+    # either side of a cap that is a power of the cell dim
+    assert build_ring([], cells=3, cell_dim=2, max_dim=8).step.input.total_dim == 8
+    for cells, cap in ((4, 8), (3, 7)):
+        message = rf"^ring dimension 2\*\*{cells} exceeds the cap of {cap}$"
+        with pytest.raises(BudgetError, match=message):
+            build_ring([], cells=cells, cell_dim=2, max_dim=cap)
 
 
 def test_identity_automaton_neighbourhoods():

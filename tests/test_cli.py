@@ -66,7 +66,7 @@ def test_model_override_lifts_classical(capsys):
     assert isinstance(u, UnitaryChannel)
     v = load_channel_file(str(FIXTURES / "cnot_quantum.json"), model_override="classical")
     assert isinstance(v, ClassicalChannel)
-    assert v.table == (0, 1, 3, 2)
+    assert v.table.tolist() == [0, 1, 3, 2]
 
 
 def test_hierarchy_cnot_target_to_control(capsys):

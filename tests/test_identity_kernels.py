@@ -89,7 +89,7 @@ def test_the_difference_kernel_equals_the_pass_through_kernel(seed):
     for u in channels(lambda u: u, seed):
         strides = u.output.strides
         grids = [(g, 1) for g in probe_stacks(u)]  # axis 0 of a row is the probe copy
-        grids.append((u._arr.reshape((1,) + u.input.dims), 0))
+        grids.append((u.table.reshape((1,) + u.input.dims), 0))
         for grid, first in grids:
             n = grid.ndim - 1 - first
             for idle in subsets(n):
@@ -109,7 +109,7 @@ def test_each_column_of_the_difference_kernel_is_its_single_axis_call(seed):
     for u in channels(lambda u: u, seed):
         strides = list(u.output.strides)
         grids = [(g, 1) for g in probe_stacks(u)]  # axis 0 of a row is the probe copy
-        grids.append((u.output.digit_rows(u._arr).reshape((len(u.output),) + u.input.dims), 0))
+        grids.append((u.output.digit_rows(u.table).reshape((len(u.output),) + u.input.dims), 0))
         for grid, first in grids:
             axes = list(range(first, grid.ndim - 1))
             for steps in ([0] * len(axes), strides[: len(axes)], strides[::-1][: len(axes)]):
@@ -128,7 +128,7 @@ def test_the_difference_kernel_at_step_0_is_no_variation(seed):
     cases, varied = 0, set()
     for u in channels(lambda u: u, seed):
         # g[t, x_0, ..., x_(n-1)], as wire_signalling builds it: a stack of 1-4
-        grid = np.array([u.output.digits(u._arr, (t,)) for t in u.output.names])
+        grid = np.array([u.output.digits(u.table, (t,)) for t in u.output.names])
         grid = grid.reshape((len(u.output),) + u.input.dims)
         for axes in subsets(len(u.input)):
             got = ~_steps_by(grid, axes, [0] * len(axes)).all(axis=1)
@@ -138,7 +138,7 @@ def test_the_difference_kernel_at_step_0_is_no_variation(seed):
         for frm in subsets(len(u.input)):
             for to in subsets(len(u.output)):
                 want = _varies(
-                    u.output.digits(u._arr, [u.output.names[k] for k in to]).reshape(
+                    u.output.digits(u.table, [u.output.names[k] for k in to]).reshape(
                         (1,) + u.input.dims
                     ),
                     frm,

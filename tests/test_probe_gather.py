@@ -132,7 +132,7 @@ def test_gathered_probe_matches_composition(u, probe):
     tp = t_process(u, probe)
     ref = composed_probe(u, tp.probed, tp.probe_copies)
     assert tp.channel.input == ref.input and tp.channel.output == ref.output
-    assert tp.channel.table == ref.table
+    assert tp.channel.table.tolist() == ref.table.tolist()
     sweep = frozenset(
         w for w in u.output.names if ref.factors_as_identity((w,)) is not None
     )
@@ -141,7 +141,8 @@ def test_gathered_probe_matches_composition(u, probe):
     want = ref.factors_as_identity(idle)
     assert want is not None
     got = tp.channel.factors_as_identity(tp.idle_subset)
-    assert (got.input, got.output, got.table) == (want.input, want.output, want.table)
+    assert (got.input, got.output) == (want.input, want.output)
+    assert got.table.tolist() == want.table.tolist()
 
 
 def test_gathered_probe_on_controlled_shift_beside_idle_wire():
@@ -152,7 +153,7 @@ def test_gathered_probe_on_controlled_shift_beside_idle_wire():
     for probe in itertools.chain([()], ([w] for w in "ABC"), [("A", "C")]):
         tp = t_process(u, probe)
         ref = composed_probe(u, tp.probed, tp.probe_copies)
-        assert tp.channel.table == ref.table
+        assert tp.channel.table.tolist() == ref.table.tolist()
     assert t_process(u, ["B"]).idle_subset == frozenset({"C"})
     assert t_process(u, ["C"]).idle_subset == frozenset({"A", "B"})
 
