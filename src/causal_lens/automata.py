@@ -1,7 +1,9 @@
 """One-step reversible cellular automata on rings and their two neighbourhoods.
 
-An automaton is built from layers of identical-dimension gates placed at
-cyclic positions; its step channel is the ordered composition of the layers.
+``build_ring(layers, cells, cell_dim, model)`` builds an automaton from layers
+of identical-dimension gates placed at cyclic positions. A ``RingAutomaton``
+holds its ``step``, the ordered composition of the layers, which fixes the
+cells, their dimension and the model, and its gates' ``spans``.
 The step is built by contraction, with no channel per gate: each gate is
 applied to the running step on its own cells (quantumly one matrix product,
 the step's axes of the gate's cells moved to the front and flattened into the
@@ -53,15 +55,11 @@ def _cell_name(i: int) -> str:
 class RingAutomaton:
     """A reversible one-step update on a ring of identical cells.
 
-    ``spans`` gives, layer by layer, the cells each gate covers, in gate-wire
-    order.
+    ``step`` fixes the cells, their dimension and the model; ``spans`` gives,
+    layer by layer, the cells each gate covers, in gate-wire order.
     """
 
-    cells: int
-    cell_dim: int
     step: ClassicalChannel | UnitaryChannel
-    model: str
-    boundary: str = "ring"
     spans: tuple[tuple[tuple[int, ...], ...], ...] = ()
 
     @property
@@ -75,9 +73,10 @@ class RingAutomaton:
         first: within a layer each gate's span maps to itself and a cell no
         gate covers maps to itself.
         """
-        cone = np.eye(self.cells, dtype=bool)
+        cells = len(self.system)
+        cone = np.eye(cells, dtype=bool)
         for layer in self.spans:
-            block = np.arange(self.cells)  # each cell's block, named by one of its cells
+            block = np.arange(cells)  # each cell's block, named by one of its cells
             for span in layer:
                 block[list(span)] = span[0]
             cone = cone @ (block[:, None] == block)
@@ -89,15 +88,13 @@ def build_ring(
     cells: int,
     cell_dim: int,
     model: str = "classical",
-    boundary: str = "ring",
     max_dim: Optional[int] = None,
 ) -> RingAutomaton:
     """Compose gate layers into a one-step automaton.
 
     Each layer is a sequence of ``(gate, at)`` pairs; a gate of arity k covers
-    cells ``at .. at+k-1`` with cyclic indexing (with ``boundary="open"`` the
-    span must lie in ``0 .. cells-1``, no wrap-around). Gates within one
-    layer must not overlap.
+    cells ``at .. at+k-1`` with cyclic indexing. Gates within one layer must
+    not overlap.
 
     Each gate acts on the running step, gate wire ``j`` on cell ``at+j``:
     quantumly the step is a tensor with one axis per output cell and one for
@@ -114,8 +111,6 @@ def build_ring(
         raise SpecError("a ring needs at least 2 cells of dimension >= 2")
     if model not in DEFAULT_MAX_DIM:
         raise SpecError(f"model must be one of {sorted(DEFAULT_MAX_DIM)}")
-    if boundary not in ("open", "ring"):
-        raise SpecError("boundary must be one of ['open', 'ring']")
     cap = max_dim if max_dim is not None else DEFAULT_MAX_DIM[model]
     # cell_dim >= 2, so past cap's bit length the power exceeds cap without computing it
     if cells >= cap.bit_length() or cell_dim**cells > cap:
@@ -146,8 +141,6 @@ def build_ring(
                     f"layer {layer_no}: gate wires must all have the cell dimension {cell_dim}"
                 )
             span = [(at + k) % cells for k in range(arity)]
-            if boundary == "open" and (at < 0 or at + arity > cells):
-                raise SpecError(f"layer {layer_no}: gate at {at} spills past the open boundary")
             if occupied & set(span):
                 raise SpecError(f"layer {layer_no}: overlapping gates at cells {sorted(span)}")
             occupied |= set(span)
@@ -172,14 +165,7 @@ def build_ring(
         step = cls(ring, ring, np.array(ring.strides, dtype=np.int64) @ acc)
     else:
         step = cls(ring, ring, acc.reshape(n, n))
-    return RingAutomaton(
-        cells=cells,
-        cell_dim=cell_dim,
-        step=step,
-        model=model,
-        boundary=boundary,
-        spans=tuple(spans),
-    )
+    return RingAutomaton(step, tuple(spans))
 
 
 def _iterated_maps(
@@ -195,15 +181,16 @@ def _iterated_maps(
     consistency error. The quantum relations are thresholded ``δ``, for
     which the boolean law fails inside the band.
     """
-    bits = a.cells * math.log2(a.cell_dim)
-    limit = int(math.log2(DEFAULT_MAX_DIM[a.model]))
+    exact = isinstance(a.step, ClassicalChannel)
+    model = "classical" if exact else "quantum"
+    bits = math.log2(a.step.input.total_dim)
+    limit = int(math.log2(DEFAULT_MAX_DIM[model]))
     if bits > limit:
         raise BudgetError(
-            f"cone growth capped at {limit} cell-bits for the {a.model} model, got {bits:.1f}"
+            f"cone growth capped at {limit} cell-bits for the {model} model, got {bits:.1f}"
         )
     maps = []
     u = a.step
-    exact = a.model == "classical"
     for t in range(1, max_steps + 1):
         if t > 1:
             u = a.step.compose(u)

@@ -314,10 +314,8 @@ def check_interaction_without_disturbance(
     """
     if set(u.input.names) != set(u.output.names):
         raise SpecError("classification needs matching input and output wire names")
-    for name in u.input.names:
-        if u.input.parts[u.input.position(name)].dim != u.output.parts[
-            u.output.position(name)
-        ].dim:
+    for name, dim in zip(u.input.names, u.input.dims):
+        if u.output.dims[u.output.position(name)] != dim:
             raise SpecError(f"wire {name!r} changes dimension between input and output")
     act = _ordered_subset(u.input, u.input.names[:1] if acting is None else acting)
     if not act:

@@ -3,7 +3,7 @@
 A reversible channel on finite alphabets is a bijective lookup table between
 joint indices; everything here is exact integer arithmetic, so the ``tol``
 parameters accepted for interface parity with the quantum model are unused.
-A channel or instrument keeps its table as ``table``, one read-only int64
+A channel or instrument keeps its table as ``table``, one read-only 1-D int64
 array that its constructor copies, and compares by identity.
 
 Instruments (interventions) are sub-normalized partial functions: a
@@ -16,8 +16,7 @@ as the protocol steps listed there: the probe stack from one ``argsort``, the
 bare probe (``_probe``), its pass (``_steps_by``, then
 ``_classical_joint_test``), the memory legs read off the table with no
 probe, the witness and its replay. The helpers both models need
-(``_dim_chunks``, ``_fresh_copies``, ``_at_zero``) live here; ``quantum``
-imports them.
+(``_dim_chunks``, ``_fresh_copies``) live here; ``quantum`` imports them.
 """
 
 from __future__ import annotations
@@ -169,6 +168,8 @@ class _Table:
     """A table kept as ``table``, a read-only int64 copy of the one given (-1 the null event)."""
 
     def _keep(self, arr: np.ndarray) -> np.ndarray:
+        if arr.ndim != 1:
+            raise SpecError(f"table must be 1-D, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "table", arr)
         return arr

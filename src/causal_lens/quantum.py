@@ -11,13 +11,12 @@ a block of wires is reached iff one of its wires is. Its probe and
 signalling readings are one commutator, the Gram kernel (``_heisenberg``) on
 ``U`` and on ``Uᵀ``; ``_gram_deltas`` forms both for every wire pair in one
 loop, one product and one sweep per chunk, to be compared as values
-(``_same_reading``). ``_delta_gap`` only locates a witness entry. Every
-factor on a block of wires comes from one kernel, ``_identity_factor``: ``W
-= Tr_idle / d_idle`` on a grid's own axes, the residual formed in place, and
-``W`` certified, a failure being a ``ConsistencyError``. A matrix with no
-nonzero imaginary part is stored and computed in float64, every other in
-complex128, by the same dtype-generic code; working-set estimates read the
-entry size off the matrix. ``UnitaryChannel`` owns the quantum kernels of
+(``_same_reading``). Every factor on a block of wires comes from one kernel,
+``_identity_factor``: ``W = Tr_idle / d_idle`` on a grid's own axes, the
+residual formed in place, and ``W`` certified, a failure being a
+``ConsistencyError``. A matrix with no nonzero imaginary part is stored and
+computed in float64, every other in complex128, by the same dtype-generic
+code; working-set estimates read the entry size off the matrix. ``UnitaryChannel`` owns the quantum kernels of
 ``causal``'s definitions, as the protocol steps listed there: the probe and
 its pass on the Gram kernel, the memory legs (``V``, off one regroup of
 ``U``, and the probe's factor ``W``, returned as the matrices checked as one
@@ -35,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import classical
-from .classical import _at_zero, _dim_chunks, _fresh_copies
+from .classical import _dim_chunks, _fresh_copies
 from .errors import ConsistencyError, SpecError
 from .systems import CompositeSystem, _paired_layout, _renamed, composite
 
@@ -117,24 +116,6 @@ def _signalling_terms(u: "UnitaryChannel", frm: Sequence[str], to: Sequence[str]
     g = g.transpose([n_in + 1, 0] + order + [n_in + 1 + k for k in order])
     d_to, d_k = len(g), u.input.total_dim // d_from
     return g.reshape(d_to, d_to, d_from, d_k, d_from, d_k)
-
-
-def _delta_gap(x: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Entrywise ``|x - delta x0|``, ``x0`` being ``x`` at digit 0 on every paired axis.
-
-    ``|x|`` off the diagonal of any pair and ``|x - x0|`` on the diagonal of
-    all, written through a view of the gap. It decides nothing: its largest
-    entry is the quantum witness.
-    """
-    gap = np.abs(x)
-    sub = list(range(x.ndim))
-    for a, b in pairs:
-        sub[b] = sub[a]
-    out = list(dict.fromkeys(sub))  # each diagonal axis where its pair first appears
-    diag = np.einsum(gap, sub, out)  # a writeable view
-    x0 = _at_zero(x, [a for pair in pairs for a in pair])
-    diag[...] = np.abs(np.einsum(x, sub, out) - np.einsum(x0, sub, out))
-    return gap
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
@@ -481,11 +462,13 @@ class UnitaryChannel:
     def _witness(self, frm: tuple[str, ...], to: tuple[str, ...], m=None) -> tuple[str, dict]:
         """The worst entry of the signalling identity ``m`` (``_signalling_terms``, formed if
         None), as ``(kind, detail)``: influence and signalling are one ``δ``. The expected
-        value, delta_ab times the a=b=0 entry, is formed at the worst entry alone."""
+        value is delta_ab times the a=b=0 entry; the entry decides nothing."""
         m = _signalling_terms(self, frm, to) if m is None else m
-        entry = _worst_entry(_delta_gap(m, [(2, 4)]), (1, 0, 4, 5, 2, 3))
+        d_from = m.shape[2]
+        expected = np.eye(d_from).reshape(1, 1, d_from, 1, d_from, 1) * m[:, :, :1, :, :1, :]
+        entry = _worst_entry(np.abs(m - expected), (1, 0, 4, 5, 2, 3))
         t, s, a, k, b, l = entry
-        actual, wanted = m[entry], float(a == b) * m[t, s, 0, k, 0, l]
+        actual, wanted = m[entry], expected[entry]
         return "factorization-defect", {
             "variant": "signalling-identity",
             "acting_on": list(frm),

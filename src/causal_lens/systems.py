@@ -1,6 +1,7 @@
 """Named composite systems and big-endian mixed-radix joint indexing.
 
-A composite system is an ordered tuple of named finite wires. Joint indices
+A composite system is its wires' ``names`` and ``dims``, two tuples of equal
+length; ``composite((name, dim), ...)`` builds one from pairs. Joint indices
 use big-endian mixed radix: the leftmost wire is the most significant digit,
 matching top-to-bottom circuit wire order. The empty composite is the trivial
 system (total dimension 1), so tensoring with it is a no-op by construction.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import SpecError
 
-__all__ = ["SubsystemLabel", "CompositeSystem", "composite"]
+__all__ = ["CompositeSystem", "composite"]
 
 
 def _strides(dims: Sequence[int]) -> tuple[int, ...]:
@@ -38,51 +39,32 @@ def _strides(dims: Sequence[int]) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SubsystemLabel:
-    """A named finite wire; ``dim`` is the alphabet size or Hilbert dimension.
-
-    ``dim == 1`` denotes a trivial wire.
-    """
-
-    name: str
-    dim: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise SpecError("subsystem name must be a non-empty string")
-        if self.dim < 1:
-            raise SpecError(f"subsystem {self.name!r}: dim must be >= 1, got {self.dim}")
-
-
-@dataclass(frozen=True)
 class CompositeSystem:
-    """An ordered sequence of uniquely named wires."""
+    """An ordered sequence of uniquely named wires: wire ``k`` is ``names[k]``, of
+    dimension ``dims[k]`` (the alphabet size or Hilbert dimension; 1 is trivial)."""
 
-    parts: tuple[SubsystemLabel, ...]
+    names: tuple[str, ...]
+    dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        names = tuple(p.name for p in parts)
+        names, dims = tuple(self.names), tuple(self.dims)
+        if len(names) != len(dims):
+            raise SpecError(f"{len(names)} wire names for {len(dims)} dims")
+        for name, dim in zip(names, dims):
+            if not isinstance(name, str) or not name:
+                raise SpecError("subsystem name must be a non-empty string")
+            if dim < 1:
+                raise SpecError(f"subsystem {name!r}: dim must be >= 1, got {dim}")
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise SpecError(f"duplicate wire names {dup} in composite system")
-        dims = tuple(p.dim for p in parts)
-        object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_dims", dims)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "_strides", _strides(dims))
         object.__setattr__(self, "_positions", {n: k for k, n in enumerate(names)})
         object.__setattr__(self, "_total_dim", math.prod(dims))
 
     # -- basic views ---------------------------------------------------------
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._names
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims
 
     @property
     def strides(self) -> tuple[int, ...]:
@@ -94,7 +76,7 @@ class CompositeSystem:
         return self._total_dim
 
     def __len__(self) -> int:
-        return len(self.parts)
+        return len(self.names)
 
     def position(self, name: str) -> int:
         try:
@@ -115,11 +97,12 @@ class CompositeSystem:
 
     def restrict(self, names: Iterable[str]) -> "CompositeSystem":
         """Sub-composite of the named wires, kept in system order."""
-        return CompositeSystem(tuple(self.parts[k] for k in self.subset_positions(names)))
+        return self.select([self.names[k] for k in self.subset_positions(names)])
 
     def select(self, order: Sequence[str]) -> "CompositeSystem":
         """Sub-composite of the named wires, in the order given."""
-        return CompositeSystem(tuple(self.parts[k] for k in self.layout(order)[0]))
+        pos, dims = self.layout(order)
+        return CompositeSystem(tuple(self.names[k] for k in pos), dims)
 
     def layout(self, names: Sequence[str]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Positions and dims of the named wires, in the order given.
@@ -130,35 +113,31 @@ class CompositeSystem:
         if len(set(names)) != len(names):
             raise SpecError(f"duplicate names in subset: {list(names)}")
         pos = tuple(self.position(n) for n in names)
-        return pos, tuple(self._dims[k] for k in pos)
+        return pos, tuple(self.dims[k] for k in pos)
 
     def concat(self, other: "CompositeSystem") -> "CompositeSystem":
-        return CompositeSystem(self.parts + other.parts)
+        return CompositeSystem(self.names + other.names, self.dims + other.dims)
 
     # -- joint-index codec ---------------------------------------------------
 
     def flatten(self, values: Sequence[int]) -> int:
         """Encode one value per wire into a joint index (big-endian)."""
-        if len(values) != len(self.parts):
-            raise SpecError(
-                f"expected {len(self.parts)} components, got {len(values)}"
-            )
+        if len(values) != len(self):
+            raise SpecError(f"expected {len(self)} components, got {len(values)}")
         idx = 0
-        for k, (v, part) in enumerate(zip(values, self.parts)):
-            if not 0 <= v < part.dim:
-                raise IndexError(
-                    f"component {k} ({part.name}): value {v} out of range for dim {part.dim}"
-                )
-            idx = idx * part.dim + v
+        for k, (v, name, dim) in enumerate(zip(values, self.names, self.dims)):
+            if not 0 <= v < dim:
+                raise IndexError(f"component {k} ({name}): value {v} out of range for dim {dim}")
+            idx = idx * dim + v
         return idx
 
     def unflatten(self, index: int) -> tuple[int, ...]:
         """Decode a joint index into one value per wire; inverse of :meth:`flatten`."""
         if not 0 <= index < self.total_dim:
             raise IndexError(f"joint index {index} out of range for total_dim {self.total_dim}")
-        out = [0] * len(self.parts)
-        for k in range(len(self.parts) - 1, -1, -1):
-            index, out[k] = divmod(index, self.parts[k].dim)
+        out = [0] * len(self)
+        for k in range(len(self) - 1, -1, -1):
+            index, out[k] = divmod(index, self.dims[k])
         return tuple(out)
 
     def digit_rows(self, index) -> np.ndarray:
@@ -171,7 +150,7 @@ class CompositeSystem:
         index = np.asarray(index, dtype=np.int64)
         shape = (len(self),) + (1,) * index.ndim
         strides = np.array(self._strides, dtype=np.int64).reshape(shape)
-        return index // strides % np.array(self._dims, dtype=np.int64).reshape(shape)
+        return index // strides % np.array(self.dims, dtype=np.int64).reshape(shape)
 
     def digits(self, index, names: Sequence[str]) -> np.ndarray:
         """Joint index of ``select(names)`` read off each joint ``index``.
@@ -219,7 +198,7 @@ def _renamed(channel, input_names, output_names):
             system, names = getattr(channel, side), list(names)
             if len(names) != len(system):
                 raise SpecError(f"{side} has {len(system)} wires, got {len(names)} names")
-            sides[side] = composite(*zip(names, system.dims))
+            sides[side] = CompositeSystem(tuple(names), system.dims)
     return replace(channel, **sides)
 
 
@@ -255,9 +234,6 @@ def _write_digits(index: np.ndarray, strides, dims: Sequence[int], values) -> np
     return out
 
 
-def composite(*parts: tuple[str, int] | SubsystemLabel) -> CompositeSystem:
-    """Build a system from ``(name, dim)`` pairs or labels: ``composite(("A", 2), ("B", 2))``."""
-    labels = tuple(
-        p if isinstance(p, SubsystemLabel) else SubsystemLabel(p[0], p[1]) for p in parts
-    )
-    return CompositeSystem(labels)
+def composite(*parts: tuple[str, int]) -> CompositeSystem:
+    """Build a system from ``(name, dim)`` pairs: ``composite(("A", 2), ("B", 2))``."""
+    return CompositeSystem(tuple(n for n, _ in parts), tuple(d for _, d in parts))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,18 +73,16 @@ THREE_BIT_IDENTITY = ClassicalChannel.identity(composite(("A", 2), ("B", 2), ("C
 
 
 @pytest.mark.parametrize(
-    "layers,cells,cell_dim,model,boundary,message",
+    "layers,cells,cell_dim,model,message",
     [
-        ([], 1, 2, "classical", "ring", "a ring needs at least 2 cells of dimension >= 2"),
-        ([], 3, 1, "classical", "ring", "a ring needs at least 2 cells of dimension >= 2"),
-        ([], 3, 2, "stochastic", "ring", "model must be one of ['classical', 'quantum']"),
-        ([], 3, 2, "classical", "opne", "boundary must be one of ['open', 'ring']"),
+        ([], 1, 2, "classical", "a ring needs at least 2 cells of dimension >= 2"),
+        ([], 3, 1, "classical", "a ring needs at least 2 cells of dimension >= 2"),
+        ([], 3, 2, "stochastic", "model must be one of ['classical', 'quantum']"),
         (
             [[(quantum.cnot(), 0)]],
             3,
             2,
             "classical",
-            "ring",
             "layer 0: gate model does not match 'classical'",
         ),
         (
@@ -90,7 +90,6 @@ THREE_BIT_IDENTITY = ClassicalChannel.identity(composite(("A", 2), ("B", 2), ("C
             2,
             2,
             "classical",
-            "ring",
             "layer 0: gate arity 3 exceeds ring size",
         ),
         (
@@ -98,18 +97,17 @@ THREE_BIT_IDENTITY = ClassicalChannel.identity(composite(("A", 2), ("B", 2), ("C
             3,
             2,
             "classical",
-            "ring",
             "layer 1: gate wires must all have the cell dimension 2",
         ),
     ],
     ids=[
-        "one-cell", "dim-1-cells", "unknown-model", "unknown-boundary", "model-mismatch", "arity",
+        "one-cell", "dim-1-cells", "unknown-model", "model-mismatch", "arity",
         "cell-dim",
     ],
 )
-def test_build_ring_rejects_bad_specs(layers, cells, cell_dim, model, boundary, message):
+def test_build_ring_rejects_bad_specs(layers, cells, cell_dim, model, message):
     with pytest.raises(SpecError) as exc:
-        build_ring(layers, cells=cells, cell_dim=cell_dim, model=model, boundary=boundary)
+        build_ring(layers, cells=cells, cell_dim=cell_dim, model=model)
     assert str(exc.value) == message
 
 
@@ -118,10 +116,17 @@ def test_neighbourhood_maps_needs_a_step():
         neighbourhood_maps(build_ring([], cells=2, cell_dim=2), 0)
 
 
-def test_wraparound_and_open_boundary():
-    build_ring([[(classical.cnot(), 3)]], cells=4, cell_dim=2)  # wraps c3 -> c0
-    with pytest.raises(SpecError):
-        build_ring([[(classical.cnot(), 3)]], cells=4, cell_dim=2, boundary="open")
+def test_a_ring_is_its_step_and_spans():
+    assert [f.name for f in dataclasses.fields(RingAutomaton)] == ["step", "spans"]
+    a = build_ring([[(classical.cnot(), 0)]], cells=4, cell_dim=2)
+    bare = RingAutomaton(a.step)  # no layers: the light cone is the identity
+    assert bare.spans == () and np.array_equal(bare.light_cone(), np.eye(4, dtype=bool))
+    assert a.system is a.step.input
+
+
+def test_wraparound():
+    a = build_ring([[(classical.cnot(), 3)]], cells=4, cell_dim=2)  # wraps c3 -> c0
+    assert a.spans == (((3, 0),),)
 
 
 def test_budget_cap():
@@ -211,6 +216,8 @@ def test_cone_budget():
     neighbourhood_maps(a, 1)
     big = build_ring([], cells=12, cell_dim=2)
     neighbourhood_maps(big, 1)
-    with pytest.raises(BudgetError):
-        bigger = build_ring([], cells=8, cell_dim=2)
-        neighbourhood_maps(RingAutomaton(8, 2, bigger.step, "quantum"), 1)
+    # the budget reads the model off the step: 8 bits pass classically, not quantumly
+    neighbourhood_maps(RingAutomaton(build_ring([], cells=8, cell_dim=2).step), 1)
+    bigger = build_ring([], cells=8, cell_dim=2, model="quantum", max_dim=256)
+    with pytest.raises(BudgetError, match="capped at 6 cell-bits for the quantum model, got 8.0"):
+        neighbourhood_maps(bigger, 1)

@@ -217,7 +217,7 @@ def test_probe_conjugation_identity_random_sweep():
         sys_n = composite(*((f"w{k}", d) for k, d in enumerate(dims)))
         u = classical.random_reversible(sys_n, rng)
         probe = [f"w{rng.integers(0, n_wires)}"]
-        d_probe = sys_n.parts[sys_n.position(probe[0])].dim
+        d_probe = sys_n.dims[sys_n.position(probe[0])]
         d_env = int(rng.integers(1, 4))
         joint = composite(("E", d_env), ("P", d_probe))
         if rng.random() < 0.5:

@@ -5,9 +5,12 @@ A classical channel or instrument keeps its table, and a unitary channel its
 matrix, as one read-only, C-contiguous array of the model's dtype: int64 (-1
 the null event), or float64 when no entry has a nonzero imaginary part and
 complex128 otherwise. The constructor copies whatever it is given, so a
-caller's array stays the caller's and stays writeable. Renaming takes one
+caller's array stays the caller's and stays writeable. A table must be 1-D.
+Renaming takes one
 name per wire, and channels compare and hash by identity.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -104,3 +107,15 @@ def test_channels_compare_and_hash_by_identity(model):
     u, v = cls(BITS, BITS, value), cls(BITS, BITS, value)
     assert u == u and u != v and hash(u) != hash(v)
     assert len({u, v, u}) == 2
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[0], [0], [0], [0]], [[0, 1]] * 4, [[0], [1], [2], [3]], 0],
+    ids=["repeated column", "rows", "column", "scalar"],
+)
+@pytest.mark.parametrize("cls", [ClassicalChannel, ClassicalInstrument])
+def test_a_table_that_is_not_1d_is_refused(cls, table):
+    shape = np.shape(table)
+    with pytest.raises(SpecError, match=rf"^table must be 1-D, got shape {re.escape(str(shape))}$"):
+        cls(BITS, BITS, table)

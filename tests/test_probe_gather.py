@@ -24,9 +24,7 @@ from wiring import reorder_wires
 def composed_probe(u, probed, copies):
     """The probe process of ``u`` at ``probed``, composed in ``u``'s model."""
     cls = type(u)
-    copy_sys = composite(
-        *((c, u.input.parts[u.input.position(n)].dim) for c, n in zip(copies, probed))
-    )
+    copy_sys = composite(*zip(copies, u.input.layout(probed)[1]))
     padded = copy_sys.concat(u.input)
     source = list(range(len(padded)))
     for c, n in zip(copies, probed):

@@ -82,11 +82,11 @@ def random_gate(rng, model, arity, cell_dim):
     return quantum.random_unitary(block, rng)
 
 
-def random_layers(rng, model, cells, cell_dim, boundary):
-    """1-3 layers of non-overlapping gates of arity 1-3; wrapping only on a ring."""
+def random_layers(rng, model, cells, cell_dim, wrap):
+    """1-3 layers of non-overlapping gates of arity 1-3; a gate may wrap only if ``wrap``."""
     layers = []
     for _ in range(int(rng.integers(1, 4))):
-        start = int(rng.integers(0, cells)) if boundary == "ring" else 0
+        start = int(rng.integers(0, cells)) if wrap else 0
         layer, r = [], 0
         while r < cells:
             arity = int(rng.integers(1, min(3, cells - r) + 1))
@@ -112,14 +112,12 @@ def random_cases():
                 if model == "quantum" and cell_dim**cells > 64:
                     continue
                 for k in range(4):
-                    boundary = "open" if k == 3 else "ring"
-                    layers = random_layers(rng, model, cells, cell_dim, boundary)
-                    out.append((model, cells, cell_dim, boundary, layers))
+                    layers = random_layers(rng, model, cells, cell_dim, wrap=k != 3)
+                    out.append((model, cells, cell_dim, layers))
     for cells in WIDE_CLASSICAL:
         for k in range(4):
-            boundary = "open" if k == 3 else "ring"
-            layers = random_layers(rng, "classical", cells, 2, boundary)
-            out.append(("classical", cells, 2, boundary, layers))
+            layers = random_layers(rng, "classical", cells, 2, wrap=k != 3)
+            out.append(("classical", cells, 2, layers))
     return out
 
 
@@ -133,16 +131,15 @@ def test_random_cases_cover_the_required_shapes():
     # some gate wraps around the ring
     assert any(
         at + len(g.input) > cells
-        for _, cells, _, boundary, layers in cases
-        if boundary == "ring"
+        for _, cells, _, layers in cases
         for layer in layers
         for g, at in layer
     )
 
 
-@pytest.mark.parametrize("model,cells,cell_dim,boundary,layers", random_cases())
-def test_random_layouts_match_the_composed_step(model, cells, cell_dim, boundary, layers):
-    a = build_ring(layers, cells, cell_dim, model=model, boundary=boundary)
+@pytest.mark.parametrize("model,cells,cell_dim,layers", random_cases())
+def test_random_layouts_match_the_composed_step(model, cells, cell_dim, layers):
+    a = build_ring(layers, cells, cell_dim, model=model)
     assert_same_step(a.step, composed_step(layers, cells, cell_dim, model))
     assert a.spans == tuple(
         tuple(tuple((at + k) % cells for k in range(len(g.input))) for g, at in ls)
@@ -160,11 +157,11 @@ def reference_light_cone(layers, cells):
 
 
 @pytest.mark.parametrize(
-    "cells,cell_dim,boundary,layers",
+    "cells,cell_dim,layers",
     [case[1:] for case in random_cases() if case[0] == "classical"],
 )
-def test_random_classical_layouts_lie_inside_their_light_cone(cells, cell_dim, boundary, layers):
-    a = build_ring(layers, cells, cell_dim, boundary=boundary)
+def test_random_classical_layouts_lie_inside_their_light_cone(cells, cell_dim, layers):
+    a = build_ring(layers, cells, cell_dim)
     cone = a.light_cone()
     assert np.array_equal(cone, reference_light_cone(layers, cells))
     assert not (influence_relation(a.step) & ~cone).any()
@@ -179,19 +176,15 @@ def test_a_step_that_does_not_match_its_layers_escapes_the_light_cone():
         neighbourhood_maps(dataclasses.replace(a, step=moved.step), 1)
     # a hand-built automaton with no layers claims the identity step
     with pytest.raises(ConsistencyError, match="escape the light cone of its layers"):
-        neighbourhood_maps(RingAutomaton(4, 2, a.step, "classical"), 1)
+        neighbourhood_maps(RingAutomaton(a.step), 1)
 
 
-def test_a_negative_at_is_cyclic_on_a_ring_and_spills_on_an_open_boundary():
+def test_a_negative_at_is_cyclic():
     a = build_ring([[(classical.cnot(), -1)]], cells=4, cell_dim=2)
     assert a.spans == (((3, 0),),)
     want = build_ring([[(classical.cnot(), 3)]], cells=4, cell_dim=2).step
     assert a.step.table.tolist() == want.table.tolist()
-    for at in (-1, -4):
-        with pytest.raises(SpecError) as exc:
-            build_ring([[(classical.cnot(), at)]], cells=4, cell_dim=2, boundary="open")
-        assert str(exc.value) == f"layer 0: gate at {at} spills past the open boundary"
-    build_ring([[(classical.cnot(), 2)]], cells=4, cell_dim=2, boundary="open")
+    assert build_ring([[(classical.cnot(), -4)]], cells=4, cell_dim=2).spans == (((0, 1),),)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))

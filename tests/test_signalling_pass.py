@@ -62,11 +62,12 @@ def random_gate(rng, model, arity, cell_dim):
     return quantum.random_unitary(block, rng)
 
 
-def random_ring(rng, model, cells, cell_dim, boundary):
-    """A ring of 1-3 layers of non-overlapping random gates of arity 1-3."""
+def random_ring(rng, model, cells, cell_dim, wrap):
+    """A ring of 1-3 layers of non-overlapping random gates of arity 1-3; a gate may
+    wrap around the ring only if ``wrap``."""
     layers = []
     for _ in range(int(rng.integers(1, 4))):
-        start = int(rng.integers(0, cells)) if boundary == "ring" else 0
+        start = int(rng.integers(0, cells)) if wrap else 0
         layer, r = [], 0
         while r < cells:
             arity = int(rng.integers(1, min(3, cells - r) + 1))
@@ -76,33 +77,33 @@ def random_ring(rng, model, cells, cell_dim, boundary):
             else:
                 r += 1
         layers.append(layer)
-    return build_ring(layers, cells, cell_dim, model=model, boundary=boundary)
+    return build_ring(layers, cells, cell_dim, model=model)
 
 
 def random_cases():
-    """Cell dims 2 and 3, ring and open boundaries, every size under the cone budget."""
+    """Cell dims 2 and 3, wrapping and unwrapped layouts, every size under the cone budget."""
     out = []
     for model, bits in (("classical", 12), ("quantum", 6)):
         for cell_dim in (2, 3):
             for cells in range(2, 13):
                 if cells * np.log2(cell_dim) > bits:
                     break
-                for boundary in ("ring", "open"):
-                    out.append((model, cells, cell_dim, boundary))
+                for wrap in (True, False):
+                    out.append((model, cells, cell_dim, wrap))
     return out
 
 
-@pytest.mark.parametrize("model,cells,cell_dim,boundary", random_cases())
-def test_random_layouts_one_pass_matches_pairwise_signals(model, cells, cell_dim, boundary):
-    rng = np.random.default_rng([2020, cells, cell_dim, boundary == "open", model == "quantum"])
-    a = random_ring(rng, model, cells, cell_dim, boundary)
+@pytest.mark.parametrize("model,cells,cell_dim,wrap", random_cases())
+def test_random_layouts_one_pass_matches_pairwise_signals(model, cells, cell_dim, wrap):
+    rng = np.random.default_rng([2020, cells, cell_dim, not wrap, model == "quantum"])
+    a = random_ring(rng, model, cells, cell_dim, wrap)
     assert_one_pass_matches_pairwise(a, MAX_STEPS if cells <= 8 else 2)
 
 
-def test_random_cases_cover_cell_dim_3_and_open_boundaries():
+def test_random_cases_cover_cell_dim_3_and_unwrapped_layouts():
     cases = random_cases()
-    assert {(m, d, b) for m, _, d, b in cases} == {
-        (m, d, b) for m in MAX_CELLS for d in (2, 3) for b in ("ring", "open")
+    assert {(m, d, w) for m, _, d, w in cases} == {
+        (m, d, w) for m in MAX_CELLS for d in (2, 3) for w in (True, False)
     }
 
 
@@ -120,7 +121,7 @@ def near_identity_ring(seed, cells, eps):
     step = UnitaryChannel(
         base.system, base.system, base.step.matrix @ (v * np.exp(1j * eps * w)) @ v.conj().T
     )
-    return RingAutomaton(cells=cells, cell_dim=cell_dim, step=step, model="quantum")
+    return RingAutomaton(step)
 
 
 def split_tolerance(u):

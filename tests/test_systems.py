@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_lens.errors import SpecError
-from causal_lens.systems import CompositeSystem, SubsystemLabel, composite
+from causal_lens.systems import CompositeSystem, composite
 
 
 def test_flatten_examples():
@@ -26,8 +27,24 @@ def test_flatten_out_of_range_reports_position():
 def test_unique_names_enforced():
     with pytest.raises(SpecError):
         composite(("A", 2), ("A", 3))
-    with pytest.raises(SpecError):
-        SubsystemLabel("A", 0)
+    with pytest.raises(SpecError, match="subsystem 'A': dim must be >= 1, got 0"):
+        composite(("A", 0))
+    with pytest.raises(SpecError, match="subsystem name must be a non-empty string"):
+        composite(("", 2))
+
+
+def test_a_system_is_its_names_and_dims():
+    assert [f.name for f in dataclasses.fields(CompositeSystem)] == ["names", "dims"]
+    built = composite(("A", 2), ("B", 3))
+    direct = CompositeSystem(["A", "B"], [2, 3])  # stored as tuples
+    assert (direct.names, direct.dims) == (("A", "B"), (2, 3))
+    assert built == direct and hash(built) == hash(direct)
+    assert composite() == CompositeSystem((), ())
+    # zip would drop the unpaired wire; the constructor refuses it
+    with pytest.raises(SpecError, match="2 wire names for 1 dims"):
+        CompositeSystem(("A", "B"), (2,))
+    with pytest.raises(SpecError, match="1 wire names for 2 dims"):
+        CompositeSystem(("A",), (2, 2))
 
 
 def test_trivial_system():
